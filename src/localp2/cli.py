@@ -72,14 +72,14 @@ class RunConfig:
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            value = complex(*map(float, parts))
+            if cmath.isfinite(value):
+                return value
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"expected a real or 're,im' pair, got {text!r}")
+        f"expected a finite real or 're,im' pair, got {text!r}")
 
 
 def _cplx(v) -> dict:
@@ -299,6 +299,12 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
         detail_p.append(f"y={y:g}: sum gap {gap:.2e}, tail dev {tail_dev:.2e}")
     stage("periods", ok_p, "; ".join(detail_p))
 
+    # the constant (-1)^k/3 the periods use, against its own quadrature
+    ray_dev = max(abs(c - (-1.0) ** k / 3.0) * 3.0
+                  for k, c in enumerate(geom.critical_ray_constants()))
+    stage("critical_rays", ray_dev <= 1e-14,
+          f"critical-ray rel dev {ray_dev:.2e}")
+
     tm = mm.fit_transfer_matrix(ys, quad)
     expected = ((1, 0, 0), (-1, 1, -1), (1, 1, 0))
     stage("transfer_matrix", tm.entries == expected,
@@ -369,6 +375,14 @@ def _csv_emit(command: str, payload: dict) -> str:
     return out.getvalue()
 
 
+def _json_text(obj) -> str:
+    """Strict JSON: a non-finite number is an error, never ``NaN``."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise LocalP2Error(f"report holds a non-finite number: {exc}") from None
+
+
 def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
@@ -389,15 +403,15 @@ def dispatch(argv) -> int:
             raise LocalP2Error(
                 f"subcommand {ns.command} has no CSV form; use --format json")
         payload, flagged = _BODIES[ns.command](cfg)
+        if cfg.output_format == "csv":
+            text = _csv_emit(ns.command, payload)
+        else:
+            text = _json_text(payload)
     except LocalP2Error as exc:
         report = {"error": type(exc).__name__,
                   "context": {"command": ns.command, "message": str(exc)}}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(_json_text(report))
         return 1
-    if cfg.output_format == "csv":
-        text = _csv_emit(ns.command, payload)
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.out_path:
         with open(cfg.out_path, "w") as fh:
             fh.write(text)

@@ -4,14 +4,24 @@ The fiber over z is the double cover Y^2 = X^3 + (z/2)^2 X^2 + (z/2) X + 1/4.
 Its branch roots are tracked with continuous labels along polyline paths, the
 one-dimensional vanishing-cycle integrals are evaluated both through a
 two-term hypergeometric closed form and through branch-tracked quadrature,
-and the three-cycle periods are obtained by contour quadrature of a fixed
-two-segment combination along the ray from the fibration degeneration point
-through the origin to a critical value of the elliptic fibration.
+and the three-cycle periods are contour integrals of a fixed two-segment
+fiber combination h_k(z) from the degeneration point z_* = -y^(-1/3) through
+the origin to the critical value 3 OMEGA^k.
+
+The contour splits at the origin.  The critical ray 0 -> 3 OMEGA^k does not
+depend on y and is worth exactly -8 pi^2 (-1)^k / 3, so
+
+    I_k(y) = (-1)^k/3 + (1/8 pi^2) Int_0^{z_*} h_k(z) dz.
+
+The degeneration ray is short (|z_*| < 1/3 for |y| > 27) and far from the
+critical values, so one Gauss-Legendre panel integrates it to rounding; the
+critical ray, whose endpoint is a root collision, is integrated only as a
+check (``critical_ray_constants``, tanh-sinh).
 
 Conventions frozen here (measured, not assumed):
   * internal primitive cube root ``OMEGA = exp(2 pi i/3)``; critical values
-    are ``3 * OMEGA**k`` and the cycle with index k is integrated to exactly
-    that endpoint;
+    are ``3 * OMEGA**k`` and the cycle with index k ends at exactly that
+    point;
   * per-cycle segment combinations and their signs are seeded at z = 0 and
     normalized so the alternating sum of the three periods equals +1;
   * the large-|y| tails of the periods carry sixth-root-of-unity phases
@@ -25,7 +35,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +48,7 @@ __all__ = [
     "CubicRoots",
     "PathZ",
     "PeriodVector",
+    "CRITICAL_VALUES",
     "critical_points",
     "roots_at_origin",
     "cubic_roots_along",
@@ -46,6 +56,7 @@ __all__ = [
     "jk_quadrature",
     "period_Ik",
     "periods",
+    "critical_ray_constants",
     "b_expansion",
     "expected_period_tail",
     "f_at_origin",
@@ -53,6 +64,9 @@ __all__ = [
 ]
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
+
+# Critical values of the elliptic fibration: the fiber degenerates at 3 OMEGA^k.
+CRITICAL_VALUES = (3.0 + 0.0j, 3.0 * OMEGA, 3.0 * OMEGA ** 2)
 
 # Phase base of the period tails.  A sixth root: the cube-root rotation of the
 # fibration composed with the orientation flip of alternating cycles.
@@ -84,6 +98,17 @@ _CYCLE_SEGMENTS = {
 
 _TWO_PI = 2.0 * math.pi
 _EIGHT_PI_SQ = 8.0 * math.pi ** 2
+
+# Gauss-Legendre sizes on the degeneration ray: a period takes the last rule,
+# its error estimate the distance from the first.
+_RAY_NODES = (16, 32)
+# Gauss-Chebyshev nodes of one fiber segment integral.
+_SEG_N = 64
+# Rounding level of a period value; no error estimate reports less.
+_ROUNDING_FLOOR = 1e-15
+# Tanh-sinh step and half-width (in steps) of the critical-ray check.
+_TS_STEP = 1.0 / 16.0
+_TS_LEVELS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +214,12 @@ def critical_points(y: complex):
     the elliptic fiber itself degenerates at the cube roots 3*OMEGA**k.
     """
     y = complex(y)
+    if not cmath.isfinite(y):
+        raise DomainError(f"critical points need a finite modulus, got {y}")
     if y == 0:
         raise DomainError("critical points undefined at y = 0")
     z_star = -(y ** (-1.0 / 3.0))
-    return (z_star, 3.0 + 0.0j, 3.0 * OMEGA, 3.0 * OMEGA ** 2)
+    return (z_star, *CRITICAL_VALUES)
 
 
 def _origin_triple() -> np.ndarray:
@@ -335,32 +362,28 @@ def vanishing_integral_Jk(roots: CubicRoots, k: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gl_grid(n_panels: int, n_nodes: int, cascade: int):
-    """Panelized Gauss-Legendre grid on [0, 1], geometric squeeze at t = 1.
+def _gauss_legendre(n: int):
+    """n-node Gauss-Legendre rule on [0, 1]: (nodes ascending, weights)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
-    The squeeze resolves the endpoint where two branch roots collide; the
-    integrand stays bounded there but loses analyticity, so fixed panels
-    converge slowly without it.
+
+def _tanh_sinh(step: float, levels: int):
+    """Tanh-sinh rule on [0, 1] (Takahasi & Mori 1974): nodes ascending.
+
+    The nodes crowd double-exponentially into both ends, which resolves the
+    endpoint where two branch roots collide.  Nodes that round onto an end
+    (t = 1 is the collision itself) are dropped; at step 1/16 their weights
+    sum to 8e-17 per end.
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    bounds = list(np.linspace(0.0, 1.0, n_panels + 1))
-    last = bounds[-2]
-    width = 1.0 - last
-    cascade_pts = [1.0 - width * 0.5 ** j for j in range(1, cascade)]
-    bounds = bounds[:-1] + cascade_pts + [1.0]
-    ts, ws = [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        ts.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * w)
-    t = np.concatenate(ts)
-    wt = np.concatenate(ws)
-    t.setflags(write=False)
-    wt.setflags(write=False)
-    return t, wt
+    j = np.arange(-levels, levels + 1) * step
+    u = 0.5 * math.pi * np.sinh(j)
+    t = 0.5 * (1.0 + np.tanh(u))
+    w = 0.25 * math.pi * step * np.cosh(j) / np.cosh(u) ** 2
+    keep = (t > 0.0) & (t < 1.0)
+    return t[keep], w[keep]
 
 
-@lru_cache(maxsize=16)
 def _segment_anchor(m: int, seg_n: int) -> complex:
     t = _origin_triple()
     return _seg_quad(t[m], t[(m + 1) % 3], t[(m + 2) % 3], seg_n)
@@ -380,61 +403,61 @@ def _threaded_family(roots: np.ndarray, m: int, seg_n: int) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=256)
-def _ray_integral(endpoint: complex, k: int, n_panels: int, n_nodes: int,
-                  seg_n: int, cascade: int) -> complex:
-    """Integral of the cycle-k fiber combination along the ray 0 -> endpoint."""
-    t, wt = _gl_grid(n_panels, n_nodes, cascade)
+def _ray_integrals(endpoint: complex, families, t: np.ndarray,
+                   weights: np.ndarray, seg_n: int) -> dict:
+    """Integrals of segment families along the ray 0 -> endpoint.
+
+    ``t`` holds the ray parameters in [0, 1], ascending, and ``weights`` one
+    row of quadrature weights over them per rule (or a single row).  The
+    result maps each family to its integral under each rule.
+    """
     zs = t * endpoint
     tracked = _kernels.track_roots(zs, _origin_triple())
     _check_tracked(zs, tracked, (0.0j, endpoint))
+    return {m: weights @ _threaded_family(tracked, m, seg_n) * endpoint
+            for m in families}
+
+
+def _cycle_combination(family_values: dict, k: int):
     (sa, a), (sb, b) = _CYCLE_SEGMENTS[k]
-    h = (sa * _threaded_family(tracked, a, seg_n)
-         + sb * _threaded_family(tracked, b, seg_n))
-    return complex(np.sum(h * wt) * endpoint)
+    return sa * family_values[a] + sb * family_values[b]
 
 
-def _period_value(y: complex, k: int, n_panels: int, n_nodes: int = 32,
-                  seg_n: int = 64, cascade: int = 10) -> complex:
-    z_star, *crit = critical_points(y)
-    a_side = _ray_integral(complex(crit[k]), k, n_panels, n_nodes, seg_n, cascade)
-    b_side = _ray_integral(complex(z_star), k, n_panels, n_nodes, seg_n, cascade)
-    return -(a_side - b_side) / _EIGHT_PI_SQ
+def _period_estimates(y: complex, nodes=_RAY_NODES, seg_n: int = _SEG_N):
+    """(value, error estimate) of the three periods at y.
+
+    I_k = (-1)^k/3 + (1/8 pi^2) * Int_0^{z_*} h_k dz.  The three segment
+    families are integrated along the degeneration ray once, under every
+    Gauss-Legendre rule in ``nodes`` on one merged, tracked and
+    sign-threaded pass; the value takes the last rule, the error estimate
+    its distance from the first, floored at the rounding level.
+    """
+    rules = [_gauss_legendre(n) for n in nodes]
+    t = np.concatenate([r for r, _ in rules])
+    weights = np.zeros((len(rules), len(t)))
+    start = 0
+    for row, (_, w) in enumerate(rules):
+        weights[row, start:start + len(w)] = w
+        start += len(w)
+    order = np.argsort(t)
+    fam = _ray_integrals(critical_points(y)[0], range(3), t[order],
+                         weights[:, order], seg_n)
+    out = []
+    for k in range(3):
+        b = _cycle_combination(fam, k)
+        err = max(abs(b[-1] - b[0]) / _EIGHT_PI_SQ, _ROUNDING_FLOOR)
+        out.append(((-1.0) ** k / 3.0 + complex(b[-1]) / _EIGHT_PI_SQ, err))
+    return out
 
 
-def _resolve_quad_tol(quad: PrecisionConfig | None) -> float:
-    if quad is None:
-        return 1e-9
-    return max(float(quad.target_rel_err), 1e-12)
-
-
-def _period_adaptive(y: complex, k: int, tol: float,
-                     n_panels: int = 12) -> tuple[complex, float]:
-    prev = _period_value(y, k, n_panels)
-    panels = n_panels
-    while True:
-        panels *= 2
-        cur = _period_value(y, k, panels)
-        err = abs(cur - prev)
-        if err <= tol * max(1.0, abs(cur)):
-            return cur, err
-        if panels >= 96:
-            z_star, *crit = critical_points(y)
-            da = abs(_ray_integral(complex(crit[k]), k, panels, 32, 64, 10)
-                     - _ray_integral(complex(crit[k]), k, panels // 2, 32, 64, 10))
-            db = abs(_ray_integral(complex(z_star), k, panels, 32, 64, 10)
-                     - _ray_integral(complex(z_star), k, panels // 2, 32, 64, 10))
-            worst = ("critical ray 0 -> z_k" if da >= db
-                     else "degeneration ray 0 -> z_*")
-            raise QuadratureError(
-                f"period quadrature not converged at {panels} panels "
-                f"(err {err:.3e} > tol {tol:.1e}); worst segment: {worst}")
-        prev = cur
-
-
-def _default_path(y: complex, k: int) -> PathZ:
-    z_star, *crit = critical_points(y)
-    return PathZ((z_star, 0.0j, crit[k]))
+def _period_modulus(y) -> complex:
+    y = complex(y)
+    if not cmath.isfinite(y):
+        raise DomainError(f"period modulus must be finite, got {y}")
+    if abs(y) <= 27.0:
+        raise DomainError(
+            f"period contour requires |y| > 27, got |y| = {abs(y):.4g}")
+    return y
 
 
 def _validate_period_path(path: PathZ, y: complex, k: int) -> None:
@@ -454,37 +477,60 @@ def period_Ik(y: complex, k: int, path: PathZ | None = None,
               quad: PrecisionConfig | None = None) -> complex:
     """Contour period of the three-cycle attached to critical value k.
 
-    Quadrature of the fiber-cycle combination along the ray from the
-    degeneration point z_* through the origin to the k-th critical value,
-    normalized by -1/(8 pi^2) (the circle factor of the third fibration
-    direction is already absorbed).
+    The contour runs from the degeneration point z_* through the origin to
+    the k-th critical value; ``path``, if given, must be such a contour.
+    The value is the k-th entry of ``periods(y, quad)``.
     """
-    y = complex(y)
+    y = _period_modulus(y)
     if k not in (0, 1, 2):
         raise DomainError(f"cycle index must be 0, 1 or 2, got {k}")
-    if abs(y) <= 27.0:
-        raise DomainError(
-            f"period contour requires |y| > 27, got |y| = {abs(y):.4g}")
     if path is not None:
         _validate_period_path(path, y, k)
-    value, _ = _period_adaptive(y, k, _resolve_quad_tol(quad))
-    return value
+    return periods(y, quad).as_vector()[k]
 
 
 def periods(y: complex, quad: PrecisionConfig | None = None) -> PeriodVector:
-    """All three periods at one modulus value, with error estimates."""
-    y = complex(y)
-    if abs(y) <= 27.0:
-        raise DomainError(
-            f"period contour requires |y| > 27, got |y| = {abs(y):.4g}")
-    tol = _resolve_quad_tol(quad)
+    """All three periods at one modulus value, with error estimates.
+
+    The contour z_* -> 0 -> 3 OMEGA^k splits at the origin.  The critical
+    ray 0 -> 3 OMEGA^k does not depend on y and contributes exactly
+    (-1)^k/3 (``critical_ray_constants`` checks it by quadrature).  The
+    degeneration ray 0 -> z_* has |z_*| < 1/3, far from the critical values
+    at |z| = 3, so its integrand is analytic there and one Gauss-Legendre
+    panel resolves it: the value takes 32 nodes, and ``err`` is the
+    difference from 16 nodes over 8 pi^2, floored at 1e-15.  Raises
+    QuadratureError if an estimate exceeds ``quad.target_rel_err`` (default
+    1e-9) times max(1, |I_k|).
+    """
+    y = _period_modulus(y)
+    tol = 1e-9 if quad is None else quad.target_rel_err
     vals = []
     errs = []
-    for k in range(3):
-        v, e = _period_adaptive(y, k, tol)
-        vals.append(v)
-        errs.append(e)
+    for k, (value, err) in enumerate(_period_estimates(y)):
+        if err > tol * max(1.0, abs(value)):
+            raise QuadratureError(
+                f"period {k} not converged on the degeneration ray "
+                f"0 -> z_*: err {err:.3e} > tol {tol:.1e}")
+        vals.append(value)
+        errs.append(err)
     return PeriodVector(vals[0], vals[1], vals[2], y, tuple(errs))
+
+
+def critical_ray_constants() -> tuple:
+    """The constant terms of the three periods, by direct quadrature.
+
+    Integrates the cycle-k fiber combination along the critical ray
+    0 -> 3 OMEGA^k with a tanh-sinh rule and returns -1/(8 pi^2) times each
+    integral.  The exact values are (-1)^k/3, which ``periods`` uses in
+    their place; this is the check that the two agree.
+    """
+    t, w = _tanh_sinh(_TS_STEP, _TS_LEVELS)
+    out = []
+    for k, end in enumerate(CRITICAL_VALUES):
+        (_, a), (_, b) = _CYCLE_SEGMENTS[k]
+        fam = _ray_integrals(end, (a, b), t, w, _SEG_N)
+        out.append(-complex(_cycle_combination(fam, k)) / _EIGHT_PI_SQ)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

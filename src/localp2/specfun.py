@@ -51,8 +51,9 @@ _POLE_TOL = 1e-13
 
 
 def _env_mode() -> str:
-    mode = os.environ.get("LOCALP2_PRECISION", "double").strip().lower()
-    return mode if mode in {"double", "extended"} else "double"
+    """``LOCALP2_PRECISION`` as given; PrecisionConfig rejects unknown modes,
+    as the command line does."""
+    return os.environ.get("LOCALP2_PRECISION", "double")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from localp2.cli import SUBCOMMANDS, _parse_complex, dispatch
+from localp2.cli import SUBCOMMANDS, _json_text, _parse_complex, dispatch
+from localp2.errors import LocalP2Error
 
 # minimal clean invocation per subcommand
 CLEAN_ARGS = {
@@ -67,6 +68,37 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_bad_y_value_exits_two(capsys):
     assert dispatch(["series", "--y", "abc"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e3,nan", "1e400"])
+def test_non_finite_y_exits_two(capsys, value):
+    assert dispatch(["periods", f"--y={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_json_output_is_strict():
+    assert _json_text({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    with pytest.raises(LocalP2Error):
+        _json_text({"x": float("inf")})
+
+
+def test_periods_at_tightest_tolerance(tmp_path):
+    code, payload = _run_json(tmp_path, "periods", ["--tol", "1e-12"])
+    assert code == 0
+    assert payload["n_flagged"] == 0
+    assert max(payload["rows"][0]["err"]) <= 1e-12
+
+
+def test_reproduce_critical_ray_stage(tmp_path):
+    code, payload = _run_json(tmp_path, "reproduce")
+    assert code == 0
+    names = [st["name"] for st in payload["stages"]]
+    assert names.index("critical_rays") == names.index("periods") + 1
+    stage = payload["stages"][names.index("critical_rays")]
+    assert stage["pass"]
+    assert float(stage["detail"].rsplit(" ", 1)[1]) <= 1e-14
 
 
 def test_module_error_reports_json(capsys):

@@ -264,14 +264,59 @@ def test_period_single_matches_vector():
     assert abs(geom.period_Ik(1e3, 1) - pv.i1) < 1e-12
 
 
-def test_period_convergence_in_segment_resolution():
-    # panels are over-resolved at the defaults; the accuracy floor is set by
-    # the per-fiber segment rule, which must be converged at its default
-    ref = geom._period_value(1e3, 0, 24, n_nodes=32, seg_n=128)
-    coarse = abs(geom._period_value(1e3, 0, 12, seg_n=8) - ref)
-    default = abs(geom._period_value(1e3, 0, 12) - ref)
-    assert default < 1e-11
-    assert coarse > 100.0 * default
+# Moduli for the accuracy tests: seeded large values with random phases, plus
+# |y| just above 27 (the longest degeneration ray) on three axes.
+_rng = np.random.default_rng(20261017)
+ACCURACY_MODULI = (27.03, -27.03, 27.03j, 28.0, 1e3, -1e3, 1e8) + tuple(
+    complex(cmath.rect(10.0 ** e, p))
+    for e, p in zip(_rng.uniform(1.5, 8.0, 6), _rng.uniform(-math.pi, math.pi, 6)))
+
+
+def _reference_periods(y):
+    # more ray nodes and a finer fiber rule than the defaults
+    return [v for v, _ in geom._period_estimates(y, nodes=(48,), seg_n=256)]
+
+
+def test_period_converged_against_refined_reference():
+    # the default rules reach rounding level; a coarse fiber rule does not
+    for y in (1e3, 27.03, 2e4 * cmath.exp(2.0j)):
+        ref = _reference_periods(y)
+        default = max(abs(a - b) for a, b in zip(geom.periods(y).as_vector(), ref))
+        coarse = max(abs(v - r) for (v, _), r in
+                     zip(geom._period_estimates(y, seg_n=8), ref))
+        assert default < 1e-14, y
+        assert coarse > 100.0 * max(default, 1e-16), y
+
+
+def test_period_error_estimate_bounds_true_error():
+    for y in ACCURACY_MODULI:
+        pv = geom.periods(y)
+        for v, e, r in zip(pv.as_vector(), pv.err, _reference_periods(y)):
+            assert abs(v - r) <= e, y
+
+
+def test_period_sum_gap_at_seeded_moduli():
+    for y in ACCURACY_MODULI:
+        gap = abs(geom.periods(y).alternating_sum() - 1.0)
+        assert gap <= 1e-13, (y, gap)
+
+
+def test_period_at_tightest_documented_tolerance():
+    pv = geom.periods(1e3, PrecisionConfig(target_rel_err=1e-12))
+    assert max(pv.err) <= 1e-12
+    assert abs(pv.alternating_sum() - 1.0) <= 1e-13
+
+
+def test_critical_ray_constants_match_exact_values():
+    # the constant the periods use in place of the critical-ray quadrature
+    for k, c in enumerate(geom.critical_ray_constants()):
+        assert abs(c - (-1.0) ** k / 3.0) <= 1e-14 / 3.0, k
+
+
+def test_critical_values_are_the_cube_roots_of_27():
+    for k, c in enumerate(geom.CRITICAL_VALUES):
+        assert abs(c - 3.0 * W ** k) < 1e-15
+        assert c == geom.critical_points(1e3)[k + 1]
 
 
 def test_period_precision_config_tightens():
@@ -288,6 +333,17 @@ def test_period_domain_checks():
         geom.periods(5.0)
     with pytest.raises(DomainError):
         geom.period_Ik(1e3, 4)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, complex(1e3, math.nan),
+                               complex(-math.inf, 1.0)])
+def test_non_finite_modulus_is_a_domain_error(y):
+    with pytest.raises(DomainError):
+        geom.critical_points(y)
+    with pytest.raises(DomainError):
+        geom.periods(y)
+    with pytest.raises(DomainError):
+        geom.period_Ik(y, 0)
 
 
 def test_period_path_validation():

@@ -118,3 +118,14 @@ def test_precision_config_validation():
         PrecisionConfig(mode="extended", dps=10)
     with pytest.raises(DomainError):
         PrecisionConfig(target_rel_err=1.0)
+
+
+def test_unknown_precision_mode_in_environment_is_rejected(monkeypatch):
+    # the same value the command line rejects
+    monkeypatch.setenv("LOCALP2_PRECISION", "bogus")
+    with pytest.raises(DomainError, match="bogus"):
+        PrecisionConfig()
+    with pytest.raises(DomainError):
+        sf.default_config()
+    monkeypatch.setenv("LOCALP2_PRECISION", "extended")
+    assert PrecisionConfig().mode == "extended"
