@@ -1,51 +1,22 @@
-"""Low-level numeric kernels with two interchangeable backends.
+"""Low-level numeric kernels, vectorized over numpy arrays.
 
-Hot inner loops (complex Lanczos gamma, digamma, AGM elliptic integrals,
+Complex Lanczos gamma, digamma, AGM elliptic integrals and 2F1(1/2,1/2;1;.),
 Cardano root solving with continuity tracking, and branch-tracked segment
-quadrature of dX/sqrt(cubic)) are compiled with numba when it is available.
-Setting the environment variable ``LOCALP2_DISABLE_NUMBA=1`` before import
-selects a pure-numpy fallback implementing the same arithmetic.
+quadrature of dX/sqrt(cubic).  Each kernel has one implementation, written
+as array operations so a whole batch of inputs costs one call.
 
-Every public function here is deterministic and allocation-light; the
-benchmark in ``benchmarks/bench_kernels.py`` compares the two backends.
+Every public function here is deterministic and allocation-light.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = os.environ.get("LOCALP2_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _ENV_FLAG in {"1", "true", "yes", "on"}
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        """No-op replacement so scalar kernels stay importable without numba."""
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+# The one numeric backend.  Kept only because the benchmark's provenance
+# record (``perfbench/run.py``) reads it.
+BACKEND = "numpy"
 
 # Lanczos coefficients, g = 607/128, 15 terms.  Relative error of the rational
 # part is ~1e-15 on the right half plane, which keeps gamma below 1e-13
@@ -87,209 +58,20 @@ _DIGAMMA_TAIL = np.array(
 _DIGAMMA_SHIFT_RADIUS = 12.0
 _AGM_MAX_ITER = 64
 # slightly above one ulp of the sum: the iteration may settle into a one-ulp
-# limit cycle instead of exact equality, and which happens depends on the
-# backend's rounding of the half/sqrt pair
+# limit cycle instead of exact equality
 _AGM_RTOL = 2.5e-16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_ZETA = complex(-0.5, 0.8660254037844386467637232)
+_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
-# ---------------------------------------------------------------------------
-# scalar kernels (numba-compiled when the backend is "numba")
-# ---------------------------------------------------------------------------
+def _c128(z) -> np.ndarray:
+    return np.atleast_1d(np.asarray(z, dtype=np.complex128))
 
 
-@njit(cache=True)
-def _gamma_scalar(z: complex) -> complex:
-    if z.real < 0.5:
-        # reflection; the sine never vanishes here because pole inputs are
-        # rejected by the wrapper before this kernel runs
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_scalar(1.0 - z))
-    zz = z - 1.0
-    x = _LANCZOS_C[0]
-    for k in range(1, 15):
-        x += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (zz + 0.5) * cmath.exp(-t) * x
-
-
-@njit(cache=True)
-def _digamma_scalar(z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    if z.real < 0.5:
-        acc -= math.pi / cmath.tan(math.pi * z)
-        z = 1.0 - z
-    while abs(z) < _DIGAMMA_SHIFT_RADIUS:
-        acc -= 1.0 / z
-        z = z + 1.0
-    inv2 = 1.0 / (z * z)
-    tail = 0.0 + 0.0j
-    p = inv2
-    for k in range(7):
-        tail += _DIGAMMA_TAIL[k] * p
-        p *= inv2
-    return acc + cmath.log(z) - 0.5 / z + tail
-
-
-@njit(cache=True)
-def _agm_scalar(a: complex, b: complex):
-    """Optimal AGM of (a, b); returns (mean, iterations) with iterations < 0
-    on failure to converge within the 64-step guard."""
-    for it in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_RTOL * (abs(a) + abs(b)):
-            return a, it
-        an = 0.5 * (a + b)
-        bn = cmath.sqrt(a * b)
-        # pick the square-root sign keeping |a-b| <= |a+b| (the "optimal" AGM);
-        # break ties toward Im(b/a) > 0
-        d_minus = abs(an - bn)
-        d_plus = abs(an + bn)
-        if d_minus > d_plus:
-            bn = -bn
-        elif d_minus == d_plus and an != 0:
-            if (bn / an).imag < 0.0:
-                bn = -bn
-        a, b = an, bn
-    return a, -1
-
-
-@njit(cache=True)
-def _ellipk_scalar(k: complex):
-    kp = cmath.sqrt(1.0 - k * k)
-    m, it = _agm_scalar(1.0 + 0.0j, kp)
-    return math.pi / (2.0 * m), it
-
-
-@njit(cache=True)
-def _ellipke_scalar(k: complex):
-    """Complete integrals (K, E) from one AGM run with the companion sum."""
-    a = 1.0 + 0.0j
-    b = cmath.sqrt(1.0 - k * k)
-    s = 0.5 * k * k
-    pow2 = 0.5
-    it = -1
-    for n in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_RTOL * (abs(a) + abs(b)):
-            it = n
-            break
-        c = 0.5 * (a - b)
-        pow2 *= 2.0
-        s += pow2 * c * c
-        an = 0.5 * (a + b)
-        bn = cmath.sqrt(a * b)
-        d_minus = abs(an - bn)
-        d_plus = abs(an + bn)
-        if d_minus > d_plus:
-            bn = -bn
-        elif d_minus == d_plus and an != 0:
-            if (bn / an).imag < 0.0:
-                bn = -bn
-        a, b = an, bn
-    kk = math.pi / (2.0 * a)
-    return kk, kk * (1.0 - s), it
-
-
-@njit(cache=True)
-def _hyp2f1_half_scalar(z: complex):
-    m, it = _agm_scalar(1.0 + 0.0j, cmath.sqrt(1.0 - z))
-    return 1.0 / m, it
-
-
-@njit(cache=True)
-def _cubic_roots_scalar(b: complex, c: complex, d: complex):
-    """Roots of the monic cubic x^3 + b x^2 + c x + d (arbitrary order)."""
-    p = c - b * b / 3.0
-    q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d
-    s = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
-    u3 = -0.5 * q + s
-    alt = -0.5 * q - s
-    if abs(alt) > abs(u3):
-        u3 = alt
-    if u3 == 0.0:
-        r = -b / 3.0
-        return r, r, r
-    u = u3 ** (1.0 / 3.0)
-    zeta = complex(-0.5, 0.8660254037844386467637232)
-    x0 = u - p / (3.0 * u) - b / 3.0
-    u1 = u * zeta
-    x1 = u1 - p / (3.0 * u1) - b / 3.0
-    u2 = u1 * zeta
-    x2 = u2 - p / (3.0 * u2) - b / 3.0
-    return x0, x1, x2
-
-
-@njit(cache=True)
-def _match_triple(r0: complex, r1: complex, r2: complex,
-                  p0: complex, p1: complex, p2: complex):
-    """Reorder (r0,r1,r2) to minimize total squared distance to (p0,p1,p2)."""
-    best = -1.0
-    b0 = r0
-    b1 = r1
-    b2 = r2
-    cand = ((r0, r1, r2), (r0, r2, r1), (r1, r0, r2),
-            (r1, r2, r0), (r2, r0, r1), (r2, r1, r0))
-    for t in cand:
-        c0, c1, c2 = t
-        d = (abs(c0 - p0) ** 2 + abs(c1 - p1) ** 2 + abs(c2 - p2) ** 2)
-        if best < 0.0 or d < best:
-            best = d
-            b0, b1, b2 = c0, c1, c2
-    return b0, b1, b2
-
-
-@njit(cache=True)
-def _track_roots_numba(zs: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    out = np.empty((zs.shape[0], 3), dtype=np.complex128)
-    p0, p1, p2 = seed[0], seed[1], seed[2]
-    for i in range(zs.shape[0]):
-        z = zs[i]
-        h = 0.5 * z
-        r0, r1, r2 = _cubic_roots_scalar(h * h, h, 0.25 + 0.0j)
-        p0, p1, p2 = _match_triple(r0, r1, r2, p0, p1, p2)
-        out[i, 0] = p0
-        out[i, 1] = p1
-        out[i, 2] = p2
-    return out
-
-
-@njit(cache=True)
-def _segment_integral_numba(xa: complex, xb: complex, xc: complex, n: int) -> complex:
-    """Gauss-Chebyshev quadrature of dX/sqrt((X-xa)(X-xb)(X-xc)) from xa to xb.
-
-    The square root of the cubic is evaluated at the nodes and its sign is
-    continued from node to node; the branch is seeded against the product of
-    principal square roots in the scaled variable, which is the continuous
-    (Euler integral) branch on the open segment.
-    """
-    sigma = (xb - xa) / (xc - xa)
-    pref = cmath.sqrt(xc - xa)
-    acc = 0.0 + 0.0j
-    prev = 0.0 + 0.0j
-    for i in range(n):
-        theta = (2.0 * i + 1.0) * math.pi / (2.0 * n)
-        t = 0.5 * (1.0 + math.cos(theta))
-        w = math.sqrt(t * (1.0 - t))
-        x = xa + (xb - xa) * t
-        v = (x - xa) * (x - xb) * (x - xc)
-        sq = cmath.sqrt(v)
-        if i == 0:
-            ref = (xb - xa) * pref * w * cmath.sqrt(1.0 - sigma * t)
-            if abs(sq - ref) > abs(sq + ref):
-                sq = -sq
-        else:
-            if abs(sq - prev) > abs(sq + prev):
-                sq = -sq
-        prev = sq
-        acc += w / sq
-    return acc * (xb - xa) * math.pi / n
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallback implementations
-# ---------------------------------------------------------------------------
-
-
-def _gamma_numpy(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.complex128)
+def gamma_array(z) -> np.ndarray:
+    """Complex gamma on an array (no pole screening; wrappers do that)."""
+    z = _c128(z)
     refl = z.real < 0.5
     zz = np.where(refl, 1.0 - z, z) - 1.0
     x = np.full(zz.shape, _LANCZOS_C[0], dtype=np.complex128)
@@ -302,8 +84,9 @@ def _gamma_numpy(z: np.ndarray) -> np.ndarray:
     return np.where(refl, reflected, g)
 
 
-def _digamma_numpy(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.complex128)
+def digamma_array(z) -> np.ndarray:
+    """Complex digamma on an array: reflection, upward shift, asymptotic tail."""
+    z = _c128(z)
     acc = np.zeros(z.shape, dtype=np.complex128)
     refl = z.real < 0.5
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -325,6 +108,8 @@ def _digamma_numpy(z: np.ndarray) -> np.ndarray:
 
 
 def _agm_sign_fix(an: np.ndarray, bn: np.ndarray) -> np.ndarray:
+    """Square-root sign keeping |a-b| <= |a+b| (the "optimal" AGM); ties
+    break toward Im(b/a) > 0."""
     d_minus = np.abs(an - bn)
     d_plus = np.abs(an + bn)
     flip = d_minus > d_plus
@@ -333,7 +118,7 @@ def _agm_sign_fix(an: np.ndarray, bn: np.ndarray) -> np.ndarray:
     return np.where(flip | tie, -bn, bn)
 
 
-def _agm_numpy(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+def _agm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
     a = np.array(a, dtype=np.complex128)
     b = np.array(b, dtype=np.complex128)
     for _ in range(_AGM_MAX_ITER):
@@ -347,13 +132,14 @@ def _agm_numpy(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
     return a, bool(np.all(np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b))))
 
 
-def _ellipke_numpy(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    k = np.asarray(k, dtype=np.complex128)
+def ellipke_array(k) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(K(k), E(k)) for an array of moduli from one AGM run with the companion
+    sum; the bool reports AGM convergence."""
+    k = _c128(k)
     a = np.ones(k.shape, dtype=np.complex128)
     b = np.sqrt(1.0 - k * k)
     s = 0.5 * k * k
     pow2 = 0.5
-    ok = False
     for _ in range(_AGM_MAX_ITER):
         done = np.abs(a - b) <= _AGM_RTOL * (np.abs(a) + np.abs(b))
         if done.all():
@@ -372,9 +158,18 @@ def _ellipke_numpy(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return kk, kk * (1.0 - s), ok
 
 
-def _cubic_roots_numpy(b, c, d) -> np.ndarray:
-    """Vectorized Cardano; returns shape (..., 3) in arbitrary order."""
-    b = np.asarray(b, dtype=np.complex128)
+def hyp2f1_half_array(z) -> tuple[np.ndarray, bool]:
+    """2F1(1/2,1/2;1;z) on an array via the AGM representation."""
+    z = _c128(z)
+    m, ok = _agm(np.ones(z.shape, dtype=np.complex128), np.sqrt(1.0 - z))
+    return 1.0 / m, ok
+
+
+def _fiber_roots(zs) -> np.ndarray:
+    """Cardano roots of X^3 + h^2 X^2 + h X + 1/4 with h = z/2, for every z
+    in ``zs``; shape (..., 3), in arbitrary order."""
+    h = 0.5 * np.asarray(zs, dtype=np.complex128)
+    b, c, d = h * h, h, 0.25
     p = c - b * b / 3.0
     q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d
     s = np.sqrt(0.25 * q * q + p * p * p / 27.0)
@@ -383,27 +178,33 @@ def _cubic_roots_numpy(b, c, d) -> np.ndarray:
     u3 = np.where(np.abs(u3a) >= np.abs(u3b), u3a, u3b)
     degen = u3 == 0.0
     u = np.where(degen, 1.0, u3) ** (1.0 / 3.0)
-    zeta = complex(-0.5, 0.8660254037844386467637232)
     roots = []
     w = u
     for _ in range(3):
         x = w - p / (3.0 * w) - b / 3.0
         roots.append(np.where(degen, -b / 3.0, x))
-        w = w * zeta
+        w = w * _ZETA
     return np.stack(roots, axis=-1)
 
 
-def _track_roots_numpy(zs: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    h = 0.5 * zs
-    raw = _cubic_roots_numpy(h * h, h, np.full(zs.shape, 0.25, dtype=np.complex128))
+def cubic_roots(z: complex) -> np.ndarray:
+    """Roots of X^3 + (z/2)^2 X^2 + (z/2) X + 1/4, arbitrary order."""
+    return _fiber_roots(complex(z))
+
+
+def track_roots(zs, seed) -> np.ndarray:
+    """Root triples along a z-sample array, labels continued from ``seed``:
+    each triple is the reordering of the fresh roots closest, in total
+    squared distance, to the triple before it."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    raw = _fiber_roots(zs)
     out = np.empty_like(raw)
     prev = np.asarray(seed, dtype=np.complex128)
-    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
     for i in range(raw.shape[0]):
         r = raw[i]
         best = None
         best_d = np.inf
-        for p in perms:
+        for p in _PERMS:
             d = (abs(r[p[0]] - prev[0]) ** 2 + abs(r[p[1]] - prev[1]) ** 2
                  + abs(r[p[2]] - prev[2]) ** 2)
             if d < best_d:
@@ -414,118 +215,34 @@ def _track_roots_numpy(zs: np.ndarray, seed: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_integral_numpy(xa: complex, xb: complex, xc: complex, n: int) -> complex:
-    i = np.arange(n)
-    t = 0.5 * (1.0 + np.cos((2.0 * i + 1.0) * np.pi / (2.0 * n)))
+def segment_integrals(xa, xb, xc, n: int) -> np.ndarray:
+    """Gauss-Chebyshev quadrature of dX/sqrt((X-xa)(X-xb)(X-xc)) from xa to
+    xb, one value per entry of the equal-length arrays ``xa``, ``xb``, ``xc``.
+
+    The square root of the cubic is evaluated at the n nodes of each segment
+    and its sign is continued from node to node along the segment.  The
+    branch is seeded at the first node against the product of principal
+    square roots in the scaled variable, which is the continuous (Euler
+    integral) branch on the open segment.
+    """
+    xa, xb, xc = (_c128(v) for v in (xa, xb, xc))
+    t = 0.5 * (1.0 + np.cos((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)))
     w = np.sqrt(t * (1.0 - t))
-    x = xa + (xb - xa) * t
-    v = (x - xa) * (x - xb) * (x - xc)
-    sq = np.sqrt(v)
-    sigma = (xb - xa) / (xc - xa)
-    ref0 = (xb - xa) * np.sqrt(complex(xc - xa)) * w[0] * np.sqrt(1.0 - sigma * t[0])
-    if abs(sq[0] - ref0) > abs(sq[0] + ref0):
-        sq[0] = -sq[0]
-    # cumulative sign fix: flip whenever the principal value jumps branches
-    ratio_jump = np.abs(np.diff(sq) ) > np.abs(sq[1:] + sq[:-1])
-    flips = np.cumprod(np.where(ratio_jump, -1.0, 1.0))
-    sq[1:] = sq[1:] * flips
-    return complex(np.sum(w / sq) * (xb - xa) * np.pi / n)
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
-
-
-def gamma_array(z) -> np.ndarray:
-    """Complex gamma on an array (no pole screening; wrappers do that)."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if NUMBA_ENABLED:
-        out = np.empty(z.shape, dtype=np.complex128)
-        flat = z.ravel()
-        res = out.ravel()
-        for i in range(flat.shape[0]):
-            res[i] = _gamma_scalar(flat[i])
-        return out
-    return _gamma_numpy(z)
-
-
-def digamma_array(z) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if NUMBA_ENABLED:
-        out = np.empty(z.shape, dtype=np.complex128)
-        flat = z.ravel()
-        res = out.ravel()
-        for i in range(flat.shape[0]):
-            res[i] = _digamma_scalar(flat[i])
-        return out
-    return _digamma_numpy(z)
-
-
-def ellipke_array(k) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(K(k), E(k)) for an array of moduli; bool reports AGM convergence."""
-    k = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-    if NUMBA_ENABLED:
-        kk = np.empty(k.shape, dtype=np.complex128)
-        ee = np.empty(k.shape, dtype=np.complex128)
-        ok = True
-        flat = k.ravel()
-        fk = kk.ravel()
-        fe = ee.ravel()
-        for i in range(flat.shape[0]):
-            kv, ev, it = _ellipke_scalar(flat[i])
-            fk[i] = kv
-            fe[i] = ev
-            ok = ok and it >= 0
-        return kk, ee, ok
-    return _ellipke_numpy(k)
-
-
-def hyp2f1_half_array(z) -> tuple[np.ndarray, bool]:
-    """2F1(1/2,1/2;1;z) on an array via the AGM representation."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if NUMBA_ENABLED:
-        out = np.empty(z.shape, dtype=np.complex128)
-        ok = True
-        flat = z.ravel()
-        res = out.ravel()
-        for i in range(flat.shape[0]):
-            v, it = _hyp2f1_half_scalar(flat[i])
-            res[i] = v
-            ok = ok and it >= 0
-        return out, ok
-    m, ok = _agm_numpy(np.ones(z.shape, dtype=np.complex128), np.sqrt(1.0 - z))
-    return 1.0 / m, ok
-
-
-def cubic_roots(z: complex) -> np.ndarray:
-    """Roots of X^3 + (z/2)^2 X^2 + (z/2) X + 1/4, arbitrary order."""
-    h = 0.5 * complex(z)
-    r = _cubic_roots_scalar(h * h, h, 0.25 + 0.0j)
-    return np.array(r, dtype=np.complex128)
-
-
-def track_roots(zs, seed) -> np.ndarray:
-    """Root triples along a z-sample array, labels continued from ``seed``."""
-    zs = np.asarray(zs, dtype=np.complex128)
-    seed = np.asarray(seed, dtype=np.complex128)
-    if NUMBA_ENABLED:
-        return _track_roots_numba(zs, seed)
-    return _track_roots_numpy(zs, seed)
+    span = xb - xa
+    x = xa[:, None] + span[:, None] * t
+    sq = np.sqrt((x - xa[:, None]) * (x - xb[:, None]) * (x - xc[:, None]))
+    ref0 = span * np.sqrt(xc - xa) * w[0] * np.sqrt(1.0 - span / (xc - xa) * t[0])
+    sq0 = sq[:, 0]
+    sq[:, 0] = np.where(np.abs(sq0 - ref0) > np.abs(sq0 + ref0), -sq0, sq0)
+    # The principal value jumps branch between nodes i-1 and i exactly when
+    # |sq_i - sq_{i-1}| > |sq_i + sq_{i-1}|, and a flip of either side only
+    # swaps the two, so the continued signs are a running product of jumps.
+    jump = np.abs(np.diff(sq, axis=1)) > np.abs(sq[:, 1:] + sq[:, :-1])
+    sq[:, 1:] *= np.cumprod(np.where(jump, -1.0, 1.0), axis=1)
+    return np.sum(w / sq, axis=1) * span * np.pi / n
 
 
 def segment_integral(xa, xb, xc, n: int) -> complex:
-    """Branch-tracked quadrature of dX/sqrt(cubic) along the segment xa -> xb."""
-    if NUMBA_ENABLED:
-        return _segment_integral_numba(complex(xa), complex(xb), complex(xc), int(n))
-    return _segment_integral_numpy(complex(xa), complex(xb), complex(xc), int(n))
-
-
-def warmup() -> None:
-    """Force JIT compilation of every kernel (no-op on the numpy backend)."""
-    gamma_array(np.array([1.5 + 0.5j]))
-    digamma_array(np.array([2.5 + 0.5j]))
-    ellipke_array(np.array([0.3 + 0.1j]))
-    hyp2f1_half_array(np.array([0.2 + 0.1j]))
-    track_roots(np.array([0.0j, 0.1 + 0.0j]), cubic_roots(0.0))
-    segment_integral(-0.5, 0.5j, 1.0, 8)
+    """Branch-tracked quadrature of dX/sqrt(cubic) along the segment xa -> xb
+    (one segment of ``segment_integrals``)."""
+    return complex(segment_integrals(xa, xb, xc, int(n))[0])

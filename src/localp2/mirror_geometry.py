@@ -384,23 +384,19 @@ def _tanh_sinh(step: float, levels: int):
     return t[keep], w[keep]
 
 
-def _segment_anchor(m: int, seg_n: int) -> complex:
-    t = _origin_triple()
-    return _seg_quad(t[m], t[(m + 1) % 3], t[(m + 2) % 3], seg_n)
-
-
 def _threaded_family(roots: np.ndarray, m: int, seg_n: int) -> np.ndarray:
-    """Segment-family values along a tracked ray, sign-threaded from z = 0."""
+    """Segment-family values along a tracked ray, sign-threaded from z = 0.
+
+    The z = 0 anchor is the first row of one batched kernel call.  Each
+    value takes the sign that keeps it closer to its predecessor than to
+    its negative; a flip of the predecessor only swaps the two distances,
+    so the signs are a running product of flips between the raw values.
+    """
     a, b, c = m, (m + 1) % 3, (m + 2) % 3
-    vals = np.empty(len(roots), dtype=np.complex128)
-    prev = _segment_anchor(m, seg_n)
-    for idx in range(len(roots)):
-        v = _seg_quad(roots[idx, a], roots[idx, b], roots[idx, c], seg_n)
-        if abs(v - prev) > abs(v + prev):
-            v = -v
-        vals[idx] = v
-        prev = v
-    return vals
+    rows = np.vstack([_origin_triple(), roots])
+    vals = 2.0 * _kernels.segment_integrals(rows[:, a], rows[:, b], rows[:, c], seg_n)
+    flip = np.abs(vals[1:] - vals[:-1]) > np.abs(vals[1:] + vals[:-1])
+    return vals[1:] * np.cumprod(np.where(flip, -1.0, 1.0))
 
 
 def _ray_integrals(endpoint: complex, families, t: np.ndarray,
@@ -456,7 +452,7 @@ def _period_modulus(y) -> complex:
         raise DomainError(f"period modulus must be finite, got {y}")
     if abs(y) <= 27.0:
         raise DomainError(
-            f"period contour requires |y| > 27, got |y| = {abs(y):.4g}")
+            f"periods and their tails require |y| > 27, got |y| = {abs(y):.4g}")
     return y
 
 
@@ -583,10 +579,7 @@ def b_expansion(y: complex):
     form: TAIL_PHASE^k * TAIL_COEFF_1 * y^(-1/3)
           + TAIL_PHASE^(-k) * TAIL_COEFF_2 * y^(-2/3).
     """
-    y = complex(y)
-    if abs(y) <= 27.0:
-        raise DomainError(
-            f"tail expansion requires |y| > 27, got |y| = {abs(y):.4g}")
+    y = _period_modulus(y)
     f0 = f_at_origin()
     fp0 = f_prime_at_origin()
     w = OMEGA ** 2  # conjugate cube root: the rotation seen by the labels
@@ -601,10 +594,11 @@ def b_expansion(y: complex):
 
 
 def expected_period_tail(y: complex, k: int) -> complex:
-    """Constant term plus two-term tail: the large-|y| period prediction."""
+    """Constant term plus two-term tail: the large-|y| period prediction
+    (finite |y| > 27, as for ``b_expansion`` and ``periods``)."""
+    y = _period_modulus(y)
     if k not in (0, 1, 2):
         raise DomainError(f"cycle index must be 0, 1 or 2, got {k}")
-    y = complex(y)
     u = y ** (-1.0 / 3.0)
     return ((-1.0) ** k / 3.0
             + TAIL_PHASE ** k * TAIL_COEFF_1 * u

@@ -123,8 +123,15 @@ def series_coefficient(m: int) -> Fraction:
     return Fraction(math.factorial(3 * m - 1), math.factorial(m) ** 3)
 
 
-def _check_series_domain(y: complex) -> complex:
+def _finite_modulus(y) -> complex:
     y = complex(y)
+    if not cmath.isfinite(y):
+        raise DomainError(f"modulus must be finite, got {y}")
+    return y
+
+
+def _check_series_domain(y: complex) -> complex:
+    y = _finite_modulus(y)
     if y == 0:
         raise DomainError("series solutions need y != 0 (logarithms)")
     if abs(y) >= _SERIES_RADIUS:
@@ -231,7 +238,7 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     """
     if which not in {"plain", "digamma"}:
         raise DomainError(f"unknown variant {which!r}")
-    y = complex(y)
+    y = _finite_modulus(y)
     if y == 0 or (y.real <= 0 and y.imag == 0):
         raise DomainError("contour representation needs y off (-inf, 0]")
     decay = math.pi - abs(cmath.phase(y))
@@ -264,7 +271,7 @@ def w_at_infinity(y: complex, n_terms: int = 12) -> SolutionTriple:
     w_2 = 1/3 + (sqrt3/4pi)(-(1+i sqrt3) u/4pi^2 * S_1/3
                             + (-1+i sqrt3) u^2/4pi^2 * S_2/3).
     """
-    y = complex(y)
+    y = _finite_modulus(y)
     if abs(y) <= 27.0:
         raise DomainError(f"|y| = {abs(y):g} is not in the large-|y| regime (need > 27)")
     if n_terms < 1:
@@ -482,7 +489,7 @@ def continue_solutions(y_target: complex, y_start: complex = 0.01,
     whose log-segment passes within 0.05 of its logarithm are refused.
     """
     y_start = _check_series_domain(y_start)
-    y_target = complex(y_target)
+    y_target = _finite_modulus(y_target)
     if y_target == 0:
         raise DomainError("cannot continue into the origin")
     s0 = cmath.log(y_start)

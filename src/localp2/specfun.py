@@ -1,6 +1,6 @@
 """Complex special functions used by the mirror-map computation.
 
-Double precision goes through the compiled kernels in ``_kernels``; an
+Double precision goes through the numpy kernels in ``_kernels``; an
 extended-precision mode (mpmath, >= 30 significant digits) backs the tightest
 closed-form checks.  The closed forms tie complete elliptic integrals at the
 third singular value pair k_- = (sqrt6 - sqrt2)/4, k_+ = (sqrt6 + sqrt2)/4 to
@@ -10,11 +10,16 @@ Gamma(1/3)^3, and give the value and derivative of
 
 at z = e^{i pi/3}, the argument produced by the degenerate fiber of the
 elliptic fibration at the origin of the base.
+
+Each closed form has one mpmath body, evaluated at the configured digits in
+extended mode and at 30 digits, rounded to complex, in double mode.  The
+numeric routes it is checked against (AGM, the elliptic chain rule, the
+finite difference, the splitting identity) have their own double and
+extended evaluations and never call a closed form.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -60,7 +65,7 @@ def _env_mode() -> str:
 class PrecisionConfig:
     """Evaluation settings shared by the special-function layer.
 
-    mode             "double" (compiled kernels) or "extended" (mpmath)
+    mode             "double" (numpy kernels) or "extended" (mpmath)
     dps              mpmath working digits in extended mode (>= 30)
     target_rel_err   requested relative accuracy for iterative evaluations
     max_terms        cap on series terms for the callers that sum series
@@ -257,50 +262,66 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _consts(cfg: PrecisionConfig):
-    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, two, i) in the requested arithmetic."""
+def _closed_form(cfg: PrecisionConfig, body, *args):
+    """Evaluate the mpmath ``body(*args)`` of a closed form: at ``cfg.dps``
+    digits in extended mode, and in double mode at a fixed 30 digits (double
+    mode does not validate ``dps``), cast to complex."""
     if cfg.mode == "extended":
-        g3 = mp.gamma(mp.mpf(1) / 3) ** 3
-        g23 = mp.gamma(mp.mpf(2) / 3) ** 3
-        return mp.pi, mp.sqrt(mp.mpf(3)), g3, g23, mp.mpf(2), mp.mpc(0, 1)
-    g3 = gamma(1.0 / 3.0, cfg) ** 3
-    g23 = gamma(2.0 / 3.0, cfg) ** 3
-    return math.pi, math.sqrt(3.0), g3, g23, 2.0, 1j
+        with mp.workdps(cfg.dps):
+            return body(*args)
+    with mp.workdps(30):
+        return complex(body(*args))
+
+
+def _consts():
+    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, two) at the working precision."""
+    return (mp.pi, mp.sqrt(mp.mpf(3)), mp.gamma(mp.mpf(1) / 3) ** 3,
+            mp.gamma(mp.mpf(2) / 3) ** 3, mp.mpf(2))
+
+
+def _k_closed(sign: int):
+    pi, _, g3, _, two = _consts()
+    expo = mp.mpf(3) / 4 if sign > 0 else mp.mpf(1) / 4
+    return two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** expo * g3 / pi
+
+
+def _e_closed(sign: int):
+    pi, s3, g3, _, two = _consts()
+    if sign > 0:
+        return (two ** (mp.mpf(1) / 3) * mp.mpf(3) ** (-mp.mpf(1) / 4) * pi * pi / g3
+                + two ** (-mp.mpf(10) / 3) * mp.mpf(3) ** (mp.mpf(1) / 4)
+                * (s3 - 1) / pi * g3)
+    return (two ** (mp.mpf(1) / 3) * mp.mpf(3) ** (-mp.mpf(3) / 4) * pi * pi / g3
+            + two ** (-mp.mpf(10) / 3) * mp.mpf(3) ** (-mp.mpf(1) / 4)
+            * (s3 + 1) / pi * g3)
+
+
+def _f_closed():
+    pi, _, g3, _, two = _consts()
+    a = two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** (mp.mpf(3) / 4) * g3 / (pi * pi)
+    b = two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** (mp.mpf(1) / 4) * g3 / (pi * pi)
+    r2 = mp.sqrt(two)
+    return mp.mpc(1, 1) / r2 * a + mp.mpc(1, -1) / r2 * b
+
+
+def _f_prime_closed():
+    pi, s3, g3, g23, two = _consts()
+    e4 = mp.exp(mp.mpc(0, pi / 4))
+    e4c = mp.exp(mp.mpc(0, -pi / 4))
+    return (g3 * mp.mpf(3) ** (-mp.mpf(1) / 4) * two ** (-mp.mpf(7) / 3)
+            * (e4 - s3 * e4c) / (2 * pi * pi)
+            + g23 * mp.mpf(3) ** (mp.mpf(3) / 4) * two ** (-mp.mpf(8) / 3)
+            * (e4 + s3 * e4c) / (pi * pi))
 
 
 def elliptic_K_closed_form(sign: int, config: PrecisionConfig | None = None):
     """Closed form of K(k_+) (sign=+1) or K(k_-) (sign=-1) in terms of Gamma(1/3)^3."""
-    cfg = _cfg(config)
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            pi, s3, g3, _, two, _ = _consts(cfg)
-            expo = mp.mpf(3) / 4 if sign > 0 else mp.mpf(1) / 4
-            return two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** expo * g3 / pi
-    expo = 0.75 if sign > 0 else 0.25
-    g3 = gamma(1.0 / 3.0, cfg) ** 3
-    return complex(2.0 ** (-7.0 / 3.0) * 3.0 ** expo * g3 / math.pi)
+    return _closed_form(_cfg(config), _k_closed, sign)
 
 
 def elliptic_E_closed_form(sign: int, config: PrecisionConfig | None = None):
     """Closed form of E(k_+) (sign=+1) or E(k_-) (sign=-1)."""
-    cfg = _cfg(config)
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            pi, s3, g3, _, two, _ = _consts(cfg)
-            if sign > 0:
-                return (two ** (mp.mpf(1) / 3) * mp.mpf(3) ** (-mp.mpf(1) / 4) * pi * pi / g3
-                        + two ** (-mp.mpf(10) / 3) * mp.mpf(3) ** (mp.mpf(1) / 4)
-                        * (s3 - 1) / pi * g3)
-            return (two ** (mp.mpf(1) / 3) * mp.mpf(3) ** (-mp.mpf(3) / 4) * pi * pi / g3
-                    + two ** (-mp.mpf(10) / 3) * mp.mpf(3) ** (-mp.mpf(1) / 4)
-                    * (s3 + 1) / pi * g3)
-    g3 = gamma(1.0 / 3.0, cfg) ** 3
-    s3 = math.sqrt(3.0)
-    if sign > 0:
-        return complex(2.0 ** (1.0 / 3.0) * 3.0 ** (-0.25) * math.pi ** 2 / g3
-                       + 2.0 ** (-10.0 / 3.0) * 3.0 ** 0.25 * (s3 - 1.0) / math.pi * g3)
-    return complex(2.0 ** (1.0 / 3.0) * 3.0 ** (-0.75) * math.pi ** 2 / g3
-                   + 2.0 ** (-10.0 / 3.0) * 3.0 ** (-0.25) * (s3 + 1.0) / math.pi * g3)
+    return _closed_form(_cfg(config), _e_closed, sign)
 
 
 def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = None):
@@ -313,18 +334,7 @@ def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = N
         return hyp2f1_half(MINUS_OMEGA, cfg)
     if route != "closed_form":
         raise DomainError(f"unknown route {route!r}")
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            pi, _, g3, _, two, i1 = _consts(cfg)
-            a = two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** (mp.mpf(3) / 4) * g3 / (pi * pi)
-            b = two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** (mp.mpf(1) / 4) * g3 / (pi * pi)
-            r2 = mp.sqrt(two)
-            return (1 + i1) / r2 * a + (1 - i1) / r2 * b
-    g3 = gamma(1.0 / 3.0, cfg) ** 3
-    a = 2.0 ** (-7.0 / 3.0) * 3.0 ** 0.75 * g3 / math.pi ** 2
-    b = 2.0 ** (-7.0 / 3.0) * 3.0 ** 0.25 * g3 / math.pi ** 2
-    r2 = math.sqrt(2.0)
-    return complex(1.0, 1.0) / r2 * a + complex(1.0, -1.0) / r2 * b
+    return _closed_form(cfg, _f_closed)
 
 
 def _f_prime_elliptic(cfg: PrecisionConfig):
@@ -385,29 +395,7 @@ def f_prime_minus_omega(route: str = "closed_form",
         return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
     if route != "closed_form":
         raise DomainError(f"unknown route {route!r}")
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            pi, s3, g3, g23, two, i1 = _consts(cfg)
-            e4 = mp.exp(mp.mpc(0, pi / 4))
-            e4c = mp.exp(mp.mpc(0, -pi / 4))
-            return (g3 * mp.mpf(3) ** (-mp.mpf(1) / 4) * two ** (-mp.mpf(7) / 3)
-                    * (e4 - s3 * e4c) / (2 * pi * pi)
-                    + g23 * mp.mpf(3) ** (mp.mpf(3) / 4) * two ** (-mp.mpf(8) / 3)
-                    * (e4 + s3 * e4c) / (pi * pi))
-    g3 = gamma(1.0 / 3.0, cfg) ** 3
-    g23 = gamma(2.0 / 3.0, cfg) ** 3
-    e4 = cmath.exp(0.25j * math.pi)
-    e4c = cmath.exp(-0.25j * math.pi)
-    s3 = math.sqrt(3.0)
-    return (g3 * 3.0 ** -0.25 * 2.0 ** (-7.0 / 3.0) * (e4 - s3 * e4c)
-            / (2.0 * math.pi ** 2)
-            + g23 * 3.0 ** 0.75 * 2.0 ** (-8.0 / 3.0) * (e4 + s3 * e4c)
-            / math.pi ** 2)
-
-
-def F_prime_at_minus_omega(config: PrecisionConfig | None = None):
-    """Closed form of the derivative of 2F1(1/2,1/2;1;z) at z = e^{i pi/3}."""
-    return f_prime_minus_omega("closed_form", config)
+    return _closed_form(cfg, _f_prime_closed)
 
 
 def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:

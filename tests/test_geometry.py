@@ -240,6 +240,8 @@ def test_tail_domain_checks():
     with pytest.raises(DomainError):
         geom.b_expansion(10.0)
     with pytest.raises(DomainError):
+        geom.expected_period_tail(5.0, 0)
+    with pytest.raises(DomainError):
         geom.expected_period_tail(1e3, 3)
 
 
@@ -344,6 +346,50 @@ def test_non_finite_modulus_is_a_domain_error(y):
         geom.periods(y)
     with pytest.raises(DomainError):
         geom.period_Ik(y, 0)
+    with pytest.raises(DomainError):
+        geom.b_expansion(y)
+    with pytest.raises(DomainError):
+        geom.expected_period_tail(y, 0)
+
+
+@given(st.floats(1e-6, math.log10(1e8 / 27.0)), st.floats(-math.pi, math.pi))
+@settings(max_examples=100, deadline=None)
+def test_periods_over_the_whole_domain(log_ratio, phase):
+    # 27 < |y| <= 1e8 at any phase: the sum rule holds within the reported
+    # error, and the periods approach the two-term tail within its O(1/|y|)
+    # remainder (measured <= 7.4e-5/|y|, worst at |y| just above 27)
+    y = cmath.rect(27.0 * 10.0 ** log_ratio, phase)
+    pv = geom.periods(y)
+    assert abs(pv.alternating_sum() - 1.0) <= sum(pv.err), y
+    for k, v in enumerate(pv.as_vector()):
+        assert abs(v - geom.expected_period_tail(y, k)) <= 1e-4 / abs(y), (y, k)
+
+
+def test_threaded_family_matches_per_node_loop():
+    # the batched sign threading against the node-by-node rule: each value
+    # takes the sign that keeps it nearer its predecessor, from the z = 0 anchor
+    t, _ = geom._tanh_sinh(geom._TS_STEP, geom._TS_LEVELS)
+    ends = geom.CRITICAL_VALUES + (geom.critical_points(27.03j)[0],
+                                   geom.critical_points(-5e3 + 2e3j)[0])
+    origin = geom._origin_triple()
+    flips = 0
+    for end in ends:
+        zs = t * end
+        roots = geom._kernels.track_roots(zs, origin)
+        for m in range(3):
+            a, b, c = m, (m + 1) % 3, (m + 2) % 3
+            prev = 2.0 * geom._kernels.segment_integral(origin[a], origin[b], origin[c], 64)
+            want = []
+            for r in roots:
+                v = 2.0 * geom._kernels.segment_integral(r[a], r[b], r[c], 64)
+                if abs(v - prev) > abs(v + prev):
+                    v = -v
+                    flips += 1
+                want.append(v)
+                prev = v
+            got = geom._threaded_family(roots, m, 64)
+            assert np.max(np.abs(got - np.array(want)) / np.abs(want)) <= 1e-14
+    assert flips > 0
 
 
 def test_period_path_validation():

@@ -1,14 +1,10 @@
-"""Kernel layer: backend equivalence, root tracking, segment quadrature."""
+"""Kernel layer: special functions, root tracking, segment quadrature."""
 
-import json
+import cmath
 import math
-import os
-import subprocess
-import sys
 
 import mpmath as mp
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +81,45 @@ def test_segment_integral_converges_spectrally():
     assert abs(v128 - v256) < 1e-12
 
 
+def _segment_reference(xa, xb, xc, n):
+    """The segment quadrature as a per-node loop: the square root's sign is
+    seeded at the first node against the Euler branch and then continued
+    from node to node.  Also returns how often the continued sign left or
+    rejoined the principal branch between nodes."""
+    sigma = (xb - xa) / (xc - xa)
+    acc = 0j
+    prev = 0j
+    flipped = []
+    for i in range(n):
+        t = 0.5 * (1.0 + math.cos((2.0 * i + 1.0) * math.pi / (2.0 * n)))
+        w = math.sqrt(t * (1.0 - t))
+        x = xa + (xb - xa) * t
+        sq = cmath.sqrt((x - xa) * (x - xb) * (x - xc))
+        ref = ((xb - xa) * cmath.sqrt(xc - xa) * w * cmath.sqrt(1.0 - sigma * t)
+               if i == 0 else prev)
+        flipped.append(abs(sq - ref) > abs(sq + ref))
+        if flipped[-1]:
+            sq = -sq
+        prev = sq
+        acc += w / sq
+    jumps = sum(a != b for a, b in zip(flipped[:-1], flipped[1:]))
+    return acc * (xb - xa) * math.pi / n, jumps
+
+
+def test_segment_integrals_batch_matches_per_node_loop():
+    rng = np.random.default_rng(20261018)
+    tri = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+    for n in (16, 64):
+        got = K.segment_integrals(tri[:, 0], tri[:, 1], tri[:, 2], n)
+        ref = [_segment_reference(*map(complex, row), n) for row in tri]
+        want = np.array([v for v, _ in ref])
+        # the batch must exercise the sign continuation, not only the seed
+        assert sum(jumps > 0 for _, jumps in ref) >= 10
+        assert got.shape == (len(tri),)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+        assert complex(K.segment_integral(*tri[7], n)) == got[7]
+
+
 @given(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
 @settings(max_examples=60, deadline=None)
 def test_cubic_roots_vieta(z):
@@ -107,39 +142,3 @@ def test_track_roots_continuity():
     assert steps.max() < 0.05
     # labels must match the seed at the start
     assert np.allclose(tracked[0], seed, atol=1e-10)
-
-
-def test_backend_flag_reports():
-    assert K.BACKEND in ("numba", "numpy")
-
-
-@pytest.mark.skipif(K.BACKEND != "numba", reason="needs the compiled backend in-process")
-def test_numpy_backend_matches_numba():
-    """Same numbers from both backends, checked through a subprocess with the
-    fallback flag set."""
-    script = (
-        "import json, numpy as np\n"
-        "from localp2 import _kernels as K\n"
-        "zs = [0.3+0j, -1.7+2.2j, 0.5+0.8660254j]\n"
-        "out = {'backend': K.BACKEND}\n"
-        "out['gamma'] = [[complex(K.gamma_array(z)[0]).real,"
-        " complex(K.gamma_array(z)[0]).imag] for z in zs]\n"
-        "out['hyp'] = [[complex(K.hyp2f1_half_array(z)[0][0]).real,"
-        " complex(K.hyp2f1_half_array(z)[0][0]).imag] for z in zs]\n"
-        "seg = K.segment_integral(-0.3+0.1j, 0.9-0.4j, 1.4+1.1j, 128)\n"
-        "out['seg'] = [seg.real, seg.imag]\n"
-        "print(json.dumps(out))\n"
-    )
-    env = dict(os.environ, LOCALP2_DISABLE_NUMBA="1")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    other = json.loads(proc.stdout)
-    assert other["backend"] == "numpy"
-    zs = [0.3 + 0j, -1.7 + 2.2j, 0.5 + 0.8660254j]
-    for z, pair in zip(zs, other["gamma"]):
-        assert abs(complex(K.gamma_array(z)[0]) - complex(*pair)) < 1e-13
-    for z, pair in zip(zs, other["hyp"]):
-        assert abs(complex(K.hyp2f1_half_array(z)[0][0]) - complex(*pair)) < 1e-13
-    seg = K.segment_integral(-0.3 + 0.1j, 0.9 - 0.4j, 1.4 + 1.1j, 128)
-    assert abs(seg - complex(*other["seg"])) < 1e-13

@@ -249,6 +249,23 @@ def test_continuation_refuses_singular_neighborhood():
         pf.continue_solutions(0.0)
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, complex(0.01, math.nan),
+                               complex(-math.inf, 1.0)])
+@pytest.mark.parametrize("call", [
+    pf.continue_solutions,
+    lambda y: pf.continue_solutions(0.5, y_start=y),
+    pf.chf_expand,
+    pf.series_w1,
+    pf.series_w2,
+    pf.mellin_barnes,
+    pf.w_at_infinity,
+    lambda y: pf.annihilation_residual([y]),
+])
+def test_non_finite_modulus_is_a_domain_error(call, y):
+    with pytest.raises(DomainError):
+        call(y)
+
+
 # --- large-|y| triple -------------------------------------------------------------
 
 def test_w_at_infinity_truncation_stable():
