@@ -10,6 +10,7 @@ Every public function here is deterministic and allocation-light.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -63,6 +64,10 @@ _AGM_RTOL = 2.5e-16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ZETA = complex(-0.5, 0.8660254037844386467637232)
 _PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_PERM_INDEX = np.array(_PERMS)
+# _COMPOSE[a][b] is the index of the permutation j -> _PERMS[a][_PERMS[b][j]].
+_COMPOSE = tuple(tuple(_PERMS.index(tuple(pa[j] for j in pb)) for pb in _PERMS)
+                 for pa in _PERMS)
 
 
 def _c128(z) -> np.ndarray:
@@ -195,24 +200,22 @@ def cubic_roots(z: complex) -> np.ndarray:
 def track_roots(zs, seed) -> np.ndarray:
     """Root triples along a z-sample array, labels continued from ``seed``:
     each triple is the reordering of the fresh roots closest, in total
-    squared distance, to the triple before it."""
+    squared distance, to the triple before it.
+
+    Relabelling two triples alike leaves their distance unchanged, so the
+    best reordering against the tracked previous triple is the best one
+    against the raw previous triple, composed with the previous labels.
+    Every step is matched raw to raw in one array pass (``argmin`` keeps
+    the first of tied permutations); only the composition of the labels is
+    a scan over small integers.
+    """
     zs = np.asarray(zs, dtype=np.complex128)
     raw = _fiber_roots(zs)
-    out = np.empty_like(raw)
-    prev = np.asarray(seed, dtype=np.complex128)
-    for i in range(raw.shape[0]):
-        r = raw[i]
-        best = None
-        best_d = np.inf
-        for p in _PERMS:
-            d = (abs(r[p[0]] - prev[0]) ** 2 + abs(r[p[1]] - prev[1]) ** 2
-                 + abs(r[p[2]] - prev[2]) ** 2)
-            if d < best_d:
-                best_d = d
-                best = p
-        prev = r[list(best)]
-        out[i] = prev
-    return out
+    prev = np.concatenate([np.asarray(seed, dtype=np.complex128)[None], raw[:-1]])
+    d2 = np.abs(raw[:, _PERM_INDEX] - prev[:, None, :]) ** 2
+    step = np.argmin(d2[..., 0] + d2[..., 1] + d2[..., 2], axis=1)
+    labels = itertools.accumulate(step.tolist(), lambda lab, q: _COMPOSE[q][lab])
+    return np.take_along_axis(raw, _PERM_INDEX[list(labels)], axis=1)
 
 
 def segment_integrals(xa, xb, xc, n: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Complex numbers serialize as {"re": .., "im": ..} objects, matrices
 row-major, rationals as {"num": .., "den": ..} strings; every subcommand's
-JSON payload matches the schema of the same name under ``schemas/``.
+JSON payload matches the schema of the same name under ``schemas/``, and an
+error report matches ``schemas/error.json``.
 Exit code 0 means no row of the emitted report was flagged.
 """
 
@@ -92,19 +93,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="localp2",
         description="Mirror correspondence for the canonical bundle of the "
                     "projective plane: solutions, periods, transfer matrix.")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                        help="flagging tolerance (default %(default)g)")
-        sp.add_argument("--y", action="append", type=_parse_complex,
-                        default=None, metavar="RE[,IM]",
-                        help="modulus sample; repeatable")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--precision", choices=("double", "extended"),
-                        default=None)
-        sp.add_argument("--out", default=None, metavar="PATH",
-                        help="write the report here instead of stdout")
+    p.add_argument("command", choices=SUBCOMMANDS)
+    p.add_argument("--tol", type=float, default=_DEFAULT_TOL,
+                   help="flagging tolerance (default %(default)g)")
+    p.add_argument("--y", action="append", type=_parse_complex,
+                   default=None, metavar="RE[,IM]",
+                   help="modulus sample; repeatable")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--precision", choices=("double", "extended"), default=None)
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="write the report here instead of stdout")
     return p
 
 
@@ -383,6 +381,14 @@ def _json_text(obj) -> str:
         raise LocalP2Error(f"report holds a non-finite number: {exc}") from None
 
 
+def _report_error(command: str, exc: Exception) -> int:
+    """Print the JSON error report (schema ``error``) to stdout; exit 1."""
+    report = {"error": type(exc).__name__,
+              "context": {"command": command, "message": str(exc)}}
+    sys.stdout.write(_json_text(report))
+    return 1
+
+
 def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
@@ -408,13 +414,13 @@ def dispatch(argv) -> int:
         else:
             text = _json_text(payload)
     except LocalP2Error as exc:
-        report = {"error": type(exc).__name__,
-                  "context": {"command": ns.command, "message": str(exc)}}
-        sys.stdout.write(_json_text(report))
-        return 1
+        return _report_error(ns.command, exc)
     if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _report_error(ns.command, exc)
     else:
         sys.stdout.write(text)
     return 0 if flagged == 0 else 1

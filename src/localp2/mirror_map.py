@@ -98,7 +98,8 @@ def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> Trans
 
     Needs at least three pairwise distinct samples with |y| >= 1e3 so the
     truncated large-|y| solution rows are accurate well below the rounding
-    threshold.
+    threshold.  Samples that nearly coincide make the least-squares system
+    ill-conditioned; the integrality check then raises FitError.
     """
     ys = [complex(y) for y in y_samples]
     if len(ys) < 3:

@@ -1,12 +1,17 @@
 """End-to-end command dispatch: schemas, exit codes, CSV, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from localp2.cli import SUBCOMMANDS, _json_text, _parse_complex, dispatch
+from localp2.cli import SUBCOMMANDS, _build_parser, _json_text, _parse_complex, dispatch
 from localp2.errors import LocalP2Error
 
 # minimal clean invocation per subcommand
@@ -210,3 +215,88 @@ def test_multiple_y_rows(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["rows"]) == 2
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_is_reported(tmp_path, capsys, target):
+    # a missing directory, and a directory in place of a file
+    path = str(tmp_path / target)
+    assert dispatch(["mirror-objects", "--out", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, _schema("error"))
+    assert report["error"] in ("FileNotFoundError", "IsADirectoryError")
+    assert report["context"]["command"] == "mirror-objects"
+    assert path in report["context"]["message"]
+
+
+# --- argv fuzzing ----------------------------------------------------------------
+
+CSV_HEADERS = {
+    "series": "y_re,y_im,abs_w0,abs_w1,abs_w2,err_estimate",
+    "continue": "y_re,y_im,abs_w0,abs_w1,abs_w2,err_estimate",
+    "periods": "y_re,y_im,k,I_re,I_im,err",
+    "central-charges": "y_re,y_im,brane,analytic_re,analytic_im,"
+                       "periods_re,periods_im,abs_dev,flagged",
+    "verify-appendix": "name,rel_err,flagged",
+}
+
+# "<OUT>" is replaced by a fresh temporary directory in each example
+FLAG_VALUES = {
+    "--tol": ("1e-6", "1e-3", "1e-12", "1", "0", "-1e-6", "nan", "abc"),
+    "--y": ("1000", "2e3,1e3", "0.02", "-0.01,0.017", "5", "27.03", "1e8",
+            "0", "nan", "abc", "1,2,3"),
+    "--format": ("json", "csv", "xml"),
+    "--precision": ("double", "extended", "quad"),
+    "--out": ("<OUT>/report.txt", "<OUT>/missing/report.txt", "<OUT>"),
+}
+# no help flag (it prints usage and exits 0) and no prefix of --out (it
+# would write outside the temporary directory)
+JUNK = ("frobnicate", "42", "-x", "--bogus", "--", "--y", "--tol")
+
+_FLAG_PIECE = st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+    lambda flag: st.sampled_from(FLAG_VALUES[flag]).flatmap(
+        lambda value: st.sampled_from(((flag, value), (f"{flag}={value}",)))))
+_PIECE = st.one_of(
+    _FLAG_PIECE,
+    st.sampled_from(JUNK + SUBCOMMANDS).map(lambda token: (token,)))
+
+
+@st.composite
+def _argv(draw):
+    pieces = [(draw(st.sampled_from(SUBCOMMANDS)),)]
+    pieces += draw(st.lists(_FLAG_PIECE, max_size=4))
+    pieces += draw(st.lists(_PIECE, max_size=1))
+    return [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@given(_argv())
+@settings(max_examples=150, deadline=None)
+def test_random_argv_honours_the_output_contract(argv):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [token.replace("<OUT>", out_dir) for token in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = dispatch(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert stdout.getvalue() == "", argv
+            return
+        ns = _build_parser().parse_args(argv)
+        text = stdout.getvalue()
+        if not text:
+            with open(ns.out) as fh:
+                text = fh.read()
+    if text.startswith("{"):
+        payload = json.loads(text, parse_constant=_reject_constant)
+        jsonschema.validate(payload, _schema(
+            "error" if "error" in payload else ns.command))
+    else:
+        assert ns.format == "csv", argv
+        assert text.splitlines()[0] == CSV_HEADERS[ns.command], argv

@@ -8,6 +8,9 @@ route to the closed-form cycle integrals.
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +291,38 @@ def test_period_converged_against_refined_reference():
                      zip(geom._period_estimates(y, seg_n=8), ref))
         assert default < 1e-14, y
         assert coarse > 100.0 * max(default, 1e-16), y
+
+
+@pytest.mark.parametrize("n", geom._RAY_NODES)
+def test_ray_rules_match_leggauss(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, wt = geom._gauss_legendre(n)
+    assert np.all(np.diff(t) > 0.0)
+    assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 1e-15
+    assert np.max(np.abs(wt - 0.5 * w)) <= 1e-15
+    # exact for polynomials of degree < 2n, up to rounding
+    k = np.arange(2 * n)
+    assert np.max(np.abs(wt @ t[:, None] ** k - 1.0 / (k + 1.0))) <= 1e-15
+
+
+def test_ray_grid_merges_the_default_rules():
+    t, weights = geom._RAY_GRID
+    assert weights.shape == (len(geom._RAY_NODES), len(t))
+    assert np.all(np.diff(t) > 0.0)
+    for row, n in zip(weights, geom._RAY_NODES):
+        nodes, w = geom._gauss_legendre(n)
+        assert np.array_equal(t[row != 0.0], nodes)
+        assert np.array_equal(row[row != 0.0], w)
+
+
+def test_periods_do_not_load_numpy_polynomial():
+    code = ("import sys, localp2; localp2.mirror_geometry.periods(1e3); "
+            "print('numpy.polynomial' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(geom.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
 
 
 def test_period_error_estimate_bounds_true_error():

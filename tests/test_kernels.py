@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localp2 import _kernels as K
+from localp2 import mirror_geometry as geom
 
 # ---------------------------------------------------------------------------
 # oracle: mpmath for gamma/digamma/elliptic/2F1 reference values
@@ -142,3 +143,67 @@ def test_track_roots_continuity():
     assert steps.max() < 0.05
     # labels must match the seed at the start
     assert np.allclose(tracked[0], seed, atol=1e-10)
+
+
+def _track_roots_reference(zs, seed):
+    """Root tracking as a per-step loop: each fresh Cardano triple is
+    reordered by the first of the six permutations that minimizes the total
+    squared distance to the tracked triple before it."""
+    raw = K._fiber_roots(np.asarray(zs, dtype=np.complex128))
+    out = np.empty_like(raw)
+    prev = np.asarray(seed, dtype=np.complex128)
+    for i in range(raw.shape[0]):
+        r = raw[i]
+        best, best_d = None, np.inf
+        for p in K._PERMS:
+            d = (abs(r[p[0]] - prev[0]) ** 2 + abs(r[p[1]] - prev[1]) ** 2
+                 + abs(r[p[2]] - prev[2]) ** 2)
+            if d < best_d:
+                best_d, best = d, p
+        prev = r[list(best)]
+        out[i] = prev
+    return out
+
+
+def _assert_tracks_like_reference(zs, seed):
+    got = K.track_roots(zs, seed)
+    want = _track_roots_reference(zs, seed)
+    assert np.array_equal(got, want)
+    return got
+
+
+def test_track_roots_matches_loop_on_critical_rays():
+    # tanh-sinh nodes crowd into the root collision at each critical value
+    t, _ = geom._tanh_sinh(geom._TS_STEP, geom._TS_LEVELS)
+    for end in geom.CRITICAL_VALUES:
+        _assert_tracks_like_reference(t * end, geom._origin_triple())
+
+
+def test_track_roots_matches_loop_on_degeneration_rays():
+    rng = np.random.default_rng(20261018)
+    t = geom._RAY_GRID[0]
+    for log_y, phase in zip(rng.uniform(math.log10(27.0) + 1e-6, 8.43, 150),
+                            rng.uniform(-math.pi, math.pi, 150)):
+        z_star = geom.critical_points(cmath.rect(10.0 ** log_y, phase))[0]
+        _assert_tracks_like_reference(t * z_star, geom._origin_triple())
+
+
+def test_track_roots_matches_loop_on_long_paths():
+    origin = geom._origin_triple()
+    _assert_tracks_like_reference(np.linspace(0.0, 2.5, 20000) * np.exp(0.3j), origin)
+    # straight into the critical value 3 OMEGA, where two roots collide
+    tracked = _assert_tracks_like_reference(
+        np.linspace(0.0, 1.0, 5001)[1:] * geom.CRITICAL_VALUES[1], origin)
+    last = tracked[-1]
+    assert min(abs(last[0] - last[1]), abs(last[0] - last[2]),
+               abs(last[1] - last[2])) < 1e-6
+
+
+def test_track_roots_matches_loop_from_permuted_seeds():
+    # seeds in every label order, so the label composition is exercised
+    rng = np.random.default_rng(7)
+    for i in range(60):
+        z0, z1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        zs = z0 + (3.0 * z1 - z0) * np.linspace(0.0, 1.0, 300)
+        seed = K._fiber_roots(z0)[list(K._PERMS[i % 6])]
+        _assert_tracks_like_reference(zs, seed)

@@ -4,8 +4,13 @@ Oracle: synthetic row data built from a known integer matrix must be
 recovered exactly before the fit is trusted on real period data.
 """
 
+import cmath
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import localp2.cohomology as coh
 import localp2.mirror_geometry as geom
@@ -108,6 +113,28 @@ def test_fit_transfer_matrix_validation():
         mm.fit_transfer_matrix((500.0, 2e3, 4e3))
     with pytest.raises(DomainError):
         mm.fit_transfer_matrix((1e3, 1e3, 2e3))
+
+
+_FIT_MODULUS = st.tuples(st.floats(3.0, 8.0), st.floats(-math.pi, math.pi))
+
+
+@given(st.tuples(_FIT_MODULUS, _FIT_MODULUS, _FIT_MODULUS))
+@settings(max_examples=25, deadline=None)
+def test_fit_transfer_matrix_at_random_moduli(samples):
+    # any three distinct moduli with 1e3 <= |y| <= 1e8: the fit returns the
+    # one integer matrix or, when samples nearly coincide and the least-
+    # squares system is ill-conditioned, refuses with FitError; samples at
+    # least 1% apart always give the matrix
+    ys = [cmath.rect(10.0 ** e, p) for e, p in samples]
+    assume(all(abs(y) >= 1e3 for y in ys) and len(set(ys)) == 3)
+    apart = min(abs(a - b) / max(abs(a), abs(b))
+                for a, b in itertools.combinations(ys, 2))
+    try:
+        tm = mm.fit_transfer_matrix(ys)
+    except FitError:
+        assert apart < 1e-2, ys
+    else:
+        assert tm.entries == EXPECTED, ys
 
 
 # --- brane identification ---------------------------------------------------------
