@@ -112,53 +112,38 @@ def digamma_array(z) -> np.ndarray:
     return acc + np.log(z) - 0.5 / z + tail
 
 
-def _agm_sign_fix(an: np.ndarray, bn: np.ndarray) -> np.ndarray:
-    """Square-root sign keeping |a-b| <= |a+b| (the "optimal" AGM); ties
-    break toward Im(b/a) > 0."""
-    d_minus = np.abs(an - bn)
-    d_plus = np.abs(an + bn)
-    flip = d_minus > d_plus
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tie = (d_minus == d_plus) & (an != 0) & ((bn / np.where(an == 0, 1, an)).imag < 0)
-    return np.where(flip | tie, -bn, bn)
-
-
-def _agm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    a = np.array(a, dtype=np.complex128)
-    b = np.array(b, dtype=np.complex128)
+def _agm(a: np.ndarray, b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Optimal AGM of the arrays ``a``, ``b``, with the companion sum
+    ``s + sum_n 2^(n-1) c_n^2``, c_n = (a_(n-1) - b_(n-1))/2, that gives E;
+    the bool reports convergence."""
+    pow2 = 0.5
     for _ in range(_AGM_MAX_ITER):
         done = np.abs(a - b) <= _AGM_RTOL * (np.abs(a) + np.abs(b))
         if done.all():
-            return a, True
+            return a, s, True
+        c = 0.5 * (a - b)
+        pow2 *= 2.0
+        s = s + np.where(done, 0.0, pow2 * c * c)
         an = 0.5 * (a + b)
-        bn = _agm_sign_fix(an, np.sqrt(a * b))
+        bn = np.sqrt(a * b)
+        # the "optimal" AGM: the root's sign keeps |a-b| <= |a+b|, and ties
+        # break toward Im(b/a) > 0
+        d_minus = np.abs(an - bn)
+        d_plus = np.abs(an + bn)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tie = (d_minus == d_plus) & (an != 0) & ((bn / np.where(an == 0, 1, an)).imag < 0)
+        bn = np.where((d_minus > d_plus) | tie, -bn, bn)
         a = np.where(done, a, an)
         b = np.where(done, b, bn)
-    return a, bool(np.all(np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b))))
+    return a, s, bool(np.all(np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b))))
 
 
 def ellipke_array(k) -> tuple[np.ndarray, np.ndarray, bool]:
     """(K(k), E(k)) for an array of moduli from one AGM run with the companion
     sum; the bool reports AGM convergence."""
     k = _c128(k)
-    a = np.ones(k.shape, dtype=np.complex128)
-    b = np.sqrt(1.0 - k * k)
-    s = 0.5 * k * k
-    pow2 = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        done = np.abs(a - b) <= _AGM_RTOL * (np.abs(a) + np.abs(b))
-        if done.all():
-            ok = True
-            break
-        c = 0.5 * (a - b)
-        pow2 *= 2.0
-        s = s + np.where(done, 0.0, pow2 * c * c)
-        an = 0.5 * (a + b)
-        bn = _agm_sign_fix(an, np.sqrt(a * b))
-        a = np.where(done, a, an)
-        b = np.where(done, b, bn)
-    else:
-        ok = bool(np.all(np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b))))
+    a, s, ok = _agm(np.ones(k.shape, dtype=np.complex128), np.sqrt(1.0 - k * k),
+                    0.5 * k * k)
     kk = np.pi / (2.0 * a)
     return kk, kk * (1.0 - s), ok
 
@@ -166,7 +151,7 @@ def ellipke_array(k) -> tuple[np.ndarray, np.ndarray, bool]:
 def hyp2f1_half_array(z) -> tuple[np.ndarray, bool]:
     """2F1(1/2,1/2;1;z) on an array via the AGM representation."""
     z = _c128(z)
-    m, ok = _agm(np.ones(z.shape, dtype=np.complex128), np.sqrt(1.0 - z))
+    m, _, ok = _agm(np.ones(z.shape, dtype=np.complex128), np.sqrt(1.0 - z), 0.0)
     return 1.0 / m, ok
 
 

@@ -14,9 +14,8 @@ import cmath
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,23 +38,23 @@ _DEFAULT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run settings shared by all subcommands."""
+    """Validated run settings shared by all subcommands.
 
+    ``precision_mode`` is "double" or "extended": ``dispatch`` takes it from
+    ``--precision``, else from ``specfun.default_config()``, which reads
+    ``LOCALP2_PRECISION`` and rejects an unknown mode.
+    """
+
+    precision_mode: str
     tolerance: float = _DEFAULT_TOL
     y_values: tuple = ()
     output_format: str = "json"
-    precision_mode: str = field(
-        default_factory=lambda: os.environ.get("LOCALP2_PRECISION", "double"))
     out_path: str | None = None
 
     def __post_init__(self):
         if not (1e-12 <= self.tolerance <= 1e-3):
             raise LocalP2Error(
                 f"tolerance must lie in [1e-12, 1e-3], got {self.tolerance:g}")
-        if self.output_format not in ("json", "csv"):
-            raise LocalP2Error(f"unknown output format {self.output_format!r}")
-        if self.precision_mode not in ("double", "extended"):
-            raise LocalP2Error(f"unknown precision mode {self.precision_mode!r}")
         object.__setattr__(self, "y_values",
                            tuple(complex(v) for v in self.y_values))
 
@@ -381,11 +380,24 @@ def _json_text(obj) -> str:
         raise LocalP2Error(f"report holds a non-finite number: {exc}") from None
 
 
-def _report_error(command: str, exc: Exception) -> int:
-    """Print the JSON error report (schema ``error``) to stdout; exit 1."""
-    report = {"error": type(exc).__name__,
-              "context": {"command": command, "message": str(exc)}}
-    sys.stdout.write(_json_text(report))
+def _write(text: str, out_path: str | None) -> None:
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _report_error(command: str, exc: Exception, out_path: str | None) -> int:
+    """Write the JSON error report (schema ``error``) where the report would
+    have gone, so no earlier run's report is left at ``out_path``; to stdout
+    when ``out_path`` cannot be written.  Exit 1."""
+    text = _json_text({"error": type(exc).__name__,
+                       "context": {"command": command, "message": str(exc)}})
+    try:
+        _write(text, out_path)
+    except OSError:
+        sys.stdout.write(text)
     return 1
 
 
@@ -401,8 +413,7 @@ def dispatch(argv) -> int:
             tolerance=ns.tol,
             y_values=tuple(ns.y) if ns.y else (),
             output_format=ns.format,
-            precision_mode=(ns.precision
-                            or os.environ.get("LOCALP2_PRECISION", "double")),
+            precision_mode=ns.precision or specfun.default_config().mode,
             out_path=ns.out,
         )
         if cfg.output_format == "csv" and ns.command not in _CSV_ABLE:
@@ -414,15 +425,11 @@ def dispatch(argv) -> int:
         else:
             text = _json_text(payload)
     except LocalP2Error as exc:
-        return _report_error(ns.command, exc)
-    if cfg.out_path:
-        try:
-            with open(cfg.out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _report_error(ns.command, exc)
-    else:
-        sys.stdout.write(text)
+        return _report_error(ns.command, exc, ns.out)
+    try:
+        _write(text, cfg.out_path)
+    except OSError as exc:
+        return _report_error(ns.command, exc, None)
     return 0 if flagged == 0 else 1
 
 

@@ -137,12 +137,6 @@ _FRAME_TO_LB = {
     Basis.MIRROR: ((0, -1, 0), (0, 3, 1), (1, 0, 0)),
 }
 
-# Exceptional <-> brane conversion is pinned to the expansion matrix whose
-# columns express the brane classes in the exceptional collection (so as a
-# coordinate map it sends brane coords to exceptional coords), and its inverse.
-_BRANE_TO_EXC = ((1, -3, 6), (-1, 2, -3), (1, -1, 1))
-_EXC_TO_BRANE = ((1, 3, 3), (2, 5, 3), (1, 2, 1))
-
 
 def _mat_vec(m, v):
     return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
@@ -184,10 +178,6 @@ def change_of_basis_matrix(source: Basis, target: Basis):
     """Integer matrix applied to coordinate triples by basis_change."""
     source = Basis(source)
     target = Basis(target)
-    if (source, target) == (Basis.EXCEPTIONAL, Basis.BRANE):
-        return _EXC_TO_BRANE
-    if (source, target) == (Basis.BRANE, Basis.EXCEPTIONAL):
-        return _BRANE_TO_EXC
     return _mat_mul(_LB_TO_FRAME[target], _FRAME_TO_LB[source])
 
 

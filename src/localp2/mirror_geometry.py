@@ -172,21 +172,6 @@ class PathZ:
             out.append(a + (b - a) * t)
         return np.concatenate(out)
 
-    def validate_clearance(self, critical) -> None:
-        """Interior points must stay PATH_CLEARANCE away from critical z."""
-        pts = self.samples()
-        ends = (self.vertices[0], self.vertices[-1])
-        for c in critical:
-            d = np.abs(pts - complex(c))
-            near = d < PATH_CLEARANCE
-            if not near.any():
-                continue
-            for p in pts[near]:
-                if min(abs(p - ends[0]), abs(p - ends[1])) > PATH_CLEARANCE:
-                    raise DomainError(
-                        f"path passes within {PATH_CLEARANCE} of critical "
-                        f"point {c:.6g} at interior sample {p:.6g}")
-
 
 @dataclass(frozen=True)
 class PeriodVector:
@@ -294,10 +279,6 @@ def cubic_roots_along(path: PathZ, seed: CubicRoots | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _seg_quad(xa, xb, xc, n) -> complex:
-    return 2.0 * _kernels.segment_integral(xa, xb, xc, n)
-
-
 def _hyp(z: complex) -> complex:
     vals, ok = _kernels.hyp2f1_half_array(np.array([z], dtype=np.complex128))
     if not ok:
@@ -318,7 +299,8 @@ def jk_quadrature(roots: CubicRoots, k: int, n: int = 256) -> complex:
     """
     i, j = (k + 2) % 3, (k + 1) % 3
     t = roots.triple
-    return _seg_quad(t[i], t[k], t[j], n) - _seg_quad(t[k], t[j], t[i], n)
+    seg = 2.0 * _kernels.segment_integrals([t[i], t[k]], [t[k], t[j]], [t[j], t[i]], n)
+    return complex(seg[0] - seg[1])
 
 
 def vanishing_integral_Jk(roots: CubicRoots, k: int) -> complex:
@@ -486,32 +468,16 @@ def _period_modulus(y) -> complex:
     return y
 
 
-def _validate_period_path(path: PathZ, y: complex, k: int) -> None:
-    z_star, *crit = critical_points(y)
-    if abs(path.vertices[0] - z_star) > 1e-9:
-        raise DomainError(
-            f"period path must start at the degeneration point {z_star:.6g}")
-    if abs(path.vertices[-1] - crit[k]) > 1e-9:
-        raise DomainError(
-            f"period path for cycle {k} must end at {complex(crit[k]):.6g}")
-    if not any(abs(v) < 1e-12 for v in path.vertices):
-        raise DomainError("period path must pass through z = 0")
-    path.validate_clearance([z_star] + [c for m, c in enumerate(crit) if m != k])
-
-
-def period_Ik(y: complex, k: int, path: PathZ | None = None,
-              quad: PrecisionConfig | None = None) -> complex:
+def period_Ik(y: complex, k: int, quad: PrecisionConfig | None = None) -> complex:
     """Contour period of the three-cycle attached to critical value k.
 
     The contour runs from the degeneration point z_* through the origin to
-    the k-th critical value; ``path``, if given, must be such a contour.
-    The value is the k-th entry of ``periods(y, quad)``.
+    the k-th critical value.  The value is the k-th entry of
+    ``periods(y, quad)``.
     """
     y = _period_modulus(y)
     if k not in (0, 1, 2):
         raise DomainError(f"cycle index must be 0, 1 or 2, got {k}")
-    if path is not None:
-        _validate_period_path(path, y, k)
     return periods(y, quad).as_vector()[k]
 
 

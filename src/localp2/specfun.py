@@ -14,15 +14,18 @@ elliptic fibration at the origin of the base.
 Each closed form has one mpmath body, evaluated at the configured digits in
 extended mode and at 30 digits, rounded to complex, in double mode.  The
 numeric routes it is checked against (AGM, the elliptic chain rule, the
-finite difference, the splitting identity) have their own double and
-extended evaluations and never call a closed form.
+finite difference, the splitting identity) never call a closed form; each
+is written once against the numbers and the AGM of the precision mode
+(``_arith``), and only the finite-difference stencil differs by mode.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
@@ -107,40 +110,18 @@ def _on_cut_from_one(z: complex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# extended-precision helpers (mpmath)
+# the arithmetic of each precision mode
 # ---------------------------------------------------------------------------
 
 
-def _agm_mp(a, b):
-    """Optimal AGM on mpmath complex numbers (same sign rule as the kernel)."""
-    for _ in range(64):
-        if mp.fabs(a - b) <= mp.mpf(10) ** (-mp.mp.dps) * (mp.fabs(a) + mp.fabs(b)):
-            return a
-        an = (a + b) / 2
-        bn = mp.sqrt(a * b)
-        if mp.fabs(an - bn) > mp.fabs(an + bn):
-            bn = -bn
-        elif mp.fabs(an - bn) == mp.fabs(an + bn) and an != 0:
-            if mp.im(bn / an) < 0:
-                bn = -bn
-        a, b = an, bn
-    raise ConvergenceError("AGM did not converge within 64 iterations")
-
-
-def _hyp_mp(z):
-    return 1 / _agm_mp(mp.mpc(1), mp.sqrt(1 - mp.mpc(z)))
-
-
-def _ellipke_mp(k):
-    k = mp.mpc(k)
-    a = mp.mpc(1)
-    b = mp.sqrt(1 - k * k)
-    s = k * k / 2
+def _agm_mp(a, b, s):
+    """Optimal AGM on mpmath complex numbers (same sign rule as the kernel),
+    with the kernel's companion sum: returns the mean and the sum."""
+    tol = mp.mpf(10) ** (-mp.mp.dps)
     pow2 = mp.mpf(0.5)
     for _ in range(64):
-        if mp.fabs(a - b) <= mp.mpf(10) ** (-mp.mp.dps) * (mp.fabs(a) + mp.fabs(b)):
-            kk = mp.pi / (2 * a)
-            return kk, kk * (1 - s)
+        if mp.fabs(a - b) <= tol * (mp.fabs(a) + mp.fabs(b)):
+            return a, s
         c = (a - b) / 2
         pow2 *= 2
         s += pow2 * c * c
@@ -155,6 +136,69 @@ def _ellipke_mp(k):
     raise ConvergenceError("AGM did not converge within 64 iterations")
 
 
+def _hyp_mp(z):
+    return 1 / _agm_mp(mp.mpc(1), mp.sqrt(1 - mp.mpc(z)), 0)[0]
+
+
+def _ellipke_mp(k):
+    k = mp.mpc(k)
+    a, s = _agm_mp(mp.mpc(1), mp.sqrt(1 - k * k), k * k / 2)
+    kk = mp.pi / (2 * a)
+    return kk, kk * (1 - s)
+
+
+def _at_point(kernel, z) -> list:
+    """The values of an AGM kernel at the one point z."""
+    *vals, ok = kernel(complex(z))
+    if not ok:
+        raise ConvergenceError("AGM did not converge within 64 iterations")
+    return [complex(v[0]) for v in vals]
+
+
+class _Arith(NamedTuple):
+    """The numbers of one precision mode, against which each numeric route
+    is written once."""
+
+    real: Callable         # float -> float or mpf
+    cplx: Callable         # (re, im) -> complex or mpc
+    sqrt: Callable
+    pi: object
+    gamma: Callable
+    digamma: Callable
+    hyp: Callable          # z -> 2F1(1/2, 1/2; 1; z) = 1/AGM(1, sqrt(1-z))
+    ellipke: Callable      # k -> (K(k), E(k)) from one AGM run
+    moduli: Callable       # () -> the singular moduli (k_+, k_-)
+    minus_omega: Callable  # () -> e^{i pi/3}
+
+
+_DOUBLE = _Arith(
+    float, complex, math.sqrt, math.pi,
+    lambda z: complex(_kernels.gamma_array(z)[0]),
+    lambda z: complex(_kernels.digamma_array(z)[0]),
+    lambda z: _at_point(_kernels.hyp2f1_half_array, z)[0],
+    lambda k: _at_point(_kernels.ellipke_array, k),
+    lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
+
+# mpmath numbers evaluate at the working precision that ``_arith`` sets
+_EXTENDED = _Arith(
+    mp.mpf, mp.mpc, mp.sqrt, mp.pi,
+    mp.gamma, mp.digamma,
+    _hyp_mp, _ellipke_mp,
+    lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
+    lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
+
+
+@contextmanager
+def _arith(cfg: PrecisionConfig):
+    """The arithmetic of ``cfg.mode``; extended mode works at ``cfg.dps``
+    digits inside the block."""
+    if cfg.mode == "extended":
+        with mp.workdps(cfg.dps):
+            yield _EXTENDED
+    else:
+        yield _DOUBLE
+
+
 # ---------------------------------------------------------------------------
 # public special functions
 # ---------------------------------------------------------------------------
@@ -163,71 +207,49 @@ def _ellipke_mp(k):
 def gamma(z, config: PrecisionConfig | None = None):
     """Gamma function for complex argument (relative error <= 1e-13 for |z| <= 30
     in double mode)."""
-    cfg = _cfg(config)
     zc = complex(z)
     if _near_nonpositive_integer(zc):
         raise PoleError(f"gamma pole at z = {zc}")
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            return mp.gamma(mp.mpc(z) if zc.imag else mp.mpf(zc.real))
-    return complex(_kernels.gamma_array(zc)[0])
+    with _arith(_cfg(config)) as ar:
+        # a real argument stays real, so extended mode returns an mpf
+        return ar.gamma(ar.cplx(z) if zc.imag else ar.real(zc.real))
 
 
 def digamma(z, config: PrecisionConfig | None = None):
     """Digamma function for complex argument (|z| <= 100 contract in double mode)."""
-    cfg = _cfg(config)
     zc = complex(z)
     if _near_nonpositive_integer(zc):
         raise PoleError(f"digamma pole at z = {zc}")
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            return mp.digamma(mp.mpc(z) if zc.imag else mp.mpf(zc.real))
-    return complex(_kernels.digamma_array(zc)[0])
+    with _arith(_cfg(config)) as ar:
+        # a real argument stays real, so extended mode returns an mpf
+        return ar.digamma(ar.cplx(z) if zc.imag else ar.real(zc.real))
 
 
 def hyp2f1_half(z, config: PrecisionConfig | None = None):
     """2F1(1/2, 1/2; 1; z) on the cut plane C minus [1, oo), via 1/AGM(1, sqrt(1-z))."""
-    cfg = _cfg(config)
     zc = complex(z)
     if _on_cut_from_one(zc):
         raise BranchCutError(f"hyp2f1_half argument {zc} lies on the cut [1, oo)")
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            return _hyp_mp(z)
-    val, ok = _kernels.hyp2f1_half_array(zc)
-    if not ok:
-        raise ConvergenceError("AGM did not converge within 64 iterations")
-    return complex(val[0])
+    with _arith(_cfg(config)) as ar:
+        return ar.hyp(z)
+
+
+def _ellipke(name: str, k, config: PrecisionConfig | None):
+    kc = complex(k)
+    if _on_cut_from_one(kc * kc):
+        raise BranchCutError(f"{name} modulus {kc} has k^2 on [1, oo)")
+    with _arith(_cfg(config)) as ar:
+        return ar.ellipke(k)
 
 
 def elliptic_K(k, config: PrecisionConfig | None = None):
     """Complete elliptic integral K(k) (modulus convention) by the AGM."""
-    cfg = _cfg(config)
-    kc = complex(k)
-    if _on_cut_from_one(kc * kc):
-        raise BranchCutError(f"elliptic_K modulus {kc} has k^2 on [1, oo)")
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            return _ellipke_mp(k)[0]
-    kk, _, ok = _kernels.ellipke_array(kc)
-    if not ok:
-        raise ConvergenceError("AGM did not converge within 64 iterations")
-    return complex(kk[0])
+    return _ellipke("elliptic_K", k, config)[0]
 
 
 def elliptic_E(k, config: PrecisionConfig | None = None):
     """Complete elliptic integral E(k) by the AGM companion sequence."""
-    cfg = _cfg(config)
-    kc = complex(k)
-    if _on_cut_from_one(kc * kc):
-        raise BranchCutError(f"elliptic_E modulus {kc} has k^2 on [1, oo)")
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            return _ellipke_mp(k)[1]
-    _, ee, ok = _kernels.ellipke_array(kc)
-    if not ok:
-        raise ConvergenceError("AGM did not converge within 64 iterations")
-    return complex(ee[0])
+    return _ellipke("elliptic_E", k, config)[1]
 
 
 def ramanujan_residual(x, config: PrecisionConfig | None = None):
@@ -238,23 +260,16 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
 
     at real x >= 0.  Returns |LHS - RHS|.
     """
-    cfg = _cfg(config)
     xf = float(x)
     if xf < 0.0 or not math.isfinite(xf):
         raise DomainError("ramanujan_residual expects real x >= 0")
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            xm = mp.mpf(xf)
-            r = mp.sqrt(1 + xm * xm)
-            lhs = mp.sqrt(r) * _hyp_mp(mp.mpc(1, xm) / 2)
-            rhs = (mp.mpc(1, 1) / 2 * _hyp_mp((1 + xm / r) / 2)
-                   + mp.mpc(1, -1) / 2 * _hyp_mp((1 - xm / r) / 2))
-            return mp.fabs(lhs - rhs)
-    r = math.sqrt(1.0 + xf * xf)
-    lhs = math.sqrt(r) * hyp2f1_half(complex(1.0, xf) / 2.0, cfg)
-    rhs = (complex(1.0, 1.0) / 2.0 * hyp2f1_half((1.0 + xf / r) / 2.0, cfg)
-           + complex(1.0, -1.0) / 2.0 * hyp2f1_half((1.0 - xf / r) / 2.0, cfg))
-    return abs(lhs - rhs)
+    with _arith(_cfg(config)) as ar:
+        x = ar.real(xf)
+        r = ar.sqrt(1 + x * x)
+        lhs = ar.sqrt(r) * ar.hyp(ar.cplx(1, x) / 2)
+        rhs = (ar.cplx(1, 1) / 2 * ar.hyp((1 + x / r) / 2)
+               + ar.cplx(1, -1) / 2 * ar.hyp((1 - x / r) / 2))
+        return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +295,14 @@ def _consts():
 
 
 def _k_closed(sign: int):
+    """K(k_+) (sign=+1) or K(k_-) (sign=-1) in terms of Gamma(1/3)^3."""
     pi, _, g3, _, two = _consts()
     expo = mp.mpf(3) / 4 if sign > 0 else mp.mpf(1) / 4
     return two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** expo * g3 / pi
 
 
 def _e_closed(sign: int):
+    """E(k_+) (sign=+1) or E(k_-) (sign=-1)."""
     pi, s3, g3, _, two = _consts()
     if sign > 0:
         return (two ** (mp.mpf(1) / 3) * mp.mpf(3) ** (-mp.mpf(1) / 4) * pi * pi / g3
@@ -314,58 +331,32 @@ def _f_prime_closed():
             * (e4 + s3 * e4c) / (pi * pi))
 
 
-def elliptic_K_closed_form(sign: int, config: PrecisionConfig | None = None):
-    """Closed form of K(k_+) (sign=+1) or K(k_-) (sign=-1) in terms of Gamma(1/3)^3."""
-    return _closed_form(_cfg(config), _k_closed, sign)
-
-
-def elliptic_E_closed_form(sign: int, config: PrecisionConfig | None = None):
-    """Closed form of E(k_+) (sign=+1) or E(k_-) (sign=-1)."""
-    return _closed_form(_cfg(config), _e_closed, sign)
-
-
 def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = None):
     """F(e^{i pi/3}) either from its Gamma(1/3)^3 closed form or numerically by AGM."""
     cfg = _cfg(config)
-    if route == "agm":
-        if cfg.mode == "extended":
-            with mp.workdps(cfg.dps):
-                return _hyp_mp(mp.exp(mp.mpc(0, mp.pi / 3)))
-        return hyp2f1_half(MINUS_OMEGA, cfg)
-    if route != "closed_form":
+    if route == "closed_form":
+        return _closed_form(cfg, _f_closed)
+    if route != "agm":
         raise DomainError(f"unknown route {route!r}")
-    return _closed_form(cfg, _f_closed)
+    with _arith(cfg) as ar:
+        return ar.hyp(ar.minus_omega())
 
 
-def _f_prime_elliptic(cfg: PrecisionConfig):
+def _f_prime_elliptic(ar: _Arith):
     """F'(e^{i pi/3}) by differentiating the splitting identity at x = sqrt3.
 
     Uses dK/dk = E/(k(1-k^2)) - K/k at the two real singular moduli, so the
     route is independent of the Gamma(1/3)^3 closed form.
     """
-    if cfg.mode == "extended":
-        s3 = mp.sqrt(mp.mpf(3))
-        kp = (mp.sqrt(mp.mpf(6)) + mp.sqrt(mp.mpf(2))) / 4
-        km = (mp.sqrt(mp.mpf(6)) - mp.sqrt(mp.mpf(2))) / 4
-        fp = []
-        for k in (kp, km):
-            kk, ee = _ellipke_mp(k)
-            kprime = ee / (k * (1 - k * k)) - kk / k
-            fp.append(kprime / (mp.pi * k))
-        rhs_prime = (mp.mpc(1, 1) / 2 * fp[0] - mp.mpc(1, -1) / 2 * fp[1]) / 16
-        f_at = _hyp_mp(mp.exp(mp.mpc(0, mp.pi / 3)))
-        lhs_drift = s3 * 2 ** mp.mpf("-2.5") * f_at
-        return -mp.mpc(0, 1) * mp.sqrt(mp.mpf(2)) * (rhs_prime - lhs_drift)
     fp = []
-    for k in (K_PLUS, K_MINUS):
-        kk = elliptic_K(k, cfg)
-        ee = elliptic_E(k, cfg)
-        kprime = ee / (k * (1.0 - k * k)) - kk / k
-        fp.append(kprime / (math.pi * k))
-    rhs_prime = (complex(1.0, 1.0) / 2.0 * fp[0] - complex(1.0, -1.0) / 2.0 * fp[1]) / 16.0
-    f_at = hyp2f1_half(MINUS_OMEGA, cfg)
-    lhs_drift = math.sqrt(3.0) * 2.0 ** -2.5 * f_at
-    return -1j * math.sqrt(2.0) * (rhs_prime - lhs_drift)
+    for k in ar.moduli():
+        kk, ee = ar.ellipke(k)
+        kprime = ee / (k * (1 - k * k)) - kk / k
+        fp.append(kprime / (ar.pi * k))
+    rhs_prime = (ar.cplx(1, 1) / 2 * fp[0] - ar.cplx(1, -1) / 2 * fp[1]) / 16
+    f_at = ar.hyp(ar.minus_omega())
+    lhs_drift = ar.sqrt(3) * 2 ** ar.real(-2.5) * f_at
+    return -ar.cplx(0, 1) * ar.sqrt(2) * (rhs_prime - lhs_drift)
 
 
 def f_prime_minus_omega(route: str = "closed_form",
@@ -377,85 +368,52 @@ def f_prime_minus_omega(route: str = "closed_form",
     route = "finite_difference" central difference of the AGM evaluation
     """
     cfg = _cfg(config)
-    if route == "elliptic":
+    if route == "closed_form":
+        return _closed_form(cfg, _f_prime_closed)
+    if route not in ("elliptic", "finite_difference"):
+        raise DomainError(f"unknown route {route!r}")
+    with _arith(cfg) as ar:
+        if route == "elliptic":
+            return _f_prime_elliptic(ar)
+        z = ar.minus_omega()
         if cfg.mode == "extended":
-            with mp.workdps(cfg.dps):
-                return _f_prime_elliptic(cfg)
-        return _f_prime_elliptic(cfg)
-    if route == "finite_difference":
-        if cfg.mode == "extended":
-            with mp.workdps(cfg.dps):
-                h = mp.mpf(10) ** (-cfg.dps // 3)
-                z = mp.exp(mp.mpc(0, mp.pi / 3))
-                return (_hyp_mp(z + h) - _hyp_mp(z - h)) / (2 * h)
+            h = mp.mpf(10) ** (-cfg.dps // 3)
+            return (ar.hyp(z + h) - ar.hyp(z - h)) / (2 * h)
         # 4th-order stencil: plain central at h small enough for 1e-10 would
         # already be dominated by roundoff in double precision
         h = 1e-3
-        f = [hyp2f1_half(MINUS_OMEGA + k * h, cfg) for k in (-2, -1, 1, 2)]
+        f = [ar.hyp(z + k * h) for k in (-2, -1, 1, 2)]
         return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-    if route != "closed_form":
-        raise DomainError(f"unknown route {route!r}")
-    return _closed_form(cfg, _f_prime_closed)
 
 
 def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     """Evaluate each closed form against an independent numeric route.
 
     Returns one row per identity: name, the numerically computed value, the
-    closed form, and their relative difference.  Every numeric route goes
-    through the AGM (plus a finite difference for the derivative), never
-    through the Gamma(1/3)^3 expressions being checked.
+    closed form, and their relative difference, taken in the arithmetic of
+    the precision mode.  Every numeric route goes through the AGM (plus a
+    finite difference for the derivative), never through the Gamma(1/3)^3
+    expressions being checked.
     """
     cfg = _cfg(config)
-
-    def row(name, computed, closed):
-        c = complex(computed)
-        f = complex(closed)
-        rel = abs(c - f) / abs(f)
-        return {"name": name, "computed": c, "closed_form": f, "rel_err": rel}
-
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            kp = (mp.sqrt(mp.mpf(6)) + mp.sqrt(mp.mpf(2))) / 4
-            km = (mp.sqrt(mp.mpf(6)) - mp.sqrt(mp.mpf(2))) / 4
-            kkp, eep = _ellipke_mp(kp)
-            kkm, eem = _ellipke_mp(km)
-            rows = [
-                ("K(k_plus)", kkp, elliptic_K_closed_form(+1, cfg)),
-                ("K(k_minus)", kkm, elliptic_K_closed_form(-1, cfg)),
-                ("E(k_plus)", eep, elliptic_E_closed_form(+1, cfg)),
-                ("E(k_minus)", eem, elliptic_E_closed_form(-1, cfg)),
-                ("F(-omega)", f_minus_omega("agm", cfg), f_minus_omega("closed_form", cfg)),
-                ("Fprime(-omega) elliptic", f_prime_minus_omega("elliptic", cfg),
-                 f_prime_minus_omega("closed_form", cfg)),
-                ("Fprime(-omega) finite difference",
-                 f_prime_minus_omega("finite_difference", cfg),
-                 f_prime_minus_omega("closed_form", cfg)),
-                ("ramanujan x=sqrt3", ramanujan_residual(mp.sqrt(mp.mpf(3)), cfg), 1),
-            ]
-            out = []
-            for name, computed, closed in rows[:-1]:
-                rel = float(mp.fabs(mp.mpc(computed) - mp.mpc(closed)) / mp.fabs(mp.mpc(closed)))
-                out.append({"name": name, "computed": complex(computed),
-                            "closed_form": complex(closed), "rel_err": rel})
-            out.append({"name": "ramanujan x=sqrt3",
-                        "computed": complex(float(rows[-1][1]), 0.0),
-                        "closed_form": 0j, "rel_err": float(rows[-1][1])})
-            return out
-
-    rows = [
-        row("K(k_plus)", elliptic_K(K_PLUS, cfg), elliptic_K_closed_form(+1, cfg)),
-        row("K(k_minus)", elliptic_K(K_MINUS, cfg), elliptic_K_closed_form(-1, cfg)),
-        row("E(k_plus)", elliptic_E(K_PLUS, cfg), elliptic_E_closed_form(+1, cfg)),
-        row("E(k_minus)", elliptic_E(K_MINUS, cfg), elliptic_E_closed_form(-1, cfg)),
-        row("F(-omega)", f_minus_omega("agm", cfg), f_minus_omega("closed_form", cfg)),
-        row("Fprime(-omega) elliptic", f_prime_minus_omega("elliptic", cfg),
-            f_prime_minus_omega("closed_form", cfg)),
-        row("Fprime(-omega) finite difference",
-            f_prime_minus_omega("finite_difference", cfg),
-            f_prime_minus_omega("closed_form", cfg)),
-    ]
-    r = ramanujan_residual(math.sqrt(3.0), cfg)
-    rows.append({"name": "ramanujan x=sqrt3", "computed": complex(r, 0.0),
-                 "closed_form": 0j, "rel_err": float(r)})
-    return rows
+    with _arith(cfg) as ar:
+        (kkp, eep), (kkm, eem) = (ar.ellipke(k) for k in ar.moduli())
+        fp_closed = f_prime_minus_omega("closed_form", cfg)
+        rows = [
+            ("K(k_plus)", kkp, _closed_form(cfg, _k_closed, +1)),
+            ("K(k_minus)", kkm, _closed_form(cfg, _k_closed, -1)),
+            ("E(k_plus)", eep, _closed_form(cfg, _e_closed, +1)),
+            ("E(k_minus)", eem, _closed_form(cfg, _e_closed, -1)),
+            ("F(-omega)", f_minus_omega("agm", cfg), f_minus_omega("closed_form", cfg)),
+            ("Fprime(-omega) elliptic", f_prime_minus_omega("elliptic", cfg), fp_closed),
+            ("Fprime(-omega) finite difference",
+             f_prime_minus_omega("finite_difference", cfg), fp_closed),
+        ]
+        out = [{"name": name, "computed": complex(computed),
+                "closed_form": complex(closed),
+                "rel_err": float(abs(computed - closed) / abs(closed))}
+               for name, computed, closed in rows]
+        r = float(ramanujan_residual(ar.sqrt(3), cfg))
+    out.append({"name": "ramanujan x=sqrt3", "computed": complex(r, 0.0),
+                "closed_form": 0j, "rel_err": r})
+    return out

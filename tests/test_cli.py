@@ -117,6 +117,30 @@ def test_module_error_reports_json(capsys):
     assert "27" in report["context"]["message"]
 
 
+def test_error_report_replaces_an_earlier_out_file(tmp_path, capsys):
+    # a failed run must not leave the previous run's report at --out
+    out = tmp_path / "r.json"
+    assert dispatch(["periods", "--y", "1000", "--out", str(out)]) == 0
+    assert dispatch(["periods", "--y", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, _schema("error"))
+    assert report["error"] == "DomainError"
+    assert "27" in report["context"]["message"]
+
+
+def test_precision_environment_is_read_by_specfun(monkeypatch, capsys):
+    # an unknown LOCALP2_PRECISION is rejected by the one reader in specfun;
+    # --precision takes its place
+    monkeypatch.setenv("LOCALP2_PRECISION", "bogus")
+    assert dispatch(["series"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "DomainError"
+    assert "bogus" in report["context"]["message"]
+    assert dispatch(["series", "--precision", "double"]) == 0
+    capsys.readouterr()
+
+
 def test_tolerance_validation(capsys):
     assert dispatch(["series", "--tol", "1"]) == 1
     report = json.loads(capsys.readouterr().out)

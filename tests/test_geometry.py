@@ -427,26 +427,6 @@ def test_threaded_family_matches_per_node_loop():
     assert flips > 0
 
 
-def test_period_path_validation():
-    y = 1e3
-    z_star, *crit = geom.critical_points(y)
-    with pytest.raises(DomainError):
-        geom.period_Ik(y, 0, path=geom.PathZ((-0.2, 0.0, 3.0)))
-    with pytest.raises(DomainError):
-        geom.period_Ik(y, 0, path=geom.PathZ((z_star, 0.0, crit[1])))
-    with pytest.raises(DomainError):
-        geom.period_Ik(y, 0, path=geom.PathZ((z_star, 0.5j, 3.0)))
-    with pytest.raises(DomainError):
-        geom.period_Ik(y, 0, path=geom.PathZ((z_star, 0.0, crit[1], 3.0)))
-
-
-def test_period_accepts_default_equivalent_path():
-    y = 1e3
-    z_star, *crit = geom.critical_points(y)
-    explicit = geom.period_Ik(y, 0, path=geom.PathZ((z_star, 0.0, 3.0)))
-    assert abs(explicit - geom.period_Ik(y, 0)) < 1e-12
-
-
 def test_period_vector_alternating_sum_trivial():
     pv = geom.PeriodVector(1.0, 2.0, 3.0, 1e3, (0.0, 0.0, 0.0))
     assert pv.alternating_sum() == 2.0

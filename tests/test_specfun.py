@@ -98,6 +98,21 @@ def test_closed_form_checks_double():
     assert max(r["rel_err"] for r in rows) <= 1e-10
 
 
+def test_closed_form_checks_modes_agree():
+    # each numeric route is written once for both modes: the same rows in
+    # the same order, and values that differ by the double rounding of the
+    # AGM, or by the double stencil's truncation on the finite-difference row
+    double = sf.closed_form_checks(PrecisionConfig(mode="double"))
+    extended = sf.closed_form_checks(PrecisionConfig(mode="extended"))
+    assert [r["name"] for r in double] == [r["name"] for r in extended]
+    *rows, (ram_double, _) = zip(double, extended)
+    for d, e in rows:
+        tol = 5e-12 if d["name"] == "Fprime(-omega) finite difference" else 1e-14
+        assert abs(d["computed"] - e["computed"]) <= tol * abs(e["computed"]), d["name"]
+    assert ram_double["name"] == "ramanujan x=sqrt3"
+    assert ram_double["rel_err"] <= 1e-15
+
+
 def test_branch_cut_rejected():
     with pytest.raises(BranchCutError):
         sf.hyp2f1_half(1.5)
