@@ -279,13 +279,14 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     stage("annihilator", resid <= 1e-10, f"residual {resid:.3e}")
 
     quad = cfg.precision()
-    ys = (1e3, 2e3, 4e3)
-    period_rows = {}
+    # each period vector is computed once, here, and reused by the fit and
+    # the central charges
+    period_rows = []
     ok_p = True
     detail_p = []
-    for y in ys:
+    for y in (1e3, 2e3, 4e3):
         pv = geom.periods(y, quad)
-        period_rows[y] = pv
+        period_rows.append(pv)
         gap = abs(pv.alternating_sum() - 1.0)
         bound = 10.0 * max(sum(pv.err), 1e-15)
         scale = abs(y) ** (-2.0 / 3.0)
@@ -302,12 +303,12 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     stage("critical_rays", ray_dev <= 1e-14,
           f"critical-ray rel dev {ray_dev:.2e}")
 
-    tm = mm.fit_transfer_matrix(ys, quad)
+    tm = mm.fit_transfer_matrix(period_rows, quad)
     expected = ((1, 0, 0), (-1, 1, -1), (1, 1, 0))
     stage("transfer_matrix", tm.entries == expected,
           f"entries {tm.entries}, residual {tm.residual:.3e}")
 
-    cc = mm.central_charge_report(1e3, quad, tm)
+    cc = mm.central_charge_report(period_rows[0], quad, tm)
     n_flagged = sum(r["flagged"] for r in cc)
     stage("central_charges", n_flagged == 0, f"{n_flagged} flagged rows")
 

@@ -98,6 +98,9 @@ _CYCLE_SEGMENTS = {
 
 _TWO_PI = 2.0 * math.pi
 _EIGHT_PI_SQ = 8.0 * math.pi ** 2
+# the closed-form cycle integrals are double precision whatever the
+# process-wide precision mode
+_DOUBLE = PrecisionConfig(mode="double")
 
 # Gauss-Legendre sizes on the degeneration ray: a period takes the last rule,
 # its error estimate the distance from the first.
@@ -279,13 +282,6 @@ def cubic_roots_along(path: PathZ, seed: CubicRoots | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _hyp(z: complex) -> complex:
-    vals, ok = _kernels.hyp2f1_half_array(np.array([z], dtype=np.complex128))
-    if not ok:
-        raise QuadratureError(f"hypergeometric AGM failed to converge at {z:.6g}")
-    return complex(vals[0])
-
-
 def _on_unit_cut(r: complex) -> bool:
     return abs(r.imag) < 1e-9 and r.real >= 1.0 - 1e-9
 
@@ -334,8 +330,8 @@ def vanishing_integral_Jk(roots: CubicRoots, k: int) -> complex:
             "hypergeometric argument on the cut [1, oo); "
             "falling back to segment quadrature", RuntimeWarning, stacklevel=2)
         return jk_quadrature(roots, k)
-    term1 = _TWO_PI * _hyp(r1) / cmath.sqrt(xj - xi)
-    term2 = _TWO_PI * _hyp(r2) / cmath.sqrt(xi - xj)
+    term1 = _TWO_PI * hyp2f1_half(r1, _DOUBLE) / cmath.sqrt(xj - xi)
+    term2 = _TWO_PI * hyp2f1_half(r2, _DOUBLE) / cmath.sqrt(xi - xj)
     eps = (((xi - xj) / (xi - xk)) ** -0.5
            * cmath.sqrt(xi - xj) / cmath.sqrt(xi - xk))
     eps = 1.0 if eps.real > 0.0 else -1.0

@@ -93,15 +93,29 @@ def solve_transfer(period_rows, solution_rows) -> TransferMatrix:
     return tm
 
 
+def _modulus(sample) -> complex:
+    return sample.y if isinstance(sample, geom.PeriodVector) else complex(sample)
+
+
+def _period_vector(sample, quad: PrecisionConfig | None) -> geom.PeriodVector:
+    """A period vector as given, or the periods at a modulus."""
+    if isinstance(sample, geom.PeriodVector):
+        return sample
+    return geom.periods(sample, quad)
+
+
 def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> TransferMatrix:
     """Fit the period-to-solution matrix over the supplied modulus samples.
 
-    Needs at least three pairwise distinct samples with |y| >= 1e3 so the
-    truncated large-|y| solution rows are accurate well below the rounding
-    threshold.  Samples that nearly coincide make the least-squares system
+    Each sample is a modulus, whose periods are computed at ``quad``, or a
+    ``PeriodVector``, which is used as given at its own modulus.  Needs at
+    least three pairwise distinct samples with |y| >= 1e3 so the truncated
+    large-|y| solution rows are accurate well below the rounding threshold.
+    Samples that nearly coincide make the least-squares system
     ill-conditioned; the integrality check then raises FitError.
     """
-    ys = [complex(y) for y in y_samples]
+    samples = list(y_samples)
+    ys = [_modulus(s) for s in samples]
     if len(ys) < 3:
         raise DomainError("need at least three modulus samples")
     for y in ys:
@@ -114,9 +128,8 @@ def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> Trans
                 raise DomainError(f"fit samples must be pairwise distinct ({ys[a]})")
     period_rows = []
     solution_rows = []
-    for y in ys:
-        pv = geom.periods(y, quad)
-        period_rows.append(pv.as_vector())
+    for y, sample in zip(ys, samples):
+        period_rows.append(_period_vector(sample, quad).as_vector())
         sol = pf.w_at_infinity(y, n_terms=16)
         solution_rows.append([sol.w0, sol.w1, sol.w2])
     return solve_transfer(period_rows, solution_rows)
@@ -182,19 +195,20 @@ def central_charge_report(y, quad: PrecisionConfig | None = None,
                           transfer: TransferMatrix | None = None) -> list:
     """Per-brane comparison of analytic and period-side central charges.
 
-    The analytic column pairs each compact brane class with the truncated
-    large-|y| solution triple; the period column maps the numerically
-    integrated period triple through the fitted transfer matrix.  A row is
-    flagged when the two differ by more than ten times the propagated
-    quadrature error (plus the solution truncation error).
+    ``y`` is a modulus or a ``PeriodVector`` (used as given, at its own
+    modulus).  The analytic column pairs each compact brane class with the
+    truncated large-|y| solution triple; the period column maps the
+    numerically integrated period triple through the fitted transfer matrix.
+    A row is flagged when the two differ by more than ten times the
+    propagated quadrature error (plus the solution truncation error).
     """
-    y = complex(y)
-    if abs(y) < _MIN_FIT_MODULUS:
+    modulus = _modulus(y)
+    if abs(modulus) < _MIN_FIT_MODULUS:
         raise DomainError(f"central charges need |y| >= {_MIN_FIT_MODULUS:g}")
     if transfer is None:
         transfer = fit_transfer_matrix((1e3, 2e3, 4e3), quad)
-    pv = geom.periods(y, quad)
-    sol = pf.w_at_infinity(y, n_terms=16)
+    pv = _period_vector(y, quad)
+    sol = pf.w_at_infinity(modulus, n_terms=16)
     ivec = np.array(pv.as_vector(), dtype=complex)
     m = np.array(transfer.entries, dtype=float)
     w_numeric = ivec @ m

@@ -11,12 +11,14 @@ Gamma(1/3)^3, and give the value and derivative of
 at z = e^{i pi/3}, the argument produced by the degenerate fiber of the
 elliptic fibration at the origin of the base.
 
-Each closed form has one mpmath body, evaluated at the configured digits in
-extended mode and at 30 digits, rounded to complex, in double mode.  The
-numeric routes it is checked against (AGM, the elliptic chain rule, the
-finite difference, the splitting identity) never call a closed form; each
-is written once against the numbers and the AGM of the precision mode
-(``_arith``), and only the finite-difference stencil differs by mode.
+Every route, closed form or numeric, is written once against the numbers of
+the precision mode (``_arith``): Python floats, the ``_kernels`` gamma and the
+``_kernels`` AGM in double mode; mpmath numbers at the configured digits in
+extended mode, from ``_extended``, which is imported only then, so a
+double-precision run never loads mpmath.  The numeric routes a closed form is
+checked against (AGM, the elliptic chain rule, the finite difference, the
+splitting identity) never call a closed form, and only the finite-difference
+stencil differs by mode.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
-
-import mpmath as mp
 
 from . import _kernels
 from .errors import BranchCutError, ConvergenceError, DomainError, PoleError
@@ -114,39 +114,6 @@ def _on_cut_from_one(z: complex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _agm_mp(a, b, s):
-    """Optimal AGM on mpmath complex numbers (same sign rule as the kernel),
-    with the kernel's companion sum: returns the mean and the sum."""
-    tol = mp.mpf(10) ** (-mp.mp.dps)
-    pow2 = mp.mpf(0.5)
-    for _ in range(64):
-        if mp.fabs(a - b) <= tol * (mp.fabs(a) + mp.fabs(b)):
-            return a, s
-        c = (a - b) / 2
-        pow2 *= 2
-        s += pow2 * c * c
-        an = (a + b) / 2
-        bn = mp.sqrt(a * b)
-        if mp.fabs(an - bn) > mp.fabs(an + bn):
-            bn = -bn
-        elif mp.fabs(an - bn) == mp.fabs(an + bn) and an != 0:
-            if mp.im(bn / an) < 0:
-                bn = -bn
-        a, b = an, bn
-    raise ConvergenceError("AGM did not converge within 64 iterations")
-
-
-def _hyp_mp(z):
-    return 1 / _agm_mp(mp.mpc(1), mp.sqrt(1 - mp.mpc(z)), 0)[0]
-
-
-def _ellipke_mp(k):
-    k = mp.mpc(k)
-    a, s = _agm_mp(mp.mpc(1), mp.sqrt(1 - k * k), k * k / 2)
-    kk = mp.pi / (2 * a)
-    return kk, kk * (1 - s)
-
-
 def _at_point(kernel, z) -> list:
     """The values of an AGM kernel at the one point z."""
     *vals, ok = kernel(complex(z))
@@ -179,20 +146,12 @@ _DOUBLE = _Arith(
     lambda k: _at_point(_kernels.ellipke_array, k),
     lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
-# mpmath numbers evaluate at the working precision that ``_arith`` sets
-_EXTENDED = _Arith(
-    mp.mpf, mp.mpc, mp.sqrt, mp.pi,
-    mp.gamma, mp.digamma,
-    _hyp_mp, _ellipke_mp,
-    lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
-    lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
-
-
 @contextmanager
 def _arith(cfg: PrecisionConfig):
-    """The arithmetic of ``cfg.mode``; extended mode works at ``cfg.dps``
-    digits inside the block."""
+    """The arithmetic of ``cfg.mode``; extended mode imports mpmath (once per
+    process) and works at ``cfg.dps`` digits inside the block."""
     if cfg.mode == "extended":
+        from ._extended import _EXTENDED, mp
         with mp.workdps(cfg.dps):
             yield _EXTENDED
     else:
@@ -277,68 +236,58 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _closed_form(cfg: PrecisionConfig, body, *args):
-    """Evaluate the mpmath ``body(*args)`` of a closed form: at ``cfg.dps``
-    digits in extended mode, and in double mode at a fixed 30 digits (double
-    mode does not validate ``dps``), cast to complex."""
-    if cfg.mode == "extended":
-        with mp.workdps(cfg.dps):
-            return body(*args)
-    with mp.workdps(30):
-        return complex(body(*args))
+def _consts(ar: _Arith):
+    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, two) in the arithmetic ``ar``."""
+    return (ar.pi, ar.sqrt(ar.real(3)), ar.gamma(ar.real(1) / 3) ** 3,
+            ar.gamma(ar.real(2) / 3) ** 3, ar.real(2))
 
 
-def _consts():
-    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, two) at the working precision."""
-    return (mp.pi, mp.sqrt(mp.mpf(3)), mp.gamma(mp.mpf(1) / 3) ** 3,
-            mp.gamma(mp.mpf(2) / 3) ** 3, mp.mpf(2))
-
-
-def _k_closed(sign: int):
+def _k_closed(ar: _Arith, sign: int):
     """K(k_+) (sign=+1) or K(k_-) (sign=-1) in terms of Gamma(1/3)^3."""
-    pi, _, g3, _, two = _consts()
-    expo = mp.mpf(3) / 4 if sign > 0 else mp.mpf(1) / 4
-    return two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** expo * g3 / pi
+    pi, _, g3, _, two = _consts(ar)
+    r = ar.real
+    expo = r(3) / 4 if sign > 0 else r(1) / 4
+    return two ** (-r(7) / 3) * r(3) ** expo * g3 / pi
 
 
-def _e_closed(sign: int):
+def _e_closed(ar: _Arith, sign: int):
     """E(k_+) (sign=+1) or E(k_-) (sign=-1)."""
-    pi, s3, g3, _, two = _consts()
+    pi, s3, g3, _, two = _consts(ar)
+    r = ar.real
     if sign > 0:
-        return (two ** (mp.mpf(1) / 3) * mp.mpf(3) ** (-mp.mpf(1) / 4) * pi * pi / g3
-                + two ** (-mp.mpf(10) / 3) * mp.mpf(3) ** (mp.mpf(1) / 4)
-                * (s3 - 1) / pi * g3)
-    return (two ** (mp.mpf(1) / 3) * mp.mpf(3) ** (-mp.mpf(3) / 4) * pi * pi / g3
-            + two ** (-mp.mpf(10) / 3) * mp.mpf(3) ** (-mp.mpf(1) / 4)
-            * (s3 + 1) / pi * g3)
+        return (two ** (r(1) / 3) * r(3) ** (-r(1) / 4) * pi * pi / g3
+                + two ** (-r(10) / 3) * r(3) ** (r(1) / 4) * (s3 - 1) / pi * g3)
+    return (two ** (r(1) / 3) * r(3) ** (-r(3) / 4) * pi * pi / g3
+            + two ** (-r(10) / 3) * r(3) ** (-r(1) / 4) * (s3 + 1) / pi * g3)
 
 
-def _f_closed():
-    pi, _, g3, _, two = _consts()
-    a = two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** (mp.mpf(3) / 4) * g3 / (pi * pi)
-    b = two ** (-mp.mpf(7) / 3) * mp.mpf(3) ** (mp.mpf(1) / 4) * g3 / (pi * pi)
-    r2 = mp.sqrt(two)
-    return mp.mpc(1, 1) / r2 * a + mp.mpc(1, -1) / r2 * b
+def _f_closed(ar: _Arith):
+    pi, _, g3, _, two = _consts(ar)
+    r = ar.real
+    a = two ** (-r(7) / 3) * r(3) ** (r(3) / 4) * g3 / (pi * pi)
+    b = two ** (-r(7) / 3) * r(3) ** (r(1) / 4) * g3 / (pi * pi)
+    r2 = ar.sqrt(two)
+    return ar.cplx(1, 1) / r2 * a + ar.cplx(1, -1) / r2 * b
 
 
-def _f_prime_closed():
-    pi, s3, g3, g23, two = _consts()
-    e4 = mp.exp(mp.mpc(0, pi / 4))
-    e4c = mp.exp(mp.mpc(0, -pi / 4))
-    return (g3 * mp.mpf(3) ** (-mp.mpf(1) / 4) * two ** (-mp.mpf(7) / 3)
+def _f_prime_closed(ar: _Arith):
+    pi, s3, g3, g23, two = _consts(ar)
+    r = ar.real
+    r2 = ar.sqrt(two)
+    e4, e4c = ar.cplx(1, 1) / r2, ar.cplx(1, -1) / r2  # e^{+-i pi/4}
+    return (g3 * r(3) ** (-r(1) / 4) * two ** (-r(7) / 3)
             * (e4 - s3 * e4c) / (2 * pi * pi)
-            + g23 * mp.mpf(3) ** (mp.mpf(3) / 4) * two ** (-mp.mpf(8) / 3)
+            + g23 * r(3) ** (r(3) / 4) * two ** (-r(8) / 3)
             * (e4 + s3 * e4c) / (pi * pi))
 
 
 def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = None):
     """F(e^{i pi/3}) either from its Gamma(1/3)^3 closed form or numerically by AGM."""
-    cfg = _cfg(config)
-    if route == "closed_form":
-        return _closed_form(cfg, _f_closed)
-    if route != "agm":
+    if route not in ("closed_form", "agm"):
         raise DomainError(f"unknown route {route!r}")
-    with _arith(cfg) as ar:
+    with _arith(_cfg(config)) as ar:
+        if route == "closed_form":
+            return _f_closed(ar)
         return ar.hyp(ar.minus_omega())
 
 
@@ -368,16 +317,16 @@ def f_prime_minus_omega(route: str = "closed_form",
     route = "finite_difference" central difference of the AGM evaluation
     """
     cfg = _cfg(config)
-    if route == "closed_form":
-        return _closed_form(cfg, _f_prime_closed)
-    if route not in ("elliptic", "finite_difference"):
+    if route not in ("closed_form", "elliptic", "finite_difference"):
         raise DomainError(f"unknown route {route!r}")
     with _arith(cfg) as ar:
+        if route == "closed_form":
+            return _f_prime_closed(ar)
         if route == "elliptic":
             return _f_prime_elliptic(ar)
         z = ar.minus_omega()
         if cfg.mode == "extended":
-            h = mp.mpf(10) ** (-cfg.dps // 3)
+            h = ar.real(10) ** (-cfg.dps // 3)
             return (ar.hyp(z + h) - ar.hyp(z - h)) / (2 * h)
         # 4th-order stencil: plain central at h small enough for 1e-10 would
         # already be dominated by roundoff in double precision
@@ -398,13 +347,13 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     cfg = _cfg(config)
     with _arith(cfg) as ar:
         (kkp, eep), (kkm, eem) = (ar.ellipke(k) for k in ar.moduli())
-        fp_closed = f_prime_minus_omega("closed_form", cfg)
+        fp_closed = _f_prime_closed(ar)
         rows = [
-            ("K(k_plus)", kkp, _closed_form(cfg, _k_closed, +1)),
-            ("K(k_minus)", kkm, _closed_form(cfg, _k_closed, -1)),
-            ("E(k_plus)", eep, _closed_form(cfg, _e_closed, +1)),
-            ("E(k_minus)", eem, _closed_form(cfg, _e_closed, -1)),
-            ("F(-omega)", f_minus_omega("agm", cfg), f_minus_omega("closed_form", cfg)),
+            ("K(k_plus)", kkp, _k_closed(ar, +1)),
+            ("K(k_minus)", kkm, _k_closed(ar, -1)),
+            ("E(k_plus)", eep, _e_closed(ar, +1)),
+            ("E(k_minus)", eem, _e_closed(ar, -1)),
+            ("F(-omega)", f_minus_omega("agm", cfg), _f_closed(ar)),
             ("Fprime(-omega) elliptic", f_prime_minus_omega("elliptic", cfg), fp_closed),
             ("Fprime(-omega) finite difference",
              f_prime_minus_omega("finite_difference", cfg), fp_closed),

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 
@@ -11,6 +13,8 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import localp2
+import localp2.mirror_geometry as geom
 from localp2.cli import SUBCOMMANDS, _build_parser, _json_text, _parse_complex, dispatch
 from localp2.errors import LocalP2Error
 
@@ -221,6 +225,37 @@ def test_reproduce_deterministic(tmp_path):
     assert dispatch(["reproduce", "--out", str(a)]) == 0
     assert dispatch(["reproduce", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_reproduce_computes_each_period_vector_once(tmp_path, monkeypatch):
+    # the fit and the central charges reuse the vectors of the periods stage
+    calls = []
+    periods = geom.periods
+
+    def counted(y, quad=None):
+        calls.append(y)
+        return periods(y, quad)
+
+    monkeypatch.setattr(geom, "periods", counted)
+    code, payload = _run_json(tmp_path, "reproduce")
+    assert code == 0
+    assert calls == [1e3, 2e3, 4e3]
+    assert payload["transfer_matrix"] == [[1, 0, 0], [-1, 1, -1], [1, 1, 0]]
+
+
+def test_mpmath_is_loaded_only_for_extended_precision():
+    code = ("import os, sys; import localp2.cli as cli; "
+            "print('mpmath' in sys.modules); "
+            "print(cli.dispatch(['reproduce', '--precision', 'double', "
+            "'--out', os.devnull]), 'mpmath' in sys.modules); "
+            "print(cli.dispatch(['verify-appendix', '--precision', 'extended', "
+            "'--out', os.devnull]), 'mpmath' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(localp2.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {k: v for k, v in os.environ.items() if k != "LOCALP2_PRECISION"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**env, "PYTHONPATH": path})
+    assert out.stdout.split("\n")[:3] == ["False", "0 False", "0 True"]
 
 
 def test_stdout_matches_out_file(tmp_path, capsys):

@@ -106,6 +106,18 @@ def test_fit_transfer_matrix_stable_under_precision():
     assert loose.entries == tight.entries == EXPECTED
 
 
+def test_fit_and_central_charges_take_period_vectors():
+    # a period vector stands for its own modulus, and is not recomputed
+    ys = (1e3, 2e3, 4500 - 600j)
+    pvs = [geom.periods(y) for y in ys]
+    assert mm.fit_transfer_matrix(pvs) == mm.fit_transfer_matrix(ys)
+    with pytest.raises(DomainError):
+        mm.fit_transfer_matrix([pvs[0], pvs[0], pvs[1]])
+    tm = mm.fit_transfer_matrix(ys)
+    assert (mm.central_charge_report(pvs[2], transfer=tm)
+            == mm.central_charge_report(ys[2], transfer=tm))
+
+
 def test_fit_transfer_matrix_validation():
     with pytest.raises(DomainError):
         mm.fit_transfer_matrix((1e3, 2e3))

@@ -99,9 +99,10 @@ def test_closed_form_checks_double():
 
 
 def test_closed_form_checks_modes_agree():
-    # each numeric route is written once for both modes: the same rows in
-    # the same order, and values that differ by the double rounding of the
-    # AGM, or by the double stencil's truncation on the finite-difference row
+    # each route is written once for both modes: the same rows in the same
+    # order, and values that differ by the double rounding of the AGM and of
+    # the Gamma(1/3)^3 closed forms, or by the double stencil's truncation on
+    # the finite-difference row
     double = sf.closed_form_checks(PrecisionConfig(mode="double"))
     extended = sf.closed_form_checks(PrecisionConfig(mode="extended"))
     assert [r["name"] for r in double] == [r["name"] for r in extended]
@@ -109,6 +110,8 @@ def test_closed_form_checks_modes_agree():
     for d, e in rows:
         tol = 5e-12 if d["name"] == "Fprime(-omega) finite difference" else 1e-14
         assert abs(d["computed"] - e["computed"]) <= tol * abs(e["computed"]), d["name"]
+        assert (abs(d["closed_form"] - e["closed_form"])
+                <= 1e-14 * abs(e["closed_form"])), d["name"]
     assert ram_double["name"] == "ramanujan x=sqrt3"
     assert ram_double["rel_err"] <= 1e-15
 
