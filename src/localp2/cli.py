@@ -60,7 +60,7 @@ class RunConfig:
 
     def precision(self) -> PrecisionConfig:
         # PrecisionConfig accepts a narrower accuracy window than the CLI
-        rel = min(max(self.tolerance, 1e-15), 1e-6)
+        rel = min(self.tolerance, 1e-6)
         return PrecisionConfig(mode=self.precision_mode, target_rel_err=rel)
 
     def require_y(self) -> tuple:
@@ -167,7 +167,7 @@ def _cmd_periods(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_transfer_matrix(cfg: RunConfig) -> tuple[dict, int]:
-    ys = cfg.y_values or (1e3, 2e3, 4e3)
+    ys = cfg.y_values or mm.FIT_MODULI
     tm = mm.fit_transfer_matrix(ys, cfg.precision())
     payload = {
         "entries": [list(r) for r in tm.entries],
@@ -201,7 +201,7 @@ def _cmd_mirror_objects(cfg: RunConfig) -> tuple[dict, int]:
 def _cmd_central_charges(cfg: RunConfig) -> tuple[dict, int]:
     ys = cfg.y_values or (1e3,)
     quad = cfg.precision()
-    tm = mm.fit_transfer_matrix((1e3, 2e3, 4e3), quad)
+    tm = mm.fit_transfer_matrix(mm.FIT_MODULI, quad)
     rows = []
     flagged = 0
     for y in ys:
@@ -284,7 +284,7 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     period_rows = []
     ok_p = True
     detail_p = []
-    for y in (1e3, 2e3, 4e3):
+    for y in mm.FIT_MODULI:
         pv = geom.periods(y, quad)
         period_rows.append(pv)
         gap = abs(pv.alternating_sum() - 1.0)

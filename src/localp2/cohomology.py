@@ -24,7 +24,6 @@ __all__ = [
     "J",
     "ONE",
     "TODD_P2",
-    "todd_X",
     "line_bundle_class",
     "tensor",
     "chern",
@@ -97,12 +96,6 @@ J = CohClass(0, 1, 0)
 
 # Todd class of the plane, 1 + (3/2)J + J^2
 TODD_P2 = CohClass(1, Fraction(3, 2), 1)
-
-
-def todd_X() -> CohClass:
-    """Todd class of the threefold: c1 vanishes, and td = 1 + c2/12 with
-    c2 read off from c(T_plane) * c(O(-3)) = (1 + 3J + 3J^2)(1 - 3J)."""
-    return CohClass(1, 0, Fraction(-1, 2))
 
 
 class Basis(str, Enum):

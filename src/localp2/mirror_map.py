@@ -27,9 +27,12 @@ __all__ = [
     "hom_dimensions",
     "ako_twist_check",
     "central_charge_report",
+    "FIT_MODULI",
 ]
 
 _MIN_FIT_MODULUS = 1e3
+# the default fit samples of the transfer matrix
+FIT_MODULI = (1e3, 2e3, 4e3)
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> Trans
     solution_rows = []
     for y, sample in zip(ys, samples):
         period_rows.append(_period_vector(sample, quad).as_vector())
-        sol = pf.w_at_infinity(y, n_terms=16)
+        sol = pf.w_at_infinity(y)
         solution_rows.append([sol.w0, sol.w1, sol.w2])
     return solve_transfer(period_rows, solution_rows)
 
@@ -206,9 +209,9 @@ def central_charge_report(y, quad: PrecisionConfig | None = None,
     if abs(modulus) < _MIN_FIT_MODULUS:
         raise DomainError(f"central charges need |y| >= {_MIN_FIT_MODULUS:g}")
     if transfer is None:
-        transfer = fit_transfer_matrix((1e3, 2e3, 4e3), quad)
+        transfer = fit_transfer_matrix(FIT_MODULI, quad)
     pv = _period_vector(y, quad)
-    sol = pf.w_at_infinity(modulus, n_terms=16)
+    sol = pf.w_at_infinity(modulus)
     ivec = np.array(pv.as_vector(), dtype=complex)
     m = np.array(transfer.entries, dtype=float)
     w_numeric = ivec @ m

@@ -1,14 +1,17 @@
 """Solution triple of the one-modulus hypergeometric system.
 
-Near y = 0 the three solutions are assembled from a single series with values
-in C[rho]/rho^3 (rho nilpotent): expanding
+Near y = 0 the three solutions are read off a single series with values in
+C[rho]/rho^3 (rho nilpotent): expanding
 
     sum_n  y^(n+rho) / ( Gamma(1+n+rho)^3 * Gamma(1-3(n+rho)) )
 
 through second order in rho yields (w_0, w_1, w_2) = (1, log solution, double
-log solution).  The same numbers come from explicit closed series and from
-Mellin-Barnes contour integrals, which also provide the continuation to
-y = infinity.  An annihilating operator in theta = y d/dy,
+log solution).  The n = 0 term is written out; every later term, here and
+in the printed closed series, comes from one coefficient recurrence and its
+harmonic gap (``_series_terms``), which the two routes assemble differently.
+Mellin-Barnes contour integrals give the same numbers independently and also
+provide the continuation to y = infinity.  An annihilating operator in
+theta = y d/dy,
 
     L = theta^3 + 3y(3theta+1)(3theta+2)theta,
 
@@ -34,7 +37,6 @@ from . import _kernels
 from .errors import ConvergenceError, DomainError, MonodromyError
 
 __all__ = [
-    "RhoSeries",
     "SolutionTriple",
     "chf_expand",
     "series_w1",
@@ -52,61 +54,11 @@ _SERIES_RADIUS = 1.0 / 27.0
 
 
 @dataclass(frozen=True)
-class RhoSeries:
-    """Element c0 + c1*rho + c2*rho^2 of C[rho]/rho^3."""
-
-    c0: complex = 0j
-    c1: complex = 0j
-    c2: complex = 0j
-
-    def __add__(self, other):
-        o = _as_rho(other)
-        return RhoSeries(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_rho(other)
-        return RhoSeries(self.c0 - o.c0, self.c1 - o.c1, self.c2 - o.c2)
-
-    def __neg__(self):
-        return RhoSeries(-self.c0, -self.c1, -self.c2)
-
-    def __mul__(self, other):
-        o = _as_rho(other)
-        return RhoSeries(
-            self.c0 * o.c0,
-            self.c0 * o.c1 + self.c1 * o.c0,
-            self.c0 * o.c2 + self.c1 * o.c1 + self.c2 * o.c0,
-        )
-
-    __rmul__ = __mul__
-
-    def exp(self) -> "RhoSeries":
-        e = cmath.exp(self.c0)
-        return RhoSeries(e, e * self.c1, e * (self.c2 + self.c1 * self.c1 / 2.0))
-
-    def log(self) -> "RhoSeries":
-        if self.c0 == 0:
-            raise DomainError("log of a RhoSeries needs a nonzero constant term")
-        u1 = self.c1 / self.c0
-        u2 = self.c2 / self.c0
-        return RhoSeries(cmath.log(self.c0), u1, u2 - u1 * u1 / 2.0)
-
-
-def _as_rho(x) -> RhoSeries:
-    if isinstance(x, RhoSeries):
-        return x
-    return RhoSeries(complex(x))
-
-
-@dataclass(frozen=True)
 class SolutionTriple:
     w0: complex
     w1: complex
     w2: complex
     y: complex
-    truncation_order: int
     err_estimate: float
 
     def as_vector(self) -> np.ndarray:
@@ -139,10 +91,28 @@ def _check_series_domain(y: complex) -> complex:
     return y
 
 
+def _series_terms(y, n: int, lead: float):
+    """Yield (t_m, H_{3m-1} - H_m) for m = 1..n, where t_m = (lead/2) C_m (-y)^m.
+
+    C_m = (3m-1)!/(m!)^3 follows C_m / C_{m-1} = (3m-1)(3m-2)(3m-3)/m^3 from
+    C_1 = 2, and H_{3m-1} - H_m = psi(3m) - psi(m+1).  A float y keeps the
+    terms real.
+    """
+    term = lead * (-y)
+    h3 = h1 = 0.0
+    for m in range(1, n + 1):
+        if m > 1:
+            term = term * (3 * m - 1) * (3 * m - 2) * (3 * m - 3) / float(m ** 3) * (-y)
+        h3 += 1.0 / (3 * m - 2) + 1.0 / (3 * m - 1) + (1.0 / (3 * m - 3) if m > 1 else 0.0)
+        h1 += 1.0 / m
+        yield term, h3 - h1
+
+
 def chf_expand(y: complex, n_max: int = 80) -> SolutionTriple:
     """Sum the rho-valued series and read off the solution triple.
 
-    The n = 0 term is y^rho * (1 - pi^2 rho^2).  For n >= 1 the reciprocal
+    The n = 0 term y^rho * (1 - pi^2 rho^2) = 1 + log y * rho
+    + (log^2 y / 2 - pi^2) * rho^2 is written out.  For n >= 1 the reciprocal
     Gamma at negative argument is rewritten by reflection, leaving
 
         3 * C_n * (-y)^n * rho * (1 + rho*(log y + 3 psi(3n) - 3 psi(n+1)))
@@ -156,48 +126,25 @@ def chf_expand(y: complex, n_max: int = 80) -> SolutionTriple:
         raise DomainError("n_max must be >= 1")
     ln_y = cmath.log(y)
 
-    acc = RhoSeries(1.0, ln_y, ln_y * ln_y / 2.0) * RhoSeries(1.0, 0.0, -math.pi ** 2)
-
-    term = 0j                # running 3 * C_n * (-y)^n
-    h = [0.0, 0.0, 0.0]
-    c1 = acc.c1
-    c2 = acc.c2
-    tail = 0.0
-    for n in range(1, n_max + 1):
-        # C_n / C_{n-1} = (3n-1)(3n-2)(3n-3) / n^3, C_1 = 2
-        term = term * (3 * n - 1) * (3 * n - 2) * (3 * n - 3) / float(n ** 3) * (-y) \
-            if n > 1 else 6.0 * (-y)
-        dpsi = _harmonic_gap(n, h)
+    c1 = ln_y
+    c2 = -math.pi ** 2 + ln_y * ln_y / 2.0
+    for term, dpsi in _series_terms(y, n_max, 6.0):      # term = 3 C_n (-y)^n
         c1 += term
         c2 += term * (ln_y + 3.0 * dpsi)
-        tail = abs(term)
     # geometric tail bound past the truncation point
     q = 27.0 * abs(y)
-    err = tail * q / (1.0 - q) if q < 1.0 else math.inf
+    err = abs(term) * q / (1.0 - q) if q < 1.0 else math.inf
 
     w1 = c1 / _TWO_PI_I
     w2 = -c2 / (4.0 * math.pi ** 2) - c1 / (4j * math.pi)
-    return SolutionTriple(1.0 + 0j, w1, w2, y, n_max, err)
-
-
-def _harmonic_gap(n: int, state: list[float]) -> float:
-    """psi(3n) - psi(n+1) = H_{3n-1} - H_n, maintained incrementally."""
-    while state[2] < n:
-        m = int(state[2]) + 1
-        state[0] += 1.0 / (3 * m - 2) + 1.0 / (3 * m - 1) + (1.0 / (3 * m - 3) if m > 1 else 0.0)
-        state[1] += 1.0 / m
-        state[2] = m
-    return state[0] - state[1]
+    return SolutionTriple(1.0 + 0j, w1, w2, y, err)
 
 
 def series_w1(y: complex, n_terms: int = 80) -> complex:
     """Single-log solution: (1/2 pi i) [ log y + 3 sum C_m (-y)^m ]."""
     y = _check_series_domain(y)
     s = 0j
-    term = 1.0 + 0j
-    for m in range(1, n_terms + 1):
-        term = term * (3 * m - 1) * (3 * m - 2) * (3 * m - 3) / float(m ** 3) * (-y) \
-            if m > 1 else 2.0 * (-y)
+    for term, _ in _series_terms(y, n_terms, 2.0):
         s += term
     return (cmath.log(y) + 3.0 * s) / _TWO_PI_I
 
@@ -214,13 +161,9 @@ def series_w2(y: complex, n_terms: int = 80) -> complex:
     ln_my = cmath.log(y) - 1j * math.pi
     s_plain = 0j
     s_psi = 0j
-    term = 1.0 + 0j
-    h = [0.0, 0.0, 0.0]
-    for m in range(1, n_terms + 1):
-        term = term * (3 * m - 1) * (3 * m - 2) * (3 * m - 3) / float(m ** 3) * (-y) \
-            if m > 1 else 2.0 * (-y)
+    for term, dpsi in _series_terms(y, n_terms, 2.0):
         s_plain += term
-        s_psi += term * _harmonic_gap(m, h)
+        s_psi += term * dpsi
     pi2 = math.pi ** 2
     return (-(ln_my * ln_my) / (8.0 * pi2) + 0.125
             - 3.0 * ln_my * s_plain / (4.0 * pi2)
@@ -260,7 +203,7 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     return complex(np.sum(vals) * step / (2.0 * math.pi))
 
 
-def w_at_infinity(y: complex, n_terms: int = 12) -> SolutionTriple:
+def w_at_infinity(y: complex, n_terms: int = 16) -> SolutionTriple:
     """Large-|y| solution triple from the two Gamma-cubed inverse series.
 
     With u = y^(-1/3) (principal branch),
@@ -297,7 +240,7 @@ def w_at_infinity(y: complex, n_terms: int = 12) -> SolutionTriple:
     w2 = (1.0 / 3.0
           + r3 / (4.0 * math.pi) * (-(1.0 + 1j * r3) * u / pi2 * s13
                                     + (-1.0 + 1j * r3) * u * u / pi2 * s23))
-    return SolutionTriple(1.0 + 0j, w1, w2, y, n_terms, err)
+    return SolutionTriple(1.0 + 0j, w1, w2, y, err)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +266,8 @@ def _solution_arrays(n_terms: int) -> list[np.ndarray]:
     w2[1, 0] = 1j / (4.0 * math.pi)          # cross term of (log y - i pi)^2
     w2[0, 0] = 0.25                          # 1/8 printed + 1/8 from (i pi)^2
 
-    term = 1.0
-    h = [0.0, 0.0, 0.0]
-    for m in range(1, mpow):
-        term = term * (3 * m - 1) * (3 * m - 2) * (3 * m - 3) / float(m ** 3) * (-1.0) \
-            if m > 1 else -2.0
-        dpsi = _harmonic_gap(m, h)
+    # y = 1.0 leaves the real coefficients C_m (-1)^m
+    for m, (term, dpsi) in enumerate(_series_terms(1.0, n_terms, 2.0), start=1):
         w1[0, m] = 3.0 * term / _TWO_PI_I
         w2[1, m] = -3.0 * term / (4.0 * pi2)
         w2[0, m] = (3.0 * term * (1j * math.pi) / (4.0 * pi2)
@@ -502,5 +441,5 @@ def continue_solutions(y_target: complex, y_start: complex = 0.01,
             raise DomainError("continuation path passes too close to y = -1/27")
     u = _initial_frame(y_start, n_terms)
     u = _rk45_segment(s0, s1, u, rtol)
-    return SolutionTriple(u[0, 0], u[1, 0], u[2, 0], y_target, n_terms,
+    return SolutionTriple(u[0, 0], u[1, 0], u[2, 0], y_target,
                           err_estimate=100.0 * rtol)

@@ -71,13 +71,14 @@ class PrecisionConfig:
     mode             "double" (numpy kernels) or "extended" (mpmath)
     dps              mpmath working digits in extended mode (>= 30)
     target_rel_err   requested relative accuracy for iterative evaluations
-    max_terms        cap on series terms for the callers that sum series
+
+    Series truncation is set where a series is summed (the ``n_terms`` and
+    ``n_max`` arguments of ``picard_fuchs``), not here.
     """
 
     mode: str = field(default_factory=_env_mode)
     dps: int = 40
     target_rel_err: float = 1e-13
-    max_terms: int = 256
 
     def __post_init__(self) -> None:
         if self.mode not in {"double", "extended"}:
@@ -86,8 +87,6 @@ class PrecisionConfig:
             raise DomainError("extended mode requires dps >= 30")
         if not (1e-15 <= self.target_rel_err <= 1e-6):
             raise DomainError("target_rel_err must lie in [1e-15, 1e-6]")
-        if self.max_terms < 16:
-            raise DomainError("max_terms must be >= 16")
 
 
 def default_config() -> PrecisionConfig:
@@ -237,22 +236,23 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
 
 
 def _consts(ar: _Arith):
-    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, two) in the arithmetic ``ar``."""
+    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, two) in the arithmetic ``ar``,
+    the ``consts`` argument of each closed form below."""
     return (ar.pi, ar.sqrt(ar.real(3)), ar.gamma(ar.real(1) / 3) ** 3,
             ar.gamma(ar.real(2) / 3) ** 3, ar.real(2))
 
 
-def _k_closed(ar: _Arith, sign: int):
+def _k_closed(ar: _Arith, consts, sign: int):
     """K(k_+) (sign=+1) or K(k_-) (sign=-1) in terms of Gamma(1/3)^3."""
-    pi, _, g3, _, two = _consts(ar)
+    pi, _, g3, _, two = consts
     r = ar.real
     expo = r(3) / 4 if sign > 0 else r(1) / 4
     return two ** (-r(7) / 3) * r(3) ** expo * g3 / pi
 
 
-def _e_closed(ar: _Arith, sign: int):
+def _e_closed(ar: _Arith, consts, sign: int):
     """E(k_+) (sign=+1) or E(k_-) (sign=-1)."""
-    pi, s3, g3, _, two = _consts(ar)
+    pi, s3, g3, _, two = consts
     r = ar.real
     if sign > 0:
         return (two ** (r(1) / 3) * r(3) ** (-r(1) / 4) * pi * pi / g3
@@ -261,8 +261,8 @@ def _e_closed(ar: _Arith, sign: int):
             + two ** (-r(10) / 3) * r(3) ** (-r(1) / 4) * (s3 + 1) / pi * g3)
 
 
-def _f_closed(ar: _Arith):
-    pi, _, g3, _, two = _consts(ar)
+def _f_closed(ar: _Arith, consts):
+    pi, _, g3, _, two = consts
     r = ar.real
     a = two ** (-r(7) / 3) * r(3) ** (r(3) / 4) * g3 / (pi * pi)
     b = two ** (-r(7) / 3) * r(3) ** (r(1) / 4) * g3 / (pi * pi)
@@ -270,8 +270,8 @@ def _f_closed(ar: _Arith):
     return ar.cplx(1, 1) / r2 * a + ar.cplx(1, -1) / r2 * b
 
 
-def _f_prime_closed(ar: _Arith):
-    pi, s3, g3, g23, two = _consts(ar)
+def _f_prime_closed(ar: _Arith, consts):
+    pi, s3, g3, g23, two = consts
     r = ar.real
     r2 = ar.sqrt(two)
     e4, e4c = ar.cplx(1, 1) / r2, ar.cplx(1, -1) / r2  # e^{+-i pi/4}
@@ -287,7 +287,7 @@ def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = N
         raise DomainError(f"unknown route {route!r}")
     with _arith(_cfg(config)) as ar:
         if route == "closed_form":
-            return _f_closed(ar)
+            return _f_closed(ar, _consts(ar))
         return ar.hyp(ar.minus_omega())
 
 
@@ -321,7 +321,7 @@ def f_prime_minus_omega(route: str = "closed_form",
         raise DomainError(f"unknown route {route!r}")
     with _arith(cfg) as ar:
         if route == "closed_form":
-            return _f_prime_closed(ar)
+            return _f_prime_closed(ar, _consts(ar))
         if route == "elliptic":
             return _f_prime_elliptic(ar)
         z = ar.minus_omega()
@@ -347,13 +347,14 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     cfg = _cfg(config)
     with _arith(cfg) as ar:
         (kkp, eep), (kkm, eem) = (ar.ellipke(k) for k in ar.moduli())
-        fp_closed = _f_prime_closed(ar)
+        consts = _consts(ar)
+        fp_closed = _f_prime_closed(ar, consts)
         rows = [
-            ("K(k_plus)", kkp, _k_closed(ar, +1)),
-            ("K(k_minus)", kkm, _k_closed(ar, -1)),
-            ("E(k_plus)", eep, _e_closed(ar, +1)),
-            ("E(k_minus)", eem, _e_closed(ar, -1)),
-            ("F(-omega)", f_minus_omega("agm", cfg), _f_closed(ar)),
+            ("K(k_plus)", kkp, _k_closed(ar, consts, +1)),
+            ("K(k_minus)", kkm, _k_closed(ar, consts, -1)),
+            ("E(k_plus)", eep, _e_closed(ar, consts, +1)),
+            ("E(k_minus)", eem, _e_closed(ar, consts, -1)),
+            ("F(-omega)", f_minus_omega("agm", cfg), _f_closed(ar, consts)),
             ("Fprime(-omega) elliptic", f_prime_minus_omega("elliptic", cfg), fp_closed),
             ("Fprime(-omega) finite difference",
              f_prime_minus_omega("finite_difference", cfg), fp_closed),

@@ -122,26 +122,21 @@ def test_series_domain_rejections():
         pf.chf_expand(0.01, n_max=0)
 
 
-# --- rho-series arithmetic ---------------------------------------------------
+# --- the two encodings of the printed series ---------------------------------
 
-def test_rho_series_inverse_pair():
-    a = pf.RhoSeries(1.0, 1.0, 0.0)            # 1 + rho
-    b = pf.RhoSeries(1.0, -1.0, 1.0)           # 1 - rho + rho^2
-    p = a * b
-    assert (p.c0, p.c1, p.c2) == (1.0, 0.0, 0.0)
-
-
-def test_rho_series_exp_log_round_trip():
-    x = pf.RhoSeries(0.3 - 0.2j, 1.1 + 0.4j, -0.7 + 0.9j)
-    back = x.exp().log()
-    assert abs(back.c0 - x.c0) < 1e-14
-    assert abs(back.c1 - x.c1) < 1e-14
-    assert abs(back.c2 - x.c2) < 1e-14
-
-
-def test_rho_series_log_needs_unit():
-    with pytest.raises(DomainError):
-        pf.RhoSeries(0.0, 1.0, 0.0).log()
+def test_solution_arrays_match_printed_series():
+    # the log-polynomial arrays behind the annihilator and the transport frame
+    # encode the printed series: evaluated, rows 1 and 2 are series_w1 and
+    # series_w2 at the same truncation
+    rng = np.random.default_rng(2026)
+    for n in (1, 2, 40, 80):
+        arrays = pf._solution_arrays(n)
+        for _ in range(200):
+            y = (math.exp(rng.uniform(math.log(1e-6), math.log(0.02)))
+                 * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+            ln_y = cmath.log(y)
+            assert abs(pf._eval_array(arrays[1], y, ln_y) - pf.series_w1(y, n)) <= 4e-15, (y, n)
+            assert abs(pf._eval_array(arrays[2], y, ln_y) - pf.series_w2(y, n)) <= 4e-15, (y, n)
 
 
 # --- contour representation ---------------------------------------------------

@@ -116,6 +116,20 @@ def test_closed_form_checks_modes_agree():
     assert ram_double["rel_err"] <= 1e-15
 
 
+def test_closed_form_checks_evaluate_gamma_once_per_constant(monkeypatch):
+    # the six closed forms share one Gamma(1/3) and one Gamma(2/3)
+    calls = []
+    gamma_array = sf._kernels.gamma_array
+
+    def counting(z):
+        calls.append(z)
+        return gamma_array(z)
+
+    monkeypatch.setattr(sf._kernels, "gamma_array", counting)
+    sf.closed_form_checks(PrecisionConfig(mode="double"))
+    assert len(calls) == 2
+
+
 def test_branch_cut_rejected():
     with pytest.raises(BranchCutError):
         sf.hyp2f1_half(1.5)
