@@ -131,8 +131,9 @@ def _cmd_series(cfg: RunConfig) -> tuple[dict, int]:
 
 def _cmd_continue(cfg: RunConfig) -> tuple[dict, int]:
     ys = cfg.require_y()
+    rtol = pf.continuation_rtol(cfg.precision().target_rel_err)
     return _solution_payload(
-        [pf.continue_solutions(y) for y in ys], cfg.tolerance)
+        [pf.continue_solutions(y, rtol=rtol) for y in ys], cfg.tolerance)
 
 
 def _cmd_monodromy(cfg: RunConfig) -> tuple[dict, int]:

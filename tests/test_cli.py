@@ -100,6 +100,16 @@ def test_periods_at_tightest_tolerance(tmp_path):
     assert max(payload["rows"][0]["err"]) <= 1e-12
 
 
+def test_continue_at_tightest_tolerance(tmp_path):
+    # --tol sets the transport accuracy, so the rows meet it instead of
+    # being flagged against a fixed 1e-8 estimate
+    code, payload = _run_json(tmp_path, "continue",
+                              ["--y", "1e4", "--y=-3e5,1", "--tol", "1e-12"])
+    assert code == 0
+    assert payload["n_flagged"] == 0
+    assert all(row["err_estimate"] <= 1e-12 for row in payload["rows"])
+
+
 def test_reproduce_critical_ray_stage(tmp_path):
     code, payload = _run_json(tmp_path, "reproduce")
     assert code == 0

@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import localp2.picard_fuchs as pf
 from localp2.errors import DomainError
@@ -190,6 +191,172 @@ def test_annihilation_residual_shrinks_with_terms():
 def test_annihilation_needs_samples():
     with pytest.raises(DomainError):
         pf.annihilation_residual(())
+
+
+# --- the Dormand-Prince transport ------------------------------------------------
+
+# The per-stage transport as it was written before the stages became array
+# products: one right-hand side per stage, each stage state summed term by
+# term, seven right-hand sides per attempt.
+_REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+_REF_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_REF_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+_REF_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+           -92097 / 339200, 187 / 2100, 1 / 40]
+
+
+def _transport_rhs_reference(s, u):
+    y = cmath.exp(s)
+    a = 27.0 * y / (1.0 + 27.0 * y)
+    b = 6.0 * y / (1.0 + 27.0 * y)
+    du = np.empty_like(u)
+    du[..., 0] = u[..., 1]
+    du[..., 1] = u[..., 2]
+    du[..., 2] = -(a * u[..., 2] + b * u[..., 1])
+    return du
+
+
+def _rk45_reference(s0, s1, u, rtol):
+    length = abs(s1 - s0)
+    if length == 0:
+        return u
+    direction = (s1 - s0) / length
+    t = 0.0
+    h = min(0.1, length)
+    atol = rtol
+    while t < length:
+        h = min(h, length - t)
+        k = []
+        for i in range(7):
+            ui = u
+            for j, a in enumerate(_REF_A[i]):
+                ui = ui + h * a * k[j]
+            k.append(direction * _transport_rhs_reference(
+                s0 + (t + _REF_C[i] * h) * direction, ui))
+        u5 = u + h * sum(b * ki for b, ki in zip(_REF_B5, k))
+        u4 = u + h * sum(b * ki for b, ki in zip(_REF_B4, k))
+        scale = atol + rtol * np.maximum(np.abs(u), np.abs(u5))
+        err = np.sqrt(np.mean(np.abs((u5 - u4) / scale) ** 2))
+        if err <= 1.0:
+            t += h
+            u = u5
+        h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
+        if h < 1e-13 * length:
+            raise AssertionError("reference transport step size underflow")
+    return u
+
+
+def _counting_exp_calls(monkeypatch, fn, *args):
+    """Run fn(*args) and count its calls of cmath.exp, one per right-hand side."""
+    calls = [0]
+    exp = cmath.exp
+
+    def counted(z):
+        calls[0] += 1
+        return exp(z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pf.cmath, "exp", counted)
+        out = fn(*args)
+    return out, calls[0]
+
+
+def _assert_same_transport(monkeypatch, s0, s1, frame, rtol=1e-10):
+    """Both transports take the same attempts and land within 1e-14 relative;
+    returns the array-stage result."""
+    ref, ref_calls = _counting_exp_calls(monkeypatch, _rk45_reference, s0, s1, frame, rtol)
+    got, got_calls = _counting_exp_calls(monkeypatch, pf._rk45_segment, s0, s1, frame, rtol)
+    # seven right-hand sides per reference attempt; FSAL: one, then six per attempt
+    assert ref_calls % 7 == 0 and (got_calls - 1) % 6 == 0, (ref_calls, got_calls)
+    assert (got_calls - 1) // 6 == ref_calls // 7, (s0, s1)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (s0, s1)
+    return got
+
+
+_S_START = cmath.log(0.01)
+_S_CONIFOLD = cmath.log(complex(-1.0 / 27.0))
+
+
+def _seeded_continuation_targets(rng, count, lo, hi):
+    """Moduli with lo <= |y| <= hi at any phase whose straight log-path from
+    y = 0.01 keeps clear of log(-1/27), which continue_solutions refuses."""
+    targets = []
+    while len(targets) < count:
+        y = cmath.rect(math.exp(rng.uniform(math.log(lo), math.log(hi))),
+                       rng.uniform(-math.pi, math.pi))
+        seg = cmath.log(y) - _S_START
+        tproj = max(0.0, min(1.0, ((_S_CONIFOLD - _S_START) / seg).real))
+        if abs(_S_START + tproj * seg - _S_CONIFOLD) > 0.1:
+            targets.append(y)
+    return targets
+
+
+def test_dormand_prince_tableau():
+    a, c = pf._DP_A, np.array(pf._DP_C)
+    assert a.shape == (7, 7)
+    assert np.all(np.triu(a) == 0.0)
+    assert np.max(np.abs(a.sum(axis=1) - c)) <= 1e-15
+    # FSAL rests on the last row being the fifth-order weights, bit for bit
+    assert np.array_equal(a[6], pf._DP_B5)
+    assert abs(pf._DP_B5.sum() - 1.0) <= 1e-15
+    assert abs(pf._DP_B4.sum() - 1.0) <= 1e-15
+    assert np.array_equal(pf._DP_E, pf._DP_B5 - pf._DP_B4)
+
+
+def test_rk45_segment_matches_reference_on_seeded_paths(monkeypatch):
+    rng = np.random.default_rng(808)
+    frame = pf._initial_frame(0.01, 80)
+    for y in _seeded_continuation_targets(rng, 150, 1e-2, 1e8):
+        _assert_same_transport(monkeypatch, _S_START, cmath.log(y), frame)
+
+
+@pytest.mark.parametrize("radius, n_arcs", [(0.01, 8), (0.015, 10)])
+def test_rk45_segment_matches_reference_on_monodromy_arcs(monkeypatch, radius, n_arcs):
+    # the arcs of monodromy_around_origin, each from the same incoming frame
+    s0 = cmath.log(radius)
+    frame = pf._initial_frame(radius, 80)
+    for a in range(n_arcs):
+        frame = _assert_same_transport(monkeypatch, s0 + 2j * math.pi * a / n_arcs,
+                                       s0 + 2j * math.pi * (a + 1) / n_arcs, frame)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-14])
+def test_continuation_err_estimate_bounds_true_error(rtol):
+    # references: the inverse series past |y| = 100, the direct series inside
+    # |y| <= 0.02, both truncated far below the transport's error
+    rng = np.random.default_rng(909)
+    cases = [(y, pf.w_at_infinity(y, n_terms=40))
+             for y in _seeded_continuation_targets(rng, 20, 101.0, 1e8)]
+    cases += [(y, pf.chf_expand(y, n_max=200))
+              for y in _seeded_continuation_targets(rng, 20, 1e-4, 0.02)]
+    for y, ref in cases:
+        got = pf.continue_solutions(y, rtol=rtol)
+        assert got.err_estimate == 100.0 * rtol
+        dist = max(abs(got.w0 - ref.w0), abs(got.w1 - ref.w1), abs(got.w2 - ref.w2))
+        assert dist <= got.err_estimate, (y, rtol, dist)
+
+
+@given(st.floats(min_value=1e-12, max_value=1e-6))
+def test_continuation_rtol_keeps_err_estimate_within_target(target):
+    rtol = pf.continuation_rtol(target)
+    assert 0 < rtol <= 1e-10
+    assert 100.0 * rtol <= target
+    assert rtol >= min(1e-10, target / 100.0) * (1.0 - 1e-15)
+
+
+def test_continuation_rtol_keeps_the_default():
+    assert pf.continuation_rtol(1e-6) == 1e-10
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(DomainError):
+            pf.continuation_rtol(bad)
 
 
 # --- monodromy and continuation -------------------------------------------------
