@@ -48,10 +48,13 @@ __all__ = [
     "continue_solutions",
     "continuation_rtol",
     "series_coefficient",
+    "series_order",
 ]
 
 _TWO_PI_I = 2j * math.pi
 _SERIES_RADIUS = 1.0 / 27.0
+# cap of ``series_order``: 2000 terms of ``chf_expand`` take a few ms
+_SERIES_MAX_TERMS = 2000
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,25 @@ def chf_expand(y: complex, n_max: int = 80) -> SolutionTriple:
     return SolutionTriple(1.0 + 0j, w1, w2, y, err)
 
 
+def series_order(y: complex, err_80: float, err_target: float) -> int:
+    """Truncation order at which ``chf_expand(y, ...)`` meets err_target,
+    given err_80, its err_estimate at the default 80 terms.
+
+    Each term is less than q = 27|y| times the one before, and so is the
+    tail bound err_estimate, so 80 + ceil(log(err_target / err_80) / log q)
+    terms meet the target.  Returns 80 when err_80 already does, and at most
+    2000 (``_SERIES_MAX_TERMS``): close to the rim of the disc a row can
+    need more, and its estimate stays above the target.
+    """
+    y = _check_series_domain(y)
+    if not err_target > 0:
+        raise DomainError(f"error target must be positive, got {err_target}")
+    if err_80 <= err_target:
+        return 80
+    extra = math.ceil(math.log(err_target / err_80) / math.log(27.0 * abs(y)))
+    return min(_SERIES_MAX_TERMS, 80 + extra)
+
+
 def series_w1(y: complex, n_terms: int = 80) -> complex:
     """Single-log solution: (1/2 pi i) [ log y + 3 sum C_m (-y)^m ]."""
     y = _check_series_domain(y)
@@ -175,10 +197,25 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     """Contour-integral value of the regular series part.
 
     Integrates Gamma(-3s)Gamma(s)/Gamma(1-s)^2 * y^(-s) (optionally weighted
-    by psi(-3s) - psi(1-s)) along Re s = -1/2.  For |y| < 1/27 this equals
+    by psi(-3s) - psi(1-s)) along s = -1/2 + it.  For |y| < 1/27 this equals
     sum C_m (-y)^m (resp. the digamma-weighted sum).  The integrand decays
-    like exp(-(pi - |arg y|)|Im s|), so the contour is truncated where that
-    envelope reaches 1e-18 of its center value.
+    like exp(-(pi - |arg y|)|t|), so the contour is truncated at
+    t_max = 42/(pi - |arg y|), where that envelope reaches 1e-18 of its
+    center value, and summed over the nodes t_k = 0.08 k, |k| <= K =
+    ceil(t_max/0.08).
+
+    Half the contour is evaluated.  At t_(-k) every Gamma and digamma
+    argument is the conjugate of its value at t_k, so the factor in front of
+    y^(-s) is the conjugate there (Gamma(conj z) = conj Gamma(z)); y^(-s)
+    itself is applied on the whole grid.  On this line 1 - s = conj(s + 2),
+    so Gamma(1-s) = conj Gamma(s+2) = -(1/4 + t^2) conj Gamma(s), and the
+    plain integrand costs two Gamma evaluations on the nodes t_k >= 0.
+
+    Working range: pi - |arg y| >= 0.19.  Closer to the negative real axis
+    the Gamma factors leave the double range before t_max (at |t| of a few
+    hundred), and the call raises ConvergenceError instead of returning NaN;
+    so does pi - |arg y| <= 0.05, and a truncation point where the integrand
+    has not decayed to 1e-12 of its largest value.
     """
     if which not in {"plain", "digamma"}:
         raise DomainError(f"unknown variant {which!r}")
@@ -188,15 +225,20 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     decay = math.pi - abs(cmath.phase(y))
     if decay <= 0.05:
         raise ConvergenceError("arg y too close to pi for the truncated contour")
-    t_max = 42.0 / decay
     step = 0.08
-    t = np.arange(-t_max, t_max + step / 2, step)
+    t = step * np.arange(math.ceil(42.0 / decay / step) + 1)      # t_k, k = 0..K
     s = -0.5 + 1j * t
-    g = (_kernels.gamma_array(-3.0 * s) * _kernels.gamma_array(s)
-         / _kernels.gamma_array(1.0 - s) ** 2)
-    vals = g * np.exp(-s * cmath.log(y))
-    if which == "digamma":
-        vals = vals * (_kernels.digamma_array(-3.0 * s) - _kernels.digamma_array(1.0 - s))
+    # non-finite values are caught below, so the double range is not policed here
+    with np.errstate(all="ignore"):
+        gs = _kernels.gamma_array(s)
+        g = _kernels.gamma_array(-3.0 * s) * gs / ((0.25 + t * t) * gs.conjugate()) ** 2
+        if which == "digamma":
+            g = g * (_kernels.digamma_array(-3.0 * s) - _kernels.digamma_array(1.0 - s))
+        g = np.concatenate([g[:0:-1].conjugate(), g])                  # k = -K..K
+        vals = g * np.exp((0.5 - 1j * step * np.arange(1 - len(t), len(t))) * cmath.log(y))
+    if not np.isfinite(vals).all():
+        raise ConvergenceError("contour integrand left the double range: "
+                               "arg y too close to pi")
     # endpoint check: the truncation must sit deep in the decayed region
     center = np.max(np.abs(vals))
     if abs(vals[0]) > 1e-12 * center or abs(vals[-1]) > 1e-12 * center:

@@ -291,19 +291,20 @@ def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = N
         return ar.hyp(ar.minus_omega())
 
 
-def _f_prime_elliptic(ar: _Arith):
+def _f_prime_elliptic(ar: _Arith, ke_plus, ke_minus, f_at):
     """F'(e^{i pi/3}) by differentiating the splitting identity at x = sqrt3.
 
     Uses dK/dk = E/(k(1-k^2)) - K/k at the two real singular moduli, so the
-    route is independent of the Gamma(1/3)^3 closed form.
+    route is independent of the Gamma(1/3)^3 closed form.  The AGM values
+    it rests on are arguments, so a caller that already has them runs no
+    AGM again: ``ke_plus`` and ``ke_minus`` are (K, E) at k_+ and k_-, and
+    ``f_at`` is F(e^{i pi/3}).
     """
     fp = []
-    for k in ar.moduli():
-        kk, ee = ar.ellipke(k)
+    for k, (kk, ee) in zip(ar.moduli(), (ke_plus, ke_minus)):
         kprime = ee / (k * (1 - k * k)) - kk / k
         fp.append(kprime / (ar.pi * k))
     rhs_prime = (ar.cplx(1, 1) / 2 * fp[0] - ar.cplx(1, -1) / 2 * fp[1]) / 16
-    f_at = ar.hyp(ar.minus_omega())
     lhs_drift = ar.sqrt(3) * 2 ** ar.real(-2.5) * f_at
     return -ar.cplx(0, 1) * ar.sqrt(2) * (rhs_prime - lhs_drift)
 
@@ -323,7 +324,8 @@ def f_prime_minus_omega(route: str = "closed_form",
         if route == "closed_form":
             return _f_prime_closed(ar, _consts(ar))
         if route == "elliptic":
-            return _f_prime_elliptic(ar)
+            return _f_prime_elliptic(ar, *(ar.ellipke(k) for k in ar.moduli()),
+                                     ar.hyp(ar.minus_omega()))
         z = ar.minus_omega()
         if cfg.mode == "extended":
             h = ar.real(10) ** (-cfg.dps // 3)
@@ -342,11 +344,16 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     closed form, and their relative difference, taken in the arithmetic of
     the precision mode.  Every numeric route goes through the AGM (plus a
     finite difference for the derivative), never through the Gamma(1/3)^3
-    expressions being checked.
+    expressions being checked.  Each AGM value is computed once: K and E at
+    k_+ and k_- and F(e^{i pi/3}) are the K, E and F(-omega) rows and also
+    the inputs of the elliptic F' row, so the checks run 10 AGMs in double
+    mode (4 on the finite-difference stencil, 3 in the Ramanujan row) and 8
+    in extended mode (2-point stencil).
     """
     cfg = _cfg(config)
     with _arith(cfg) as ar:
-        (kkp, eep), (kkm, eem) = (ar.ellipke(k) for k in ar.moduli())
+        (kkp, eep), (kkm, eem) = ke_pm = [ar.ellipke(k) for k in ar.moduli()]
+        f_at = ar.hyp(ar.minus_omega())
         consts = _consts(ar)
         fp_closed = _f_prime_closed(ar, consts)
         rows = [
@@ -354,8 +361,8 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
             ("K(k_minus)", kkm, _k_closed(ar, consts, -1)),
             ("E(k_plus)", eep, _e_closed(ar, consts, +1)),
             ("E(k_minus)", eem, _e_closed(ar, consts, -1)),
-            ("F(-omega)", f_minus_omega("agm", cfg), _f_closed(ar, consts)),
-            ("Fprime(-omega) elliptic", f_prime_minus_omega("elliptic", cfg), fp_closed),
+            ("F(-omega)", f_at, _f_closed(ar, consts)),
+            ("Fprime(-omega) elliptic", _f_prime_elliptic(ar, *ke_pm, f_at), fp_closed),
             ("Fprime(-omega) finite difference",
              f_prime_minus_omega("finite_difference", cfg), fp_closed),
         ]

@@ -110,6 +110,17 @@ def test_continue_at_tightest_tolerance(tmp_path):
     assert all(row["err_estimate"] <= 1e-12 for row in payload["rows"])
 
 
+@pytest.mark.parametrize("extra, tol", [(["--y", "0.036"], 1e-6),
+                                        (["--y", "0.035", "--tol", "1e-12"], 1e-12)])
+def test_series_meets_the_tolerance_near_the_rim(tmp_path, extra, tol):
+    # 80 terms leave 1.5e-4 at y = 0.036 and 8.0e-6 at y = 0.035; --tol sets
+    # the truncation order instead
+    code, payload = _run_json(tmp_path, "series", extra)
+    assert code == 0
+    assert payload["n_flagged"] == 0
+    assert all(row["err_estimate"] <= tol for row in payload["rows"])
+
+
 def test_reproduce_critical_ray_stage(tmp_path):
     code, payload = _run_json(tmp_path, "reproduce")
     assert code == 0

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import localp2.picard_fuchs as pf
-from localp2.errors import DomainError
+from localp2 import _kernels
+from localp2.errors import ConvergenceError, DomainError
 
 
 # --- oracles ---------------------------------------------------------------
@@ -123,6 +124,33 @@ def test_series_domain_rejections():
         pf.chf_expand(0.01, n_max=0)
 
 
+@given(st.floats(min_value=1e-6, max_value=0.0369),
+       st.floats(min_value=-math.pi, max_value=math.pi),
+       st.floats(min_value=1e-15, max_value=1e-6))
+def test_series_order_meets_the_target_below_the_cap(r, phase, target):
+    y = cmath.rect(r, phase)
+    err_80 = pf.chf_expand(y).err_estimate
+    n = pf.series_order(y, err_80, target)
+    assert 80 <= n <= pf._SERIES_MAX_TERMS
+    if err_80 <= target:
+        assert n == 80
+    elif n < pf._SERIES_MAX_TERMS:
+        # the least order at which the geometric bound err_80 q^(n-80),
+        # q = 27|y|, meets the target; the estimate itself shrinks faster
+        q = 27.0 * abs(y)
+        assert err_80 * q ** (n - 80) <= target * (1 + 1e-9)
+        assert err_80 * q ** (n - 81) > target * (1 - 1e-9)
+        assert pf.chf_expand(y, n).err_estimate <= target
+
+
+def test_series_order_domain():
+    with pytest.raises(DomainError):
+        pf.series_order(0.04, 1e-3, 1e-6)
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(DomainError):
+            pf.series_order(0.036, 1e-4, bad)
+
+
 # --- the two encodings of the printed series ---------------------------------
 
 def test_solution_arrays_match_printed_series():
@@ -172,6 +200,115 @@ def test_mellin_barnes_rejects_cut():
             pf.mellin_barnes(bad, "plain")
     with pytest.raises(DomainError):
         pf.mellin_barnes(0.01, "fancy")
+
+
+# The contour route as it was written before it used half the contour: the
+# grid np.arange(-t_max, ...) (not symmetric about t = 0), three Gamma and,
+# for the digamma variant, two digamma evaluations on every node.
+def _mellin_barnes_reference(y, which):
+    decay = math.pi - abs(cmath.phase(y))
+    t_max = 42.0 / decay
+    step = 0.08
+    t = np.arange(-t_max, t_max + step / 2, step)
+    s = -0.5 + 1j * t
+    g = (_kernels.gamma_array(-3.0 * s) * _kernels.gamma_array(s)
+         / _kernels.gamma_array(1.0 - s) ** 2)
+    vals = g * np.exp(-s * cmath.log(y))
+    if which == "digamma":
+        vals = vals * (_kernels.digamma_array(-3.0 * s) - _kernels.digamma_array(1.0 - s))
+    center = np.max(np.abs(vals))
+    assert abs(vals[0]) <= 1e-12 * center and abs(vals[-1]) <= 1e-12 * center
+    return complex(np.sum(vals) * step / (2.0 * math.pi))
+
+
+def _seeded_contour_moduli(rng, count):
+    """1e-4 <= |y| <= 0.03 and |arg y| <= pi - 0.25."""
+    return [cmath.rect(math.exp(rng.uniform(math.log(1e-4), math.log(0.03))),
+                       rng.uniform(-math.pi + 0.25, math.pi - 0.25))
+            for _ in range(count)]
+
+
+def _contour_series_oracle(y, which, n_terms=200):
+    """sum C_m (-y)^m, or weighted by psi(3m) - psi(m+1), at 30 digits from
+    the factorial coefficients; at |y| <= 0.03 the terms past 200 lie below
+    1e-17."""
+    with mp.workdps(30):
+        ym = -mp.mpc(y)
+        power = mp.mpc(1)
+        total = mp.mpc(0)
+        for m in range(1, n_terms + 1):
+            power *= ym
+            term = mp.mpf(math.factorial(3 * m - 1)) / math.factorial(m) ** 3 * power
+            if which == "digamma":
+                term *= mp.digamma(3 * m) - mp.digamma(m + 1)
+            total += term
+        return complex(total)
+
+
+@pytest.mark.parametrize("which", ["plain", "digamma"])
+def test_mellin_barnes_matches_full_contour_reference(which):
+    rng = np.random.default_rng(4242)
+    for y in _seeded_contour_moduli(rng, 150):
+        ref = _mellin_barnes_reference(y, which)
+        assert abs(pf.mellin_barnes(y, which) - ref) <= 1e-13, (y, which)
+
+
+@pytest.mark.parametrize("which", ["plain", "digamma"])
+def test_mellin_barnes_matches_series_oracle(which):
+    rng = np.random.default_rng(4343)
+    for y in _seeded_contour_moduli(rng, 20):
+        oracle = _contour_series_oracle(y, which)
+        assert abs(pf.mellin_barnes(y, which) - oracle) <= 1e-13, (y, which)
+
+
+@pytest.mark.parametrize("decay", [0.25, 1.0, math.pi - 0.01])
+def test_gamma_one_minus_s_identity_at_the_nodes(decay):
+    # Gamma(1-s) = conj Gamma(s+2) = -(1/4 + t^2) conj Gamma(s) on the route's
+    # nodes s = -1/2 + 0.08 k i
+    t = 0.08 * np.arange(math.ceil(42.0 / decay / 0.08) + 1)
+    with mp.workdps(30):
+        for tk in t[::max(1, len(t) // 40)]:
+            s = mp.mpc(-0.5, tk)
+            lhs = mp.gamma(1 - s)
+            rhs = -(mp.mpf(1) / 4 + mp.mpf(tk) ** 2) * mp.conj(mp.gamma(s))
+            assert abs(lhs - rhs) <= 1e-14 * abs(lhs), tk
+
+
+@pytest.mark.parametrize("which", ["plain", "digamma"])
+@pytest.mark.parametrize("decay", [0.051, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19])
+def test_mellin_barnes_near_the_cut_is_finite_or_refused(decay, which):
+    # the Gamma factors leave the double range before the truncation point;
+    # the route must say so instead of returning NaN
+    for r in (1e-8, 1e-4, 0.01, 1.0, 100.0):
+        for sign in (1, -1):
+            try:
+                got = pf.mellin_barnes(cmath.rect(r, sign * (math.pi - decay)), which)
+            except ConvergenceError:
+                continue
+            assert cmath.isfinite(got), (r, sign, decay)
+
+
+def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
+    # one Gamma(s) serves as Gamma(1-s) too, so the plain variant makes two
+    # gamma calls and the digamma variant adds two digamma calls, each on
+    # the nodes t >= 0 only
+    sizes = {"gamma_array": [], "digamma_array": []}
+
+    def counting(name):
+        kernel = getattr(_kernels, name)
+
+        def run(z):
+            sizes[name].append(np.size(z))
+            return kernel(z)
+        return run
+
+    for name in sizes:
+        monkeypatch.setattr(pf._kernels, name, counting(name))
+    n_half = math.ceil(42.0 / (math.pi / 2) / 0.08) + 1         # y = 0.01i
+    pf.mellin_barnes(0.01j, "plain")
+    assert sizes == {"gamma_array": [n_half] * 2, "digamma_array": []}
+    pf.mellin_barnes(0.01j, "digamma")
+    assert sizes == {"gamma_array": [n_half] * 4, "digamma_array": [n_half] * 2}
 
 
 # --- annihilator ---------------------------------------------------------------

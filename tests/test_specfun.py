@@ -130,6 +130,37 @@ def test_closed_form_checks_evaluate_gamma_once_per_constant(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("mode, runs", [("double", 10), ("extended", 8)])
+def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, runs):
+    # K and E at k_+ and k_- and F(e^{i pi/3}) serve both their own rows and
+    # the elliptic F' row; the finite-difference stencil (4 points in double,
+    # 2 in extended) and the Ramanujan row (3) add the rest
+    from localp2 import _extended
+
+    calls = [0]
+
+    def counting(agm):
+        def run(*args):
+            calls[0] += 1
+            return agm(*args)
+        return run
+
+    monkeypatch.setattr(sf._kernels, "_agm", counting(sf._kernels._agm))
+    monkeypatch.setattr(_extended, "_agm_mp", counting(_extended._agm_mp))
+    sf.closed_form_checks(PrecisionConfig(mode=mode))
+    assert calls[0] == runs
+
+
+def test_elliptic_f_prime_route_matches_its_row():
+    # the public elliptic route computes its AGM inputs itself and lands on
+    # the value of the closed_form_checks row bit for bit
+    for mode in ("double", "extended"):
+        cfg = PrecisionConfig(mode=mode)
+        row = next(r for r in sf.closed_form_checks(cfg)
+                   if r["name"] == "Fprime(-omega) elliptic")
+        assert complex(sf.f_prime_minus_omega("elliptic", cfg)) == row["computed"]
+
+
 def test_branch_cut_rejected():
     with pytest.raises(BranchCutError):
         sf.hyp2f1_half(1.5)
