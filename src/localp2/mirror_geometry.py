@@ -130,7 +130,6 @@ class CubicRoots:
     x1: complex
     x2: complex
     z: complex
-    branch_seed: str = "origin"
 
     @property
     def triple(self) -> tuple[complex, complex, complex]:
@@ -264,15 +263,13 @@ def cubic_roots_along(path: PathZ, seed: CubicRoots | None = None):
         if abs(path.vertices[0]) > 1e-12:
             raise DomainError("path must start at z = 0 unless a seed is given")
         seed_arr = _origin_triple()
-        label = "origin"
     else:
         seed_arr = np.array(seed.triple, dtype=np.complex128)
-        label = seed.branch_seed
     zs = path.samples()
     tracked = _kernels.track_roots(zs, seed_arr)
     _check_tracked(zs, tracked, (path.vertices[0], path.vertices[-1]))
     return [
-        CubicRoots(complex(r[0]), complex(r[1]), complex(r[2]), complex(z), label)
+        CubicRoots(complex(r[0]), complex(r[1]), complex(r[2]), complex(z))
         for z, r in zip(zs, tracked)
     ]
 

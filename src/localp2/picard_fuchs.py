@@ -55,6 +55,9 @@ _TWO_PI_I = 2j * math.pi
 _SERIES_RADIUS = 1.0 / 27.0
 # cap of ``series_order``: 2000 terms of ``chf_expand`` take a few ms
 _SERIES_MAX_TERMS = 2000
+# Gamma(1/3)^3 and Gamma(2/3)^3, the leading terms of ``w_at_infinity``
+_G13_CUBED = complex(_kernels.gamma_array(1.0 / 3.0)[0]) ** 3
+_G23_CUBED = complex(_kernels.gamma_array(2.0 / 3.0)[0]) ** 3
 
 
 @dataclass(frozen=True)
@@ -263,13 +266,11 @@ def w_at_infinity(y: complex, n_terms: int = 16) -> SolutionTriple:
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     u = y ** (-1.0 / 3.0)
-    g13 = complex(_kernels.gamma_array(1.0 / 3.0)[0]) ** 3
-    g23 = complex(_kernels.gamma_array(2.0 / 3.0)[0]) ** 3
 
     s13 = 0j
     s23 = 0j
-    t13 = g13               # n = 0 term: Gamma(1/3)^3 / 1!
-    t23 = g23 / 2.0         # n = 0 term: Gamma(2/3)^3 / 2!
+    t13 = _G13_CUBED            # n = 0 term: Gamma(1/3)^3 / 1!
+    t23 = _G23_CUBED / 2.0      # n = 0 term: Gamma(2/3)^3 / 2!
     for n in range(n_terms):
         s13 += t13
         s23 += t23
@@ -381,6 +382,10 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 # complex copy of b5 - b4: a complex dot product skips numpy's mixed-type path
 _DP_E = (_DP_B5 - _DP_B4).astype(complex)
+# Past |y| = e^690 ~ 1e299 the coefficients 27y/(1 + 27y) and 6y/(1 + 27y)
+# equal their limits 1 and 2/9 in double precision (1/(27y) < 1e-300), and
+# forming them from y would overflow before |y| reaches the largest double.
+_FLAT_LOG_Y = 690.0
 
 
 def _rk45_segment(s0: complex, s1: complex, u: np.ndarray, rtol: float) -> np.ndarray:
@@ -398,6 +403,8 @@ def _rk45_segment(s0: complex, s1: complex, u: np.ndarray, rtol: float) -> np.nd
     its RMS norm against atol + rtol*|u| (atol = rtol) sets the step factor
     0.9 err^(-1/5), clamped to [0.2, 5], from a first step of min(0.1,
     length).  A step below 1e-13 of the length raises ConvergenceError.
+    For log|y| >= 690 the a and b entries are their limits 1 and 2/9, so
+    every finite target can be reached without overflow.
     """
     length = abs(s1 - s0)
     if length == 0:
@@ -413,9 +420,13 @@ def _rk45_segment(s0: complex, s1: complex, u: np.ndarray, rtol: float) -> np.nd
     m = m.reshape(9, 9)
 
     def rhs(s: complex, ui: np.ndarray, out: np.ndarray) -> None:
-        y = cmath.exp(s)
-        minus_da.fill(-direction * (27.0 * y / (1.0 + 27.0 * y)))
-        minus_db.fill(-direction * (6.0 * y / (1.0 + 27.0 * y)))
+        if s.real < _FLAT_LOG_Y:
+            y = cmath.exp(s)
+            a, b = 27.0 * y / (1.0 + 27.0 * y), 6.0 * y / (1.0 + 27.0 * y)
+        else:
+            a, b = 1.0, 2.0 / 9.0
+        minus_da.fill(-direction * a)
+        minus_db.fill(-direction * b)
         np.dot(ui, m, out)
 
     ha = np.empty((7, 7), dtype=complex)

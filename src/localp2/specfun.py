@@ -13,9 +13,10 @@ elliptic fibration at the origin of the base.
 
 Every route, closed form or numeric, is written once against the numbers of
 the precision mode (``_arith``): Python floats, the ``_kernels`` gamma and the
-``_kernels`` AGM in double mode; mpmath numbers at the configured digits in
-extended mode, from ``_extended``, which is imported only then, so a
-double-precision run never loads mpmath.  The numeric routes a closed form is
+``_kernels`` AGM in double mode; in extended mode mpmath numbers at the
+configured digits with mpmath's own ``gamma``, ``agm``, ``ellipk`` and
+``ellipe``.  mpmath is imported only on the first extended-precision request,
+so a double-precision run never loads it.  The numeric routes a closed form is
 checked against (AGM, the elliptic chain rule, the finite difference, the
 splitting identity) never call a closed form, and only the finite-difference
 stencil differs by mode.
@@ -132,7 +133,7 @@ class _Arith(NamedTuple):
     gamma: Callable
     digamma: Callable
     hyp: Callable          # z -> 2F1(1/2, 1/2; 1; z) = 1/AGM(1, sqrt(1-z))
-    ellipke: Callable      # k -> (K(k), E(k)) from one AGM run
+    ellipke: Callable      # k -> (K(k), E(k))
     moduli: Callable       # () -> the singular moduli (k_+, k_-)
     minus_omega: Callable  # () -> e^{i pi/3}
 
@@ -145,16 +146,28 @@ _DOUBLE = _Arith(
     lambda k: _at_point(_kernels.ellipke_array, k),
     lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
+
 @contextmanager
 def _arith(cfg: PrecisionConfig):
     """The arithmetic of ``cfg.mode``; extended mode imports mpmath (once per
-    process) and works at ``cfg.dps`` digits inside the block."""
-    if cfg.mode == "extended":
-        from ._extended import _EXTENDED, mp
-        with mp.workdps(cfg.dps):
-            yield _EXTENDED
-    else:
+    process) and works at ``cfg.dps`` digits inside the block, on mpmath's
+    own AGM (``agm``; ``ellipk`` is pi/(2 AGM) and ``ellipe`` comes from K
+    and a difference quotient of K)."""
+    if cfg.mode != "extended":
         yield _DOUBLE
+        return
+    import mpmath as mp
+
+    def ellipke(k):
+        m = mp.mpc(k) ** 2
+        return mp.ellipk(m), mp.ellipe(m)
+
+    with mp.workdps(cfg.dps):
+        yield _Arith(
+            mp.mpf, mp.mpc, mp.sqrt, mp.pi, mp.gamma, mp.digamma,
+            lambda z: 1 / mp.agm(1, mp.sqrt(1 - mp.mpc(z))), ellipke,
+            lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
+            lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +219,9 @@ def elliptic_K(k, config: PrecisionConfig | None = None):
 
 
 def elliptic_E(k, config: PrecisionConfig | None = None):
-    """Complete elliptic integral E(k) by the AGM companion sequence."""
+    """Complete elliptic integral E(k): the AGM companion sequence in double
+    mode, mpmath's ``ellipe`` (from K and a difference quotient of K) in
+    extended mode."""
     return _ellipke("elliptic_E", k, config)[1]
 
 
@@ -346,9 +361,10 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     finite difference for the derivative), never through the Gamma(1/3)^3
     expressions being checked.  Each AGM value is computed once: K and E at
     k_+ and k_- and F(e^{i pi/3}) are the K, E and F(-omega) rows and also
-    the inputs of the elliptic F' row, so the checks run 10 AGMs in double
-    mode (4 on the finite-difference stencil, 3 in the Ramanujan row) and 8
-    in extended mode (2-point stencil).
+    the inputs of the elliptic F' row, so the checks make 10 calls of the
+    arithmetic's ``hyp`` and ``ellipke`` in double mode (4 on the
+    finite-difference stencil, 3 in the Ramanujan row) and 8 in extended
+    mode (2-point stencil).
     """
     cfg = _cfg(config)
     with _arith(cfg) as ar:

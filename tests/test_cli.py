@@ -264,6 +264,19 @@ def test_reproduce_computes_each_period_vector_once(tmp_path, monkeypatch):
     assert payload["transfer_matrix"] == [[1, 0, 0], [-1, 1, -1], [1, 1, 0]]
 
 
+def test_continue_at_the_top_of_the_double_range_is_quiet():
+    # 27y/(1 + 27y) overflowed here: a numpy warning, then a ConvergenceError
+    src = os.path.dirname(os.path.dirname(localp2.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-m", "localp2", "continue", "--y", "7e306"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert (out.returncode, out.stderr) == (0, "")
+    (row,) = json.loads(out.stdout)["rows"]
+    assert not row["flagged"]
+    assert abs(complex(row["w2"]["re"], row["w2"]["im"]) - 1.0 / 3.0) <= row["err_estimate"]
+
+
 def test_mpmath_is_loaded_only_for_extended_precision():
     code = ("import os, sys; import localp2.cli as cli; "
             "print('mpmath' in sys.modules); "

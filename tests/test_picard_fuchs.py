@@ -6,6 +6,8 @@ recurrence-based summation) and mpmath digamma values.
 
 import cmath
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -539,6 +541,28 @@ def test_continuation_reaches_large_y_series():
     ref = pf.w_at_infinity(1e6, n_terms=14)
     assert abs(got.w1 - ref.w1) < 1e-6
     assert abs(got.w2 - ref.w2) < 1e-6
+
+
+@pytest.mark.parametrize("y", [7e306, complex(-6e306, 3e306), sys.float_info.max,
+                               complex(1e308, -1e308)])
+def test_continuation_reaches_the_top_of_the_double_range(y):
+    # 27y/(1 + 27y) overflows past |y| ~ 6.7e306 (earlier off the real axis);
+    # from |y| = e^690 on the transport uses the coefficients' limits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pf.continue_solutions(y)
+    ref = pf.w_at_infinity(y)
+    dist = max(abs(got.w0 - ref.w0), abs(got.w1 - ref.w1), abs(got.w2 - ref.w2))
+    assert dist <= got.err_estimate, (y, dist)
+
+
+def test_w_at_infinity_evaluates_no_gamma(monkeypatch):
+    # Gamma(1/3)^3 and Gamma(2/3)^3 are module constants from the same kernel
+    assert pf._G13_CUBED == complex(_kernels.gamma_array(1.0 / 3.0)[0]) ** 3
+    assert pf._G23_CUBED == complex(_kernels.gamma_array(2.0 / 3.0)[0]) ** 3
+    want = pf.w_at_infinity(1e3)
+    monkeypatch.setattr(_kernels, "gamma_array", None)
+    assert pf.w_at_infinity(1e3) == want
 
 
 def test_continuation_refuses_singular_neighborhood():

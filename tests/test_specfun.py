@@ -2,6 +2,7 @@
 closed Gamma(1/3)^3 forms."""
 
 import math
+from contextlib import contextmanager
 
 import mpmath as mp
 import numpy as np
@@ -90,6 +91,25 @@ def test_extended_mode():
     assert max(r["rel_err"] for r in rows) <= 1e-20
 
 
+def _off_cut(w: complex) -> bool:
+    """w lies at least 0.05 away from the cut [1, oo)."""
+    return abs(w.imag if w.real >= 1.0 else w - 1.0) >= 0.05
+
+
+def test_extended_agm_functions_match_double_off_the_cuts():
+    # mpmath's agm, ellipk and ellipe land on the branch of the kernels'
+    # optimal AGM: 100 seeded complex points with z and z^2 off [1, oo)
+    rng = np.random.default_rng(1729)
+    zs = [z for z in (complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(400))
+          if _off_cut(z) and _off_cut(z * z)][:100]
+    assert len(zs) == 100
+    double, extended = PrecisionConfig(mode="double"), PrecisionConfig(mode="extended")
+    for f in (sf.elliptic_K, sf.elliptic_E, sf.hyp2f1_half):
+        for z in zs:
+            want = complex(f(z, extended))
+            assert abs(f(z, double) - want) <= 1e-14 * abs(want), (f.__name__, z)
+
+
 def test_closed_form_checks_double():
     rows = sf.closed_form_checks()
     names = {r["name"] for r in rows}
@@ -134,19 +154,23 @@ def test_closed_form_checks_evaluate_gamma_once_per_constant(monkeypatch):
 def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, runs):
     # K and E at k_+ and k_- and F(e^{i pi/3}) serve both their own rows and
     # the elliptic F' row; the finite-difference stencil (4 points in double,
-    # 2 in extended) and the Ramanujan row (3) add the rest
-    from localp2 import _extended
-
+    # 2 in extended) and the Ramanujan row (3) add the rest; counted as the
+    # calls of the hyp and ellipke entries of the arithmetic _arith yields
     calls = [0]
+    arith = sf._arith
 
-    def counting(agm):
+    def counting(f):
         def run(*args):
             calls[0] += 1
-            return agm(*args)
+            return f(*args)
         return run
 
-    monkeypatch.setattr(sf._kernels, "_agm", counting(sf._kernels._agm))
-    monkeypatch.setattr(_extended, "_agm_mp", counting(_extended._agm_mp))
+    @contextmanager
+    def counting_arith(cfg):
+        with arith(cfg) as ar:
+            yield ar._replace(hyp=counting(ar.hyp), ellipke=counting(ar.ellipke))
+
+    monkeypatch.setattr(sf, "_arith", counting_arith)
     sf.closed_form_checks(PrecisionConfig(mode=mode))
     assert calls[0] == runs
 
