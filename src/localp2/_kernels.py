@@ -1,9 +1,10 @@
 """Low-level numeric kernels, vectorized over numpy arrays.
 
 Complex Lanczos gamma, digamma, AGM elliptic integrals and 2F1(1/2,1/2;1;.),
-Cardano root solving with continuity tracking, and branch-tracked segment
-quadrature of dX/sqrt(cubic).  Each kernel has one implementation, written
-as array operations so a whole batch of inputs costs one call.
+Cardano root solving with continuity tracking, and Gauss-Chebyshev segment
+quadrature of dX/sqrt(cubic) on the Euler branch.  Each kernel has one
+implementation, written as array operations so a whole batch of inputs costs
+one call.
 
 Every public function here is deterministic and allocation-light.
 """
@@ -204,33 +205,26 @@ def track_roots(zs, seed) -> np.ndarray:
 
 
 def segment_integrals(xa, xb, xc, n: int) -> np.ndarray:
-    """Gauss-Chebyshev quadrature of dX/sqrt((X-xa)(X-xb)(X-xc)) from xa to
-    xb, one value per entry of the equal-length arrays ``xa``, ``xb``, ``xc``.
+    """n-node Gauss-Chebyshev quadrature of dX/sqrt((X-xa)(X-xb)(X-xc)) from
+    xa to xb on the Euler branch, one value per entry of the equal-length
+    arrays ``xa``, ``xb``, ``xc``.
 
-    The square root of the cubic is evaluated at the n nodes of each segment
-    and its sign is continued from node to node along the segment.  The
-    branch is seeded at the first node against the product of principal
-    square roots in the scaled variable, which is the continuous (Euler
-    integral) branch on the open segment.
+    With X = xa + (xb-xa) t the integral is Int_0^1 dt / sqrt(t(1-t)) times
+    (1 - sigma t)^(-1/2) / sqrt(xc-xa), sigma = (xb-xa)/(xc-xa): the
+    Chebyshev weight is the segment's own pair of roots, so the rule sums
+    (1 - sigma t_i)^(-1/2) alone.  Principal roots give the branch that is
+    continuous along the open segment, because 1 - sigma t, a straight
+    segment from 1 to 1 - sigma, meets the cut (-inf, 0] only when xc lies
+    on the segment itself; no sign is continued from node to node.
     """
     xa, xb, xc = (_c128(v) for v in (xa, xb, xc))
     t = 0.5 * (1.0 + np.cos((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)))
-    w = np.sqrt(t * (1.0 - t))
-    span = xb - xa
-    x = xa[:, None] + span[:, None] * t
-    sq = np.sqrt((x - xa[:, None]) * (x - xb[:, None]) * (x - xc[:, None]))
-    ref0 = span * np.sqrt(xc - xa) * w[0] * np.sqrt(1.0 - span / (xc - xa) * t[0])
-    sq0 = sq[:, 0]
-    sq[:, 0] = np.where(np.abs(sq0 - ref0) > np.abs(sq0 + ref0), -sq0, sq0)
-    # The principal value jumps branch between nodes i-1 and i exactly when
-    # |sq_i - sq_{i-1}| > |sq_i + sq_{i-1}|, and a flip of either side only
-    # swaps the two, so the continued signs are a running product of jumps.
-    jump = np.abs(np.diff(sq, axis=1)) > np.abs(sq[:, 1:] + sq[:, :-1])
-    sq[:, 1:] *= np.cumprod(np.where(jump, -1.0, 1.0), axis=1)
-    return np.sum(w / sq, axis=1) * span * np.pi / n
+    sigma = (xb - xa) / (xc - xa)
+    total = np.sum(1.0 / np.sqrt(1.0 - sigma[:, None] * t), axis=1)
+    return total * (np.pi / n) / np.sqrt(xc - xa)
 
 
 def segment_integral(xa, xb, xc, n: int) -> complex:
-    """Branch-tracked quadrature of dX/sqrt(cubic) along the segment xa -> xb
+    """Euler-branch quadrature of dX/sqrt(cubic) along the segment xa -> xb
     (one segment of ``segment_integrals``)."""
     return complex(segment_integrals(xa, xb, xc, int(n))[0])

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -392,12 +394,23 @@ def _json_text(obj) -> str:
         raise LocalP2Error(f"report holds a non-finite number: {exc}") from None
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(text: str, out_path: str | None) -> bool:
+    """Write ``text`` to ``out_path``, else to stdout; an OSError on
+    ``out_path`` propagates.  False when stdout cannot be written (its reader
+    has closed the pipe): stdout is then pointed at os.devnull, so the
+    interpreter's flush at exit cannot fail again, and nothing is retried
+    there."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
+        return True
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 def _report_error(command: str, exc: Exception, out_path: str | None) -> int:
@@ -409,7 +422,7 @@ def _report_error(command: str, exc: Exception, out_path: str | None) -> int:
     try:
         _write(text, out_path)
     except OSError:
-        sys.stdout.write(text)
+        _write(text, None)
     return 1
 
 
@@ -439,13 +452,18 @@ def dispatch(argv) -> int:
     except LocalP2Error as exc:
         return _report_error(ns.command, exc, ns.out)
     try:
-        _write(text, cfg.out_path)
+        written = _write(text, cfg.out_path)
     except OSError as exc:
         return _report_error(ns.command, exc, None)
-    return 0 if flagged == 0 else 1
+    return 0 if written and flagged == 0 else 1
 
 
 def main() -> None:
+    """Console entry.  The modules imported by now live until exit, so they
+    are frozen out of the cyclic collector: neither the run's collections
+    nor the one at interpreter shutdown walk them again.  ``dispatch``
+    leaves the collector as it finds it, for library callers."""
+    gc.freeze()
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -3,10 +3,12 @@
 The fiber over z is the double cover Y^2 = X^3 + (z/2)^2 X^2 + (z/2) X + 1/4.
 Its branch roots are tracked with continuous labels along polyline paths, the
 one-dimensional vanishing-cycle integrals are evaluated both through a
-two-term hypergeometric closed form and through branch-tracked quadrature,
-and the three-cycle periods are contour integrals of a fixed two-segment
-fiber combination h_k(z) from the degeneration point z_* = -y^(-1/3) through
-the origin to the critical value 3 OMEGA^k.
+two-term hypergeometric closed form and through Gauss-Chebyshev quadrature
+on each segment's Euler branch (the branch of the principal roots, which
+needs no continuation along the segment), and the three-cycle periods are
+contour integrals of a fixed two-segment fiber combination h_k(z) from the
+degeneration point z_* = -y^(-1/3) through the origin to the critical value
+3 OMEGA^k.
 
 The contour splits at the origin.  The critical ray 0 -> 3 OMEGA^k does not
 depend on y and is worth exactly -8 pi^2 (-1)^k / 3, so
@@ -86,10 +88,11 @@ VIETA_TOL = 1e-12
 MAX_ROOT_STEP = 0.25
 
 # Fiber-cycle combination entering the period contour for each cycle index:
-# list of (sign, segment family) pairs, where family m is the branch-tracked
-# integral 2*Int dX/sqrt(cubic) from root m to root m+1.  Signs are the
-# once-per-cycle seeds at z = 0; they are fixed by the torus normalization
-# (alternating period sum = +1) and by the measured degeneration tails.
+# list of (sign, segment family) pairs, where family m is the Euler-branch
+# integral 2*Int dX/sqrt(cubic) from root m to root m+1, sign-threaded along
+# the ray.  Signs are the once-per-cycle seeds at z = 0; they are fixed by
+# the torus normalization (alternating period sum = +1) and by the measured
+# degeneration tails.
 _CYCLE_SEGMENTS = {
     0: ((-1, 0), (-1, 2)),
     1: ((+1, 1), (-1, 2)),
@@ -284,9 +287,11 @@ def _on_unit_cut(r: complex) -> bool:
 
 
 def jk_quadrature(roots: CubicRoots, k: int, n: int = 256) -> complex:
-    """Vanishing-cycle integral by branch-tracked quadrature.
+    """Vanishing-cycle integral by n-node segment quadrature.
 
-    Two double-cover segments joined at the root with the cycle's label:
+    Each segment is the Gauss-Chebyshev sum of ``_kernels.segment_integrals``
+    on its Euler branch, so no sign is continued between nodes.  Two
+    double-cover segments joined at the root with the cycle's label:
     from root i = k+2 to root k, then from root k to root j = k+1, the
     second with reversed orientation.
     """
@@ -528,7 +533,7 @@ def f_at_origin(config: PrecisionConfig | None = None) -> complex:
 
     f(z) = F(sigma(z)) / (4 pi sqrt(x0(z) - x1(z))) with
     sigma = (x2 - x1)/(x0 - x1); the principal branches at the origin make
-    this the germ of the branch-tracked segment family, and the value equals
+    this the germ of the sign-threaded segment family, and the value equals
     -i Gamma(1/3)^3 / (8 pi^3).
     """
     t = _origin_triple()

@@ -1,6 +1,7 @@
 """End-to-end command dispatch: schemas, exit codes, CSV, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import localp2
 import localp2.mirror_geometry as geom
-from localp2.cli import SUBCOMMANDS, _build_parser, _json_text, _parse_complex, dispatch
+from localp2.cli import (SUBCOMMANDS, _build_parser, _json_text, _parse_complex,
+                         dispatch, main)
 from localp2.errors import LocalP2Error
 
 # minimal clean invocation per subcommand
@@ -264,13 +266,17 @@ def test_reproduce_computes_each_period_vector_once(tmp_path, monkeypatch):
     assert payload["transfer_matrix"] == [[1, 0, 0], [-1, 1, -1], [1, 1, 0]]
 
 
-def test_continue_at_the_top_of_the_double_range_is_quiet():
-    # 27y/(1 + 27y) overflowed here: a numpy warning, then a ConvergenceError
+def _package_env() -> dict:
+    """The environment of a child interpreter that imports this localp2."""
     src = os.path.dirname(os.path.dirname(localp2.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_continue_at_the_top_of_the_double_range_is_quiet():
+    # 27y/(1 + 27y) overflowed here: a numpy warning, then a ConvergenceError
     out = subprocess.run([sys.executable, "-m", "localp2", "continue", "--y", "7e306"],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
+                         capture_output=True, text=True, env=_package_env())
     assert (out.returncode, out.stderr) == (0, "")
     (row,) = json.loads(out.stdout)["rows"]
     assert not row["flagged"]
@@ -284,12 +290,52 @@ def test_mpmath_is_loaded_only_for_extended_precision():
             "'--out', os.devnull]), 'mpmath' in sys.modules); "
             "print(cli.dispatch(['verify-appendix', '--precision', 'extended', "
             "'--out', os.devnull]), 'mpmath' in sys.modules)")
-    src = os.path.dirname(os.path.dirname(localp2.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {k: v for k, v in os.environ.items() if k != "LOCALP2_PRECISION"}
+    env = {k: v for k, v in _package_env().items() if k != "LOCALP2_PRECISION"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**env, "PYTHONPATH": path})
+                         text=True, check=True, env=env)
     assert out.stdout.split("\n")[:3] == ["False", "0 False", "0 True"]
+
+
+def test_console_entry_prints_the_dispatch_bytes(tmp_path, capsys, monkeypatch):
+    # main freezes the collector before dispatching; the report stays byte
+    # for byte the one in-process dispatch prints, on stdout and via --out
+    assert dispatch(["reproduce"]) == 0
+    want = capsys.readouterr().out.encode()
+    out = subprocess.run([sys.executable, "-m", "localp2", "reproduce"],
+                         capture_output=True, env=_package_env())
+    assert (out.returncode, out.stdout, out.stderr) == (0, want, b"")
+    path = tmp_path / "r.json"
+    monkeypatch.setattr(sys, "argv", ["localp2", "reproduce", "--out", str(path)])
+    frozen = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as done:
+            main()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert done.value.code == 0
+    assert path.read_bytes() == want
+
+
+def test_dispatch_leaves_the_collector_unfrozen():
+    # library callers keep the default collector
+    frozen = gc.get_freeze_count()
+    assert dispatch(["reproduce", "--out", os.devnull]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv", [["reproduce"], ["monodromy"], ["periods"]])
+def test_closed_stdout_exits_one_quietly(argv):
+    # a large report, a small one that fits the buffer, and an error report
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "localp2", *argv],
+                             stdout=write_end, stderr=subprocess.PIPE,
+                             env=_package_env())
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, b"")
 
 
 def test_stdout_matches_out_file(tmp_path, capsys):

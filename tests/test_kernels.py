@@ -63,14 +63,44 @@ def test_ellipke_against_mpmath():
         assert abs(complex(ee[0]) - want_e) <= 1e-12 * abs(want_e)
 
 
-# segment integral: Euler-branch identity oracle on a fixed triple.
-# 2 * seg(xa -> xb | xc) = 2 pi F(sigma) / sqrt(xc - xa), sigma = (xb-xa)/(xc-xa)
+def _principal_jumps(xa, xb, xc, n):
+    """How often the principal square root of the cubic jumps branch between
+    neighbouring nodes of the n-node rule on xa -> xb."""
+    t = 0.5 * (1.0 + np.cos((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)))
+    x = xa + (xb - xa) * t
+    sq = np.sqrt((x - xa) * (x - xb) * (x - xc))
+    return int(np.sum(np.abs(np.diff(sq)) > np.abs(sq[1:] + sq[:-1])))
+
+
+# segment integral: Euler-branch identity oracle on seeded complex triples.
+# seg(xa -> xb | xc) = pi F(sigma) / sqrt(xc - xa), sigma = (xb-xa)/(xc-xa)
 def test_segment_integral_euler_identity():
-    xa, xb, xc = 0.0 + 0j, 1.0 + 0j, 2.0 + 0j
-    sigma = (xb - xa) / (xc - xa)
-    want = math.pi * mp_hyp_half(sigma) / math.sqrt(2.0)
-    got = complex(K.segment_integral(xa, xb, xc, 96))
-    assert abs(got - want) <= 1e-12 * abs(want)
+    rng = np.random.default_rng(20261019)
+    triples = [(0.0 + 0j, 1.0 + 0j, 2.0 + 0j)]
+    while len(triples) < 20:
+        xa, xb, xc = rng.normal(size=3) + 1j * rng.normal(size=3)
+        span = xb - xa
+        # keep the third root half a span off the segment: 256 nodes then
+        # converge to rounding
+        s = min(max(((xc - xa) / span).real, 0.0), 1.0)
+        if abs(xc - xa - s * span) < 0.5 * abs(span):
+            continue
+        if len(triples) % 2:
+            # turn every other triple so the cubic is negative at the
+            # segment's midpoint: its principal root then jumps there
+            g = -0.25 * span * span * (xa + 0.5 * span - xc)
+            lam = (-abs(g) / g) ** (1.0 / 3.0)
+            xa, xb, xc = lam * xa, lam * xb, lam * xc
+        triples.append((xa, xb, xc))
+    jumpy = 0
+    for xa, xb, xc in triples:
+        sigma = (xb - xa) / (xc - xa)
+        want = math.pi * mp_hyp_half(sigma) / cmath.sqrt(xc - xa)
+        got = complex(K.segment_integral(xa, xb, xc, 256))
+        assert abs(got - want) <= 1e-12 * abs(want), (xa, xb, xc)
+        jumpy += _principal_jumps(xa, xb, xc, 256) > 0
+    # the Euler branch must hold where the cubic's principal root does not
+    assert jumpy >= 10
 
 
 def test_segment_integral_converges_spectrally():
@@ -83,28 +113,27 @@ def test_segment_integral_converges_spectrally():
 
 
 def _segment_reference(xa, xb, xc, n):
-    """The segment quadrature as a per-node loop: the square root's sign is
-    seeded at the first node against the Euler branch and then continued
-    from node to node.  Also returns how often the continued sign left or
-    rejoined the principal branch between nodes."""
-    sigma = (xb - xa) / (xc - xa)
-    acc = 0j
-    prev = 0j
-    flipped = []
-    for i in range(n):
-        t = 0.5 * (1.0 + math.cos((2.0 * i + 1.0) * math.pi / (2.0 * n)))
-        w = math.sqrt(t * (1.0 - t))
-        x = xa + (xb - xa) * t
-        sq = cmath.sqrt((x - xa) * (x - xb) * (x - xc))
-        ref = ((xb - xa) * cmath.sqrt(xc - xa) * w * cmath.sqrt(1.0 - sigma * t)
-               if i == 0 else prev)
-        flipped.append(abs(sq - ref) > abs(sq + ref))
-        if flipped[-1]:
-            sq = -sq
-        prev = sq
-        acc += w / sq
-    jumps = sum(a != b for a, b in zip(flipped[:-1], flipped[1:]))
-    return acc * (xb - xa) * math.pi / n, jumps
+    """The n-node Gauss-Chebyshev sum of w_i / sqrt(cubic(X_i)) at 40 digits
+    as a per-node loop: the square root's sign is seeded at the first node
+    against the Euler branch and then continued from node to node."""
+    with mp.workdps(40):
+        xa, xb, xc = (mp.mpc(v) for v in (xa, xb, xc))
+        span = xb - xa
+        acc = mp.mpc(0)
+        prev = None
+        for i in range(n):
+            t = (1 + mp.cos((2 * i + 1) * mp.pi / (2 * n))) / 2
+            w = mp.sqrt(t * (1 - t))
+            x = xa + span * t
+            sq = mp.sqrt((x - xa) * (x - xb) * (x - xc))
+            ref = (span * mp.sqrt(xc - xa) * w * mp.sqrt(1 - span / (xc - xa) * t)
+                   if prev is None else prev)
+            # |sq - ref| > |sq + ref|: sq is nearer -ref
+            if (sq * mp.conj(ref)).real < 0:
+                sq = -sq
+            prev = sq
+            acc += w / sq
+        return complex(acc * span * mp.pi / n)
 
 
 def test_segment_integrals_batch_matches_per_node_loop():
@@ -112,12 +141,12 @@ def test_segment_integrals_batch_matches_per_node_loop():
     tri = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
     for n in (16, 64):
         got = K.segment_integrals(tri[:, 0], tri[:, 1], tri[:, 2], n)
-        ref = [_segment_reference(*map(complex, row), n) for row in tri]
-        want = np.array([v for v, _ in ref])
-        # the batch must exercise the sign continuation, not only the seed
-        assert sum(jumps > 0 for _, jumps in ref) >= 10
+        want = np.array([_segment_reference(*map(complex, row), n) for row in tri])
+        # the batch must hold rows where the cubic's principal root jumps
+        # branch between nodes, not only rows where it stays on one
+        assert sum(_principal_jumps(*row, n) > 0 for row in tri) >= 10
         assert got.shape == (len(tri),)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
         assert complex(K.segment_integral(*tri[7], n)) == got[7]
 
 
