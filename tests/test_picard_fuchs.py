@@ -5,7 +5,10 @@ recurrence-based summation) and mpmath digamma values.
 """
 
 import cmath
+import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -16,7 +19,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import localp2.picard_fuchs as pf
-from localp2 import _kernels
+from localp2 import _dop853, _kernels
+from localp2.cli import dispatch
 from localp2.errors import ConvergenceError, DomainError
 
 
@@ -332,25 +336,7 @@ def test_annihilation_needs_samples():
         pf.annihilation_residual(())
 
 
-# --- the Dormand-Prince transport ------------------------------------------------
-
-# The per-stage transport as it was written before the stages became array
-# products: one right-hand side per stage, each stage state summed term by
-# term, seven right-hand sides per attempt.
-_REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
-_REF_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_REF_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-_REF_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-           -92097 / 339200, 187 / 2100, 1 / 40]
-
+# --- the DOP853 transport ---------------------------------------------------------
 
 def _transport_rhs_reference(s, u):
     y = cmath.exp(s)
@@ -363,43 +349,55 @@ def _transport_rhs_reference(s, u):
     return du
 
 
-def _rk45_reference(s0, s1, u, rtol):
+def _dop853_reference(s0, s1, u, rtol):
+    """The DOP853 transport written stage by stage: twelve right-hand sides
+    per attempt (no FSAL), each stage state and each error vector summed
+    term by term.  Returns the frame and the list of accepted t."""
+    a, b, c = _dop853.A, _dop853.B, _dop853.C
     length = abs(s1 - s0)
     if length == 0:
-        return u
+        return u, []
     direction = (s1 - s0) / length
     t = 0.0
     h = min(0.1, length)
     atol = rtol
-    while t < length:
-        h = min(h, length - t)
+    accepted = []
+    while True:
+        step = min(h, length - t)
+        last = step == length - t
         k = []
-        for i in range(7):
+        for i in range(12):
             ui = u
-            for j, a in enumerate(_REF_A[i]):
-                ui = ui + h * a * k[j]
+            for j in range(i):
+                ui = ui + step * a[i, j] * k[j]
             k.append(direction * _transport_rhs_reference(
-                s0 + (t + _REF_C[i] * h) * direction, ui))
-        u5 = u + h * sum(b * ki for b, ki in zip(_REF_B5, k))
-        u4 = u + h * sum(b * ki for b, ki in zip(_REF_B4, k))
-        scale = atol + rtol * np.maximum(np.abs(u), np.abs(u5))
-        err = np.sqrt(np.mean(np.abs((u5 - u4) / scale) ** 2))
+                s0 + (t + c[i] * step) * direction, ui))
+        u_new = u + step * sum(bi * ki for bi, ki in zip(b, k))
+        scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
+        e5 = np.sum(np.abs(sum(ei * ki for ei, ki in zip(_dop853.E5, k)) / scale) ** 2)
+        e3 = np.sum(np.abs(sum(ei * ki for ei, ki in zip(_dop853.E3, k)) / scale) ** 2)
+        err = step * e5 / math.sqrt(u.size * (e5 + 0.01 * e3)) if e5 != 0.0 else 0.0
         if err <= 1.0:
-            t += h
-            u = u5
-        h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
+            t += step
+            u = u_new
+            accepted.append(t)
+            if last:
+                return u, accepted
+        h = step * min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.125))
         if h < 1e-13 * length:
             raise AssertionError("reference transport step size underflow")
-    return u
 
 
-def _counting_exp_calls(monkeypatch, fn, *args):
-    """Run fn(*args) and count its calls of cmath.exp, one per right-hand side."""
+def _counting_exp_calls(monkeypatch, fn, *args, record=None):
+    """Run fn(*args) and count its calls of cmath.exp, one per right-hand side;
+    the argument of each call is appended to the list record, if one is given."""
     calls = [0]
     exp = cmath.exp
 
     def counted(z):
         calls[0] += 1
+        if record is not None:
+            record.append(z)
         return exp(z)
 
     with monkeypatch.context() as patch:
@@ -411,11 +409,14 @@ def _counting_exp_calls(monkeypatch, fn, *args):
 def _assert_same_transport(monkeypatch, s0, s1, frame, rtol=1e-10):
     """Both transports take the same attempts and land within 1e-14 relative;
     returns the array-stage result."""
-    ref, ref_calls = _counting_exp_calls(monkeypatch, _rk45_reference, s0, s1, frame, rtol)
-    got, got_calls = _counting_exp_calls(monkeypatch, pf._rk45_segment, s0, s1, frame, rtol)
-    # seven right-hand sides per reference attempt; FSAL: one, then six per attempt
-    assert ref_calls % 7 == 0 and (got_calls - 1) % 6 == 0, (ref_calls, got_calls)
-    assert (got_calls - 1) // 6 == ref_calls // 7, (s0, s1)
+    (ref, accepted), ref_calls = _counting_exp_calls(
+        monkeypatch, _dop853_reference, s0, s1, frame, rtol)
+    got, got_calls = _counting_exp_calls(monkeypatch, pf._transport_segment,
+                                         s0, s1, frame, rtol)
+    # twelve right-hand sides per reference attempt; the kernel takes eleven
+    # per attempt, one to start and one after each accepted step but the last
+    assert ref_calls % 12 == 0, ref_calls
+    assert got_calls == 11 * (ref_calls // 12) + len(accepted), (s0, s1)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (s0, s1)
     return got
 
@@ -438,33 +439,102 @@ def _seeded_continuation_targets(rng, count, lo, hi):
     return targets
 
 
-def test_dormand_prince_tableau():
-    a, c = pf._DP_A, np.array(pf._DP_C)
-    assert a.shape == (7, 7)
-    assert np.all(np.triu(a) == 0.0)
-    assert np.max(np.abs(a.sum(axis=1) - c)) <= 1e-15
-    # FSAL rests on the last row being the fifth-order weights, bit for bit
-    assert np.array_equal(a[6], pf._DP_B5)
-    assert abs(pf._DP_B5.sum() - 1.0) <= 1e-15
-    assert abs(pf._DP_B4.sum() - 1.0) <= 1e-15
-    assert np.array_equal(pf._DP_E, pf._DP_B5 - pf._DP_B4)
+def test_dop853_tableau_order_conditions():
+    a, b, c = _dop853.A, _dop853.B, np.array(_dop853.C)
+    assert a.shape == (13, 12) and c.shape == (13,)
+    assert np.all(np.triu(a[:12]) == 0.0)
+    # each row sums to its node, up to the rounding of its literals
+    eps = np.finfo(float).eps
+    for row, ci in zip(a, c):
+        assert abs(math.fsum(row) - ci) <= eps * (math.fsum(np.abs(row)) + ci), row
+    # eighth order: the weights integrate c^(k-1) exactly for k = 1..8, and
+    # so do the weights b A for c^(k-1) against the stage nodes, k = 1..7
+    for k in range(1, 9):
+        assert abs(math.fsum(b * c[:12] ** (k - 1)) - 1.0 / k) <= 1e-15, k
+    for k in range(1, 8):
+        bac = math.fsum(b * (a[:12] @ c[:12] ** (k - 1)))
+        assert abs(bac - 1.0 / (k * (k + 1))) <= 1e-15, k
+    # both error vectors weigh differences of consistent weights
+    assert abs(math.fsum(_dop853.E5)) <= 1e-15
+    assert abs(math.fsum(_dop853.E3)) <= 1e-15
+    assert np.array_equal(pf._DOP_E, np.array([_dop853.E5, _dop853.E3]))
+    assert np.array_equal(pf._DOP_W, np.hstack([np.ones((13, 1)), a]))
+    # FSAL: the thirteenth row is b at c = 1, the new solution, and the first
+    # stage is the right-hand side at the state with no stage weight
+    assert np.array_equal(a[12], b) and c[12] == 1.0
+    assert c[0] == 0.0 and not a[0].any()
+    assert abs(math.fsum(b) - 1.0) <= 1e-15
 
 
-def test_rk45_segment_matches_reference_on_seeded_paths(monkeypatch):
+def test_transport_segment_matches_reference_on_seeded_paths(monkeypatch):
     rng = np.random.default_rng(808)
     frame = pf._initial_frame(0.01, 80)
     for y in _seeded_continuation_targets(rng, 150, 1e-2, 1e8):
         _assert_same_transport(monkeypatch, _S_START, cmath.log(y), frame)
 
 
-@pytest.mark.parametrize("radius, n_arcs", [(0.01, 8), (0.015, 10)])
-def test_rk45_segment_matches_reference_on_monodromy_arcs(monkeypatch, radius, n_arcs):
-    # the arcs of monodromy_around_origin, each from the same incoming frame
+@pytest.mark.parametrize("radius", [0.01, 0.015])
+def test_transport_segment_matches_reference_on_the_origin_loop(monkeypatch, radius):
     s0 = cmath.log(radius)
-    frame = pf._initial_frame(radius, 80)
-    for a in range(n_arcs):
-        frame = _assert_same_transport(monkeypatch, s0 + 2j * math.pi * a / n_arcs,
-                                       s0 + 2j * math.pi * (a + 1) / n_arcs, frame)
+    _assert_same_transport(monkeypatch, s0, s0 + 2j * math.pi, pf._initial_frame(radius, 80))
+
+
+def test_transport_right_hand_side_counts(monkeypatch):
+    # right-hand sides per seeded path on average, at two tolerances, and
+    # around the origin loop
+    rng = np.random.default_rng(808)
+    targets = _seeded_continuation_targets(rng, 150, 1e-2, 1e8)
+    for rtol, bound in ((1e-10, 210), (1e-14, 600)):
+        calls = sum(_counting_exp_calls(monkeypatch, pf.continue_solutions,
+                                        y, 0.01, 80, rtol)[1] for y in targets)
+        assert calls <= bound * len(targets), (rtol, calls / len(targets))
+    m, calls = _counting_exp_calls(monkeypatch, pf.monodromy_around_origin)
+    assert m == EXPECTED_LOOP_MATRIX
+    assert calls <= 290, calls
+
+
+def test_transport_finishes_on_a_sliver_step(monkeypatch, tmp_path):
+    # On the ray from 0.01 an accepted step ends where its last stage (c = 1)
+    # and then the FSAL right-hand side are taken.  A target 1e-15 past such
+    # an end leaves a last step of about 1e-15, after which no step is needed.
+    ray = []
+    _counting_exp_calls(monkeypatch, pf.continue_solutions, 1e6, record=ray)
+    ends = [a for a, b in zip(ray, ray[1:]) if a == b]
+    s_k = next(s for s in ends if s.real - _S_START.real > 1.5)
+    y = math.exp(s_k.real + 1e-15)
+    args = []
+    got, calls = _counting_exp_calls(monkeypatch, pf.continue_solutions, y, record=args)
+    assert args[:-11] == ray[:calls - 11] and args[-12] == s_k
+    assert 0 < max(abs(a - s_k) for a in args[-11:]) <= 2e-15
+    ref, _ = _dop853_reference(_S_START, cmath.log(y), pf._initial_frame(0.01, 80), 1e-10)
+    assert np.max(np.abs(got.as_vector() - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref))
+    out = tmp_path / "continue.json"
+    assert dispatch(["continue", "--y", repr(y), "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["rows"]
+    assert complex(row["w1"]["re"], row["w1"]["im"]) == got.w1
+
+
+def test_transport_loads_no_scipy():
+    # the DOP853 coefficients are literals of the package, not scipy's
+    code = ("import sys, localp2; localp2.picard_fuchs.continue_solutions(1e4); "
+            "localp2.picard_fuchs.monodromy_around_origin(); print('scipy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(pf.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
+
+
+def test_initial_frame_matches_the_coefficient_arrays():
+    # the one-pass sums against theta applied to the log-polynomial arrays
+    for y0 in (0.01, 0.015, 0.02j, complex(-0.02, 0.01), 1e-4):
+        ln_y = cmath.log(y0)
+        want = np.array([[pf._eval_array(arr, y0, ln_y),
+                          pf._eval_array(pf._theta_shift(arr), y0, ln_y),
+                          pf._eval_array(pf._theta_shift(pf._theta_shift(arr)), y0, ln_y)]
+                         for arr in pf._solution_arrays(80)])
+        got = pf._initial_frame(y0, 80)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), y0
 
 
 @pytest.mark.parametrize("rtol", [1e-10, 1e-14])
@@ -508,7 +578,7 @@ def test_monodromy_around_origin_matrix():
 
 
 def test_monodromy_unipotent_and_unimodular():
-    m = np.array(pf.monodromy_around_origin(radius=0.015, n_arcs=10))
+    m = np.array(pf.monodromy_around_origin(radius=0.015))
     d = m - np.eye(3, dtype=int)
     assert np.all(d @ d @ d == 0)
     assert round(np.linalg.det(m)) == 1
