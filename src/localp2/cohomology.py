@@ -2,7 +2,7 @@
 
 X is the total space of the canonical bundle over the projective plane.  Its
 rational cohomology is Q[J]/J^3 with J the hyperplane class pulled back from
-the zero section.  K-classes are integer triples in one of five registered
+the zero section.  K-classes are integer triples in one of four registered
 frames; compact-type classes live on the zero section and pair with pulled
 back classes by Riemann-Roch on the plane.  Everything here is exact: Fraction
 coefficients, integer matrices, no floating point (central_charge is the one
@@ -36,7 +36,6 @@ __all__ = [
     "brane_basis",
     "charge_basis",
     "exceptional_collection",
-    "mirror_collection",
     "pairing_table",
 ]
 
@@ -105,7 +104,6 @@ class Basis(str, Enum):
     BRANE = "brane"               # point, shifted line, [O(-2)]
     EXCEPTIONAL = "exceptional"   # O, T(-1), O(1)
     CHARGE = "charge"             # [O], [O(1)]-[O], point  (dual to brane)
-    MIRROR = "mirror"             # exceptional collection twisted by O(-2)
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,6 @@ _FRAME_TO_LB = {
     Basis.BRANE: ((1, 0, 0), (-2, 1, 0), (1, -1, 1)),
     Basis.EXCEPTIONAL: ((1, 3, 3), (0, -1, -3), (0, 0, 1)),
     Basis.CHARGE: ((1, 2, 1), (0, -3, -2), (0, 1, 1)),
-    Basis.MIRROR: ((0, -1, 0), (0, 3, 1), (1, 0, 0)),
 }
 
 
@@ -277,12 +274,6 @@ def brane_basis() -> list[KClass]:
 def exceptional_collection() -> list[KClass]:
     """The strong exceptional collection O, T(-1), O(1) on the plane."""
     return [KClass(Basis.EXCEPTIONAL, tuple(1 if j == i else 0 for j in range(3)))
-            for i in range(3)]
-
-
-def mirror_collection() -> list[KClass]:
-    """The exceptional collection twisted by O(-2): O(-2), T(-3), O(-1)."""
-    return [KClass(Basis.MIRROR, tuple(1 if j == i else 0 for j in range(3)))
             for i in range(3)]
 
 

@@ -1,14 +1,15 @@
-"""Elliptic-fibration geometry over the base coordinate of the mirror curve.
+"""Elliptic-fibration periods over the base coordinate of the mirror curve.
 
 The fiber over z is the double cover Y^2 = X^3 + (z/2)^2 X^2 + (z/2) X + 1/4.
-Its branch roots are tracked with continuous labels along polyline paths, the
-one-dimensional vanishing-cycle integrals are evaluated both through a
-two-term hypergeometric closed form and through Gauss-Chebyshev quadrature
-on each segment's Euler branch (the branch of the principal roots, which
-needs no continuation along the segment), and the three-cycle periods are
-contour integrals of a fixed two-segment fiber combination h_k(z) from the
-degeneration point z_* = -y^(-1/3) through the origin to the critical value
-3 OMEGA^k.
+Along a sampled ray from the origin its branch roots are tracked with
+continuous labels (``_kernels.track_roots``, seeded by the exact roots at
+z = 0 and guarded by ``_check_tracked``).  Each segment family, twice the
+integral of dX/sqrt(cubic) between two labeled roots, is a Gauss-Chebyshev
+sum on the segment's Euler branch (the branch of the principal roots, which
+needs no continuation along the segment), sign-threaded along the ray from
+its z = 0 value.  The three-cycle periods are contour integrals of a fixed
+two-segment fiber combination h_k(z) from the degeneration point
+z_* = -y^(-1/3) through the origin to the critical value 3 OMEGA^k.
 
 The contour splits at the origin.  The critical ray 0 -> 3 OMEGA^k does not
 depend on y and is worth exactly -8 pi^2 (-1)^k / 3, so
@@ -35,34 +36,23 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, QuadratureError, RootCollisionError
-from .specfun import PrecisionConfig, hyp2f1_half, f_prime_minus_omega
+from .specfun import PrecisionConfig
 
 __all__ = [
     "OMEGA",
     "TAIL_PHASE",
-    "CubicRoots",
-    "PathZ",
     "PeriodVector",
     "CRITICAL_VALUES",
     "critical_points",
-    "roots_at_origin",
-    "cubic_roots_along",
-    "vanishing_integral_Jk",
-    "jk_quadrature",
-    "period_Ik",
     "periods",
     "critical_ray_constants",
-    "b_expansion",
     "expected_period_tail",
-    "f_at_origin",
-    "f_prime_at_origin",
 ]
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -99,11 +89,7 @@ _CYCLE_SEGMENTS = {
     2: ((+1, 0), (+1, 1)),
 }
 
-_TWO_PI = 2.0 * math.pi
 _EIGHT_PI_SQ = 8.0 * math.pi ** 2
-# the closed-form cycle integrals are double precision whatever the
-# process-wide precision mode
-_DOUBLE = PrecisionConfig(mode="double")
 
 # Gauss-Legendre sizes on the degeneration ray: a period takes the last rule,
 # its error estimate the distance from the first.
@@ -123,59 +109,6 @@ _TS_LEVELS = 64
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CubicRoots:
-    """Labeled root triple of the fiber cubic at one base point."""
-
-    x0: complex
-    x1: complex
-    x2: complex
-    z: complex
-
-    @property
-    def triple(self) -> tuple[complex, complex, complex]:
-        return (self.x0, self.x1, self.x2)
-
-    def min_gap(self) -> float:
-        a, b, c = self.triple
-        return min(abs(a - b), abs(a - c), abs(b - c))
-
-    def vieta_residual(self) -> float:
-        a, b, c = self.triple
-        h = 0.5 * self.z
-        r1 = abs(a + b + c + h * h)
-        r2 = abs(a * b + a * c + b * c - h)
-        r3 = abs(a * b * c + 0.25)
-        return max(r1, r2, r3)
-
-
-@dataclass(frozen=True)
-class PathZ:
-    """Polyline in the base plane with a per-segment sampling density."""
-
-    vertices: tuple
-    refinement: int = 64
-
-    def __post_init__(self):
-        verts = tuple(complex(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise DomainError("path needs at least two vertices")
-        if self.refinement < 2:
-            raise DomainError("refinement must be at least 2")
-        for a, b in zip(verts[:-1], verts[1:]):
-            if abs(a - b) == 0.0:
-                raise DomainError("consecutive path vertices must be distinct")
-
-    def samples(self) -> np.ndarray:
-        """All sample points, each interior vertex emitted once."""
-        out = [np.array([self.vertices[0]], dtype=np.complex128)]
-        t = np.linspace(0.0, 1.0, self.refinement + 1)[1:]
-        for a, b in zip(self.vertices[:-1], self.vertices[1:]):
-            out.append(a + (b - a) * t)
-        return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -216,14 +149,9 @@ def critical_points(y: complex):
 
 
 def _origin_triple() -> np.ndarray:
+    """Exact labeled roots at z = 0: x_j = -2^(-2/3) OMEGA^j."""
     return np.array([-_ROOT_SCALE * OMEGA ** j for j in range(3)],
                     dtype=np.complex128)
-
-
-def roots_at_origin() -> CubicRoots:
-    """Exact labeled roots at z = 0: x_j = -2^(-2/3) OMEGA^j."""
-    t = _origin_triple()
-    return CubicRoots(complex(t[0]), complex(t[1]), complex(t[2]), 0.0j)
 
 
 def _check_tracked(zs: np.ndarray, roots: np.ndarray, endpoints) -> None:
@@ -254,90 +182,6 @@ def _check_tracked(zs: np.ndarray, roots: np.ndarray, endpoints) -> None:
             raise DomainError(
                 f"root step {step:.3g} exceeds bound {MAX_ROOT_STEP}; "
                 "refine the path sampling")
-
-
-def cubic_roots_along(path: PathZ, seed: CubicRoots | None = None):
-    """Labeled root triples at every sample of ``path``.
-
-    The path must start at z = 0 (labels seeded by the exact origin roots)
-    or a starting ``seed`` must be supplied.
-    """
-    if seed is None:
-        if abs(path.vertices[0]) > 1e-12:
-            raise DomainError("path must start at z = 0 unless a seed is given")
-        seed_arr = _origin_triple()
-    else:
-        seed_arr = np.array(seed.triple, dtype=np.complex128)
-    zs = path.samples()
-    tracked = _kernels.track_roots(zs, seed_arr)
-    _check_tracked(zs, tracked, (path.vertices[0], path.vertices[-1]))
-    return [
-        CubicRoots(complex(r[0]), complex(r[1]), complex(r[2]), complex(z))
-        for z, r in zip(zs, tracked)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# vanishing-cycle integrals
-# ---------------------------------------------------------------------------
-
-
-def _on_unit_cut(r: complex) -> bool:
-    return abs(r.imag) < 1e-9 and r.real >= 1.0 - 1e-9
-
-
-def jk_quadrature(roots: CubicRoots, k: int, n: int = 256) -> complex:
-    """Vanishing-cycle integral by n-node segment quadrature.
-
-    Each segment is the Gauss-Chebyshev sum of ``_kernels.segment_integrals``
-    on its Euler branch, so no sign is continued between nodes.  Two
-    double-cover segments joined at the root with the cycle's label:
-    from root i = k+2 to root k, then from root k to root j = k+1, the
-    second with reversed orientation.
-    """
-    i, j = (k + 2) % 3, (k + 1) % 3
-    t = roots.triple
-    seg = 2.0 * _kernels.segment_integrals([t[i], t[k]], [t[k], t[j]], [t[j], t[i]], n)
-    return complex(seg[0] - seg[1])
-
-
-def vanishing_integral_Jk(roots: CubicRoots, k: int) -> complex:
-    """Closed-form vanishing-cycle integral at one root configuration.
-
-    Two hypergeometric terms built on the segments meeting at root k:
-
-        2 pi F(r1)/sqrt(x_j - x_i)  -  eps * 2 pi F(r2)/sqrt(x_i - x_j)
-
-    with r1 = (x_k - x_i)/(x_j - x_i), r2 = (x_k - x_j)/(x_i - x_j), and
-    F = 2F1(1/2, 1/2; 1; .).  The factor eps (always +/-1) reconciles the
-    principal square roots of the two prefactors with the branch that is
-    continuous along the integration segments: it is the ratio between the
-    principal root of a quotient and the quotient of principal roots.  With
-    it the value agrees with ``jk_quadrature`` wherever neither argument
-    touches the hypergeometric cut [1, oo); on the cut the closed form is
-    abandoned for quadrature and a warning flags the fallback.
-    """
-    if k not in (0, 1, 2):
-        raise DomainError(f"cycle index must be 0, 1 or 2, got {k}")
-    if roots.min_gap() < COLLISION_TOL:
-        raise RootCollisionError(
-            f"degenerate root triple at z = {roots.z:.6g}: gap {roots.min_gap():.3e}")
-    i, j = (k + 2) % 3, (k + 1) % 3
-    t = roots.triple
-    xi, xj, xk = t[i], t[j], t[k]
-    r1 = (xk - xi) / (xj - xi)
-    r2 = (xk - xj) / (xi - xj)
-    if _on_unit_cut(r1) or _on_unit_cut(r2):
-        warnings.warn(
-            "hypergeometric argument on the cut [1, oo); "
-            "falling back to segment quadrature", RuntimeWarning, stacklevel=2)
-        return jk_quadrature(roots, k)
-    term1 = _TWO_PI * hyp2f1_half(r1, _DOUBLE) / cmath.sqrt(xj - xi)
-    term2 = _TWO_PI * hyp2f1_half(r2, _DOUBLE) / cmath.sqrt(xi - xj)
-    eps = (((xi - xj) / (xi - xk)) ** -0.5
-           * cmath.sqrt(xi - xj) / cmath.sqrt(xi - xk))
-    eps = 1.0 if eps.real > 0.0 else -1.0
-    return term1 - eps * term2
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +310,6 @@ def _period_modulus(y) -> complex:
     return y
 
 
-def period_Ik(y: complex, k: int, quad: PrecisionConfig | None = None) -> complex:
-    """Contour period of the three-cycle attached to critical value k.
-
-    The contour runs from the degeneration point z_* through the origin to
-    the k-th critical value.  The value is the k-th entry of
-    ``periods(y, quad)``.
-    """
-    y = _period_modulus(y)
-    if k not in (0, 1, 2):
-        raise DomainError(f"cycle index must be 0, 1 or 2, got {k}")
-    return periods(y, quad).as_vector()[k]
-
-
 def periods(y: complex, quad: PrecisionConfig | None = None) -> PeriodVector:
     """All three periods at one modulus value, with error estimates.
 
@@ -523,73 +354,9 @@ def critical_ray_constants() -> tuple:
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# degeneration-tail expansion
-# ---------------------------------------------------------------------------
-
-
-def f_at_origin(config: PrecisionConfig | None = None) -> complex:
-    """Value at z = 0 of the tail-generating density f(z).
-
-    f(z) = F(sigma(z)) / (4 pi sqrt(x0(z) - x1(z))) with
-    sigma = (x2 - x1)/(x0 - x1); the principal branches at the origin make
-    this the germ of the sign-threaded segment family, and the value equals
-    -i Gamma(1/3)^3 / (8 pi^3).
-    """
-    t = _origin_triple()
-    sigma = (t[2] - t[1]) / (t[0] - t[1])
-    val = hyp2f1_half(complex(sigma), config)
-    return val / (4.0 * math.pi * cmath.sqrt(complex(t[0] - t[1])))
-
-
-def f_prime_at_origin(config: PrecisionConfig | None = None) -> complex:
-    """d/dz at z = 0 of the tail-generating density, by the chain rule.
-
-    Uses the exact root velocities dx_m/dz(0) = OMEGA^(2m)/(2^(1/3) * 3) and
-    the closed-form derivative of F at the sixth root of unity; the value
-    equals -i Gamma(2/3)^3 / (8 pi^3).
-    """
-    t = _origin_triple()
-    dt = np.array([OMEGA ** (2 * m) / (2.0 ** (1.0 / 3.0) * 3.0)
-                   for m in range(3)], dtype=np.complex128)
-    sigma = (t[2] - t[1]) / (t[0] - t[1])
-    d01 = complex(t[0] - t[1])
-    f_val = hyp2f1_half(complex(sigma), config)
-    # F has a real power series, so its derivative at the conjugate point is
-    # the conjugate of the tabulated closed-form derivative.
-    f_der = complex(f_prime_minus_omega("closed_form", config)).conjugate()
-    dsigma = ((dt[2] - dt[1]) * d01 - (t[2] - t[1]) * (dt[0] - dt[1])) / d01 ** 2
-    val = (-0.5 * d01 ** -1.5 * (dt[0] - dt[1]) * f_val
-           + d01 ** -0.5 * f_der * dsigma)
-    return complex(val) / (4.0 * math.pi)
-
-
-def b_expansion(y: complex):
-    """Two-term large-|y| tails of the three periods.
-
-    Assembled from f(0) and f'(0); the per-cycle phase factors are the
-    products of the cube-root rotation with the alternating cycle
-    orientation, fixed against the measured quadrature.  Equivalent closed
-    form: TAIL_PHASE^k * TAIL_COEFF_1 * y^(-1/3)
-          + TAIL_PHASE^(-k) * TAIL_COEFF_2 * y^(-2/3).
-    """
-    y = _period_modulus(y)
-    f0 = f_at_origin()
-    fp0 = f_prime_at_origin()
-    w = OMEGA ** 2  # conjugate cube root: the rotation seen by the labels
-    u = y ** (-1.0 / 3.0)
-    out = []
-    for k in range(3):
-        sign = (-1.0) ** k
-        first = -u * f0 * sign * (w ** (k + 1) - w ** (k - 1))
-        second = 0.5 * u * u * fp0 * sign * (w ** (2 * k + 2) - w ** (2 * k + 1))
-        out.append(first + second)
-    return tuple(out)
-
-
 def expected_period_tail(y: complex, k: int) -> complex:
     """Constant term plus two-term tail: the large-|y| period prediction
-    (finite |y| > 27, as for ``b_expansion`` and ``periods``)."""
+    (finite |y| > 27, as for ``periods``)."""
     y = _period_modulus(y)
     if k not in (0, 1, 2):
         raise DomainError(f"cycle index must be 0, 1 or 2, got {k}")

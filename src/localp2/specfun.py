@@ -98,6 +98,14 @@ def _cfg(config: PrecisionConfig | None) -> PrecisionConfig:
     return config if config is not None else default_config()
 
 
+def _finite(name: str, z) -> complex:
+    """z as a Python complex; DomainError unless both parts are finite."""
+    zc = complex(z)
+    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
+        raise DomainError(f"{name} needs a finite argument, got {zc}")
+    return zc
+
+
 def _near_nonpositive_integer(z: complex) -> bool:
     if z.real > 0.5:
         return False
@@ -178,7 +186,7 @@ def _arith(cfg: PrecisionConfig):
 def gamma(z, config: PrecisionConfig | None = None):
     """Gamma function for complex argument (relative error <= 1e-13 for |z| <= 30
     in double mode)."""
-    zc = complex(z)
+    zc = _finite("gamma", z)
     if _near_nonpositive_integer(zc):
         raise PoleError(f"gamma pole at z = {zc}")
     with _arith(_cfg(config)) as ar:
@@ -188,7 +196,7 @@ def gamma(z, config: PrecisionConfig | None = None):
 
 def digamma(z, config: PrecisionConfig | None = None):
     """Digamma function for complex argument (|z| <= 100 contract in double mode)."""
-    zc = complex(z)
+    zc = _finite("digamma", z)
     if _near_nonpositive_integer(zc):
         raise PoleError(f"digamma pole at z = {zc}")
     with _arith(_cfg(config)) as ar:
@@ -198,7 +206,7 @@ def digamma(z, config: PrecisionConfig | None = None):
 
 def hyp2f1_half(z, config: PrecisionConfig | None = None):
     """2F1(1/2, 1/2; 1; z) on the cut plane C minus [1, oo), via 1/AGM(1, sqrt(1-z))."""
-    zc = complex(z)
+    zc = _finite("hyp2f1_half", z)
     if _on_cut_from_one(zc):
         raise BranchCutError(f"hyp2f1_half argument {zc} lies on the cut [1, oo)")
     with _arith(_cfg(config)) as ar:
@@ -206,7 +214,7 @@ def hyp2f1_half(z, config: PrecisionConfig | None = None):
 
 
 def _ellipke(name: str, k, config: PrecisionConfig | None):
-    kc = complex(k)
+    kc = _finite(name, k)
     if _on_cut_from_one(kc * kc):
         raise BranchCutError(f"{name} modulus {kc} has k^2 on [1, oo)")
     with _arith(_cfg(config)) as ar:

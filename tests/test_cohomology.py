@@ -164,14 +164,6 @@ def test_chern_additive():
     assert (a.a0, a.a1, a.a2) == (b.a0, b.a1, b.a2)
 
 
-def test_mirror_collection_is_twisted_exceptional():
-    twist = coh.line_bundle_class(-2)
-    for e, n in zip(coh.exceptional_collection(), coh.mirror_collection()):
-        lhs = coh.basis_change(coh.tensor(e, twist), coh.Basis.LINE_BUNDLE)
-        rhs = coh.basis_change(n, coh.Basis.LINE_BUNDLE)
-        assert lhs.coords == rhs.coords
-
-
 def test_kclass_rejects_non_integer():
     with pytest.raises(BasisError):
         coh.KClass(coh.Basis.BRANE, (1.5, 0, 0))

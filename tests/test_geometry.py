@@ -1,8 +1,7 @@
-"""Root tracking, vanishing-cycle integrals, and contour periods.
+"""Root tracking, segment families, and contour periods.
 
 Oracles: Vieta relations checked in exact form, gamma-function closed values
-via math.gamma, and the branch-tracked segment quadrature as the independent
-route to the closed-form cycle integrals.
+via math.gamma, and a finer-rule reference for the period quadrature.
 """
 
 import cmath
@@ -51,21 +50,51 @@ def test_tail_constants_match_gamma_closed_forms():
 
 # --- root tracking ------------------------------------------------------------
 
+def _polyline(*vertices, n=64):
+    """n samples per edge of a polyline, each interior vertex once."""
+    edges = [np.linspace(a, b, n + 1)[:-1]
+             for a, b in zip(vertices[:-1], vertices[1:])]
+    return np.concatenate(edges + [[vertices[-1]]]).astype(np.complex128)
+
+
+def _tracked(zs, seed=None):
+    """Labeled roots along ``zs`` by the period path's tracker and guards,
+    seeded by the exact z = 0 roots unless a seed triple is given."""
+    seed = geom._origin_triple() if seed is None else seed
+    roots = geom._kernels.track_roots(zs, seed)
+    geom._check_tracked(zs, roots, (zs[0], zs[-1]))
+    return roots
+
+
+def _vieta_residual(z, t):
+    h = 0.5 * z
+    a, b, c = t
+    return max(abs(a + b + c + h * h), abs(a * b + a * c + b * c - h),
+               abs(a * b * c + 0.25))
+
+
+def _families(t, n=256):
+    """The three segment families 2 Int dX/sqrt(cubic), root m to root m+1
+    on the Euler branch, at one labeled root triple."""
+    t = np.asarray(t)
+    return 2.0 * geom._kernels.segment_integrals(t, np.roll(t, -1), np.roll(t, -2), n)
+
+
 def test_roots_at_origin_exact():
-    r = geom.roots_at_origin()
+    r = _tracked(np.zeros(1, dtype=np.complex128))[0]
     s = 2.0 ** (-2.0 / 3.0)
-    for j, x in enumerate(r.triple):
+    for j, x in enumerate(r):
         assert abs(x - (-s * W ** j)) < 1e-15
-    assert r.vieta_residual() < 1e-15
+    assert _vieta_residual(0.0, r) < 1e-15
 
 
 def test_tracked_roots_at_first_critical_value():
     # the double root at z = 3 sits at -1, the simple root at -1/4,
     # and the labels that collide there are x1, x2
-    r = geom.cubic_roots_along(geom.PathZ((0.0, 3.0), refinement=256))[-1]
-    assert abs(r.x0 - (-0.25)) < 1e-10
-    assert abs(r.x1 - (-1.0)) < 1e-8
-    assert abs(r.x2 - (-1.0)) < 1e-8
+    r = _tracked(_polyline(0.0, 3.0, n=256))[-1]
+    assert abs(r[0] - (-0.25)) < 1e-10
+    assert abs(r[1] - (-1.0)) < 1e-8
+    assert abs(r[2] - (-1.0)) < 1e-8
 
 
 def test_colliding_pair_by_critical_value():
@@ -73,9 +102,7 @@ def test_colliding_pair_by_critical_value():
     # the origin labeling: {1,2} at 3, {0,1} at 3w, {0,2} at 3w^2
     expected = {0: (1, 2), 1: (0, 1), 2: (0, 2)}
     for k, pair in expected.items():
-        end = 3.0 * W ** k
-        r = geom.cubic_roots_along(geom.PathZ((0.0, end), refinement=256))[-1]
-        t = r.triple
+        t = _tracked(_polyline(0.0, 3.0 * W ** k, n=256))[-1]
         got = min(itertools.combinations(range(3), 2),
                   key=lambda p: abs(t[p[0]] - t[p[1]]))
         assert got == pair, k
@@ -85,45 +112,40 @@ def test_colliding_pair_by_critical_value():
 def test_interior_collision_raises():
     # a path straight through z = 3 runs into the discriminant
     with pytest.raises(RootCollisionError):
-        geom.cubic_roots_along(geom.PathZ((0.0, 6.0), refinement=64))
+        _tracked(_polyline(0.0, 6.0))
 
 
 def test_rotation_covariance_of_labels():
     # tracked labels at w^2 z are w * (x2, x0, x1) of the labels at z
     z = 0.31 + 0.22j
-    r = geom.cubic_roots_along(geom.PathZ((0.0, z)))[-1]
-    r2 = geom.cubic_roots_along(geom.PathZ((0.0, W ** 2 * z)))[-1]
-    rotated = (W * r.x2, W * r.x0, W * r.x1)
-    for a, b in zip(r2.triple, rotated):
+    r = _tracked(_polyline(0.0, z))[-1]
+    r2 = _tracked(_polyline(0.0, W ** 2 * z))[-1]
+    rotated = (W * r[2], W * r[0], W * r[1])
+    for a, b in zip(r2, rotated):
         assert abs(a - b) < 1e-10
 
 
 def test_homotopy_invariance_of_labels():
     end = 2.0 + 0.5j
     routes = (
-        geom.PathZ((0.0, end)),
-        geom.PathZ((0.0, 1.5j, end)),
-        geom.PathZ((0.0, 1.0 - 1.0j, end)),
+        _polyline(0.0, end),
+        _polyline(0.0, 1.5j, end),
+        _polyline(0.0, 1.0 - 1.0j, end),
     )
-    finals = [geom.cubic_roots_along(p)[-1] for p in routes]
+    finals = [_tracked(p)[-1] for p in routes]
     for other in finals[1:]:
-        for a, b in zip(finals[0].triple, other.triple):
+        for a, b in zip(finals[0], other):
             assert abs(a - b) < 1e-8
 
 
 def test_tracking_with_seed_continues_labels():
     mid = 0.8 + 0.4j
     end = 1.6 - 0.3j
-    seed = geom.cubic_roots_along(geom.PathZ((0.0, mid)))[-1]
-    cont = geom.cubic_roots_along(geom.PathZ((mid, end)), seed=seed)[-1]
-    direct = geom.cubic_roots_along(geom.PathZ((0.0, end)))[-1]
-    for a, b in zip(cont.triple, direct.triple):
+    seed = _tracked(_polyline(0.0, mid))[-1]
+    cont = _tracked(_polyline(mid, end), seed=seed)[-1]
+    direct = _tracked(_polyline(0.0, end))[-1]
+    for a, b in zip(cont, direct):
         assert abs(a - b) < 1e-8
-
-
-def test_tracking_requires_origin_or_seed():
-    with pytest.raises(DomainError):
-        geom.cubic_roots_along(geom.PathZ((0.5, 1.0)))
 
 
 @given(st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)))
@@ -132,104 +154,39 @@ def test_vieta_along_random_rays(parts):
     z = complex(*parts)
     if abs(z) < 1e-3:
         return
-    for r in geom.cubic_roots_along(geom.PathZ((0.0, z), refinement=32)):
-        assert r.vieta_residual() < 1e-9
+    zs = _polyline(0.0, z, n=32)
+    for zi, r in zip(zs, _tracked(zs)):
+        assert _vieta_residual(zi, r) < 1e-9
 
 
-def test_path_validation():
-    with pytest.raises(DomainError):
-        geom.PathZ((1.0,))
-    with pytest.raises(DomainError):
-        geom.PathZ((0.0, 1.0), refinement=1)
-    with pytest.raises(DomainError):
-        geom.PathZ((0.0, 0.0))
-
-
-# --- vanishing-cycle integrals ---------------------------------------------------
+# --- segment families ------------------------------------------------------------
 
 def test_cycle_integral_at_origin_closed_value():
-    r = geom.roots_at_origin()
-    got = geom.vanishing_integral_Jk(r, 0)
-    assert abs(got - 1j * G13 / math.pi) < 1e-12
-    assert abs(got - (-8.0 * math.pi ** 2) * geom.f_at_origin()) < 1e-12
-
-
-def test_cycle_integral_matches_quadrature_at_random_points():
-    rng = np.random.default_rng(20260819)
-    pts = rng.uniform(-1.4, 1.4, size=(10, 2))
-    for re, im in pts:
-        z = complex(re, im)
-        if abs(z) < 0.05:
-            continue
-        roots = geom.cubic_roots_along(geom.PathZ((0.0, z)))[-1]
-        for k in range(3):
-            closed = geom.vanishing_integral_Jk(roots, k)
-            quad = geom.jk_quadrature(roots, k, n=1024)
-            assert abs(closed - quad) < 1e-9, (z, k)
+    # at z = 0 each segment family is Gamma(1/3)^3/pi times a sixth root of
+    # unity, and the cycle-0 integral (family 2 minus family 0) is
+    # i Gamma(1/3)^3/pi
+    fam = _families(geom._origin_triple(), n=geom._SEG_N)
+    phases = (cmath.exp(-2j * math.pi / 3), -1.0, cmath.exp(-1j * math.pi / 3))
+    for v, p in zip(fam, phases):
+        assert abs(abs(v) - G13 / math.pi) < 1e-14
+        assert abs(v / (1j * G13 / math.pi) - p) < 1e-14
+    assert abs((fam[2] - fam[0]) - 1j * G13 / math.pi) < 1e-12
 
 
 def test_cycle_integral_rotation_pair():
     # one frozen instance of the rotation covariance at the integral level:
-    # the cycle-0 value at z maps to the cycle-1 value at w^2 z up to a
-    # sixth root of unity
+    # the cycle-0 value (family 2 minus family 0) at z maps to the cycle-1
+    # value (family 0 minus family 1) at w^2 z up to a sixth root of unity
     z = 0.31 + 0.22j
-    a = geom.vanishing_integral_Jk(
-        geom.cubic_roots_along(geom.PathZ((0.0, z)))[-1], 0)
-    b = geom.vanishing_integral_Jk(
-        geom.cubic_roots_along(geom.PathZ((0.0, W ** 2 * z)))[-1], 1)
+    fa = _families(_tracked(_polyline(0.0, z))[-1])
+    fb = _families(_tracked(_polyline(0.0, W ** 2 * z))[-1])
+    a = fa[2] - fa[0]
+    b = fb[0] - fb[1]
     assert abs(abs(a) - abs(b)) < 1e-10
     assert abs((b / a) ** 6 - 1.0) < 1e-9
 
 
-def test_quadrature_spectral_agreement():
-    roots = geom.cubic_roots_along(geom.PathZ((0.0, 1.1 - 0.7j)))[-1]
-    a = geom.jk_quadrature(roots, 1, n=256)
-    b = geom.jk_quadrature(roots, 1, n=1024)
-    assert abs(a - b) < 1e-10
-
-
-def test_cycle_integral_on_cut_falls_back():
-    # collinear triple puts a hypergeometric argument on [1, oo)
-    cr = geom.CubicRoots(2.0 + 0j, 1.0 + 0j, 0.0 + 0j, z=0.0)
-    with pytest.warns(RuntimeWarning):
-        v = geom.vanishing_integral_Jk(cr, 0)
-    assert np.isfinite(v.real) and np.isfinite(v.imag)
-
-
-def test_cycle_integral_rejects_degenerate_and_bad_index():
-    collided = geom.cubic_roots_along(geom.PathZ((0.0, 3.0), refinement=256))[-1]
-    with pytest.raises(RootCollisionError):
-        geom.vanishing_integral_Jk(collided, 0)
-    r = geom.roots_at_origin()
-    with pytest.raises(DomainError):
-        geom.vanishing_integral_Jk(r, 5)
-
-
 # --- degeneration tails ------------------------------------------------------------
-
-def test_density_values_at_origin():
-    f0 = geom.f_at_origin()
-    fp0 = geom.f_prime_at_origin()
-    assert abs(f0 - (-1j * G13 / (8 * math.pi ** 3))) < 1e-15
-    assert abs(fp0 - (-1j * G23 / (8 * math.pi ** 3))) < 1e-15
-
-
-def test_b_expansion_equals_closed_tails():
-    y = 2.5e3 * cmath.exp(0.4j)
-    u = y ** (-1.0 / 3.0)
-    bs = geom.b_expansion(y)
-    for k in range(3):
-        closed = (geom.TAIL_PHASE ** k * geom.TAIL_COEFF_1 * u
-                  + geom.TAIL_PHASE ** (-k) * geom.TAIL_COEFF_2 * u * u)
-        assert abs(bs[k] - closed) < 1e-15
-
-
-def test_b_expansion_scaling():
-    # leading term scales like y^(-1/3): ratio at 8x the modulus is 1/2
-    y = 1e6
-    for a, b in zip(geom.b_expansion(8 * y), geom.b_expansion(y)):
-        assert abs(a / b - 0.5) < 5e-4
-
 
 def test_expected_tail_alternating_sum_is_one():
     # the sixth-root phases cancel in the alternating sum at any modulus
@@ -240,8 +197,6 @@ def test_expected_tail_alternating_sum_is_one():
 
 
 def test_tail_domain_checks():
-    with pytest.raises(DomainError):
-        geom.b_expansion(10.0)
     with pytest.raises(DomainError):
         geom.expected_period_tail(5.0, 0)
     with pytest.raises(DomainError):
@@ -262,11 +217,6 @@ def test_periods_alternating_sum_rule():
         pv = geom.periods(y)
         gap = abs(pv.alternating_sum() - 1.0)
         assert gap < 10.0 * max(sum(pv.err), 1e-12), y
-
-
-def test_period_single_matches_vector():
-    pv = geom.periods(1e3)
-    assert abs(geom.period_Ik(1e3, 1) - pv.i1) < 1e-12
 
 
 # Moduli for the accuracy tests: seeded large values with random phases, plus
@@ -365,11 +315,7 @@ def test_period_precision_config_tightens():
 
 def test_period_domain_checks():
     with pytest.raises(DomainError):
-        geom.period_Ik(10.0, 0)
-    with pytest.raises(DomainError):
         geom.periods(5.0)
-    with pytest.raises(DomainError):
-        geom.period_Ik(1e3, 4)
 
 
 @pytest.mark.parametrize("y", [math.nan, math.inf, complex(1e3, math.nan),
@@ -379,10 +325,6 @@ def test_non_finite_modulus_is_a_domain_error(y):
         geom.critical_points(y)
     with pytest.raises(DomainError):
         geom.periods(y)
-    with pytest.raises(DomainError):
-        geom.period_Ik(y, 0)
-    with pytest.raises(DomainError):
-        geom.b_expansion(y)
     with pytest.raises(DomainError):
         geom.expected_period_tail(y, 0)
 

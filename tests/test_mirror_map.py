@@ -167,14 +167,6 @@ def test_ako_twist_check():
     assert mm.ako_twist_check() is True
 
 
-def test_mirror_collection_matches_mirror_objects():
-    ns = mm.mirror_objects()
-    for mcls, n in zip(coh.mirror_collection(), ns):
-        a = coh.basis_change(mcls, coh.Basis.LINE_BUNDLE).coords
-        b = coh.basis_change(n, coh.Basis.LINE_BUNDLE).coords
-        assert a == b
-
-
 # --- central charges ----------------------------------------------------------------
 
 def test_central_charge_report_clean():

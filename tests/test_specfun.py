@@ -2,6 +2,7 @@
 closed Gamma(1/3)^3 forms."""
 
 import math
+import warnings
 from contextlib import contextmanager
 
 import mpmath as mp
@@ -190,6 +191,18 @@ def test_branch_cut_rejected():
         sf.hyp2f1_half(1.5)
     with pytest.raises(BranchCutError):
         sf.elliptic_K(1.2)
+
+
+@pytest.mark.parametrize("mode", ["double", "extended"])
+@pytest.mark.parametrize("fn", [sf.gamma, sf.digamma, sf.hyp2f1_half,
+                                sf.elliptic_K, sf.elliptic_E])
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_argument_is_a_domain_error(z, fn, mode):
+    # rejected before any arithmetic: no numpy warning, no other exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            fn(z, PrecisionConfig(mode=mode))
 
 
 def test_hyp_matches_oracle_off_axis():
