@@ -1,10 +1,17 @@
 """Low-level numeric kernels, vectorized over numpy arrays.
 
-Complex Lanczos gamma, digamma, AGM elliptic integrals and 2F1(1/2,1/2;1;.),
-Cardano root solving with continuity tracking, and Gauss-Chebyshev segment
-quadrature of dX/sqrt(cubic) on the Euler branch.  Each kernel has one
-implementation, written as array operations so a whole batch of inputs costs
-one call.
+Complex log-gamma, gamma and digamma, AGM elliptic integrals and
+2F1(1/2,1/2;1;.), Cardano root solving with continuity tracking, and
+Gauss-Chebyshev segment quadrature of dX/sqrt(cubic) on the Euler branch.
+Each kernel has one implementation, written as array operations so a whole
+batch of inputs costs one call.
+
+Log-gamma and digamma share one body: Stirling's series (and its derivative)
+past |w| = 12, reached by one upward shift of the entries below it, with the
+shift's factors formed in one broadcast over those entries only.  Gamma is
+the exp of log-gamma, reflected in the log domain for Re z < 1/2, so it
+neither overflows before its value does nor returns NaN where Gamma only
+over- or underflows.
 
 Every public function here is deterministic and allocation-light.
 """
@@ -20,49 +27,23 @@ import numpy as np
 # record (``perfbench/run.py``) reads it.
 BACKEND = "numpy"
 
-# Lanczos coefficients, g = 607/128, 15 terms.  Relative error of the rational
-# part is ~1e-15 on the right half plane, which keeps gamma below 1e-13
-# relative error for |z| <= 30 after the reflection step.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999999709182,
-        57.156235665862923517,
-        -59.597960355475491248,
-        14.136097974741747174,
-        -0.49191381609762019978,
-        0.33994649984811888699e-4,
-        0.46523628927048575665e-4,
-        -0.98374475304879564677e-4,
-        0.15808870322491248884e-3,
-        -0.21026444172410488319e-3,
-        0.21743961811521264320e-3,
-        -0.16431810653676389022e-3,
-        0.84418223983852743293e-4,
-        -0.26190838401581408670e-4,
-        0.36899182659531622704e-5,
-    ]
-)
-
-# Asymptotic digamma tail: -B_{2n}/(2n) as multipliers of z^{-2n}.
-_DIGAMMA_TAIL = np.array(
-    [
-        -1.0 / 12.0,
-        1.0 / 120.0,
-        -1.0 / 252.0,
-        1.0 / 240.0,
-        -1.0 / 132.0,
-        691.0 / 32760.0,
-        -1.0 / 12.0,
-    ]
-)
-
-_DIGAMMA_SHIFT_RADIUS = 12.0
+# B_2, B_4, ..., B_14: the Stirling coefficients B_2k/(2k(2k-1)) of log Gamma
+# and the digamma tail -B_2k/(2k) both come from these.  Past |w| = 12 the
+# first omitted term is below 2e-18.
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+              -691.0 / 2730.0, 7.0 / 6.0)
+_STIRLING = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1))
+_DIGAMMA_TAIL = tuple(-b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
+# entries of modulus below 12 are shifted up by 12 before the tail, which
+# for Re w >= 1/2 takes them past |w| = 12.5
+_SHIFT = 12.0
+_SHIFTS = np.arange(_SHIFT)
+_EXP_SHIFT = math.exp(_SHIFT)
+_LN_2PI = math.log(2.0 * math.pi)
 _AGM_MAX_ITER = 64
 # slightly above one ulp of the sum: the iteration may settle into a one-ulp
 # limit cycle instead of exact equality
 _AGM_RTOL = 2.5e-16
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ZETA = complex(-0.5, 0.8660254037844386467637232)
 _PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _PERM_INDEX = np.array(_PERMS)
@@ -75,42 +56,87 @@ def _c128(z) -> np.ndarray:
     return np.atleast_1d(np.asarray(z, dtype=np.complex128))
 
 
+def _horner(u: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] u^k."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * u + c
+    return acc
+
+
+def _shift_up(w: np.ndarray):
+    """(w with 12 added to each entry of modulus below 12, the indices of
+    those entries, and their factors w + j, one row per j = 0..11)."""
+    idx = np.flatnonzero(np.abs(w) < _SHIFT)
+    factors = _SHIFTS[:, None] + w[idx]
+    w = w.copy()
+    w[idx] += _SHIFT
+    return w, idx, factors
+
+
+def lgamma_array(w) -> np.ndarray:
+    """A logarithm of Gamma(w) for Re w >= 1/2 (any branch: callers use its
+    exp).  Stirling's series at W = w + 12 for the entries with |w| < 12
+    (W = w elsewhere), arranged so that no term is a large multiple of
+    log W and no two large terms cancel:
+
+        log Gamma(w) = (w - 1/2) log W - w + log(2 pi)/2 + S(W)
+                       - (W - 12 - w) - log(e^12 prod_j (w + j)/W),
+
+    S the Bernoulli tail, j = 0..11; the last two terms only on the shifted
+    entries, where W - 12 - w is the rounding error of W.  This is
+    log Gamma(W) - log prod_j (w + j) rearranged.
+    """
+    w = _c128(w)
+    big, idx, factors = _shift_up(w)
+    r = 1.0 / big
+    out = (w - 0.5) * np.log(big) - w + 0.5 * _LN_2PI + r * _horner(r * r, _STIRLING)
+    out[idx] -= ((big[idx] - _SHIFT - w[idx])
+                 + np.log(_EXP_SHIFT * np.prod(factors / big[idx], axis=0)))
+    return out
+
+
 def gamma_array(z) -> np.ndarray:
-    """Complex gamma on an array (no pole screening; wrappers do that)."""
+    """Complex gamma on an array (no pole screening; wrappers do that): the
+    exp of ``lgamma_array``, reflected for Re z < 1/2 in the log domain,
+
+        log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z).
+
+    With z = x + iy and m = expm1(-2 pi |y|), 2 e^(-pi |y|) sin(pi z) is
+    (2 + m) sin(pi x) - i sign(y) m cos(pi x): log sin(pi z) stays finite for
+    any y, and a real z keeps a real Gamma on (0, 1/2).  Past the double
+    range the value is inf or 0, without a warning.
+    """
     z = _c128(z)
-    refl = z.real < 0.5
-    zz = np.where(refl, 1.0 - z, z) - 1.0
-    x = np.full(zz.shape, _LANCZOS_C[0], dtype=np.complex128)
-    for k in range(1, 15):
-        x += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    g = _SQRT_2PI * t ** (zz + 0.5) * np.exp(-t) * x
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        reflected = np.pi / (np.sin(np.pi * z) * g)
-    return np.where(refl, reflected, g)
+    refl = np.flatnonzero(z.real < 0.5)
+    zr = z[refl]
+    w = z.copy()
+    w[refl] = 1.0 - zr
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, y = np.pi * zr.real, np.pi * np.abs(zr.imag)
+        m = np.expm1(-2.0 * y)
+        scaled_sin = (2.0 + m) * np.sin(x) - 1j * np.sign(zr.imag) * m * np.cos(x)
+        lg = lgamma_array(w)
+        lg[refl] = _LN_2PI - y - np.log(scaled_sin) - lg[refl]
+        return np.exp(lg)
 
 
 def digamma_array(z) -> np.ndarray:
-    """Complex digamma on an array: reflection, upward shift, asymptotic tail."""
+    """Complex digamma on an array: reflection of the entries with Re z < 1/2,
+    the upward shift of ``lgamma_array``, and the asymptotic tail."""
     z = _c128(z)
     acc = np.zeros(z.shape, dtype=np.complex128)
-    refl = z.real < 0.5
+    refl = np.flatnonzero(z.real < 0.5)
+    zr = z[refl]
     with np.errstate(invalid="ignore", divide="ignore"):
-        acc = np.where(refl, -np.pi / np.tan(np.pi * z), acc)
-    z = np.where(refl, 1.0 - z, z)
-    for _ in range(14):
-        small = np.abs(z) < _DIGAMMA_SHIFT_RADIUS
-        if not small.any():
-            break
-        acc = np.where(small, acc - 1.0 / z, acc)
-        z = np.where(small, z + 1.0, z)
-    inv2 = 1.0 / (z * z)
-    tail = np.zeros(z.shape, dtype=np.complex128)
-    p = inv2.copy()
-    for k in range(7):
-        tail += _DIGAMMA_TAIL[k] * p
-        p = p * inv2
-    return acc + np.log(z) - 0.5 / z + tail
+        acc[refl] = -np.pi / np.tan(np.pi * zr)
+    z = z.copy()
+    z[refl] = 1.0 - zr
+    w, idx, factors = _shift_up(z)
+    acc[idx] -= np.sum(1.0 / factors, axis=0)
+    r = 1.0 / w
+    u = r * r
+    return acc + np.log(w) - 0.5 * r + u * _horner(u, _DIGAMMA_TAIL)
 
 
 def _agm(a: np.ndarray, b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -118,24 +144,27 @@ def _agm(a: np.ndarray, b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, bool]
     ``s + sum_n 2^(n-1) c_n^2``, c_n = (a_(n-1) - b_(n-1))/2, that gives E;
     the bool reports convergence."""
     pow2 = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        done = np.abs(a - b) <= _AGM_RTOL * (np.abs(a) + np.abs(b))
-        if done.all():
-            return a, s, True
-        c = 0.5 * (a - b)
-        pow2 *= 2.0
-        s = s + np.where(done, 0.0, pow2 * c * c)
-        an = 0.5 * (a + b)
-        bn = np.sqrt(a * b)
-        # the "optimal" AGM: the root's sign keeps |a-b| <= |a+b|, and ties
-        # break toward Im(b/a) > 0
-        d_minus = np.abs(an - bn)
-        d_plus = np.abs(an + bn)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tie = (d_minus == d_plus) & (an != 0) & ((bn / np.where(an == 0, 1, an)).imag < 0)
-        bn = np.where((d_minus > d_plus) | tie, -bn, bn)
-        a = np.where(done, a, an)
-        b = np.where(done, b, bn)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(_AGM_MAX_ITER):
+            done = np.abs(a - b) <= _AGM_RTOL * (np.abs(a) + np.abs(b))
+            if done.all():
+                return a, s, True
+            c = 0.5 * (a - b)
+            pow2 *= 2.0
+            s = s + np.where(done, 0.0, pow2 * c * c)
+            an = 0.5 * (a + b)
+            bn = np.sqrt(a * b)
+            # the "optimal" AGM: the root's sign keeps |a-b| <= |a+b|, and
+            # ties break toward Im(b/a) > 0
+            d_minus = np.abs(an - bn)
+            d_plus = np.abs(an + bn)
+            flip = d_minus > d_plus
+            tie = d_minus == d_plus
+            if tie.any():
+                flip |= tie & (an != 0) & ((bn / np.where(an == 0, 1, an)).imag < 0)
+            bn = np.where(flip, -bn, bn)
+            a = np.where(done, a, an)
+            b = np.where(done, b, bn)
     return a, s, bool(np.all(np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b))))
 
 

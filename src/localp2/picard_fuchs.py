@@ -207,18 +207,23 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     center value, and summed over the nodes t_k = 0.08 k, |k| <= K =
     ceil(t_max/0.08).
 
-    Half the contour is evaluated.  At t_(-k) every Gamma and digamma
-    argument is the conjugate of its value at t_k, so the factor in front of
-    y^(-s) is the conjugate there (Gamma(conj z) = conj Gamma(z)); y^(-s)
-    itself is applied on the whole grid.  On this line 1 - s = conj(s + 2),
-    so Gamma(1-s) = conj Gamma(s+2) = -(1/4 + t^2) conj Gamma(s), and the
-    plain integrand costs two Gamma evaluations on the nodes t_k >= 0.
+    The integrand is formed in the log domain.  By reflection
+    Gamma(s) = pi / (sin(pi s) Gamma(1-s)), and on this line
+    sin(pi s) = -cosh(pi t), so the factor in front of y^(-s) is
 
-    Working range: pi - |arg y| >= 0.19.  Closer to the negative real axis
-    the Gamma factors leave the double range before t_max (at |t| of a few
-    hundred), and the call raises ConvergenceError instead of returning NaN;
-    so does pi - |arg y| <= 0.05, and a truncation point where the integrand
-    has not decayed to 1e-12 of its largest value.
+        -pi exp(log Gamma(-3s) - log cosh(pi t) - 3 log Gamma(1-s)),
+
+    log cosh(pi t) = pi t + log1p(exp(-2 pi t)) - log 2 for t >= 0: two
+    ``lgamma_array`` calls, both at Re = 3/2.  Only half the contour is
+    evaluated: at t_(-k) every argument is the conjugate of its value at t_k,
+    so the log factor (and the digamma weight) is the conjugate there.  Each
+    node then costs one exp of that log plus (1/2 - it) log y, and no factor
+    leaves the double range before the product is formed.
+
+    Working range: pi - |arg y| > 0.05 at every finite |y|; closer to the
+    negative real axis the call raises ConvergenceError, and so does a
+    truncation point where the integrand has not decayed to 1e-12 of its
+    largest value, or a non-finite node value.
     """
     if which not in {"plain", "digamma"}:
         raise DomainError(f"unknown variant {which!r}")
@@ -231,17 +236,16 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     step = 0.08
     t = step * np.arange(math.ceil(42.0 / decay / step) + 1)      # t_k, k = 0..K
     s = -0.5 + 1j * t
-    # non-finite values are caught below, so the double range is not policed here
-    with np.errstate(all="ignore"):
-        gs = _kernels.gamma_array(s)
-        g = _kernels.gamma_array(-3.0 * s) * gs / ((0.25 + t * t) * gs.conjugate()) ** 2
-        if which == "digamma":
-            g = g * (_kernels.digamma_array(-3.0 * s) - _kernels.digamma_array(1.0 - s))
-        g = np.concatenate([g[:0:-1].conjugate(), g])                  # k = -K..K
-        vals = g * np.exp((0.5 - 1j * step * np.arange(1 - len(t), len(t))) * cmath.log(y))
+    lg = (_kernels.lgamma_array(-3.0 * s) - 3.0 * _kernels.lgamma_array(1.0 - s)
+          - math.pi * t - np.log1p(np.exp(-2.0 * math.pi * t)) + math.log(2.0))
+    k = np.arange(1 - len(t), len(t))                                 # k = -K..K
+    vals = -math.pi * np.exp(np.concatenate([lg[:0:-1].conjugate(), lg])
+                             + (0.5 - 1j * step * k) * cmath.log(y))
+    if which == "digamma":
+        wgt = _kernels.digamma_array(-3.0 * s) - _kernels.digamma_array(1.0 - s)
+        vals = vals * np.concatenate([wgt[:0:-1].conjugate(), wgt])
     if not np.isfinite(vals).all():
-        raise ConvergenceError("contour integrand left the double range: "
-                               "arg y too close to pi")
+        raise ConvergenceError("contour integrand left the double range")
     # endpoint check: the truncation must sit deep in the decayed region
     center = np.max(np.abs(vals))
     if abs(vals[0]) > 1e-12 * center or abs(vals[-1]) > 1e-12 * center:

@@ -5,6 +5,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,108 @@ def test_digamma_against_mpmath():
         got = complex(K.digamma_array(z)[0])
         want = mp_digamma(z)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def _mod_2pi_i(d: complex) -> complex:
+    return complex(d.real, d.imag - 2.0 * math.pi * round(d.imag / (2.0 * math.pi)))
+
+
+def _disc_grid(right_only=False):
+    """A 1.13 x 0.97 grid of |z| <= 30, off the poles of Gamma by at least
+    0.05."""
+    x, y = np.meshgrid(np.arange(-30.0, 30.01, 1.13) + 0.013, np.arange(-30.0, 30.01, 0.97))
+    z = (x + 1j * y).ravel()
+    z = z[(np.abs(z) <= 30.0) & ~((z.real < 0.5) & (np.abs(z - np.round(z.real)) < 0.05))]
+    return z[z.real >= 0.5] if right_only else z
+
+
+# the arguments of the Mellin-Barnes route, the right half of the disc, and
+# the circle |z| = 12 on which the upward shift stops
+_T = np.linspace(0.0, 850.0, 851)
+_RIGHT_SETS = {
+    "1.5-it": 1.5 - 1j * _T,
+    "1.5-3it": 1.5 - 3j * _T,
+    "right disc": _disc_grid(right_only=True),
+    "|z|=12": 12.0 * np.exp(1j * np.linspace(-math.acos(0.5 / 12.0), math.acos(0.5 / 12.0), 601)),
+}
+
+
+@pytest.mark.parametrize("name", list(_RIGHT_SETS))
+def test_lgamma_against_mpmath_modulo_2pi_i(name):
+    z = _RIGHT_SETS[name]
+    got = K.lgamma_array(z)
+    with mp.workdps(20):
+        wants = [complex(mp.loggamma(complex(zi))) for zi in z]
+    for zi, gi, want in zip(z, got, wants):
+        assert abs(_mod_2pi_i(gi - want)) <= 1e-14 * max(1.0, abs(want)), zi
+
+
+def test_gamma_against_mpmath_on_the_disc():
+    # both half planes, through the log-domain reflection
+    z = _disc_grid()
+    got = K.gamma_array(z)
+    with mp.workdps(20):
+        wants = [mp_gamma(zi) for zi in z]
+    for zi, gi, want in zip(z, got, wants):
+        assert abs(gi - want) <= 1e-12 * abs(want), zi
+
+
+@pytest.mark.parametrize("name", [*_RIGHT_SETS, "disc"])
+def test_digamma_against_mpmath_on_the_route_sets(name):
+    z = _disc_grid() if name == "disc" else _RIGHT_SETS[name]
+    got = K.digamma_array(z)
+    with mp.workdps(20):
+        wants = [mp_digamma(zi) for zi in z]
+    for zi, gi, want in zip(z, got, wants):
+        assert abs(gi - want) <= 1e-12 * max(1.0, abs(want)), zi
+
+
+def _agm_reference(a, b, s):
+    """The AGM loop as written before it entered np.errstate once and formed
+    the tie rule only on a tie."""
+    pow2 = 0.5
+    for _ in range(K._AGM_MAX_ITER):
+        done = np.abs(a - b) <= K._AGM_RTOL * (np.abs(a) + np.abs(b))
+        if done.all():
+            return a, s, True
+        c = 0.5 * (a - b)
+        pow2 *= 2.0
+        s = s + np.where(done, 0.0, pow2 * c * c)
+        an = 0.5 * (a + b)
+        bn = np.sqrt(a * b)
+        d_minus = np.abs(an - bn)
+        d_plus = np.abs(an + bn)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tie = (d_minus == d_plus) & (an != 0) & ((bn / np.where(an == 0, 1, an)).imag < 0)
+        bn = np.where((d_minus > d_plus) | tie, -bn, bn)
+        a = np.where(done, a, an)
+        b = np.where(done, b, bn)
+    return a, s, bool(np.all(np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b))))
+
+
+def _assert_agm_like_reference(a, b, s):
+    got, want = K._agm(a, b, s), _agm_reference(a, b, s)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] is want[2]
+    return got
+
+
+def test_agm_is_bit_identical_to_the_reference_loop():
+    rng = np.random.default_rng(20261020)
+    k = rng.normal(size=2000) * np.exp(rng.uniform(-3.0, 3.0, 2000)) + 1j * rng.normal(size=2000)
+    _assert_agm_like_reference(np.ones(k.shape, dtype=complex), np.sqrt(1.0 - k * k), 0.5 * k * k)
+    for ki in k[:50]:
+        _assert_agm_like_reference(np.ones(1, dtype=complex), np.sqrt(1.0 - ki * ki)[None],
+                                   0.5 * ki * ki)
+
+
+def test_agm_breaks_a_tie_alike_for_both_signed_zeros():
+    # b = -1/4: a_1 = 3/8 and b_1 = +-i/2 tie (|a_1 - b_1| = |a_1 + b_1|), and
+    # the tie rule must pick the root with Im(b/a) > 0 whatever the sign of 0
+    one = np.ones(1, dtype=complex)
+    plus = _assert_agm_like_reference(one, np.array([complex(-0.25, 0.0)]), 0.0)
+    minus = _assert_agm_like_reference(one, np.array([complex(-0.25, -0.0)]), 0.0)
+    assert np.array_equal(plus[0], minus[0]) and plus[2] and minus[2]
 
 
 def test_hyp2f1_half_against_mpmath():

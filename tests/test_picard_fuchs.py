@@ -283,22 +283,32 @@ def test_gamma_one_minus_s_identity_at_the_nodes(decay):
 @pytest.mark.parametrize("which", ["plain", "digamma"])
 @pytest.mark.parametrize("decay", [0.051, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19])
 def test_mellin_barnes_near_the_cut_is_finite_or_refused(decay, which):
-    # the Gamma factors leave the double range before the truncation point;
-    # the route must say so instead of returning NaN
-    for r in (1e-8, 1e-4, 0.01, 1.0, 100.0):
-        for sign in (1, -1):
-            try:
-                got = pf.mellin_barnes(cmath.rect(r, sign * (math.pi - decay)), which)
-            except ConvergenceError:
-                continue
-            assert cmath.isfinite(got), (r, sign, decay)
+    # within 0.19 of the cut the Gamma factors alone leave the double range
+    # before the truncation point, but the integrand formed in the log domain
+    # does not: nothing here is refused any more, and inside the series disc
+    # the value is the series'
+    for sign in (1, -1):
+        for r in (1e-8, 1e-4, 0.01, 0.03):
+            y = cmath.rect(r, sign * (math.pi - decay))
+            got = pf.mellin_barnes(y, which)
+            assert abs(got - _contour_series_oracle(y, which)) <= 1e-13, (r, sign)
+        for r in (1.0, 100.0):
+            assert cmath.isfinite(pf.mellin_barnes(cmath.rect(r, sign * (math.pi - decay)),
+                                                   which)), (r, sign)
+
+
+@pytest.mark.parametrize("decay", [0.05, 0.03, 1e-6])
+def test_mellin_barnes_refuses_the_last_sliver_before_the_cut(decay):
+    for r in (1e-4, 1.0):
+        for which in ("plain", "digamma"):
+            with pytest.raises(ConvergenceError):
+                pf.mellin_barnes(cmath.rect(r, math.pi - decay), which)
 
 
 def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
-    # one Gamma(s) serves as Gamma(1-s) too, so the plain variant makes two
-    # gamma calls and the digamma variant adds two digamma calls, each on
-    # the nodes t >= 0 only
-    sizes = {"gamma_array": [], "digamma_array": []}
+    # the plain variant makes two log-gamma calls and the digamma variant
+    # adds two digamma calls, each on the nodes t >= 0 only
+    sizes = {"gamma_array": [], "lgamma_array": [], "digamma_array": []}
 
     def counting(name):
         kernel = getattr(_kernels, name)
@@ -312,9 +322,10 @@ def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
         monkeypatch.setattr(pf._kernels, name, counting(name))
     n_half = math.ceil(42.0 / (math.pi / 2) / 0.08) + 1         # y = 0.01i
     pf.mellin_barnes(0.01j, "plain")
-    assert sizes == {"gamma_array": [n_half] * 2, "digamma_array": []}
+    assert sizes == {"gamma_array": [], "lgamma_array": [n_half] * 2, "digamma_array": []}
     pf.mellin_barnes(0.01j, "digamma")
-    assert sizes == {"gamma_array": [n_half] * 4, "digamma_array": [n_half] * 2}
+    assert sizes == {"gamma_array": [], "lgamma_array": [n_half] * 4,
+                     "digamma_array": [n_half] * 2}
 
 
 # --- annihilator ---------------------------------------------------------------

@@ -205,6 +205,25 @@ def test_non_finite_argument_is_a_domain_error(z, fn, mode):
             fn(z, PrecisionConfig(mode=mode))
 
 
+@pytest.mark.parametrize("z", [171.5, -170.5, -200.5, 1e6, -0.5 + 500j, 2000.5, -1e6 + 0.5,
+                               1e300, 0.5 + 1e300j])
+def test_gamma_at_the_edges_of_the_double_range(z):
+    # the value where it is representable, 0 where it underflows, and a
+    # DomainError where it overflows; never NaN, never a numpy warning
+    want = mp.gamma(mp.mpmathify(z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if abs(want) > np.finfo(float).max:
+            with pytest.raises(DomainError, match="double range"):
+                sf.gamma(z)
+            return
+        got = sf.gamma(z)
+    if abs(want) < np.finfo(float).tiny:
+        assert got == 0
+    else:
+        assert abs(got - complex(want)) <= 1e-12 * abs(want)
+
+
 def test_hyp_matches_oracle_off_axis():
     for z in (0.3 - 0.7j, -1.1 + 0.4j):
         want = complex(mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, complex(z)))
