@@ -103,9 +103,11 @@ def gamma_array(z) -> np.ndarray:
         log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z).
 
     With z = x + iy and m = expm1(-2 pi |y|), 2 e^(-pi |y|) sin(pi z) is
-    (2 + m) sin(pi x) - i sign(y) m cos(pi x): log sin(pi z) stays finite for
-    any y, and a real z keeps a real Gamma on (0, 1/2).  Past the double
-    range the value is inf or 0, without a warning.
+    (2 + m) sin(pi x') - i sign(y) m cos(pi x'), x' = fmod(x, 2) (x itself
+    for |x| < 2): log sin(pi z) stays finite for any finite z off the poles,
+    and a real z keeps a real Gamma on (0, 1/2).  Past the double range the
+    value is inf or 0, without a warning; it is 0 wherever exp(Re log Gamma)
+    is, also where the phase Im log Gamma has overflowed.
     """
     z = _c128(z)
     refl = np.flatnonzero(z.real < 0.5)
@@ -113,12 +115,14 @@ def gamma_array(z) -> np.ndarray:
     w = z.copy()
     w[refl] = 1.0 - zr
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, y = np.pi * zr.real, np.pi * np.abs(zr.imag)
+        x, y = np.pi * np.fmod(zr.real, 2.0), np.pi * np.abs(zr.imag)
         m = np.expm1(-2.0 * y)
         scaled_sin = (2.0 + m) * np.sin(x) - 1j * np.sign(zr.imag) * m * np.cos(x)
         lg = lgamma_array(w)
         lg[refl] = _LN_2PI - y - np.log(scaled_sin) - lg[refl]
-        return np.exp(lg)
+        out = np.exp(lg)
+        out[np.exp(lg.real) == 0.0] = 0.0
+        return out
 
 
 def digamma_array(z) -> np.ndarray:

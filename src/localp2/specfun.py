@@ -122,12 +122,13 @@ def _on_cut_from_one(z: complex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _at_point(kernel, z) -> list:
-    """The values of an AGM kernel at the one point z."""
-    *vals, ok = kernel(complex(z))
+def _agm_pass(kernel, zs) -> list:
+    """The values of an AGM kernel at the points zs, from one array call:
+    one list per output of the kernel."""
+    *vals, ok = kernel(zs)
     if not ok:
         raise ConvergenceError("AGM did not converge within 64 iterations")
-    return [complex(v[0]) for v in vals]
+    return [v.tolist() for v in vals]
 
 
 def _double_gamma(z) -> complex:
@@ -149,8 +150,8 @@ class _Arith(NamedTuple):
     pi: object
     gamma: Callable
     digamma: Callable
-    hyp: Callable          # z -> 2F1(1/2, 1/2; 1; z) = 1/AGM(1, sqrt(1-z))
-    ellipke: Callable      # k -> (K(k), E(k))
+    hyp: Callable          # [z] -> [2F1(1/2, 1/2; 1; z) = 1/AGM(1, sqrt(1-z))]
+    ellipke: Callable      # [k] -> [(K(k), E(k))]
     moduli: Callable       # () -> the singular moduli (k_+, k_-)
     minus_omega: Callable  # () -> e^{i pi/3}
 
@@ -159,8 +160,8 @@ _DOUBLE = _Arith(
     float, complex, math.sqrt, math.pi,
     _double_gamma,
     lambda z: complex(_kernels.digamma_array(z)[0]),
-    lambda z: _at_point(_kernels.hyp2f1_half_array, z)[0],
-    lambda k: _at_point(_kernels.ellipke_array, k),
+    lambda zs: _agm_pass(_kernels.hyp2f1_half_array, zs)[0],
+    lambda ks: list(zip(*_agm_pass(_kernels.ellipke_array, ks))),
     lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
 
@@ -169,20 +170,22 @@ def _arith(cfg: PrecisionConfig):
     """The arithmetic of ``cfg.mode``; extended mode imports mpmath (once per
     process) and works at ``cfg.dps`` digits inside the block, on mpmath's
     own AGM (``agm``; ``ellipk`` is pi/(2 AGM) and ``ellipe`` comes from K
-    and a difference quotient of K)."""
+    and a difference quotient of K), one point at a time.  A real argument
+    stays an ``mpf`` there and runs mpmath's real AGM."""
     if cfg.mode != "extended":
         yield _DOUBLE
         return
     import mpmath as mp
 
-    def ellipke(k):
-        m = mp.mpc(k) ** 2
-        return mp.ellipk(m), mp.ellipe(m)
+    def hyp(zs):
+        return [1 / mp.agm(1, mp.sqrt(1 - mp.mpmathify(z))) for z in zs]
+
+    def ellipke(ks):
+        return [(mp.ellipk(m), mp.ellipe(m)) for m in (mp.mpmathify(k) ** 2 for k in ks)]
 
     with mp.workdps(cfg.dps):
         yield _Arith(
-            mp.mpf, mp.mpc, mp.sqrt, mp.pi, mp.gamma, mp.digamma,
-            lambda z: 1 / mp.agm(1, mp.sqrt(1 - mp.mpc(z))), ellipke,
+            mp.mpf, mp.mpc, mp.sqrt, mp.pi, mp.gamma, mp.digamma, hyp, ellipke,
             lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
             lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
 
@@ -223,7 +226,7 @@ def hyp2f1_half(z, config: PrecisionConfig | None = None):
     if _on_cut_from_one(zc):
         raise BranchCutError(f"hyp2f1_half argument {zc} lies on the cut [1, oo)")
     with _arith(_cfg(config)) as ar:
-        return ar.hyp(z)
+        return ar.hyp([z])[0]
 
 
 def _ellipke(name: str, k, config: PrecisionConfig | None):
@@ -231,7 +234,7 @@ def _ellipke(name: str, k, config: PrecisionConfig | None):
     if _on_cut_from_one(kc * kc):
         raise BranchCutError(f"{name} modulus {kc} has k^2 on [1, oo)")
     with _arith(_cfg(config)) as ar:
-        return ar.ellipke(k)
+        return ar.ellipke([k])[0]
 
 
 def elliptic_K(k, config: PrecisionConfig | None = None):
@@ -246,6 +249,19 @@ def elliptic_E(k, config: PrecisionConfig | None = None):
     return _ellipke("elliptic_E", k, config)[1]
 
 
+def _ramanujan(ar: _Arith, x):
+    """The three arguments of F in the splitting identity at x, and the
+    step that turns F at them into |LHS - RHS|."""
+    r = ar.sqrt(1 + x * x)
+
+    def defect(f):
+        lhs = ar.sqrt(r) * f[0]
+        rhs = ar.cplx(1, 1) / 2 * f[1] + ar.cplx(1, -1) / 2 * f[2]
+        return abs(lhs - rhs)
+
+    return [ar.cplx(1, x) / 2, (1 + x / r) / 2, (1 - x / r) / 2], defect
+
+
 def ramanujan_residual(x, config: PrecisionConfig | None = None):
     """Defect of the quarter-power splitting identity
 
@@ -258,12 +274,8 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
     if xf < 0.0 or not math.isfinite(xf):
         raise DomainError("ramanujan_residual expects real x >= 0")
     with _arith(_cfg(config)) as ar:
-        x = ar.real(xf)
-        r = ar.sqrt(1 + x * x)
-        lhs = ar.sqrt(r) * ar.hyp(ar.cplx(1, x) / 2)
-        rhs = (ar.cplx(1, 1) / 2 * ar.hyp((1 + x / r) / 2)
-               + ar.cplx(1, -1) / 2 * ar.hyp((1 - x / r) / 2))
-        return abs(lhs - rhs)
+        nodes, defect = _ramanujan(ar, ar.real(xf))
+        return defect(ar.hyp(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +336,7 @@ def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = N
     with _arith(_cfg(config)) as ar:
         if route == "closed_form":
             return _f_closed(ar, _consts(ar))
-        return ar.hyp(ar.minus_omega())
+        return ar.hyp([ar.minus_omega()])[0]
 
 
 def _f_prime_elliptic(ar: _Arith, ke_plus, ke_minus, f_at):
@@ -345,6 +357,21 @@ def _f_prime_elliptic(ar: _Arith, ke_plus, ke_minus, f_at):
     return -ar.cplx(0, 1) * ar.sqrt(2) * (rhs_prime - lhs_drift)
 
 
+def _finite_difference(ar: _Arith, cfg: PrecisionConfig):
+    """The stencil of the finite-difference route around e^{i pi/3}, and the
+    step that turns F at its nodes into F': a 4th-order stencil at h = 1e-3
+    in double mode (a plain central difference at an h small enough for
+    1e-10 would already be dominated by roundoff there), a central
+    difference at h = 10^(-dps/3) in extended mode."""
+    z = ar.minus_omega()
+    if cfg.mode == "extended":
+        h = ar.real(10) ** (-cfg.dps // 3)
+        return [z + h, z - h], lambda f: (f[0] - f[1]) / (2 * h)
+    h = 1e-3
+    return ([z + k * h for k in (-2, -1, 1, 2)],
+            lambda f: (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h))
+
+
 def f_prime_minus_omega(route: str = "closed_form",
                         config: PrecisionConfig | None = None):
     """F'(e^{i pi/3}) by the requested route.
@@ -360,17 +387,10 @@ def f_prime_minus_omega(route: str = "closed_form",
         if route == "closed_form":
             return _f_prime_closed(ar, _consts(ar))
         if route == "elliptic":
-            return _f_prime_elliptic(ar, *(ar.ellipke(k) for k in ar.moduli()),
-                                     ar.hyp(ar.minus_omega()))
-        z = ar.minus_omega()
-        if cfg.mode == "extended":
-            h = ar.real(10) ** (-cfg.dps // 3)
-            return (ar.hyp(z + h) - ar.hyp(z - h)) / (2 * h)
-        # 4th-order stencil: plain central at h small enough for 1e-10 would
-        # already be dominated by roundoff in double precision
-        h = 1e-3
-        f = [ar.hyp(z + k * h) for k in (-2, -1, 1, 2)]
-        return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+            return _f_prime_elliptic(ar, *ar.ellipke(ar.moduli()),
+                                     ar.hyp([ar.minus_omega()])[0])
+        nodes, derivative = _finite_difference(ar, cfg)
+        return derivative(ar.hyp(nodes))
 
 
 def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
@@ -382,15 +402,19 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     finite difference for the derivative), never through the Gamma(1/3)^3
     expressions being checked.  Each AGM value is computed once: K and E at
     k_+ and k_- and F(e^{i pi/3}) are the K, E and F(-omega) rows and also
-    the inputs of the elliptic F' row, so the checks make 10 calls of the
-    arithmetic's ``hyp`` and ``ellipke`` in double mode (4 on the
-    finite-difference stencil, 3 in the Ramanujan row) and 8 in extended
-    mode (2-point stencil).
+    the inputs of the elliptic F' row.  The checks make two AGM passes of
+    the arithmetic: one ``ellipke`` pass at k_+ and k_-, and one ``hyp``
+    pass over F(-omega), the finite-difference stencil and the three
+    Ramanujan arguments, 8 points in double mode (4-point stencil) and 6 in
+    extended mode (2-point stencil).  In double mode each pass is one
+    ``_kernels`` array call.
     """
     cfg = _cfg(config)
     with _arith(cfg) as ar:
-        (kkp, eep), (kkm, eem) = ke_pm = [ar.ellipke(k) for k in ar.moduli()]
-        f_at = ar.hyp(ar.minus_omega())
+        (kkp, eep), (kkm, eem) = ke_pm = ar.ellipke(ar.moduli())
+        stencil, derivative = _finite_difference(ar, cfg)
+        ram_nodes, ram_defect = _ramanujan(ar, ar.sqrt(ar.real(3)))
+        f_at, *f = ar.hyp([ar.minus_omega(), *stencil, *ram_nodes])
         consts = _consts(ar)
         fp_closed = _f_prime_closed(ar, consts)
         rows = [
@@ -400,14 +424,13 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
             ("E(k_minus)", eem, _e_closed(ar, consts, -1)),
             ("F(-omega)", f_at, _f_closed(ar, consts)),
             ("Fprime(-omega) elliptic", _f_prime_elliptic(ar, *ke_pm, f_at), fp_closed),
-            ("Fprime(-omega) finite difference",
-             f_prime_minus_omega("finite_difference", cfg), fp_closed),
+            ("Fprime(-omega) finite difference", derivative(f[:len(stencil)]), fp_closed),
         ]
         out = [{"name": name, "computed": complex(computed),
                 "closed_form": complex(closed),
                 "rel_err": float(abs(computed - closed) / abs(closed))}
                for name, computed, closed in rows]
-        r = float(ramanujan_residual(ar.sqrt(3), cfg))
+        r = float(ram_defect(f[len(stencil):]))
     out.append({"name": "ramanujan x=sqrt3", "computed": complex(r, 0.0),
                 "closed_form": 0j, "rel_err": r})
     return out

@@ -5,6 +5,7 @@ recurrence-based summation) and mpmath digamma values.
 """
 
 import cmath
+import inspect
 import json
 import math
 import os
@@ -37,14 +38,16 @@ def w1_oracle(y: complex, n_terms: int = 80) -> complex:
 
 
 def w2_oracle(y: complex, n_terms: int = 80) -> complex:
-    """Double-log solution from factorial coefficients and mpmath digammas."""
+    """Double-log solution from factorial coefficients and mpmath digammas
+    (at 30 digits)."""
     ln_my = cmath.log(y) - 1j * math.pi
     s_plain = 0j
     s_psi = 0j
     for m in range(1, n_terms + 1):
         t = float(coeff_oracle(m)) * (-y) ** m
         s_plain += t
-        s_psi += t * float(mp.digamma(3 * m) - mp.digamma(m + 1))
+        with mp.workdps(30):
+            s_psi += t * float(mp.digamma(3 * m) - mp.digamma(m + 1))
     pi2 = math.pi ** 2
     return (-(ln_my ** 2) / (8 * pi2) + 0.125
             - 3 * ln_my * s_plain / (4 * pi2) - 9 * s_psi / (4 * pi2))
@@ -157,6 +160,26 @@ def test_series_order_domain():
             pf.series_order(0.036, 1e-4, bad)
 
 
+def test_series_terms_stay_finite_at_the_order_cap_near_the_rim():
+    # 2000 terms at 27|y| = 0.999: C_m alone would overflow past m ~ 215, the
+    # products t_m = C_m (-y)^m do not; against 30-digit sums of the
+    # factorial terms
+    n = pf._SERIES_MAX_TERMS
+    y = cmath.rect(0.999 / 27.0, 0.7)
+    t, dpsi = pf._series_terms(y, n, 2.0)
+    assert t.shape == dpsi.shape == (n,)
+    assert np.isfinite(t).all() and np.isfinite(dpsi).all()
+    with mp.workdps(30):
+        ym = -mp.mpc(y)
+        terms = [mp.factorial(3 * m - 1) / mp.factorial(m) ** 3 * ym ** m
+                 for m in range(1, n + 1)]
+        gaps = [mp.digamma(3 * m) - mp.digamma(m + 1) for m in range(1, n + 1)]
+        want_plain = complex(mp.fsum(terms))
+        want_psi = complex(mp.fsum(a * b for a, b in zip(terms, gaps)))
+    assert abs(t.sum() - want_plain) <= 1e-13 * abs(want_plain)
+    assert abs(t @ dpsi - want_psi) <= 1e-13 * abs(want_psi)
+
+
 # --- the two encodings of the printed series ---------------------------------
 
 def test_solution_arrays_match_printed_series():
@@ -184,9 +207,10 @@ def test_mellin_barnes_plain_matches_sum():
 
 def test_mellin_barnes_digamma_matches_sum():
     y = 0.005
-    direct = sum(float(coeff_oracle(m)) * (-y) ** m
-                 * float(mp.digamma(3 * m) - mp.digamma(m + 1))
-                 for m in range(1, 60))
+    with mp.workdps(30):
+        direct = sum(float(coeff_oracle(m)) * (-y) ** m
+                     * float(mp.digamma(3 * m) - mp.digamma(m + 1))
+                     for m in range(1, 60))
     got = pf.mellin_barnes(y, "digamma")
     # the weighted sum has an extra m = 0 residue contribution Pi(0) = 0,
     # so the contour and the sum agree directly
@@ -484,7 +508,7 @@ def test_transport_segment_matches_reference_on_seeded_paths(monkeypatch):
         _assert_same_transport(monkeypatch, _S_START, cmath.log(y), frame)
 
 
-@pytest.mark.parametrize("radius", [0.01, 0.015])
+@pytest.mark.parametrize("radius", [1e-3, 0.01, 0.015])
 def test_transport_segment_matches_reference_on_the_origin_loop(monkeypatch, radius):
     s0 = cmath.log(radius)
     _assert_same_transport(monkeypatch, s0, s0 + 2j * math.pi, pf._initial_frame(radius, 80))
@@ -499,9 +523,10 @@ def test_transport_right_hand_side_counts(monkeypatch):
         calls = sum(_counting_exp_calls(monkeypatch, pf.continue_solutions,
                                         y, 0.01, 80, rtol)[1] for y in targets)
         assert calls <= bound * len(targets), (rtol, calls / len(targets))
+    # the default loop at |y| = 1e-3 takes 108
     m, calls = _counting_exp_calls(monkeypatch, pf.monodromy_around_origin)
     assert m == EXPECTED_LOOP_MATRIX
-    assert calls <= 290, calls
+    assert calls <= 115, calls
 
 
 def test_transport_finishes_on_a_sliver_step(monkeypatch, tmp_path):
@@ -586,6 +611,24 @@ EXPECTED_LOOP_MATRIX = [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
 
 def test_monodromy_around_origin_matrix():
     assert pf.monodromy_around_origin() == EXPECTED_LOOP_MATRIX
+
+
+def _loop_distance_from_integers(radius):
+    """Largest distance from an integer of an entry of the transported loop
+    matrix, before monodromy_around_origin rounds it."""
+    start = pf._initial_frame(complex(radius), 80)
+    s0 = cmath.log(radius)
+    m = pf._transport_segment(s0, s0 + 2j * math.pi, start, 1e-10) @ np.linalg.inv(start)
+    return np.max(np.abs(m - np.rint(m.real)))
+
+
+def test_default_origin_loop_is_no_further_from_integers():
+    # near y = 0 the frame is log-polynomial up to a relative 27|y|, so the
+    # small default loop is cheaper and lands no further from the integers
+    # than the loop at |y| = 0.01
+    default = inspect.signature(pf.monodromy_around_origin).parameters["radius"].default
+    assert default == 1e-3
+    assert _loop_distance_from_integers(default) <= _loop_distance_from_integers(0.01)
 
 
 def test_monodromy_unipotent_and_unimodular():

@@ -14,25 +14,25 @@ from localp2.errors import BranchCutError, DomainError
 from localp2.specfun import PrecisionConfig
 
 # ---------------------------------------------------------------------------
-# oracle values (mpmath, 50 digits) frozen here
+# oracle values (mpmath, 50 digits) frozen here; every mpmath oracle runs in
+# its own workdps block, so importing this module leaves mpmath's global
+# precision as it found it
 # ---------------------------------------------------------------------------
-
-mp.mp.dps = 50
 
 K_PLUS = (math.sqrt(6.0) + math.sqrt(2.0)) / 4.0
 K_MINUS = (math.sqrt(6.0) - math.sqrt(2.0)) / 4.0
 
-# closed forms: prefactor (1/pi) 2^(-7/3) Gamma(1/3)^3 times 3^(3/4) or 3^(1/4)
-_G13_CUBED = float(mp.gamma(mp.mpf(1) / 3) ** 3)
+with mp.workdps(50):
+    # closed forms: prefactor (1/pi) 2^(-7/3) Gamma(1/3)^3 times 3^(3/4) or 3^(1/4)
+    _G13_CUBED = float(mp.gamma(mp.mpf(1) / 3) ** 3)
+    ORACLE_K_PLUS = complex(mp.ellipk(mp.mpf(K_PLUS) ** 2))
+    ORACLE_K_MINUS = complex(mp.ellipk(mp.mpf(K_MINUS) ** 2))
+    ORACLE_E_PLUS = complex(mp.ellipe(mp.mpf(K_PLUS) ** 2))
+    ORACLE_E_MINUS = complex(mp.ellipe(mp.mpf(K_MINUS) ** 2))
+    ORACLE_F_SIXTH = complex(mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1,
+                                       mp.exp(mp.mpc(0, mp.pi) / 3)))
 K_PLUS_CLOSED = _G13_CUBED * 3.0 ** 0.75 / (math.pi * 2.0 ** (7.0 / 3.0))
 K_MINUS_CLOSED = _G13_CUBED * 3.0 ** 0.25 / (math.pi * 2.0 ** (7.0 / 3.0))
-
-ORACLE_K_PLUS = complex(mp.ellipk(mp.mpf(K_PLUS) ** 2))
-ORACLE_K_MINUS = complex(mp.ellipk(mp.mpf(K_MINUS) ** 2))
-ORACLE_E_PLUS = complex(mp.ellipe(mp.mpf(K_PLUS) ** 2))
-ORACLE_E_MINUS = complex(mp.ellipe(mp.mpf(K_MINUS) ** 2))
-ORACLE_F_SIXTH = complex(mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1,
-                                   mp.exp(mp.mpc(0, mp.pi) / 3)))
 
 
 def test_elliptic_k_values():
@@ -69,9 +69,10 @@ def test_f_prime_routes_agree():
     fd = sf.f_prime_minus_omega("finite_difference")
     assert abs(closed - elli) < 1e-12
     assert abs(closed - fd) < 5e-11
-    oracle = complex(mp.diff(
-        lambda t: mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, t),
-        mp.exp(mp.mpc(0, mp.pi) / 3)))
+    with mp.workdps(50):
+        oracle = complex(mp.diff(
+            lambda t: mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, t),
+            mp.exp(mp.mpc(0, mp.pi) / 3)))
     assert abs(closed - oracle) < 1e-12
 
 
@@ -151,29 +152,40 @@ def test_closed_form_checks_evaluate_gamma_once_per_constant(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("mode, runs", [("double", 10), ("extended", 8)])
-def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, runs):
-    # K and E at k_+ and k_- and F(e^{i pi/3}) serve both their own rows and
-    # the elliptic F' row; the finite-difference stencil (4 points in double,
-    # 2 in extended) and the Ramanujan row (3) add the rest; counted as the
-    # calls of the hyp and ellipke entries of the arithmetic _arith yields
-    calls = [0]
+@pytest.mark.parametrize("mode, points", [("double", 10), ("extended", 8)])
+def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, points):
+    # One ellipke pass at k_+ and k_- serves the K and E rows and the
+    # elliptic F' row.  One hyp pass takes F(e^{i pi/3}) (its own row and the
+    # elliptic F' row), the finite-difference stencil (4 points in double, 2
+    # in extended) and the three Ramanujan arguments: `points` AGM values in
+    # all, counted per call of the hyp and ellipke entries of the arithmetic
+    # _arith yields, and in double mode per call of the _kernels AGM arrays
+    passes, kernel_passes = [], []
     arith = sf._arith
 
-    def counting(f):
-        def run(*args):
-            calls[0] += 1
-            return f(*args)
+    def counting(record, name, f):
+        def run(zs):
+            record.append((name, len(zs)))
+            return f(zs)
         return run
 
     @contextmanager
     def counting_arith(cfg):
         with arith(cfg) as ar:
-            yield ar._replace(hyp=counting(ar.hyp), ellipke=counting(ar.ellipke))
+            yield ar._replace(hyp=counting(passes, "hyp", ar.hyp),
+                              ellipke=counting(passes, "ellipke", ar.ellipke))
 
     monkeypatch.setattr(sf, "_arith", counting_arith)
+    for name in ("hyp2f1_half_array", "ellipke_array"):
+        monkeypatch.setattr(sf._kernels, name,
+                            counting(kernel_passes, name, getattr(sf._kernels, name)))
     sf.closed_form_checks(PrecisionConfig(mode=mode))
-    assert calls[0] == runs
+    assert sorted(passes) == [("ellipke", 2), ("hyp", points - 2)]
+    if mode == "double":
+        assert sorted(kernel_passes) == [("ellipke_array", 2),
+                                         ("hyp2f1_half_array", points - 2)]
+    else:
+        assert kernel_passes == []
 
 
 def test_elliptic_f_prime_route_matches_its_row():
@@ -206,11 +218,14 @@ def test_non_finite_argument_is_a_domain_error(z, fn, mode):
 
 
 @pytest.mark.parametrize("z", [171.5, -170.5, -200.5, 1e6, -0.5 + 500j, 2000.5, -1e6 + 0.5,
-                               1e300, 0.5 + 1e300j])
+                               1e300, 0.5 + 1e300j, 0.5 + 1e307j, -1e308 + 0.5j])
 def test_gamma_at_the_edges_of_the_double_range(z):
     # the value where it is representable, 0 where it underflows, and a
-    # DomainError where it overflows; never NaN, never a numpy warning
-    want = mp.gamma(mp.mpmathify(z))
+    # DomainError where it overflows; never NaN, never a numpy warning.  At
+    # 0.5 + 1e307j the phase of log Gamma overflows, and at -1e308 + 0.5j
+    # pi Re z does: both are 0
+    with mp.workdps(50):
+        want = mp.gamma(mp.mpmathify(z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if abs(want) > np.finfo(float).max:
@@ -226,7 +241,8 @@ def test_gamma_at_the_edges_of_the_double_range(z):
 
 def test_hyp_matches_oracle_off_axis():
     for z in (0.3 - 0.7j, -1.1 + 0.4j):
-        want = complex(mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, complex(z)))
+        with mp.workdps(50):
+            want = complex(mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, complex(z)))
         assert abs(sf.hyp2f1_half(z) - want) < 1e-13
 
 
