@@ -106,8 +106,9 @@ def gamma_array(z) -> np.ndarray:
     (2 + m) sin(pi x') - i sign(y) m cos(pi x'), x' = fmod(x, 2) (x itself
     for |x| < 2): log sin(pi z) stays finite for any finite z off the poles,
     and a real z keeps a real Gamma on (0, 1/2).  Past the double range the
-    value is inf or 0, without a warning; it is 0 wherever exp(Re log Gamma)
-    is, also where the phase Im log Gamma has overflowed.
+    value is inf or 0, without a warning: 0 wherever exp(Re log Gamma) is,
+    and a NaN-free inf wherever it overflows, also where the phase
+    Im log Gamma has overflowed.
     """
     z = _c128(z)
     refl = np.flatnonzero(z.real < 0.5)
@@ -121,7 +122,9 @@ def gamma_array(z) -> np.ndarray:
         lg = lgamma_array(w)
         lg[refl] = _LN_2PI - y - np.log(scaled_sin) - lg[refl]
         out = np.exp(lg)
-        out[np.exp(lg.real) == 0.0] = 0.0
+        size = np.exp(lg.real)
+        out[size == 0.0] = 0.0
+        out[(size == np.inf) & np.isnan(out)] = np.inf
         return out
 
 

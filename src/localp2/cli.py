@@ -126,19 +126,10 @@ def _solution_payload(triples, tol) -> tuple[dict, int]:
     return {"rows": rows, "n_flagged": flagged}, flagged
 
 
-def _series_to(y: complex, err_target: float) -> pf.SolutionTriple:
-    """The series at its default 80 terms, or at the order that meets
-    err_target when those fall short."""
-    t = pf.chf_expand(y)
-    if t.err_estimate <= err_target:
-        return t
-    return pf.chf_expand(y, pf.series_order(y, t.err_estimate, err_target))
-
-
 def _cmd_series(cfg: RunConfig) -> tuple[dict, int]:
     ys = cfg.y_values or (0.02,)
     target = cfg.precision().target_rel_err
-    return _solution_payload([_series_to(y, target) for y in ys], cfg.tolerance)
+    return _solution_payload([pf.series_solutions(y, target) for y in ys], cfg.tolerance)
 
 
 def _cmd_continue(cfg: RunConfig) -> tuple[dict, int]:

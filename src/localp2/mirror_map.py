@@ -30,6 +30,11 @@ __all__ = [
     "FIT_MODULI",
 ]
 
+# Smallest |y| of a fit sample and of a central-charge modulus.  The
+# solution rows do not set it: ``w_at_infinity`` picks its order from |y| and
+# is exact to its rounding level on all of |y| > 1/27.  It keeps both on the
+# moduli where the periods' own checks (the ``reproduce`` periods stage and
+# its two-term tail, bound 5e-3 |y|^(-2/3)) have been run.
 _MIN_FIT_MODULUS = 1e3
 # the default fit samples of the transfer matrix
 FIT_MODULI = (1e3, 2e3, 4e3)
@@ -112,8 +117,8 @@ def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> Trans
 
     Each sample is a modulus, whose periods are computed at ``quad``, or a
     ``PeriodVector``, which is used as given at its own modulus.  Needs at
-    least three pairwise distinct samples with |y| >= 1e3 so the truncated
-    large-|y| solution rows are accurate well below the rounding threshold.
+    least three pairwise distinct samples with |y| >= 1e3
+    (``_MIN_FIT_MODULUS``), each paired with the large-|y| solution row.
     Samples that nearly coincide make the least-squares system
     ill-conditioned; the integrality check then raises FitError.
     """
@@ -200,10 +205,10 @@ def central_charge_report(y, quad: PrecisionConfig | None = None,
 
     ``y`` is a modulus or a ``PeriodVector`` (used as given, at its own
     modulus).  The analytic column pairs each compact brane class with the
-    truncated large-|y| solution triple; the period column maps the
-    numerically integrated period triple through the fitted transfer matrix.
-    A row is flagged when the two differ by more than ten times the
-    propagated quadrature error (plus the solution truncation error).
+    large-|y| solution triple; the period column maps the numerically
+    integrated period triple through the fitted transfer matrix.  A row is
+    flagged when the two differ by more than ten times the propagated
+    quadrature error (plus the solution triple's err_estimate).
     """
     modulus = _modulus(y)
     if abs(modulus) < _MIN_FIT_MODULUS:

@@ -16,7 +16,8 @@ theta = y d/dy,
     L = theta^3 + 3y(3theta+1)(3theta+2)theta,
 
 drives the ODE transport used for monodromy around y = 0 and for numeric
-continuation out to the large-|y| regime.
+continuation across the annulus around |y| = 1/27, between the disc of the
+series at 0 and the region |y| > 1/27 of the inverse series at infinity.
 
 Branch conventions: principal logarithms everywhere; log(-y) means
 log(y) - i*pi.  With that choice the double-log series matches the rho
@@ -33,7 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _dop853, _kernels
+from . import _kernels
+from ._dop853 import transport_segment as _transport_segment
 from .errors import ConvergenceError, DomainError, MonodromyError
 
 __all__ = [
@@ -49,6 +51,7 @@ __all__ = [
     "continuation_rtol",
     "series_coefficient",
     "series_order",
+    "series_solutions",
 ]
 
 _TWO_PI_I = 2j * math.pi
@@ -56,9 +59,41 @@ _SERIES_RADIUS = 1.0 / 27.0
 # cap of ``series_order``: 2000 terms of ``chf_expand`` are a few array
 # passes of that length
 _SERIES_MAX_TERMS = 2000
+# the margins of ``continue_solutions``: its default route sums the direct
+# series on |y| <= 0.02 (27|y| <= 0.54), the inverse series on the circle's
+# reflection |y| >= 1/(729 * 0.02) (27|y| >= 1/0.54), and transports across
+# the annulus between
+_LN_INNER = math.log(0.02)
+_LN_OUTER = -math.log(729.0 * 0.02)
 # Gamma(1/3)^3 and Gamma(2/3)^3, the leading terms of ``w_at_infinity``
 _G13_CUBED = complex(_kernels.gamma_array(1.0 / 3.0)[0]) ** 3
 _G23_CUBED = complex(_kernels.gamma_array(2.0 / 3.0)[0]) ** 3
+
+
+# The n-only arrays of ``_series_terms`` for m = 1.._SERIES_MAX_TERMS: the
+# coefficient ratios C_m / C_(m-1) and the harmonic gaps H_(3m-1) - H_m.
+_M = np.arange(1.0, _SERIES_MAX_TERMS + 1.0)
+_RATIO = (3.0 * _M - 1.0) * (3.0 * _M - 2.0) * (3.0 * _M - 3.0) / _M ** 3
+_GAP = 1.0 / (3.0 * _M - 2.0) + 1.0 / (3.0 * _M - 1.0) - 1.0 / _M
+_GAP[1:] += 1.0 / (3.0 * _M[1:] - 3.0)
+_GAP = np.cumsum(_GAP)
+
+
+def _inverse_exponents(n: int) -> np.ndarray:
+    """The exponents -(m + a) of y in the terms m = 0..n-1 of
+    ``w_at_infinity``, one row per branch a = 1/3, 2/3."""
+    return -(np.arange(float(n)) + [[1.0 / 3.0], [2.0 / 3.0]])
+
+
+# Those of ``w_at_infinity`` for n = 0.._SERIES_MAX_TERMS - 1: the ratio
+# y t_n^a / t_(n-1)^a, entry 0 the term t_0^a itself.
+_INV_LEAD = np.array([_G13_CUBED.real, _G23_CUBED.real / 2.0])
+_E = _inverse_exponents(_SERIES_MAX_TERMS - 1)
+_INV_RATIO = np.hstack([_INV_LEAD[:, None],
+                        _E * _E * _E / ((1.0 - 3.0 * _E) * (2.0 - 3.0 * _E) * (3.0 - 3.0 * _E))])
+for _table in (_RATIO, _GAP, _INV_RATIO):
+    _table.setflags(write=False)
+del _M, _E, _table
 
 
 @dataclass(frozen=True)
@@ -90,6 +125,12 @@ def _finite_modulus(y) -> complex:
     return y
 
 
+def _ln_abs(y: complex) -> float:
+    """log|y|, -inf at y = 0; |y| itself overflows near the largest complex
+    doubles."""
+    return cmath.log(y).real if y != 0 else -math.inf
+
+
 def _check_series_domain(y: complex) -> complex:
     y = _finite_modulus(y)
     if y == 0:
@@ -108,14 +149,14 @@ def _series_terms(y, n: int, lead: float) -> tuple[np.ndarray, np.ndarray]:
     (-y).  C_m and y^m are never formed apart: C_m overflows past m ~ 215,
     while inside the disc |t_m| stays below lead (27|y|)^m.  The harmonic
     gap H_{3m-1} - H_m = psi(3m) - psi(m+1) is a cumulative sum of its
-    increments.  A float y keeps the terms real.
+    increments.  Both n-only arrays are slices of tables built once, up to
+    ``_SERIES_MAX_TERMS``.  A float y keeps the terms real.
     """
-    m = np.arange(1.0, n + 1.0)
-    ratio = (3.0 * m - 1.0) * (3.0 * m - 2.0) * (3.0 * m - 3.0) / m ** 3
+    if not 1 <= n <= _SERIES_MAX_TERMS:
+        raise DomainError(f"series terms must number 1 to {_SERIES_MAX_TERMS}, got {n}")
+    ratio = _RATIO[:n].copy()
     ratio[0] = lead
-    gap = 1.0 / (3.0 * m - 2.0) + 1.0 / (3.0 * m - 1.0) - 1.0 / m
-    gap[1:] += 1.0 / (3.0 * m[1:] - 3.0)
-    return np.cumprod(ratio * (-y)), np.cumsum(gap)
+    return np.cumprod(ratio * (-y)), _GAP[:n]
 
 
 def chf_expand(y: complex, n_max: int = 80) -> SolutionTriple:
@@ -132,8 +173,6 @@ def chf_expand(y: complex, n_max: int = 80) -> SolutionTriple:
     the three probes are 1, J + J^2/2, J^2.
     """
     y = _check_series_domain(y)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
     ln_y = cmath.log(y)
     t, dpsi = _series_terms(y, n_max, 6.0)                # t_n = 3 C_n (-y)^n
     s_plain, s_psi = complex(t.sum()), complex(t @ dpsi)
@@ -165,6 +204,35 @@ def series_order(y: complex, err_80: float, err_target: float) -> int:
         return 80
     extra = math.ceil(math.log(err_target / err_80) / math.log(27.0 * abs(y)))
     return min(_SERIES_MAX_TERMS, 80 + extra)
+
+
+def _nearer_series(y: complex, err_target: float, ln_inner: float) -> SolutionTriple | None:
+    """The exact series that answers at y, or None: from the outer margin
+    log|y| >= ``_LN_OUTER`` on, ``w_at_infinity`` to the rounding level; for
+    log|y| <= ln_inner, ``chf_expand`` at its default 80 terms, or at the
+    ``series_order`` that meets err_target when those fall short."""
+    ln_abs = _ln_abs(y)
+    if ln_abs >= _LN_OUTER:
+        return w_at_infinity(y)
+    if ln_abs > ln_inner:
+        return None
+    t = chf_expand(y)
+    if t.err_estimate <= err_target:
+        return t
+    return chf_expand(y, series_order(y, t.err_estimate, err_target))
+
+
+def series_solutions(y: complex, err_target: float) -> SolutionTriple:
+    """The exact series at y, the direct one summed to err_target inside the
+    disc |y| < 1/27, the inverse one from the outer margin
+    |y| = 1/(729 * 0.02) of ``continue_solutions`` on; a DomainError
+    between."""
+    t = _nearer_series(_finite_modulus(y), err_target, math.log(_SERIES_RADIUS))
+    if t is None:
+        raise DomainError(f"|y| = {abs(y):g} lies between the series disc |y| < 1/27 and "
+                          f"the large-|y| series' margin |y| >= {math.exp(_LN_OUTER):.4g}; "
+                          "use continue")
+    return t
 
 
 def series_w1(y: complex, n_terms: int = 80) -> complex:
@@ -249,42 +317,84 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     return complex(np.sum(vals) * step / (2.0 * math.pi))
 
 
-def w_at_infinity(y: complex, n_terms: int = 16) -> SolutionTriple:
+def _inverse_terms(y: complex, n: int) -> np.ndarray:
+    """The 2 x n array t_m^a, m = 0..n-1, of ``w_at_infinity``: one cumulative
+    product along each row of the ratios over y, from the n = 0 terms."""
+    ratio = _INV_RATIO[:, :n] * (1.0 / y)
+    ratio[:, 0] = _INV_LEAD
+    return np.cumprod(ratio, axis=1)
+
+
+def _inverse_rows(u: complex, m13, m23) -> list[list[complex]]:
+    """Rows w_0, w_1, w_2 of the large-|y| combination of u S_1/3 and
+    u^2 S_2/3, entry by entry over the paired sums m13, m23 (S_a, or S_a and
+    its theta-derivatives)."""
+    r3 = math.sqrt(3.0)
+    x = [(u * a / (4.0 * math.pi ** 2), u * u * b / (4.0 * math.pi ** 2))
+         for a, b in zip(m13, m23)]
+    rows = [[1.0 + 0j, 0j, 0j][:len(x)],
+            [3.0 / _TWO_PI_I * (x23 - x13) for x13, x23 in x],
+            [r3 / (4.0 * math.pi) * ((-1.0 + 1j * r3) * x23 - (1.0 + 1j * r3) * x13)
+             for x13, x23 in x]]
+    rows[2][0] += 1.0 / 3.0
+    return rows
+
+
+def w_at_infinity(y: complex, n_terms: int | None = None) -> SolutionTriple:
     """Large-|y| solution triple from the two Gamma-cubed inverse series.
 
-    With u = y^(-1/3) (principal branch),
+    With u = y^(-1/3) = exp(-log(y)/3) (principal branch),
 
-        S_a = sum_n Gamma(n+a)^3 (-1)^n / (3n+3a-1)! / y^n,   a = 1/3, 2/3
+        S_a = sum_n t_n^a,  t_n^a = Gamma(n+a)^3 (-1)^n / (3n+3a)! / y^n,
 
-    enter as  w_1 = (3/2 pi i)(-u/4pi^2 * S_1/3 + u^2/4pi^2 * S_2/3)  and
-    w_2 = 1/3 + (sqrt3/4pi)(-(1+i sqrt3) u/4pi^2 * S_1/3
-                            + (-1+i sqrt3) u^2/4pi^2 * S_2/3).
+    a = 1/3, 2/3, enter as  w_1 = (3/2 pi i)(-u/4pi^2 * S_1/3 + u^2/4pi^2 * S_2/3)
+    and w_2 = 1/3 + (sqrt3/4pi)(-(1+i sqrt3) u/4pi^2 * S_1/3
+                                 + (-1+i sqrt3) u^2/4pi^2 * S_2/3).
+    Each S_a is one cumulative product of tabled ratios over y.  They
+    converge on |y| > 1/27: |t_(n+1)^a| < q |t_n^a|, q = 1/(27|y|), so the
+    tails past the last term t_(N-1) are below |t_(N-1)^a| q / (1 - q).
+    err_estimate bounds the error of w_1 and of w_2: that tail bound
+    weighted by |u|^(3a) / 4 pi^2, plus 2^-48 (1/3 + E_0 / (1 - q)) for the
+    rounding, E_0 the weighted n = 0 terms.  The rounding term, which also
+    covers the 2.9e-15 relative error of the tabled Gamma(1/3)^3, is 3.7
+    times the largest error left past the tail bound against 30-digit
+    mpmath sums, at 3000 seeded moduli from 27|y| = 1/0.54 to |y| = 1e300.
+
+    ``n_terms`` fixes the order (1 to 2000).  Left out, the order is the
+    least at which the a-priori tail bound E_0 q^N / (1 - q) falls to the
+    rounding level 2^-53 E_0: one term from |y| = 1e17 on, 12 at |y| = 1,
+    61 at 27|y| = 1/0.54, and close to |y| = 1/27 at most 2000, where the
+    estimate stays above that level.  Every log is taken of y, so no |y| up
+    to the largest double overflows.
     """
     y = _finite_modulus(y)
-    if abs(y) <= 27.0:
-        raise DomainError(f"|y| = {abs(y):g} is not in the large-|y| regime (need > 27)")
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    u = y ** (-1.0 / 3.0)
+    ln_27y = _ln_abs(y) + math.log(27.0)
+    if not ln_27y > 0.0:
+        raise DomainError(f"|y| = {abs(y):g} is outside the large-|y| region |y| > 1/27")
+    u = cmath.exp(-cmath.log(y) / 3.0)
+    weight = (abs(u) / (4.0 * math.pi ** 2), abs(u) ** 2 / (4.0 * math.pi ** 2))
+    e0 = _INV_LEAD[0] * weight[0] + _INV_LEAD[1] * weight[1]
+    one_minus_q = -math.expm1(-ln_27y)
+    if n_terms is None:
+        n_terms = math.ceil(math.log(2.0 ** -53 * one_minus_q) / -ln_27y)
+        n_terms = max(1, min(_SERIES_MAX_TERMS, n_terms))
+    if not 1 <= n_terms <= _SERIES_MAX_TERMS:
+        raise DomainError(f"n_terms must lie in [1, {_SERIES_MAX_TERMS}], got {n_terms}")
+    t = _inverse_terms(y, n_terms)
+    err = ((abs(t[0, -1]) * weight[0] + abs(t[1, -1]) * weight[1])
+           * math.exp(-ln_27y) / one_minus_q + 2.0 ** -48 * (1.0 / 3.0 + e0 / one_minus_q))
+    (w0,), (w1,), (w2,) = _inverse_rows(u, *t.sum(axis=1, keepdims=True).tolist())
+    return SolutionTriple(w0, w1, w2, y, err)
 
-    s13 = 0j
-    s23 = 0j
-    t13 = _G13_CUBED            # n = 0 term: Gamma(1/3)^3 / 1!
-    t23 = _G23_CUBED / 2.0      # n = 0 term: Gamma(2/3)^3 / 2!
-    for n in range(n_terms):
-        s13 += t13
-        s23 += t23
-        t13 *= -((n + 1.0 / 3.0) ** 3) / ((3 * n + 2) * (3 * n + 3) * (3 * n + 4)) / y
-        t23 *= -((n + 2.0 / 3.0) ** 3) / ((3 * n + 3) * (3 * n + 4) * (3 * n + 5)) / y
-    err = (abs(t13) * abs(u) + abs(t23) * abs(u) ** 2) / (4.0 * math.pi ** 2)
 
-    pi2 = 4.0 * math.pi ** 2
-    w1 = 3.0 / _TWO_PI_I * (-u / pi2 * s13 + u * u / pi2 * s23)
-    r3 = math.sqrt(3.0)
-    w2 = (1.0 / 3.0
-          + r3 / (4.0 * math.pi) * (-(1.0 + 1j * r3) * u / pi2 * s13
-                                    + (-1.0 + 1j * r3) * u * u / pi2 * s23))
-    return SolutionTriple(1.0 + 0j, w1, w2, y, err)
+def _inverse_frame(y0: complex, n_terms: int) -> np.ndarray:
+    """3x3 matrix of (w_i, theta w_i, theta^2 w_i) rows at y0 from the
+    n_terms-term sums of ``w_at_infinity``: theta multiplies its term
+    u^(3a) t_n^a, a multiple of y^-(n+a), by -(n + a)."""
+    t = _inverse_terms(y0, n_terms)
+    e = _inverse_exponents(n_terms)
+    m = np.stack([t, e * t, e * e * t], axis=1).sum(axis=2).tolist()     # m[a][k]
+    return np.array(_inverse_rows(cmath.exp(-cmath.log(y0) / 3.0), *m), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -361,107 +471,6 @@ def annihilation_residual(y_samples, n_terms: int = 40) -> float:
     return worst
 
 
-# ---------------------------------------------------------------------------
-# ODE transport in s = log y:  u = (w, theta w, theta^2 w),
-# u' = (u2, u3, -(27 y u3 + 6 y u2)/(1 + 27 y))
-# ---------------------------------------------------------------------------
-
-# complex copies of the DOP853 rows [1, A] and [E5; E3]: complex products
-# skip numpy's mixed-type path
-_DOP_W = np.hstack([np.ones((13, 1)), _dop853.A]).astype(complex)
-_DOP_E = np.array([_dop853.E5, _dop853.E3], dtype=complex)
-# Past |y| = e^690 ~ 1e299 the coefficients 27y/(1 + 27y) and 6y/(1 + 27y)
-# equal their limits 1 and 2/9 in double precision (1/(27y) < 1e-300), and
-# forming them from y would overflow before |y| reaches the largest double.
-_FLAT_LOG_Y = 690.0
-
-
-def _transport_segment(s0: complex, s1: complex, u: np.ndarray, rtol: float) -> np.ndarray:
-    """DOP853 transport of the 3x3 frame u along s0 -> s1 in log y.
-
-    The frame is carried flattened row by row, so the right-hand side of all
-    three solutions is one product u @ (I_3 kron hC) with the companion matrix
-    C = direction * [[0, 0, 0], [1, 0, -b], [0, 1, -a]], a = 27y/(1 + 27y),
-    b = 6y/(1 + 27y), scaled by the step h; only the a and b entries change
-    from stage to stage.  The state and the twelve scaled stage derivatives
-    h k are stacked as the rows of one 13 x 9 array, so stage i's state
-    u + A[i, :i] @ (h k[:i]) is one product with the row [1, A[i, :i]], and
-    the thirteenth row of A (the eighth-order weights b) gives the new
-    solution.  An accepted step evaluates the right-hand side there and hands
-    it on, rescaled to the next step, as that step's first (FSAL): eleven
-    right-hand sides per attempt and one more per accepted step, none after
-    the last.  Both error vectors come from one product with the [E5; E3]
-    rows; with their norms e5, e3 against atol + rtol*|u| (atol = rtol),
-    err = h e5^2 / sqrt(9 (e5^2 + e3^2/100)) sets the step factor
-    0.9 err^(-1/8), clamped to [0.2, 5], from a first step of min(0.1,
-    length).  A step still needed that falls below 1e-13 of the length
-    raises ConvergenceError.  For log|y| >= 690 the a and b entries are
-    their limits 1 and 2/9, so every finite target can be reached without
-    overflow.
-    """
-    length = abs(s1 - s0)
-    if length == 0:
-        return u
-    direction = (s1 - s0) / length
-    t = 0.0
-    h = h1 = min(0.1, length)        # h1: the step that row 1 of uk is scaled by
-    hd = h1 * direction
-    # block (r, r) of the 9x9 matrix is hC: its entry (j, i) sits at flat
-    # index 30r + 9j + i
-    flat = np.zeros(90, dtype=complex)
-    blocks = flat.reshape(3, 30)
-    unit, minus_db, minus_da = blocks[:, 9:20:10], blocks[:, 11], blocks[:, 20]
-    unit.fill(hd)
-    m = flat[:81].reshape(9, 9)
-
-    def rhs(s: complex, ui: np.ndarray, out: np.ndarray) -> None:
-        if s.real < _FLAT_LOG_Y:
-            y = cmath.exp(s)
-            a, b = 27.0 * y / (1.0 + 27.0 * y), 6.0 * y / (1.0 + 27.0 * y)
-        else:
-            a, b = 1.0, 2.0 / 9.0
-        minus_da.fill(-hd * a)
-        minus_db.fill(-hd * b)
-        np.dot(ui, m, out)
-
-    # row 0: the state at t; row 1 + j: h k_j
-    uk = np.empty((13, 9), dtype=complex)
-    stage_rows = [(_DOP_W[i, :i + 1], uk[:i + 1]) for i in range(13)]
-    nodes = _dop853.C
-    ui = np.empty(9, dtype=complex)
-    uk[0] = u.reshape(9)
-    abs_u = np.abs(uk[0])
-    rhs(s0, uk[0], uk[1])
-    while True:
-        step = min(h, length - t)
-        last = step == length - t
-        if step != h1:
-            uk[1] *= step / h1
-            h1, hd = step, step * direction
-            unit.fill(hd)
-        for i in range(1, 12):
-            np.dot(*stage_rows[i], out=ui)
-            rhs(s0 + (t + nodes[i] * step) * direction, ui, uk[i + 1])
-        u_new = np.dot(*stage_rows[12])
-        abs_new = np.abs(u_new)
-        # |E @ (h k)| / (1 + max(|u|, |u_new|)) is h * rtol times the scaled error
-        q = np.abs(np.dot(_DOP_E, uk[1:]))
-        q /= np.maximum(abs_u, abs_new) + 1.0
-        q *= q
-        q5, q3 = q.sum(axis=1).tolist()
-        err = q5 / (rtol * math.sqrt(9.0 * (q5 + 0.01 * q3))) if q5 != 0.0 else 0.0
-        if err <= 1.0:
-            t += step
-            if last:
-                return u_new.reshape(3, 3)
-            uk[0] = u_new
-            abs_u = abs_new
-            rhs(s0 + t * direction, uk[0], uk[1])
-        h = step * min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.125))
-        if h < 1e-13 * length:
-            raise ConvergenceError("transport step size underflow")
-
-
 def _initial_frame(y0: complex, n_terms: int) -> np.ndarray:
     """3x3 matrix of (w_i, theta w_i, theta^2 w_i) rows at y0 from the series.
 
@@ -521,34 +530,79 @@ def monodromy_around_origin(radius: float = 1e-3, n_terms: int = 80,
     return rounded.tolist()
 
 
-def continue_solutions(y_target: complex, y_start: complex = 0.01,
+def continue_solutions(y_target: complex, y_start: complex | None = None,
                        n_terms: int = 80, rtol: float = 1e-10) -> SolutionTriple:
-    """Numeric continuation of the solution triple from the series disc to
-    y_target by transporting along the straight segment in log y.
+    """The solution triple at y_target, from the nearer exact series.
 
-    The frame (w, theta w, theta^2 w) of all three solutions starts from the
-    series at y_start and is carried by one DOP853 run
-    (``_transport_segment``) at relative and absolute tolerance rtol.  The
-    reported err_estimate is 100 * rtol: against the inverse series past
-    |y| = 100 and the direct series inside |y| <= 0.02, at rtol 1e-10 and
-    1e-14, the largest distance measured was 0.0047 of it.
+    Left to its default, y_start = None, the route depends on 27|y_target|:
 
-    The lone finite singular point away from the origin is y = -1/27; paths
-    whose log-segment passes within 0.05 of its logarithm are refused.
+        <= q = 0.54       ``chf_expand(y_target)``, 80 terms or more to
+                          meet 100 * rtol
+        >= 1/q            ``w_at_infinity(y_target)``, to the rounding level
+        in between        the transport along the target's ray in log y,
+                          from |y| = q/27 = 0.02 inside the circle
+                          |y| = 1/27 and from |y| = 1/(27 q) outside it,
+                          starting from the n_terms-term frame of that
+                          edge's series
+
+    The margin q = 0.54 was measured at the 8 phases k pi/8, k = 0..7:
+    largest relative error of w_1 or w_2 against 30-digit mpmath sums of the
+    same series, summed to the rounding level, at 27|y| = q and 1/q; and
+    right-hand sides of the default-rtol transport to 9 radii spread over
+    the annulus, at the same phases:
+
+        q      direct series     inverse series    transport RHS   time
+        0.54    80  3.1e-16       61  1.7e-14        34 mean, 119    0.36 ms
+        0.7     84  5.8e-16      107  2.6e-14        26 mean,  73    0.30 ms
+        0.8    137  6.6e-16      172  3.0e-14        21 mean,  49    0.26 ms
+        0.9    297  1.4e-15      371  3.3e-14        16 mean,  37    0.22 ms
+
+    (terms, error).  A sum takes 17-38 us at these orders, a transport a
+    few tenths of a ms, but the annulus is thin at every q; q = 0.54 keeps
+    the default 80 terms for the direct series and for the frames at both
+    edges (80^2 q^80 ~ 3e-18 bounds the tails of the theta^2 sums too).
+    The inverse series' error includes the 2.9e-15 relative error of its
+    Gamma(1/3)^3.
+
+    An explicit y_start in the disc |y| < 1/27 transports from there along
+    the straight segment in log y, from the direct series' frame: the
+    independent cross-check of the other routes.
+
+    The frame (w, theta w, theta^2 w) of all three solutions is carried by
+    one DOP853 run (``_transport_segment``) at relative and absolute
+    tolerance rtol, and a transported triple reports err_estimate 100 * rtol:
+    against both series, at rtol 1e-10 and 1e-14, the largest distance
+    measured from y_start = 0.01 was 0.0047 of it.  A series triple reports
+    its tail bound.
+
+    The lone finite singular point away from the origin is y = -1/27; a
+    transport whose log-segment passes within 0.05 of its logarithm
+    log(1/27) + i pi is refused.  On the default route the segment ends at
+    the target and stays on the target's side of |y| = 1/27, so the refused
+    targets are those within 0.05 of log(-1/27) in log y.
     """
-    y_start = _check_series_domain(y_start)
     y_target = _finite_modulus(y_target)
     if y_target == 0:
         raise DomainError("cannot continue into the origin")
-    s0 = cmath.log(y_start)
     s1 = cmath.log(y_target)
     s_sing = cmath.log(complex(-1.0 / 27.0))  # log(1/27) + i pi
+    if y_start is None:
+        t = _nearer_series(y_target, 100.0 * rtol, _LN_INNER)
+        if t is not None:
+            return t
+        inside = s1.real < math.log(_SERIES_RADIUS)
+        s0 = complex(_LN_INNER if inside else _LN_OUTER, s1.imag)
+        y_start = cmath.exp(s0)
+        u = (_initial_frame if inside else _inverse_frame)(y_start, n_terms)
+    else:
+        y_start = _check_series_domain(y_start)
+        s0 = cmath.log(y_start)
+        u = _initial_frame(y_start, n_terms)
     seg = s1 - s0
     if abs(seg) > 0:
         tproj = max(0.0, min(1.0, ((s_sing - s0) / seg).real))
         if abs(s0 + tproj * seg - s_sing) < 0.05:
             raise DomainError("continuation path passes too close to y = -1/27")
-    u = _initial_frame(y_start, n_terms)
     u = _transport_segment(s0, s1, u, rtol)
     return SolutionTriple(u[0, 0], u[1, 0], u[2, 0], y_target,
                           err_estimate=100.0 * rtol)

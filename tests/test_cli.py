@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import localp2
 import localp2.mirror_geometry as geom
+import localp2.picard_fuchs as pf
 from localp2.cli import (SUBCOMMANDS, _build_parser, _json_text, _parse_complex,
                          dispatch, main)
 from localp2.errors import LocalP2Error
@@ -121,6 +122,49 @@ def test_series_meets_the_tolerance_near_the_rim(tmp_path, extra, tol):
     assert code == 0
     assert payload["n_flagged"] == 0
     assert all(row["err_estimate"] <= tol for row in payload["rows"])
+
+
+def test_series_answers_on_both_sides_of_the_annulus(tmp_path, capsys):
+    # inside the disc and past the outer margin |y| = 1/(729 * 0.02)
+    code, payload = _run_json(tmp_path, "series",
+                              ["--y", "0.01", "--y", "0.5", "--y", "1e30", "--tol", "1e-12"])
+    assert code == 0
+    assert all(row["err_estimate"] <= 1e-12 for row in payload["rows"])
+    # between the disc and the margin: the JSON DomainError
+    for y in ("0.05", "0,-0.068"):
+        assert dispatch(["series", "--y", y]) == 1
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, _schema("error"))
+        assert report["error"] == "DomainError"
+
+
+def test_continue_far_out_gets_w1_to_the_tolerance(tmp_path):
+    # w1 ~ 0.23 |y|^(-1/3) is subdominant at y = infinity: against the
+    # large-|y| series summed at 30 digits (mpmath, frozen here) each row
+    # meets --tol relative, or is flagged
+    oracle = {1e6: 0.0023237498202608397j, 1e22: 1.0792860480219191e-08j,
+              1e30: 2.3252513092801035e-11j}
+    extra = [a for y in oracle for a in ("--y", repr(y))]
+    out = tmp_path / "continue.json"
+    for tol in ("1e-6", "1e-12"):
+        code = dispatch(["continue", *extra, "--tol", tol, "--out", str(out)])
+        for row in json.loads(out.read_text())["rows"]:
+            want = oracle[row["y"]["re"]]
+            w1 = complex(row["w1"]["re"], row["w1"]["im"])
+            assert row["flagged"] or abs(w1 - want) <= float(tol) * abs(want), (row, tol)
+        assert code == 0
+
+
+def test_double_precision_solution_runs_load_no_mpmath():
+    code = ("import os, sys; from localp2.cli import dispatch; "
+            "print(dispatch(['continue', '--y', '1e30', '--y=-0.05,0.001', '--y', '0,0.04', "
+            "'--tol', '1e-12', '--out', os.devnull]), "
+            "dispatch(['series', '--y', '0.5', '--y', '1e30', '--tol', '1e-12', "
+            "'--out', os.devnull]), 'mpmath' in sys.modules)")
+    env = {k: v for k, v in _package_env().items() if k != "LOCALP2_PRECISION"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["0", "0", "False"]
 
 
 def test_reproduce_critical_ray_stage(tmp_path):
@@ -274,13 +318,18 @@ def _package_env() -> dict:
 
 
 def test_continue_at_the_top_of_the_double_range_is_quiet():
-    # 27y/(1 + 27y) overflowed here: a numpy warning, then a ConvergenceError
+    # 27y/(1 + 27y) overflowed here: a numpy warning, then a ConvergenceError.
+    # The row now comes from the large-|y| series, whose estimate is its tail
+    # bound; the transport from y = 0.01 reaches it within its own estimate
     out = subprocess.run([sys.executable, "-m", "localp2", "continue", "--y", "7e306"],
                          capture_output=True, text=True, env=_package_env())
     assert (out.returncode, out.stderr) == (0, "")
     (row,) = json.loads(out.stdout)["rows"]
     assert not row["flagged"]
-    assert abs(complex(row["w2"]["re"], row["w2"]["im"]) - 1.0 / 3.0) <= row["err_estimate"]
+    ref = pf.continue_solutions(7e306, y_start=0.01)
+    got = [complex(row[f"w{i}"]["re"], row[f"w{i}"]["im"]) for i in range(3)]
+    assert max(abs(a - b) for a, b in zip(got, ref.as_vector())) <= ref.err_estimate
+    assert abs(got[2] - 1.0 / 3.0) <= ref.err_estimate
 
 
 def test_mpmath_is_loaded_only_for_extended_precision():

@@ -131,6 +131,9 @@ def test_series_domain_rejections():
         pf.chf_expand(0.04)
     with pytest.raises(DomainError):
         pf.chf_expand(0.01, n_max=0)
+    for series in (pf.series_w1, pf.series_w2):
+        with pytest.raises(DomainError):
+            series(0.01, n_terms=-1)
 
 
 @given(st.floats(min_value=1e-6, max_value=0.0369),
@@ -492,8 +495,8 @@ def test_dop853_tableau_order_conditions():
     # both error vectors weigh differences of consistent weights
     assert abs(math.fsum(_dop853.E5)) <= 1e-15
     assert abs(math.fsum(_dop853.E3)) <= 1e-15
-    assert np.array_equal(pf._DOP_E, np.array([_dop853.E5, _dop853.E3]))
-    assert np.array_equal(pf._DOP_W, np.hstack([np.ones((13, 1)), a]))
+    assert np.array_equal(_dop853._DOP_E, np.array([_dop853.E5, _dop853.E3]))
+    assert np.array_equal(_dop853._DOP_W, np.hstack([np.ones((13, 1)), a]))
     # FSAL: the thirteenth row is b at c = 1, the new solution, and the first
     # stage is the right-hand side at the state with no stage weight
     assert np.array_equal(a[12], b) and c[12] == 1.0
@@ -534,16 +537,25 @@ def test_transport_finishes_on_a_sliver_step(monkeypatch, tmp_path):
     # and then the FSAL right-hand side are taken.  A target 1e-15 past such
     # an end leaves a last step of about 1e-15, after which no step is needed.
     ray = []
-    _counting_exp_calls(monkeypatch, pf.continue_solutions, 1e6, record=ray)
+    _counting_exp_calls(monkeypatch, pf.continue_solutions, 1e6, 0.01, record=ray)
     ends = [a for a, b in zip(ray, ray[1:]) if a == b]
     s_k = next(s for s in ends if s.real - _S_START.real > 1.5)
     y = math.exp(s_k.real + 1e-15)
     args = []
-    got, calls = _counting_exp_calls(monkeypatch, pf.continue_solutions, y, record=args)
+    got, calls = _counting_exp_calls(monkeypatch, pf.continue_solutions, y, 0.01, record=args)
     assert args[:-11] == ray[:calls - 11] and args[-12] == s_k
     assert 0 < max(abs(a - s_k) for a in args[-11:]) <= 2e-15
     ref, _ = _dop853_reference(_S_START, cmath.log(y), pf._initial_frame(0.01, 80), 1e-10)
     assert np.max(np.abs(got.as_vector() - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref))
+    # the default route's transport across the annulus, from the inner edge
+    # 0.02, ends on such a sliver step too: on the command line as in-process
+    edge = []
+    _counting_exp_calls(monkeypatch, pf.continue_solutions, 0.0369, record=edge)
+    s_k = [a for a, b in zip(edge, edge[1:]) if a == b][-1]
+    y = math.exp(s_k.real + 1e-15)
+    args = []
+    got, _ = _counting_exp_calls(monkeypatch, pf.continue_solutions, y, record=args)
+    assert args[-12] == s_k and 0 < max(abs(a - s_k) for a in args[-11:]) <= 2e-15
     out = tmp_path / "continue.json"
     assert dispatch(["continue", "--y", repr(y), "--out", str(out)]) == 0
     (row,) = json.loads(out.read_text())["rows"]
@@ -552,7 +564,7 @@ def test_transport_finishes_on_a_sliver_step(monkeypatch, tmp_path):
 
 def test_transport_loads_no_scipy():
     # the DOP853 coefficients are literals of the package, not scipy's
-    code = ("import sys, localp2; localp2.picard_fuchs.continue_solutions(1e4); "
+    code = ("import sys, localp2; localp2.picard_fuchs.continue_solutions(1e4, 0.01); "
             "localp2.picard_fuchs.monodromy_around_origin(); print('scipy' in sys.modules)")
     src = os.path.dirname(os.path.dirname(pf.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -583,7 +595,7 @@ def test_continuation_err_estimate_bounds_true_error(rtol):
     cases += [(y, pf.chf_expand(y, n_max=200))
               for y in _seeded_continuation_targets(rng, 20, 1e-4, 0.02)]
     for y, ref in cases:
-        got = pf.continue_solutions(y, rtol=rtol)
+        got = pf.continue_solutions(y, y_start=0.01, rtol=rtol)
         assert got.err_estimate == 100.0 * rtol
         dist = max(abs(got.w0 - ref.w0), abs(got.w1 - ref.w1), abs(got.w2 - ref.w2))
         assert dist <= got.err_estimate, (y, rtol, dist)
@@ -661,7 +673,7 @@ def test_continuation_agrees_with_series_in_disc():
 
 
 def test_continuation_reaches_large_y_series():
-    got = pf.continue_solutions(1e6)
+    got = pf.continue_solutions(1e6, y_start=0.01)
     ref = pf.w_at_infinity(1e6, n_terms=14)
     assert abs(got.w1 - ref.w1) < 1e-6
     assert abs(got.w2 - ref.w2) < 1e-6
@@ -674,7 +686,7 @@ def test_continuation_reaches_the_top_of_the_double_range(y):
     # from |y| = e^690 on the transport uses the coefficients' limits
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pf.continue_solutions(y)
+        got = pf.continue_solutions(y, y_start=0.01)
     ref = pf.w_at_infinity(y)
     dist = max(abs(got.w0 - ref.w0), abs(got.w1 - ref.w1), abs(got.w2 - ref.w2))
     assert dist <= got.err_estimate, (y, dist)
@@ -739,7 +751,137 @@ def test_w_at_infinity_w2_limit_third():
 
 
 def test_w_at_infinity_domain():
-    with pytest.raises(DomainError):
-        pf.w_at_infinity(10.0)
+    # the series converges on |y| > 1/27; orders run from 1 to the cap
+    for y in (1.0 / 27.0, 0.03j, 0.0):
+        with pytest.raises(DomainError):
+            pf.w_at_infinity(y)
     with pytest.raises(DomainError):
         pf.w_at_infinity(1e3, n_terms=0)
+    with pytest.raises(DomainError):
+        pf.w_at_infinity(1e3, n_terms=pf._SERIES_MAX_TERMS + 1)
+
+
+def w_infinity_oracle(y: complex) -> tuple[complex, complex]:
+    """w1 and w2 of the large-|y| series, summed at 30 digits from mpmath
+    Gamma values until a term drops below 1e-34 of its sum."""
+    with mp.workdps(30):
+        y = mp.mpc(y)
+        sums = []
+        for a in (mp.mpf(1) / 3, mp.mpf(2) / 3):
+            total, term, n = mp.mpc(0), mp.gamma(a) ** 3 / mp.gamma(3 * a + 1), 0
+            while abs(term) >= mp.mpf(10) ** -34 * abs(total):
+                total += term
+                term *= -(n + a) ** 3 / ((3 * n + 3 * a + 1) * (3 * n + 3 * a + 2)
+                                         * (3 * n + 3 * a + 3)) / y
+                n += 1
+            sums.append(total)
+        u, pi2, r3 = mp.exp(-mp.log(y) / 3), 4 * mp.pi ** 2, mp.sqrt(3)
+        w1 = 3 / (2j * mp.pi) * (-u / pi2 * sums[0] + u * u / pi2 * sums[1])
+        w2 = mp.mpf(1) / 3 + r3 / (4 * mp.pi) * (-(1 + 1j * r3) * u / pi2 * sums[0]
+                                                 + (-1 + 1j * r3) * u * u / pi2 * sums[1])
+        return complex(w1), complex(w2)
+
+
+_OUTER_MARGIN = 1.0 / (27.0 * 0.54)
+_PHASES = [k * math.pi / 8 for k in range(-7, 9)]
+
+
+def test_series_term_tables_match_the_per_call_expressions():
+    # the n-only arrays are slices of import-time tables, bit for bit
+    for n in (1, 80, 2000):
+        m = np.arange(1.0, n + 1.0)
+        ratio = (3.0 * m - 1.0) * (3.0 * m - 2.0) * (3.0 * m - 3.0) / m ** 3
+        ratio[0] = 2.0
+        gap = 1.0 / (3.0 * m - 2.0) + 1.0 / (3.0 * m - 1.0) - 1.0 / m
+        gap[1:] += 1.0 / (3.0 * m[1:] - 3.0)
+        for y in (0.01 + 0.002j, 0.036, -0.02):
+            t, dpsi = pf._series_terms(y, n, 2.0)
+            assert np.array_equal(t, np.cumprod(ratio * (-y))), (n, y)
+            assert np.array_equal(dpsi, np.cumsum(gap)), n
+    # a slice of a read-only table: no caller can write into it
+    with pytest.raises(ValueError):
+        dpsi[0] = 0.0
+    with pytest.raises(DomainError):
+        pf.chf_expand(0.01, pf._SERIES_MAX_TERMS + 1)
+
+
+def test_w_at_infinity_against_mpmath_from_the_margin_to_1e300():
+    # every component relative to its own size, w1 included, at every phase;
+    # the error is also within err_estimate
+    rng = np.random.default_rng(1616)
+    radii = np.exp(rng.uniform(math.log(_OUTER_MARGIN), math.log(1e300), 24))
+    radii = np.concatenate([[_OUTER_MARGIN * (1 + 1e-12), 0.1, 1.0, 1e30], radii])
+    for r in radii:
+        for phase in (*_PHASES, rng.uniform(-math.pi, math.pi)):
+            y = cmath.rect(float(r), phase)
+            got = pf.w_at_infinity(y)
+            for g, w in zip((got.w1, got.w2), w_infinity_oracle(y)):
+                assert abs(g - w) <= 5e-14 * abs(w), (y, g, w)
+                assert abs(g - w) <= got.err_estimate, (y, g, w)
+
+
+def test_w_at_infinity_sums_to_the_rounding_level():
+    # left out, the order sums the tails below the rounding term, so the
+    # 2000-term sums agree within err_estimate
+    for y in (_OUTER_MARGIN * 1.01j, -0.2, 3.0 + 4.0j, 1e6):
+        got, full = pf.w_at_infinity(y), pf.w_at_infinity(y, n_terms=pf._SERIES_MAX_TERMS)
+        assert got.err_estimate <= 2e-14, y
+        assert np.max(np.abs(got.as_vector() - full.as_vector())) <= got.err_estimate, y
+    # the order falls to one term far out; the leading terms alone are exact
+    # there to the rounding level
+    assert pf.w_at_infinity(1e30) == pf.w_at_infinity(1e30, n_terms=1)
+
+
+def test_inverse_frame_matches_the_transported_frame():
+    s0 = cmath.log(0.01)
+    for r in (_OUTER_MARGIN, 0.2, 5.0, 1e3):
+        for phase in _PHASES[7::2]:
+            y = cmath.rect(r, phase)
+            want = pf._transport_segment(s0, cmath.log(y), pf._initial_frame(0.01, 80), 1e-13)
+            assert np.max(np.abs(pf._inverse_frame(y, 80) - want)) <= 1e-11, y
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-14])
+def test_series_agree_with_the_transport_on_both_sides_of_the_annulus(rtol):
+    # the default route's series against the transport from y = 0.01, inside
+    # the inner margin and past the outer one
+    for r27 in (0.3, 0.54, 1.0 / 0.54, 3.0, 100.0):
+        for phase in _PHASES[7:]:
+            y = cmath.rect(r27 / 27.0, phase)
+            series = pf.continue_solutions(y)
+            ref = pf.continue_solutions(y, y_start=0.01, rtol=rtol)
+            assert series.err_estimate < ref.err_estimate == 100.0 * rtol
+            dist = np.max(np.abs(series.as_vector() - ref.as_vector()))
+            assert dist <= ref.err_estimate, (y, rtol, dist)
+
+
+def test_default_route_takes_the_nearer_series(monkeypatch):
+    assert pf.continue_solutions(0.02) == pf.chf_expand(0.02)
+    for y in (_OUTER_MARGIN * 1j, -5.0, 1e30, complex(1e308, -1e308)):
+        assert pf.continue_solutions(y) == pf.w_at_infinity(y)
+    # the annulus: a short transport from the edge on the target's side
+    counts = []
+    for r27 in np.geomspace(0.54, 1.0 / 0.54, 11)[1:-1]:
+        for phase in _PHASES[8:15]:
+            y = cmath.rect(r27 / 27.0, phase)
+            got, calls = _counting_exp_calls(monkeypatch, pf.continue_solutions, y)
+            assert got.err_estimate == 1e-8
+            ref = pf.continue_solutions(y, y_start=0.005)
+            assert np.max(np.abs(got.as_vector() - ref.as_vector())) <= 2e-8, y
+            counts.append(calls)
+    # measured: 34 on average, at most 119
+    assert np.mean(counts) <= 40 and max(counts) <= 130, (np.mean(counts), max(counts))
+
+
+def test_default_route_refusal_is_the_targets_distance_from_the_conifold():
+    # refused within 0.05 of log(-1/27) in log y
+    for y in (-1.0 / 27.0, -1.02 / 27.0, cmath.rect(0.99 / 27.0, math.pi - 0.03)):
+        with pytest.raises(DomainError):
+            pf.continue_solutions(y)
+    # 0.0516 from it, but the straight path from y = 0.01 passes within 0.05:
+    # the explicit start keeps refusing it
+    y = complex(-0.03899644601598481, 0.00014580153867710185)
+    assert 0.05 < abs(cmath.log(y) - _S_CONIFOLD) < 0.052
+    assert pf.continue_solutions(y).err_estimate == 1e-8
+    with pytest.raises(DomainError):
+        pf.continue_solutions(y, y_start=0.01)

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from localp2 import specfun as sf
+from localp2 import _kernels, specfun as sf
 from localp2.errors import BranchCutError, DomainError
 from localp2.specfun import PrecisionConfig
 
@@ -218,17 +218,22 @@ def test_non_finite_argument_is_a_domain_error(z, fn, mode):
 
 
 @pytest.mark.parametrize("z", [171.5, -170.5, -200.5, 1e6, -0.5 + 500j, 2000.5, -1e6 + 0.5,
-                               1e300, 0.5 + 1e300j, 0.5 + 1e307j, -1e308 + 0.5j])
+                               1e300, 0.5 + 1e300j, 0.5 + 1e307j, -1e308 + 0.5j,
+                               1e307 + 1e308j, 1e308 - 1.7e308j])
 def test_gamma_at_the_edges_of_the_double_range(z):
     # the value where it is representable, 0 where it underflows, and a
     # DomainError where it overflows; never NaN, never a numpy warning.  At
     # 0.5 + 1e307j the phase of log Gamma overflows, and at -1e308 + 0.5j
-    # pi Re z does: both are 0
+    # pi Re z does: both are 0.  At 1e307 + 1e308j and 1e308 - 1.7e308j
+    # the phase overflows where the modulus does: the kernel's value is inf
+    # without a NaN part
     with mp.workdps(50):
         want = mp.gamma(mp.mpmathify(z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if abs(want) > np.finfo(float).max:
+            (raw,) = _kernels.gamma_array(z)
+            assert np.isinf(raw) and not np.isnan(raw), raw
             with pytest.raises(DomainError, match="double range"):
                 sf.gamma(z)
             return
