@@ -304,9 +304,11 @@ def _period_modulus(y) -> complex:
     y = complex(y)
     if not cmath.isfinite(y):
         raise DomainError(f"period modulus must be finite, got {y}")
-    if abs(y) <= 27.0:
+    # log|y| from log y: abs(y) overflows near the largest complex doubles
+    ln_abs = cmath.log(y).real if y != 0 else -math.inf
+    if ln_abs <= math.log(27.0):
         raise DomainError(
-            f"periods and their tails require |y| > 27, got |y| = {abs(y):.4g}")
+            f"periods and their tails require |y| > 27, got |y| = {math.exp(ln_abs):.4g}")
     return y
 
 

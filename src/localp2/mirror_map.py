@@ -9,6 +9,7 @@ solution with an integer combination of brane K-classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +128,10 @@ def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> Trans
     if len(ys) < 3:
         raise DomainError("need at least three modulus samples")
     for y in ys:
-        if abs(y) < _MIN_FIT_MODULUS:
-            raise DomainError(
-                f"fit samples need |y| >= {_MIN_FIT_MODULUS:g}, got |{y}| = {abs(y):g}")
+        ln_abs = pf._ln_abs(y)
+        if ln_abs < math.log(_MIN_FIT_MODULUS):
+            raise DomainError(f"fit samples need |y| >= {_MIN_FIT_MODULUS:g}, "
+                              f"got |{y}| = {math.exp(ln_abs):g}")
     for a in range(len(ys)):
         for b in range(a + 1, len(ys)):
             if ys[a] == ys[b]:
@@ -211,7 +213,7 @@ def central_charge_report(y, quad: PrecisionConfig | None = None,
     quadrature error (plus the solution triple's err_estimate).
     """
     modulus = _modulus(y)
-    if abs(modulus) < _MIN_FIT_MODULUS:
+    if pf._ln_abs(modulus) < math.log(_MIN_FIT_MODULUS):
         raise DomainError(f"central charges need |y| >= {_MIN_FIT_MODULUS:g}")
     if transfer is None:
         transfer = fit_transfer_matrix(FIT_MODULI, quad)

@@ -91,7 +91,25 @@ _INV_LEAD = np.array([_G13_CUBED.real, _G23_CUBED.real / 2.0])
 _E = _inverse_exponents(_SERIES_MAX_TERMS - 1)
 _INV_RATIO = np.hstack([_INV_LEAD[:, None],
                         _E * _E * _E / ((1.0 - 3.0 * _E) * (2.0 - 3.0 * _E) * (3.0 - 3.0 * _E))])
-for _table in (_RATIO, _GAP, _INV_RATIO):
+
+# The nodes t_k = _MB_STEP k of ``mellin_barnes``.
+_MB_STEP = 0.08
+
+
+def _mb_factors(n: int, weighted: bool = True) -> tuple:
+    """The y-independent factors of the contour integrand at t_0..t_(n-1):
+    the log factor and, if ``weighted``, the digamma weight (else None)."""
+    t = _MB_STEP * np.arange(n)
+    s = -0.5 + 1j * t
+    lg = (_kernels.lgamma_array(-3.0 * s) - 3.0 * _kernels.lgamma_array(1.0 - s)
+          - math.pi * t - np.log1p(np.exp(-2.0 * math.pi * t)) + math.log(2.0))
+    return lg, (_kernels.digamma_array(-3.0 * s) - _kernels.digamma_array(1.0 - s)
+                if weighted else None)
+
+
+# Both factors at every node a modulus with pi - |arg y| >= 0.25 needs.
+_MB_LG, _MB_PSI = _mb_factors(math.ceil(42.0 / 0.25 / _MB_STEP) + 1)
+for _table in (_RATIO, _GAP, _INV_RATIO, _MB_LG, _MB_PSI):
     _table.setflags(write=False)
 del _M, _E, _table
 
@@ -280,9 +298,13 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     log cosh(pi t) = pi t + log1p(exp(-2 pi t)) - log 2 for t >= 0: two
     ``lgamma_array`` calls, both at Re = 3/2.  Only half the contour is
     evaluated: at t_(-k) every argument is the conjugate of its value at t_k,
-    so the log factor (and the digamma weight) is the conjugate there.  Each
-    node then costs one exp of that log plus (1/2 - it) log y, and no factor
-    leaves the double range before the product is formed.
+    so the log factor (and the digamma weight) is the conjugate there.
+    Neither depends on y (``_mb_factors``): both are tabled at import on the
+    nodes t_0..t_2100 that every modulus with pi - |arg y| >= 0.25 needs, so
+    such a call makes no kernel call; closer to the cut a call builds what
+    it needs on its own grid.  Each node then costs one exp of the log
+    factor plus (1/2 - it) log y, and no factor leaves the double range
+    before the product is formed.
 
     Working range: pi - |arg y| > 0.05 at every finite |y|; closer to the
     negative real axis the call raises ConvergenceError, and so does a
@@ -297,16 +319,13 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     decay = math.pi - abs(cmath.phase(y))
     if decay <= 0.05:
         raise ConvergenceError("arg y too close to pi for the truncated contour")
-    step = 0.08
-    t = step * np.arange(math.ceil(42.0 / decay / step) + 1)      # t_k, k = 0..K
-    s = -0.5 + 1j * t
-    lg = (_kernels.lgamma_array(-3.0 * s) - 3.0 * _kernels.lgamma_array(1.0 - s)
-          - math.pi * t - np.log1p(np.exp(-2.0 * math.pi * t)) + math.log(2.0))
-    k = np.arange(1 - len(t), len(t))                                 # k = -K..K
+    n = math.ceil(42.0 / decay / _MB_STEP) + 1                     # t_k, k = 0..K
+    lg, wgt = ((_MB_LG[:n], _MB_PSI[:n]) if n <= len(_MB_LG)
+               else _mb_factors(n, which == "digamma"))
+    k = np.arange(1 - n, n)                                           # k = -K..K
     vals = -math.pi * np.exp(np.concatenate([lg[:0:-1].conjugate(), lg])
-                             + (0.5 - 1j * step * k) * cmath.log(y))
+                             + (0.5 - 1j * _MB_STEP * k) * cmath.log(y))
     if which == "digamma":
-        wgt = _kernels.digamma_array(-3.0 * s) - _kernels.digamma_array(1.0 - s)
         vals = vals * np.concatenate([wgt[:0:-1].conjugate(), wgt])
     if not np.isfinite(vals).all():
         raise ConvergenceError("contour integrand left the double range")
@@ -314,7 +333,7 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     center = np.max(np.abs(vals))
     if abs(vals[0]) > 1e-12 * center or abs(vals[-1]) > 1e-12 * center:
         raise ConvergenceError("contour truncation reached before integrand decay")
-    return complex(np.sum(vals) * step / (2.0 * math.pi))
+    return complex(np.sum(vals) * _MB_STEP / (2.0 * math.pi))
 
 
 def _inverse_terms(y: complex, n: int) -> np.ndarray:

@@ -402,10 +402,11 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     finite difference for the derivative), never through the Gamma(1/3)^3
     expressions being checked.  Each AGM value is computed once: K and E at
     k_+ and k_- and F(e^{i pi/3}) are the K, E and F(-omega) rows and also
-    the inputs of the elliptic F' row.  The checks make two AGM passes of
-    the arithmetic: one ``ellipke`` pass at k_+ and k_-, and one ``hyp``
-    pass over F(-omega), the finite-difference stencil and the three
-    Ramanujan arguments, 8 points in double mode (4-point stencil) and 6 in
+    the inputs of the elliptic F' row, and F(e^{i pi/3}) is the first
+    Ramanujan value at x = sqrt3 too.  The checks make two AGM passes of the
+    arithmetic: one ``ellipke`` pass at k_+ and k_-, and one ``hyp`` pass
+    over F(-omega), the finite-difference stencil and the other two
+    Ramanujan arguments, 7 points in double mode (4-point stencil) and 5 in
     extended mode (2-point stencil).  In double mode each pass is one
     ``_kernels`` array call.
     """
@@ -414,7 +415,8 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
         (kkp, eep), (kkm, eem) = ke_pm = ar.ellipke(ar.moduli())
         stencil, derivative = _finite_difference(ar, cfg)
         ram_nodes, ram_defect = _ramanujan(ar, ar.sqrt(ar.real(3)))
-        f_at, *f = ar.hyp([ar.minus_omega(), *stencil, *ram_nodes])
+        # the first Ramanujan argument (1 + i sqrt3)/2 is -omega itself
+        f_at, *f = ar.hyp([ar.minus_omega(), *stencil, *ram_nodes[1:]])
         consts = _consts(ar)
         fp_closed = _f_prime_closed(ar, consts)
         rows = [
@@ -430,7 +432,7 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
                 "closed_form": complex(closed),
                 "rel_err": float(abs(computed - closed) / abs(closed))}
                for name, computed, closed in rows]
-        r = float(ram_defect(f[len(stencil):]))
+        r = float(ram_defect([f_at, *f[len(stencil):]]))
     out.append({"name": "ramanujan x=sqrt3", "computed": complex(r, 0.0),
                 "closed_form": 0j, "rel_err": r})
     return out

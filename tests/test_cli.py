@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import localp2
 import localp2.mirror_geometry as geom
+import localp2.mirror_map as mm
 import localp2.picard_fuchs as pf
 from localp2.cli import (SUBCOMMANDS, _build_parser, _json_text, _parse_complex,
                          dispatch, main)
@@ -330,6 +331,43 @@ def test_continue_at_the_top_of_the_double_range_is_quiet():
     got = [complex(row[f"w{i}"]["re"], row[f"w{i}"]["im"]) for i in range(3)]
     assert max(abs(a - b) for a, b in zip(got, ref.as_vector())) <= ref.err_estimate
     assert abs(got[2] - 1.0 / 3.0) <= ref.err_estimate
+
+
+def _run_quiet(argv):
+    """Run ``python -W error -m localp2 argv``; its exit code and JSON stdout,
+    after checking that it wrote nothing to stderr (no traceback, no warning)."""
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "localp2", *argv],
+                         capture_output=True, text=True, env=_package_env())
+    assert out.stderr == "", out.stderr
+    return out.returncode, json.loads(out.stdout)
+
+
+HUGE = "1.7e308,1.7e308"   # |y| overflows a double; log|y| does not
+
+
+def test_periods_at_a_modulus_past_the_double_range_of_its_modulus():
+    # abs(y) raised OverflowError here; the guard now reads |y| from log y
+    code, payload = _run_quiet(["periods", "--y", HUGE])
+    (row,) = payload["rows"]
+    assert (code, row["flagged"]) == (0, False)
+    # the y-dependent part is of order |y|^(-1/3) ~ 1e-103
+    for k, (value, err) in enumerate(zip(row["I"], row["err"])):
+        assert abs(complex(value["re"], value["im"]) - (-1.0) ** k / 3.0) <= err
+
+
+def test_central_charges_at_a_modulus_past_the_double_range_of_its_modulus():
+    code, payload = _run_quiet(["central-charges", "--y", HUGE])
+    assert (code, payload["n_flagged"]) == (0, 0)
+    assert len(payload["rows"]) == 3
+    assert all(row["abs_dev"] <= row["tolerance"] for row in payload["rows"])
+
+
+def test_transfer_matrix_with_a_sample_past_the_double_range_of_its_modulus():
+    code, payload = _run_quiet(["transfer-matrix", "--y", HUGE, "--y", "1e3", "--y", "2e3"])
+    assert (code, payload["flagged"]) == (0, False)
+    # the same integer matrix as the fit at the default moduli
+    assert payload["entries"] == [list(row) for row in
+                                  mm.fit_transfer_matrix(mm.FIT_MODULI).entries]
 
 
 def test_mpmath_is_loaded_only_for_extended_precision():

@@ -236,17 +236,19 @@ def test_mellin_barnes_rejects_cut():
 
 
 # The contour route as it was written before it used half the contour: the
-# grid np.arange(-t_max, ...) (not symmetric about t = 0), three Gamma and,
-# for the digamma variant, two digamma evaluations on every node.
+# grid np.arange(-t_max, ...) (not symmetric about t = 0), three log-gamma
+# and, for the digamma variant, two digamma evaluations on every node.  The
+# Gamma ratio is formed in the log domain, as Gamma(z) = exp(log Gamma(z)):
+# within 0.19 of the cut the Gamma factors alone leave the double range
+# before the truncation point.
 def _mellin_barnes_reference(y, which):
     decay = math.pi - abs(cmath.phase(y))
     t_max = 42.0 / decay
     step = 0.08
     t = np.arange(-t_max, t_max + step / 2, step)
     s = -0.5 + 1j * t
-    g = (_kernels.gamma_array(-3.0 * s) * _kernels.gamma_array(s)
-         / _kernels.gamma_array(1.0 - s) ** 2)
-    vals = g * np.exp(-s * cmath.log(y))
+    vals = np.exp(_kernels.lgamma_array(-3.0 * s) + _kernels.lgamma_array(s)
+                  - 2.0 * _kernels.lgamma_array(1.0 - s) - s * cmath.log(y))
     if which == "digamma":
         vals = vals * (_kernels.digamma_array(-3.0 * s) - _kernels.digamma_array(1.0 - s))
     center = np.max(np.abs(vals))
@@ -255,9 +257,12 @@ def _mellin_barnes_reference(y, which):
 
 
 def _seeded_contour_moduli(rng, count):
-    """1e-4 <= |y| <= 0.03 and |arg y| <= pi - 0.25."""
+    """1e-4 <= |y| <= 0.03 and 0.06 <= pi - |arg y| <= pi, both log-uniform,
+    so that about a third of the draws lie past the node table's edge at
+    pi - |arg y| = 0.25."""
     return [cmath.rect(math.exp(rng.uniform(math.log(1e-4), math.log(0.03))),
-                       rng.uniform(-math.pi + 0.25, math.pi - 0.25))
+                       rng.choice([-1.0, 1.0])
+                       * (math.pi - math.exp(rng.uniform(math.log(0.06), math.log(math.pi)))))
             for _ in range(count)]
 
 
@@ -333,8 +338,9 @@ def test_mellin_barnes_refuses_the_last_sliver_before_the_cut(decay):
 
 
 def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
-    # the plain variant makes two log-gamma calls and the digamma variant
-    # adds two digamma calls, each on the nodes t >= 0 only
+    # inside the node table (pi - |arg y| >= 0.25) a call makes no kernel
+    # call; past it the plain variant makes two log-gamma calls and the
+    # digamma variant adds two digamma calls, each on the nodes t >= 0 only
     sizes = {"gamma_array": [], "lgamma_array": [], "digamma_array": []}
 
     def counting(name):
@@ -347,12 +353,30 @@ def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
 
     for name in sizes:
         monkeypatch.setattr(pf._kernels, name, counting(name))
-    n_half = math.ceil(42.0 / (math.pi / 2) / 0.08) + 1         # y = 0.01i
-    pf.mellin_barnes(0.01j, "plain")
+    for which in ("plain", "digamma"):
+        pf.mellin_barnes(0.01j, which)
+    assert sizes == {"gamma_array": [], "lgamma_array": [], "digamma_array": []}
+    y = cmath.rect(0.01, math.pi - 0.1)
+    n_half = math.ceil(42.0 / (math.pi - abs(cmath.phase(y))) / 0.08) + 1
+    assert n_half > len(pf._MB_LG)
+    pf.mellin_barnes(y, "plain")
     assert sizes == {"gamma_array": [], "lgamma_array": [n_half] * 2, "digamma_array": []}
-    pf.mellin_barnes(0.01j, "digamma")
+    pf.mellin_barnes(y, "digamma")
     assert sizes == {"gamma_array": [], "lgamma_array": [n_half] * 4,
                      "digamma_array": [n_half] * 2}
+
+
+def test_mellin_barnes_node_table_is_read_only_and_fresh():
+    # the table covers pi - |arg y| >= 0.25, is bitwise a fresh build of its
+    # length, and its head is bitwise a fresh build of a shorter grid
+    n = len(pf._MB_LG)
+    assert n == len(pf._MB_PSI) == math.ceil(42.0 / 0.25 / 0.08) + 1
+    for length in (n, 461):
+        fresh = pf._mb_factors(length)
+        for table, built in zip((pf._MB_LG, pf._MB_PSI), fresh):
+            assert not table.flags.writeable
+            assert table[:length].tobytes() == built.tobytes()
+    assert pf._mb_factors(461, weighted=False)[1] is None
 
 
 # --- annihilator ---------------------------------------------------------------

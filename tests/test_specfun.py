@@ -152,12 +152,13 @@ def test_closed_form_checks_evaluate_gamma_once_per_constant(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("mode, points", [("double", 10), ("extended", 8)])
+@pytest.mark.parametrize("mode, points", [("double", 9), ("extended", 7)])
 def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, points):
     # One ellipke pass at k_+ and k_- serves the K and E rows and the
-    # elliptic F' row.  One hyp pass takes F(e^{i pi/3}) (its own row and the
-    # elliptic F' row), the finite-difference stencil (4 points in double, 2
-    # in extended) and the three Ramanujan arguments: `points` AGM values in
+    # elliptic F' row.  One hyp pass takes F(e^{i pi/3}) (its own row, the
+    # elliptic F' row and the first Ramanujan value, at (1 + i sqrt3)/2 =
+    # e^{i pi/3}), the finite-difference stencil (4 points in double, 2 in
+    # extended) and the other two Ramanujan arguments: `points` AGM values in
     # all, counted per call of the hyp and ellipke entries of the arithmetic
     # _arith yields, and in double mode per call of the _kernels AGM arrays
     passes, kernel_passes = [], []
