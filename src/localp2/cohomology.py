@@ -1,32 +1,27 @@
-"""Exact K-theory and cohomology arithmetic for the local surface.
+"""Exact K-theory arithmetic for the local surface.
 
 X is the total space of the canonical bundle over the projective plane.  Its
-rational cohomology is Q[J]/J^3 with J the hyperplane class pulled back from
-the zero section.  K-classes are integer triples in one of four registered
-frames; compact-type classes live on the zero section and pair with pulled
-back classes by Riemann-Roch on the plane.  Everything here is exact: Fraction
-coefficients, integer matrices, no floating point (central_charge is the one
-exception since it consumes complex period values).
+compact-type K-classes live on the zero section, so they and the classes
+pulled back from it are elements of K(P^2) = Z[t]/(1-t)^3, t = [O(-1)]:
+integer triples in one of four registered frames, related by unimodular
+integer matrices.  The Euler pairings are integers read off the K-ring
+(see ``euler_pairing_bk``).  Everything here is exact integer arithmetic,
+with no floating point (central_charge is the one exception since it
+consumes complex period values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .errors import BasisError, IntegralityError
+from .errors import BasisError
 
 __all__ = [
-    "CohClass",
     "Basis",
     "KClass",
-    "J",
-    "ONE",
-    "TODD_P2",
     "line_bundle_class",
     "tensor",
-    "chern",
     "basis_change",
     "change_of_basis_matrix",
     "euler_pairing_bk",
@@ -38,63 +33,6 @@ __all__ = [
     "exceptional_collection",
     "pairing_table",
 ]
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("CohClass is exact; pass int, Fraction, or string")
-    return Fraction(x)
-
-
-@dataclass(frozen=True)
-class CohClass:
-    """Element a0 + a1*J + a2*J^2 of Q[J]/J^3."""
-
-    a0: Fraction = Fraction(0)
-    a1: Fraction = Fraction(0)
-    a2: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a0", _frac(self.a0))
-        object.__setattr__(self, "a1", _frac(self.a1))
-        object.__setattr__(self, "a2", _frac(self.a2))
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        return CohClass(self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2)
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        return CohClass(self.a0 - other.a0, self.a1 - other.a1, self.a2 - other.a2)
-
-    def __neg__(self) -> "CohClass":
-        return CohClass(-self.a0, -self.a1, -self.a2)
-
-    def __mul__(self, other):
-        if isinstance(other, CohClass):
-            # degree >= 3 parts die against J^3 = 0
-            return CohClass(
-                self.a0 * other.a0,
-                self.a0 * other.a1 + self.a1 * other.a0,
-                self.a0 * other.a2 + self.a1 * other.a1 + self.a2 * other.a0,
-            )
-        c = _frac(other)
-        return CohClass(self.a0 * c, self.a1 * c, self.a2 * c)
-
-    __rmul__ = __mul__
-
-    def dual(self) -> "CohClass":
-        """Involution induced by dualizing sheaves: flips the sign in odd degree."""
-        return CohClass(self.a0, -self.a1, self.a2)
-
-    def integral(self) -> Fraction:
-        """Integration over the zero-section plane (J^2 has volume 1)."""
-        return self.a2
-
-
-ONE = CohClass(1, 0, 0)
-J = CohClass(0, 1, 0)
-
-# Todd class of the plane, 1 + (3/2)J + J^2
-TODD_P2 = CohClass(1, Fraction(3, 2), 1)
 
 
 class Basis(str, Enum):
@@ -226,31 +164,22 @@ def tensor(a: KClass, b: KClass) -> KClass:
     return KClass(Basis.LINE_BUNDLE, _poly_mul(_lb_coords(a), _lb_coords(b)))
 
 
-def chern(k: KClass) -> CohClass:
-    """Chern character: exp(nJ) on O(n) truncated at J^3, extended linearly."""
-    a, b, c = _lb_coords(k)
-    # ch O = 1, ch O(-1) = 1 - J + J^2/2, ch O(-2) = 1 - 2J + 2J^2
-    return CohClass(a + b + c, -b - 2 * c, Fraction(b, 2) + 2 * c)
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise IntegralityError(f"{what} produced non-integer value {x}")
-    return int(x)
-
-
 def euler_pairing_bk(b: KClass, e: KClass) -> int:
     """Pairing of a zero-section class b with a pulled-back class e:
-    the plane Euler characteristic of their product, by Riemann-Roch."""
-    val = (chern(b) * chern(e) * TODD_P2).integral()
-    return _as_int(val, "euler_pairing_bk")
+    the plane Euler characteristic of their product.
+
+    On the plane chi(O) = 1 and O(-1), O(-2) are acyclic, so the Euler
+    characteristic of c0[O] + c1[O(-1)] + c2[O(-2)] is c0, the [O]-coordinate.
+    """
+    return _poly_mul(_lb_coords(b), _lb_coords(e))[0]
 
 
 def chi_p2(f: KClass, g: KClass) -> int:
-    """One-sided Euler characteristic chi(F, G) on the plane:
-    integral of ch(F)^dual * ch(G) * td."""
-    val = (chern(f).dual() * chern(g) * TODD_P2).integral()
-    return _as_int(val, "chi_p2")
+    """One-sided Euler characteristic chi(F, G) = chi(F^dual (x) G) on the
+    plane, the [O]-coordinate as in ``euler_pairing_bk``."""
+    # dualizing is t -> t^{-1}, with t^{-1} = 3 - 3t + t^2, t^{-2} = 6 - 8t + 3t^2
+    a, b, c = _lb_coords(f)
+    return _poly_mul((a + 3 * b + 6 * c, -3 * b - 8 * c, b + 3 * c), _lb_coords(g))[0]
 
 
 def euler_form_compact(b1: KClass, b2: KClass) -> int:

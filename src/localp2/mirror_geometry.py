@@ -138,13 +138,17 @@ def critical_points(y: complex):
 
     z_* = -y^(-1/3) (principal root) is where the ambient C*-fiber pinches;
     the elliptic fiber itself degenerates at the cube roots 3*OMEGA**k.
+    y is scaled by its larger part s first, so no |y| up to the largest
+    double overflows, and s^(-1/3) is 1/cbrt(s): a power with the rounded
+    exponent -1.0/3.0 is off by |ln s| * 1.9e-17 relative, 1.3e-14 at 1e307.
     """
     y = complex(y)
     if not cmath.isfinite(y):
         raise DomainError(f"critical points need a finite modulus, got {y}")
     if y == 0:
         raise DomainError("critical points undefined at y = 0")
-    z_star = -(y ** (-1.0 / 3.0))
+    s = max(abs(y.real), abs(y.imag))
+    z_star = -((y / s) ** (-1.0 / 3.0)) / math.cbrt(s)
     return (z_star, *CRITICAL_VALUES)
 
 

@@ -66,8 +66,8 @@ _SERIES_MAX_TERMS = 2000
 _LN_INNER = math.log(0.02)
 _LN_OUTER = -math.log(729.0 * 0.02)
 # Gamma(1/3)^3 and Gamma(2/3)^3, the leading terms of ``w_at_infinity``
-_G13_CUBED = complex(_kernels.gamma_array(1.0 / 3.0)[0]) ** 3
-_G23_CUBED = complex(_kernels.gamma_array(2.0 / 3.0)[0]) ** 3
+_G13_CUBED = math.gamma(1.0 / 3.0) ** 3
+_G23_CUBED = math.gamma(2.0 / 3.0) ** 3
 
 
 # The n-only arrays of ``_series_terms`` for m = 1.._SERIES_MAX_TERMS: the
@@ -87,7 +87,7 @@ def _inverse_exponents(n: int) -> np.ndarray:
 
 # Those of ``w_at_infinity`` for n = 0.._SERIES_MAX_TERMS - 1: the ratio
 # y t_n^a / t_(n-1)^a, entry 0 the term t_0^a itself.
-_INV_LEAD = np.array([_G13_CUBED.real, _G23_CUBED.real / 2.0])
+_INV_LEAD = np.array([_G13_CUBED, _G23_CUBED / 2.0])
 _E = _inverse_exponents(_SERIES_MAX_TERMS - 1)
 _INV_RATIO = np.hstack([_INV_LEAD[:, None],
                         _E * _E * _E / ((1.0 - 3.0 * _E) * (2.0 - 3.0 * _E) * (3.0 - 3.0 * _E))])
@@ -375,8 +375,8 @@ def w_at_infinity(y: complex, n_terms: int | None = None) -> SolutionTriple:
     err_estimate bounds the error of w_1 and of w_2: that tail bound
     weighted by |u|^(3a) / 4 pi^2, plus 2^-48 (1/3 + E_0 / (1 - q)) for the
     rounding, E_0 the weighted n = 0 terms.  The rounding term, which also
-    covers the 2.9e-15 relative error of the tabled Gamma(1/3)^3, is 3.7
-    times the largest error left past the tail bound against 30-digit
+    covers the 2.6e-16 relative error of Gamma(1/3)^3 from math.gamma, is
+    21 times the largest error left past the tail bound against 30-digit
     mpmath sums, at 3000 seeded moduli from 27|y| = 1/0.54 to |y| = 1e300.
 
     ``n_terms`` fixes the order (1 to 2000).  Left out, the order is the
@@ -571,16 +571,16 @@ def continue_solutions(y_target: complex, y_start: complex | None = None,
     the annulus, at the same phases:
 
         q      direct series     inverse series    transport RHS   time
-        0.54    80  3.1e-16       61  1.7e-14        34 mean, 119    0.36 ms
-        0.7     84  5.8e-16      107  2.6e-14        26 mean,  73    0.30 ms
-        0.8    137  6.6e-16      172  3.0e-14        21 mean,  49    0.26 ms
-        0.9    297  1.4e-15      371  3.3e-14        16 mean,  37    0.22 ms
+        0.54    80  3.1e-16       61  2.6e-15        34 mean, 119    0.36 ms
+        0.7     84  5.8e-16      107  5.7e-15        26 mean,  73    0.30 ms
+        0.8    137  6.6e-16      172  4.9e-15        21 mean,  49    0.26 ms
+        0.9    297  1.4e-15      371  4.3e-15        16 mean,  37    0.22 ms
 
     (terms, error).  A sum takes 17-38 us at these orders, a transport a
     few tenths of a ms, but the annulus is thin at every q; q = 0.54 keeps
     the default 80 terms for the direct series and for the frames at both
     edges (80^2 q^80 ~ 3e-18 bounds the tails of the theta^2 sums too).
-    The inverse series' error includes the 2.9e-15 relative error of its
+    The inverse series' error includes the 2.6e-16 relative error of its
     Gamma(1/3)^3.
 
     An explicit y_start in the disc |y| < 1/27 transports from there along

@@ -1,10 +1,8 @@
 """Exact K-theory layer.  Oracle: hand-rolled Riemann-Roch arithmetic on
 line bundles of the plane, written here independently of the module."""
 
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from localp2 import cohomology as coh
@@ -77,7 +75,18 @@ def test_chi_p2_matches_oracle():
         for b in range(-4, 3):
             ka = coh.line_bundle_class(a)
             kb = coh.line_bundle_class(b)
-            assert coh.chi_p2(ka, kb) == chi_line(b - a)
+            got = coh.chi_p2(ka, kb)
+            assert got == chi_line(b - a) and type(got) is int
+
+
+def test_euler_pairing_bk_matches_oracle():
+    # the product O(a) (x) O(b) = O(a + b), so the pairing is chi(O(a + b))
+    for a in range(-4, 3):
+        for b in range(-4, 3):
+            ka = coh.line_bundle_class(a)
+            kb = coh.line_bundle_class(b)
+            got = coh.euler_pairing_bk(ka, kb)
+            assert got == chi_line(a + b) and type(got) is int
 
 
 def test_pairing_table_is_identity():
@@ -143,27 +152,6 @@ def test_central_charge_linear():
     assert abs(coh.central_charge(combo, w) - want) < 1e-15
 
 
-def test_chern_of_structure_sheaf():
-    c = coh.chern(coh.line_bundle_class(0))
-    assert (c.a0, c.a1, c.a2) == (Fraction(1), Fraction(0), Fraction(0))
-
-
-def test_chern_of_twist_exponentiates():
-    # ch(O(n)) = 1 + nJ + n^2 J^2 / 2, exactly in rational arithmetic
-    for n in range(-4, 4):
-        c = coh.chern(coh.line_bundle_class(n))
-        assert (c.a0, c.a1, c.a2) == \
-            (Fraction(1), Fraction(n), Fraction(n * n, 2))
-
-
-def test_chern_additive():
-    a = coh.chern(coh.KClass(coh.Basis.LINE_BUNDLE, (1, 2, -1)))
-    b = coh.chern(coh.line_bundle_class(0)) \
-        + coh.chern(coh.line_bundle_class(-1)) * 2 \
-        + coh.chern(coh.line_bundle_class(-2)) * -1
-    assert (a.a0, a.a1, a.a2) == (b.a0, b.a1, b.a2)
-
-
 def test_kclass_rejects_non_integer():
     with pytest.raises(BasisError):
         coh.KClass(coh.Basis.BRANE, (1.5, 0, 0))
@@ -186,3 +174,27 @@ def test_chi_bilinear_property(u, v):
     ka = coh.KClass(coh.Basis.LINE_BUNDLE, u)
     kb = coh.KClass(coh.Basis.LINE_BUNDLE, v)
     assert coh.chi_p2(ka, kb) == chi_between(u, v)
+
+
+def pairing_between(a_coords, b_coords) -> int:
+    """euler_pairing_bk(F, G) for F, G in line-bundle coordinates, via the
+    oracle chi(O(a) (x) O(b)) = chi_line(a + b)."""
+    twists = (0, -1, -2)
+    return sum(fa * gb * chi_line(twists[i] + twists[j])
+               for i, fa in enumerate(a_coords) for j, gb in enumerate(b_coords))
+
+
+_COORDS = st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
+
+
+@given(_COORDS, st.sampled_from(list(coh.Basis)),
+       _COORDS, st.sampled_from(list(coh.Basis)))
+@settings(max_examples=80, deadline=None)
+@seed(729)
+def test_euler_pairing_bk_bilinear_property(u, frame_u, v, frame_v):
+    # classes given in any frame pair as their line-bundle coordinates do
+    ka, kb = coh.KClass(frame_u, u), coh.KClass(frame_v, v)
+    lb_a = coh.basis_change(ka, coh.Basis.LINE_BUNDLE).coords
+    lb_b = coh.basis_change(kb, coh.Basis.LINE_BUNDLE).coords
+    assert coh.euler_pairing_bk(ka, kb) == pairing_between(lb_a, lb_b)
+    assert coh.chi_p2(ka, kb) == chi_between(lb_a, lb_b)

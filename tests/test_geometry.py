@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,16 @@ def test_critical_points_examples():
     assert abs(z_star - (-0.1)) < 1e-15
     for c in crit:
         assert abs(c ** 3 - 27.0) < 1e-12
+
+
+def test_critical_point_where_the_modulus_overflows():
+    # |y| overflows a double; the root still keeps its y-dependent part
+    y = complex(1.7e308, 1.7e308)
+    z_star = geom.critical_points(y)[0]
+    with mp.workdps(30):
+        want = complex(-mp.power(mp.mpc(y), mp.mpf(-1) / 3))
+    assert z_star.imag != 0.0
+    assert abs(z_star - want) <= 1e-15 * abs(want)
 
 
 def test_critical_points_reject_origin():

@@ -717,11 +717,17 @@ def test_continuation_reaches_the_top_of_the_double_range(y):
 
 
 def test_w_at_infinity_evaluates_no_gamma(monkeypatch):
-    # Gamma(1/3)^3 and Gamma(2/3)^3 are module constants from the same kernel
-    assert pf._G13_CUBED == complex(_kernels.gamma_array(1.0 / 3.0)[0]) ** 3
-    assert pf._G23_CUBED == complex(_kernels.gamma_array(2.0 / 3.0)[0]) ** 3
+    # Gamma(1/3)^3 and Gamma(2/3)^3 are module constants from math.gamma,
+    # within 5e-16 relative of 30-digit values
+    assert pf._G13_CUBED == math.gamma(1.0 / 3.0) ** 3
+    assert pf._G23_CUBED == math.gamma(2.0 / 3.0) ** 3
+    with mp.workdps(30):
+        for got, a in ((pf._G13_CUBED, 1), (pf._G23_CUBED, 2)):
+            want = mp.gamma(mp.mpf(a) / 3) ** 3
+            assert abs((got - want) / want) <= 5e-16, a
     want = pf.w_at_infinity(1e3)
     monkeypatch.setattr(_kernels, "gamma_array", None)
+    monkeypatch.setattr(math, "gamma", None)
     assert pf.w_at_infinity(1e3) == want
 
 
