@@ -65,12 +65,14 @@ CRITICAL_VALUES = (3.0 + 0.0j, 3.0 * OMEGA, 3.0 * OMEGA ** 2)
 TAIL_PHASE = cmath.exp(1j * cmath.pi / 3)
 
 _ROOT_SCALE = 2.0 ** (-2.0 / 3.0)
-_G13 = math.gamma(1.0 / 3.0) ** 3
-_G23 = math.gamma(2.0 / 3.0) ** 3
+# Gamma(1/3)^3 and Gamma(2/3)^3, 2.6e-16 and 8.4e-17 relative off 30-digit
+# values; also the leading terms of ``picard_fuchs.w_at_infinity``
+_G13_CUBED = math.gamma(1.0 / 3.0) ** 3
+_G23_CUBED = math.gamma(2.0 / 3.0) ** 3
 
 # |coefficients| of the y^(-1/3) and y^(-2/3) period tails.
-TAIL_COEFF_1 = math.sqrt(3.0) * _G13 / (8.0 * math.pi ** 3)
-TAIL_COEFF_2 = math.sqrt(3.0) * _G23 / (16.0 * math.pi ** 3)
+TAIL_COEFF_1 = math.sqrt(3.0) * _G13_CUBED / (8.0 * math.pi ** 3)
+TAIL_COEFF_2 = math.sqrt(3.0) * _G23_CUBED / (16.0 * math.pi ** 3)
 
 PATH_CLEARANCE = 1e-6
 COLLISION_TOL = 1e-9
@@ -138,18 +140,28 @@ def critical_points(y: complex):
 
     z_* = -y^(-1/3) (principal root) is where the ambient C*-fiber pinches;
     the elliptic fiber itself degenerates at the cube roots 3*OMEGA**k.
-    y is scaled by its larger part s first, so no |y| up to the largest
-    double overflows, and s^(-1/3) is 1/cbrt(s): a power with the rounded
-    exponent -1.0/3.0 is off by |ln s| * 1.9e-17 relative, 1.3e-14 at 1e307.
     """
     y = complex(y)
     if not cmath.isfinite(y):
         raise DomainError(f"critical points need a finite modulus, got {y}")
     if y == 0:
         raise DomainError("critical points undefined at y = 0")
-    s = max(abs(y.real), abs(y.imag))
-    z_star = -((y / s) ** (-1.0 / 3.0)) / math.cbrt(s)
-    return (z_star, *CRITICAL_VALUES)
+    return (-_inv_cbrt(y), *CRITICAL_VALUES)
+
+
+def _inv_cbrt(y: complex) -> complex:
+    """y^(-1/3), principal branch, for finite y != 0.
+
+    Each part of y is scaled by 2^(-3k), exactly and keeping the sign of a
+    zero part, so that the larger lies in [1/2, 4); the root of the scaled
+    value is scaled back by 2^(-k).  No |y| up to the largest double
+    overflows, and the rounded exponent -1.0/3.0 acts on a modulus near 1:
+    unscaled it costs |ln|y|| * 1.9e-17 relative, 1.3e-14 at 1e307, and
+    exp(-log(y)/3) costs the rounding of log y over 3, 1.0e-14 there.
+    """
+    k = math.frexp(max(abs(y.real), abs(y.imag)))[1] // 3
+    w = complex(math.ldexp(y.real, -3 * k), math.ldexp(y.imag, -3 * k))
+    return w ** (-1.0 / 3.0) * 2.0 ** -k
 
 
 def _origin_triple() -> np.ndarray:
@@ -366,7 +378,7 @@ def expected_period_tail(y: complex, k: int) -> complex:
     y = _period_modulus(y)
     if k not in (0, 1, 2):
         raise DomainError(f"cycle index must be 0, 1 or 2, got {k}")
-    u = y ** (-1.0 / 3.0)
+    u = _inv_cbrt(y)
     return ((-1.0) ** k / 3.0
             + TAIL_PHASE ** k * TAIL_COEFF_1 * u
             + TAIL_PHASE ** (-k) * TAIL_COEFF_2 * u * u)

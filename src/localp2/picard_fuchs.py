@@ -37,6 +37,7 @@ import numpy as np
 from . import _kernels
 from ._dop853 import transport_segment as _transport_segment
 from .errors import ConvergenceError, DomainError, MonodromyError
+from .mirror_geometry import _G13_CUBED, _G23_CUBED, _inv_cbrt
 
 __all__ = [
     "SolutionTriple",
@@ -65,9 +66,6 @@ _SERIES_MAX_TERMS = 2000
 # the annulus between
 _LN_INNER = math.log(0.02)
 _LN_OUTER = -math.log(729.0 * 0.02)
-# Gamma(1/3)^3 and Gamma(2/3)^3, the leading terms of ``w_at_infinity``
-_G13_CUBED = math.gamma(1.0 / 3.0) ** 3
-_G23_CUBED = math.gamma(2.0 / 3.0) ** 3
 
 
 # The n-only arrays of ``_series_terms`` for m = 1.._SERIES_MAX_TERMS: the
@@ -362,7 +360,7 @@ def _inverse_rows(u: complex, m13, m23) -> list[list[complex]]:
 def w_at_infinity(y: complex, n_terms: int | None = None) -> SolutionTriple:
     """Large-|y| solution triple from the two Gamma-cubed inverse series.
 
-    With u = y^(-1/3) = exp(-log(y)/3) (principal branch),
+    With u = y^(-1/3) (principal branch, ``mirror_geometry._inv_cbrt``),
 
         S_a = sum_n t_n^a,  t_n^a = Gamma(n+a)^3 (-1)^n / (3n+3a)! / y^n,
 
@@ -383,14 +381,14 @@ def w_at_infinity(y: complex, n_terms: int | None = None) -> SolutionTriple:
     least at which the a-priori tail bound E_0 q^N / (1 - q) falls to the
     rounding level 2^-53 E_0: one term from |y| = 1e17 on, 12 at |y| = 1,
     61 at 27|y| = 1/0.54, and close to |y| = 1/27 at most 2000, where the
-    estimate stays above that level.  Every log is taken of y, so no |y| up
-    to the largest double overflows.
+    estimate stays above that level.  |y| is read from log y and u from the
+    scaled root, so no |y| up to the largest double overflows.
     """
     y = _finite_modulus(y)
     ln_27y = _ln_abs(y) + math.log(27.0)
     if not ln_27y > 0.0:
         raise DomainError(f"|y| = {abs(y):g} is outside the large-|y| region |y| > 1/27")
-    u = cmath.exp(-cmath.log(y) / 3.0)
+    u = _inv_cbrt(y)
     weight = (abs(u) / (4.0 * math.pi ** 2), abs(u) ** 2 / (4.0 * math.pi ** 2))
     e0 = _INV_LEAD[0] * weight[0] + _INV_LEAD[1] * weight[1]
     one_minus_q = -math.expm1(-ln_27y)
@@ -413,7 +411,7 @@ def _inverse_frame(y0: complex, n_terms: int) -> np.ndarray:
     t = _inverse_terms(y0, n_terms)
     e = _inverse_exponents(n_terms)
     m = np.stack([t, e * t, e * e * t], axis=1).sum(axis=2).tolist()     # m[a][k]
-    return np.array(_inverse_rows(cmath.exp(-cmath.log(y0) / 3.0), *m), dtype=complex)
+    return np.array(_inverse_rows(_inv_cbrt(y0), *m), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +571,7 @@ def continue_solutions(y_target: complex, y_start: complex | None = None,
         q      direct series     inverse series    transport RHS   time
         0.54    80  3.1e-16       61  2.6e-15        34 mean, 119    0.36 ms
         0.7     84  5.8e-16      107  5.7e-15        26 mean,  73    0.30 ms
-        0.8    137  6.6e-16      172  4.9e-15        21 mean,  49    0.26 ms
+        0.8    137  6.6e-16      172  5.0e-15        21 mean,  49    0.26 ms
         0.9    297  1.4e-15      371  4.3e-15        16 mean,  37    0.22 ms
 
     (terms, error).  A sum takes 17-38 us at these orders, a transport a

@@ -44,6 +44,31 @@ def test_critical_point_where_the_modulus_overflows():
         want = complex(-mp.power(mp.mpc(y), mp.mpf(-1) / 3))
     assert z_star.imag != 0.0
     assert abs(z_star - want) <= 1e-15 * abs(want)
+    # so does the period tail, which takes the same root
+    assert geom.expected_period_tail(y, 1).imag != 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_critical_point_keeps_the_side_of_the_cut(sign):
+    # y = -1000 +- 0j has arg +-pi, so z_* = -0.1 exp(-+i pi/3)
+    z_star = geom.critical_points(complex(-1e3, sign * 0.0))[0]
+    with mp.workdps(30):
+        want = complex(-mp.mpf(10) ** -1 * mp.expj(-sign * mp.pi / 3))
+    assert abs(z_star - want) <= 1e-15 * abs(want)
+
+
+def test_inverse_cube_root_against_mpmath():
+    # seeded y with |y| from the least subnormal to the largest double
+    rng = np.random.default_rng(27)
+    ln_mod = rng.uniform(math.log(5e-324), math.log(1.6e308), 400)
+    phase = rng.uniform(-math.pi, math.pi, 400)
+    with mp.workdps(30):
+        for lr, ph in zip(ln_mod, phase):
+            y = cmath.rect(math.exp(lr), ph)
+            if y == 0:
+                continue
+            want = complex(mp.power(mp.mpc(y), mp.mpf(-1) / 3))
+            assert abs(geom._inv_cbrt(y) - want) <= 1e-15 * abs(want), y
 
 
 def test_critical_points_reject_origin():
