@@ -101,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None, metavar="RE[,IM]",
                    help="modulus sample; repeatable")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--precision", choices=("double", "extended"), default=None)
+    p.add_argument("--precision", choices=("double", "extended"), default=None,
+                   help="closed-form identity precision; verify-appendix and reproduce only")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     return p
@@ -270,16 +271,15 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     # stay off the negative real axis, where the contour representation cuts
     for y in (0.02, -0.01 + 0.017j, 0.012 + 0.015j):
         t = pf.chf_expand(y)
-        devs.append(abs(t.w1 - pf.series_w1(y)))
-        devs.append(abs(t.w2 - pf.series_w2(y)))
-        # contour route to w1: log term plus three times the plain sum
-        mb_w1 = ((cmath.log(y) + 3.0 * pf.mellin_barnes(y, "plain"))
-                 / (2j * math.pi))
-        devs.append(abs(t.w1 - mb_w1))
+        # contour route: the plain and digamma-weighted sums in the printed form
+        _, (mb_w1,), (mb_w2,) = pf._printed_rows(
+            cmath.log(y), [pf.mellin_barnes(y, "plain")], [pf.mellin_barnes(y, "digamma")])
+        for w1, w2 in ((pf.series_w1(y), pf.series_w2(y)), (mb_w1, mb_w2)):
+            devs += [abs(t.w1 - w1), abs(t.w2 - w2)]
     stage("solution_cross_checks", max(devs) <= 1e-9,
           f"worst pairwise dev {max(devs):.3e}")
 
-    resid = pf.annihilation_residual((0.01, -0.015, 0.02j))
+    resid = pf.annihilation_residual((0.01, -0.015, 0.02j, 0.5, -2.0 + 2.0j))
     stage("annihilator", resid <= 1e-10, f"residual {resid:.3e}")
 
     quad = cfg.precision()
@@ -339,6 +339,9 @@ _BODIES = {
     "ktheory-table": _cmd_ktheory_table,
     "reproduce": _cmd_reproduce,
 }
+
+# the subcommands whose output the precision mode changes
+_PRECISION_AWARE = ("verify-appendix", "reproduce")
 
 _CSV_ABLE = {"series", "continue", "periods", "central-charges",
              "verify-appendix"}
@@ -422,6 +425,8 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(list(argv))
+        if ns.precision and ns.command not in _PRECISION_AWARE:
+            parser.error(f"--precision applies to {' and '.join(_PRECISION_AWARE)} only")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

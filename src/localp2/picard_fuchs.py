@@ -75,6 +75,10 @@ _RATIO = (3.0 * _M - 1.0) * (3.0 * _M - 2.0) * (3.0 * _M - 3.0) / _M ** 3
 _GAP = 1.0 / (3.0 * _M - 2.0) + 1.0 / (3.0 * _M - 1.0) - 1.0 / _M
 _GAP[1:] += 1.0 / (3.0 * _M[1:] - 3.0)
 _GAP = np.cumsum(_GAP)
+# The weights of the power sums of ``_series_rows``: columns m^k and
+# m^k (H_(3m-1) - H_m), k = 0..3; complex, so that their product with
+# complex terms needs no cast.
+_MOMENTS = np.stack([_M ** k * w for k in range(4) for w in (1.0, _GAP)], axis=1).astype(complex)
 
 
 def _inverse_exponents(n: int) -> np.ndarray:
@@ -107,7 +111,7 @@ def _mb_factors(n: int, weighted: bool = True) -> tuple:
 
 # Both factors at every node a modulus with pi - |arg y| >= 0.25 needs.
 _MB_LG, _MB_PSI = _mb_factors(math.ceil(42.0 / 0.25 / _MB_STEP) + 1)
-for _table in (_RATIO, _GAP, _INV_RATIO, _MB_LG, _MB_PSI):
+for _table in (_RATIO, _GAP, _MOMENTS, _INV_RATIO, _MB_LG, _MB_PSI):
     _table.setflags(write=False)
 del _M, _E, _table
 
@@ -170,9 +174,9 @@ def _series_terms(y, n: int, lead: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 1 <= n <= _SERIES_MAX_TERMS:
         raise DomainError(f"series terms must number 1 to {_SERIES_MAX_TERMS}, got {n}")
-    ratio = _RATIO[:n].copy()
-    ratio[0] = lead
-    return np.cumprod(ratio * (-y)), _GAP[:n]
+    ratio = _RATIO[:n] * (-y)
+    ratio[0] = lead * (-y)
+    return np.cumprod(ratio), _GAP[:n]
 
 
 def chf_expand(y: complex, n_max: int = 80) -> SolutionTriple:
@@ -253,9 +257,7 @@ def series_solutions(y: complex, err_target: float) -> SolutionTriple:
 
 def series_w1(y: complex, n_terms: int = 80) -> complex:
     """Single-log solution: (1/2 pi i) [ log y + 3 sum C_m (-y)^m ]."""
-    y = _check_series_domain(y)
-    s = complex(_series_terms(y, n_terms, 2.0)[0].sum())
-    return (cmath.log(y) + 3.0 * s) / _TWO_PI_I
+    return _series_rows(_check_series_domain(y), n_terms, 1)[1][0]
 
 
 def series_w2(y: complex, n_terms: int = 80) -> complex:
@@ -266,14 +268,40 @@ def series_w2(y: complex, n_terms: int = 80) -> complex:
 
     with log(-y) = log(y) - i pi.
     """
-    y = _check_series_domain(y)
-    ln_my = cmath.log(y) - 1j * math.pi
-    t, dpsi = _series_terms(y, n_terms, 2.0)
-    s_plain, s_psi = complex(t.sum()), complex(t @ dpsi)
-    pi2 = math.pi ** 2
-    return (-(ln_my * ln_my) / (8.0 * pi2) + 0.125
-            - 3.0 * ln_my * s_plain / (4.0 * pi2)
-            - 9.0 * s_psi / (4.0 * pi2))
+    return _series_rows(_check_series_domain(y), n_terms, 1)[2][0]
+
+
+def _printed_rows(ln_y: complex, s, d) -> list[list[complex]]:
+    """Rows w_0, w_1, w_2 of (theta^k w), k < len(s) <= 4, of the printed
+    solutions of ``series_w1`` and ``series_w2``, given the power sums
+    S_k = sum m^k t_m and D_k = sum m^k t_m (H_{3m-1} - H_m) of the terms
+    t_m = C_m (-y)^m (from ``_series_rows``, or S_0 and D_0 from
+    ``mellin_barnes``).  theta y^m = m y^m and theta log y =
+    theta log(-y) = 1, so theta^k (log(-y) S) = log(-y) S_k + k S_(k-1).
+    """
+    ln_my = ln_y - 1j * math.pi
+    pi2 = 4.0 * math.pi ** 2
+    rows = [[1.0 + 0j], [(ln_y + 3.0 * s[0]) / _TWO_PI_I],
+            [0.125 - (ln_my * ln_my / 2.0 + 3.0 * (ln_my * s[0] + 3.0 * d[0])) / pi2]]
+    for k in range(1, len(s)):
+        rows[0].append(0j)
+        rows[1].append(((1.0, 0.0, 0.0)[k - 1] + 3.0 * s[k]) / _TWO_PI_I)
+        rows[2].append(-((ln_my, 1.0, 0.0)[k - 1]
+                         + 3.0 * (ln_my * s[k] + k * s[k - 1] + 3.0 * d[k])) / pi2)
+    return rows
+
+
+def _series_rows(y: complex, n_terms: int, order: int) -> list[list[complex]]:
+    """``_printed_rows`` at y from the n_terms-term sums S_k, D_k, k < order:
+    one product of the terms of ``_series_terms`` with ``_MOMENTS``."""
+    sd = (_series_terms(y, n_terms, 2.0)[0] @ _MOMENTS[:n_terms, :2 * order]).tolist()
+    return _printed_rows(cmath.log(y), sd[::2], sd[1::2])
+
+
+def _series_frame(y0: complex, n_terms: int, order: int = 3) -> np.ndarray:
+    """3 x order matrix of the rows (w_i, theta w_i, ..., theta^(order-1) w_i)
+    at y0 from the n_terms-term printed series."""
+    return np.array(_series_rows(y0, n_terms, order), dtype=complex)
 
 
 def mellin_barnes(y: complex, which: str = "plain") -> complex:
@@ -349,7 +377,7 @@ def _inverse_rows(u: complex, m13, m23) -> list[list[complex]]:
     r3 = math.sqrt(3.0)
     x = [(u * a / (4.0 * math.pi ** 2), u * u * b / (4.0 * math.pi ** 2))
          for a, b in zip(m13, m23)]
-    rows = [[1.0 + 0j, 0j, 0j][:len(x)],
+    rows = [[1.0 + 0j] + [0j] * (len(x) - 1),
             [3.0 / _TWO_PI_I * (x23 - x13) for x13, x23 in x],
             [r3 / (4.0 * math.pi) * ((-1.0 + 1j * r3) * x23 - (1.0 + 1j * r3) * x13)
              for x13, x23 in x]]
@@ -404,112 +432,43 @@ def w_at_infinity(y: complex, n_terms: int | None = None) -> SolutionTriple:
     return SolutionTriple(w0, w1, w2, y, err)
 
 
-def _inverse_frame(y0: complex, n_terms: int) -> np.ndarray:
-    """3x3 matrix of (w_i, theta w_i, theta^2 w_i) rows at y0 from the
-    n_terms-term sums of ``w_at_infinity``: theta multiplies its term
-    u^(3a) t_n^a, a multiple of y^-(n+a), by -(n + a)."""
-    t = _inverse_terms(y0, n_terms)
-    e = _inverse_exponents(n_terms)
-    m = np.stack([t, e * t, e * e * t], axis=1).sum(axis=2).tolist()     # m[a][k]
+def _inverse_frame(y0: complex, n_terms: int, order: int = 3) -> np.ndarray:
+    """3 x order matrix of the rows (w_i, theta w_i, ..., theta^(order-1) w_i)
+    at y0 from the n_terms-term sums of ``w_at_infinity``: theta multiplies
+    its term u^(3a) t_n^a, a multiple of y^-(n+a), by -(n + a)."""
+    t = _inverse_terms(y0, n_terms)[:, None]
+    e = _inverse_exponents(n_terms)[:, None]
+    m = (t * e ** np.arange(float(order))[:, None]).sum(axis=2).tolist()     # m[a][k]
     return np.array(_inverse_rows(_inv_cbrt(y0), *m), dtype=complex)
 
 
-# ---------------------------------------------------------------------------
-# log-polynomial coefficient arrays: w = sum_{j,m} arr[j][m] * y^m * (log y)^j
-# ---------------------------------------------------------------------------
-
-
-def _solution_arrays(n_terms: int) -> list[np.ndarray]:
-    """Coefficient arrays (3 x (n_terms+1)) for w_0, w_1, w_2 over log-powers.
-
-    The printed log(-y) form of w_2 is rewritten over log y using
-    log(-y) = log y - i pi, which moves i pi pieces into lower rows.
-    """
-    mpow = n_terms + 1
-    w0 = np.zeros((3, mpow), dtype=complex)
-    w0[0, 0] = 1.0
-
-    w1 = np.zeros((3, mpow), dtype=complex)
-    w1[1, 0] = 1.0 / _TWO_PI_I
-    w2 = np.zeros((3, mpow), dtype=complex)
-    pi2 = math.pi ** 2
-    w2[2, 0] = -1.0 / (8.0 * pi2)
-    w2[1, 0] = 1j / (4.0 * math.pi)          # cross term of (log y - i pi)^2
-    w2[0, 0] = 0.25                          # 1/8 printed + 1/8 from (i pi)^2
-
-    # y = 1.0 leaves the real coefficients C_m (-1)^m
-    t, dpsi = _series_terms(1.0, n_terms, 2.0)
-    w1[0, 1:] = 3.0 * t / _TWO_PI_I
-    w2[1, 1:] = -3.0 * t / (4.0 * pi2)
-    w2[0, 1:] = 3.0 * t * (1j * math.pi) / (4.0 * pi2) - 9.0 * t * dpsi / (4.0 * pi2)
-    return [w0, w1, w2]
-
-
-def _theta_shift(arr: np.ndarray) -> np.ndarray:
-    """theta = y d/dy acting on a log-polynomial coefficient array."""
-    out = np.zeros_like(arr)
-    m = np.arange(arr.shape[1])
-    for j in range(arr.shape[0]):
-        out[j] += m * arr[j]
-        if j + 1 < arr.shape[0]:
-            out[j] += (j + 1) * arr[j + 1]
-    return out
-
-
-def _eval_array(arr: np.ndarray, y: complex, ln_y: complex) -> complex:
-    powers = y ** np.arange(arr.shape[1])
-    logs = np.array([1.0, ln_y, ln_y * ln_y], dtype=complex)[: arr.shape[0]]
-    return complex(logs @ (arr @ powers))
-
-
 def annihilation_residual(y_samples, n_terms: int = 40) -> float:
-    """Apply L = theta^3 + 3y(3theta+1)(3theta+2)theta to the truncated
-    series of all three solutions and evaluate the leftover at the samples.
+    """Apply L = theta^3 + 3y(3theta+1)(3theta+2)theta to the n_terms-term
+    exact series of all three solutions and evaluate the leftover at the
+    samples: L w = theta^3 w + y (27 theta^3 w + 27 theta^2 w + 6 theta w)
+    from the theta^3 frame of ``_series_frame`` inside the disc |y| < 1/27,
+    of ``_inverse_frame`` outside it; a sample on |y| = 1/27 or at 0 is a
+    DomainError.
 
-    The recurrence kills every interior coefficient exactly, so what remains
-    is the truncation boundary term of order y^(n_terms+1); the returned
-    number is the max magnitude over samples and solutions.
+    The recurrence kills every interior term exactly, so what remains is
+    the truncation boundary term, of order (27|y|)^(+-n_terms), plus
+    rounding; the returned number is the max magnitude over samples and
+    solutions.
     """
-    samples = [_check_series_domain(v) for v in y_samples]
+    samples = [_finite_modulus(v) for v in y_samples]
     if not samples:
         raise DomainError("need at least one sample")
     worst = 0.0
-    for arr in _solution_arrays(n_terms):
-        t1 = _theta_shift(arr)
-        t2 = _theta_shift(t1)
-        t3 = _theta_shift(t2)
-        # residual = t3 + y*(27 t3 + 27 t2 + 6 t1); the y factor shifts columns
-        res = np.zeros((3, arr.shape[1] + 1), dtype=complex)
-        res[:, :-1] = t3
-        res[:, 1:] += 27.0 * t3 + 27.0 * t2 + 6.0 * t1
-        for y in samples:
-            val = _eval_array(res, y, cmath.log(y))
-            worst = max(worst, abs(val))
+    for y in samples:
+        if 0 < abs(y) < _SERIES_RADIUS:
+            f = _series_frame(y, n_terms, 4)
+        elif abs(y) > _SERIES_RADIUS:
+            f = _inverse_frame(y, n_terms, 4)
+        else:
+            raise DomainError(f"annihilator samples need 0 < |y| != 1/27, got {y}")
+        lw = f[:, 3] + y * (27.0 * f[:, 3] + 27.0 * f[:, 2] + 6.0 * f[:, 1])
+        worst = max(worst, float(np.max(np.abs(lw))))
     return worst
-
-
-def _initial_frame(y0: complex, n_terms: int) -> np.ndarray:
-    """3x3 matrix of (w_i, theta w_i, theta^2 w_i) rows at y0 from the series.
-
-    The arrays of ``_series_terms`` give S_k = sum m^k t_m and
-    D_k = sum m^k t_m (H_{3m-1} - H_m), k = 0, 1, 2, with t_m = C_m (-y0)^m,
-    as one product with the rows m^0, m^1, m^2; theta y^m = m y^m turns them
-    into the printed w_1, w_2 and their first two theta-derivatives, with
-    theta log(-y) = 1.
-    """
-    t, dpsi = _series_terms(y0, n_terms, 2.0)
-    m_pow = np.arange(1.0, n_terms + 1.0) ** np.arange(3.0)[:, None]
-    (s0, s1, s2), (d0, d1, d2) = (m_pow @ np.stack([t, t * dpsi], axis=1)).T.tolist()
-    ln_y = cmath.log(y0)
-    ln_my = ln_y - 1j * math.pi
-    pi2 = 4.0 * math.pi ** 2
-    return np.array([
-        [1.0, 0.0, 0.0],
-        [(ln_y + 3.0 * s0) / _TWO_PI_I, (1.0 + 3.0 * s1) / _TWO_PI_I, 3.0 * s2 / _TWO_PI_I],
-        [-ln_my * ln_my / (2.0 * pi2) + 0.125 - 3.0 * (ln_my * s0 + 3.0 * d0) / pi2,
-         -(ln_my + 3.0 * (ln_my * s1 + s0 + 3.0 * d1)) / pi2,
-         -(1.0 + 3.0 * (ln_my * s2 + 2.0 * s1 + 3.0 * d2)) / pi2],
-    ], dtype=complex)
 
 
 def monodromy_around_origin(radius: float = 1e-3, n_terms: int = 80,
@@ -535,8 +494,10 @@ def monodromy_around_origin(radius: float = 1e-3, n_terms: int = 80,
     """
     if not 0 < radius < _SERIES_RADIUS:
         raise DomainError("loop radius must sit inside the series disc")
+    if not 0.0 < rtol < math.inf:
+        raise DomainError(f"rtol must be finite and positive, got {rtol}")
     y0 = complex(radius)
-    start = _initial_frame(y0, n_terms)
+    start = _series_frame(y0, n_terms)
     s0 = cmath.log(y0)
     frame = _transport_segment(s0, s0 + _TWO_PI_I, start, rtol)
     m = frame @ np.linalg.inv(start)
@@ -601,6 +562,8 @@ def continue_solutions(y_target: complex, y_start: complex | None = None,
     y_target = _finite_modulus(y_target)
     if y_target == 0:
         raise DomainError("cannot continue into the origin")
+    if not 0.0 < rtol < math.inf:
+        raise DomainError(f"rtol must be finite and positive, got {rtol}")
     s1 = cmath.log(y_target)
     s_sing = cmath.log(complex(-1.0 / 27.0))  # log(1/27) + i pi
     if y_start is None:
@@ -610,11 +573,11 @@ def continue_solutions(y_target: complex, y_start: complex | None = None,
         inside = s1.real < math.log(_SERIES_RADIUS)
         s0 = complex(_LN_INNER if inside else _LN_OUTER, s1.imag)
         y_start = cmath.exp(s0)
-        u = (_initial_frame if inside else _inverse_frame)(y_start, n_terms)
+        u = (_series_frame if inside else _inverse_frame)(y_start, n_terms)
     else:
         y_start = _check_series_domain(y_start)
         s0 = cmath.log(y_start)
-        u = _initial_frame(y_start, n_terms)
+        u = _series_frame(y_start, n_terms)
     seg = s1 - s0
     if abs(seg) > 0:
         tproj = max(0.0, min(1.0, ((s_sing - s0) / seg).real))

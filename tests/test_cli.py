@@ -209,8 +209,24 @@ def test_precision_environment_is_read_by_specfun(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "DomainError"
     assert "bogus" in report["context"]["message"]
-    assert dispatch(["series", "--precision", "double"]) == 0
+    assert dispatch(["verify-appendix", "--precision", "double"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [c for c in SUBCOMMANDS
+                                     if c not in ("verify-appendix", "reproduce")])
+def test_precision_flag_is_a_usage_error_where_it_changes_nothing(command, capsys, monkeypatch):
+    # the mode changes only the closed-form identities; elsewhere the flag
+    # was accepted and ignored, so it is refused as bad syntax
+    for mode in ("double", "extended"):
+        assert dispatch([command, f"--precision={mode}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--precision" in captured.err
+    # LOCALP2_PRECISION stays a default that these subcommands ignore
+    if command in ("monodromy", "ktheory-table"):
+        monkeypatch.setenv("LOCALP2_PRECISION", "extended")
+        assert dispatch([command]) == 0
+        assert json.loads(capsys.readouterr().out)
 
 
 def test_tolerance_validation(capsys):

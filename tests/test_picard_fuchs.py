@@ -31,26 +31,33 @@ def coeff_oracle(m: int) -> Fraction:
     return Fraction(math.factorial(3 * m - 1), math.factorial(m) ** 3)
 
 
-def w1_oracle(y: complex, n_terms: int = 80) -> complex:
-    """Single-log solution summed directly from factorial coefficients."""
-    s = sum(float(coeff_oracle(m)) * (-y) ** m for m in range(1, n_terms + 1))
-    return (cmath.log(y) + 3.0 * s) / (2j * math.pi)
+def w1_oracle(y: complex, n_terms: int = 80, theta: int = 0) -> complex:
+    """Single-log solution summed directly from factorial coefficients, or
+    its theta-th derivative in theta = y d/dy (theta <= 3)."""
+    s = sum(m ** theta * float(coeff_oracle(m)) * (-y) ** m for m in range(1, n_terms + 1))
+    return ((cmath.log(y), 1.0, 0.0, 0.0)[theta] + 3.0 * s) / (2j * math.pi)
 
 
-def w2_oracle(y: complex, n_terms: int = 80) -> complex:
+def w2_oracle(y: complex, n_terms: int = 80, theta: int = 0) -> complex:
     """Double-log solution from factorial coefficients and mpmath digammas
-    (at 30 digits)."""
+    (at 30 digits), or its theta-th derivative (theta <= 3): theta m^k-weights
+    the terms, and the log factors follow Leibniz's rule."""
     ln_my = cmath.log(y) - 1j * math.pi
-    s_plain = 0j
+    d_ln = (ln_my, 1.0, 0.0, 0.0)                       # theta^j log(-y)
+    s_plain = [0j] * (theta + 1)                        # sum m^j t_m, j <= theta
     s_psi = 0j
     for m in range(1, n_terms + 1):
         t = float(coeff_oracle(m)) * (-y) ** m
-        s_plain += t
+        for j in range(theta + 1):
+            s_plain[j] += m ** j * t
         with mp.workdps(30):
-            s_psi += t * float(mp.digamma(3 * m) - mp.digamma(m + 1))
+            s_psi += m ** theta * t * float(mp.digamma(3 * m) - mp.digamma(m + 1))
+    leibniz = [math.comb(theta, j) * d_ln[j] for j in range(theta + 1)]
+    log_sq = sum(c * d_ln[theta - j] for j, c in enumerate(leibniz))
+    log_s = sum(c * s_plain[theta - j] for j, c in enumerate(leibniz))
     pi2 = math.pi ** 2
-    return (-(ln_my ** 2) / (8 * pi2) + 0.125
-            - 3 * ln_my * s_plain / (4 * pi2) - 9 * s_psi / (4 * pi2))
+    return (-log_sq / (8 * pi2) + (0.125 if theta == 0 else 0.0)
+            - 3 * log_s / (4 * pi2) - 9 * s_psi / (4 * pi2))
 
 
 # --- series coefficients ----------------------------------------------------
@@ -183,21 +190,25 @@ def test_series_terms_stay_finite_at_the_order_cap_near_the_rim():
     assert abs(t @ dpsi - want_psi) <= 1e-13 * abs(want_psi)
 
 
-# --- the two encodings of the printed series ---------------------------------
+# --- the printed series and its theta-derivatives -------------------------------
 
-def test_solution_arrays_match_printed_series():
-    # the log-polynomial arrays behind the annihilator and the transport frame
-    # encode the printed series: evaluated, rows 1 and 2 are series_w1 and
-    # series_w2 at the same truncation
+def test_series_frame_matches_the_oracles_in_every_theta_column():
+    # the rows behind series_w1/w2 (order 1), the transport frame (order 3)
+    # and the annihilator (order 4): column k against theta^k of the
+    # factorial-coefficient sums at the same truncation
     rng = np.random.default_rng(2026)
     for n in (1, 2, 40, 80):
-        arrays = pf._solution_arrays(n)
-        for _ in range(200):
+        for _ in range(10):
             y = (math.exp(rng.uniform(math.log(1e-6), math.log(0.02)))
                  * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
-            ln_y = cmath.log(y)
-            assert abs(pf._eval_array(arrays[1], y, ln_y) - pf.series_w1(y, n)) <= 4e-15, (y, n)
-            assert abs(pf._eval_array(arrays[2], y, ln_y) - pf.series_w2(y, n)) <= 4e-15, (y, n)
+            got = pf._series_frame(y, n, 4)
+            for k in range(4):
+                want = (1.0 if k == 0 else 0.0, w1_oracle(y, n, k), w2_oracle(y, n, k))
+                dev = max(abs(g - w) for g, w in zip(got[:, k], want))
+                assert dev <= 1e-15 * max(1.0, abs(want[2])), (y, n, k, dev)
+            for short in (pf._series_frame(y, n, 3),
+                          [[1.0], [pf.series_w1(y, n)], [pf.series_w2(y, n)]]):
+                assert np.allclose(short, got[:, :len(short[0])], rtol=1e-15, atol=0.0)
 
 
 # --- contour representation ---------------------------------------------------
@@ -393,6 +404,21 @@ def test_annihilation_residual_shrinks_with_terms():
     assert r50 < r30
 
 
+def test_annihilation_residual_on_the_large_y_series():
+    # past |y| = 1/27 the theta^3 frame of the inverse series: at rounding
+    # level far out, and the truncation term near the circle
+    for y in (1.0, -5.0 + 5.0j, 0.1, 0.3j, 0.5, -2.0 + 2.0j):
+        assert pf.annihilation_residual([y]) <= 1e-15, y
+    r30, r60 = (pf.annihilation_residual([-0.05], n_terms=n) for n in (30, 60))
+    assert 1e-9 < r30 and r60 < 1e-3 * r30, (r30, r60)
+
+
+@pytest.mark.parametrize("y", [1.0 / 27.0, 1j / 27.0, -1.0 / 27.0, 0.0])
+def test_annihilation_refuses_the_circle_and_the_origin(y):
+    with pytest.raises(DomainError):
+        pf.annihilation_residual([0.01, y])
+
+
 def test_annihilation_needs_samples():
     with pytest.raises(DomainError):
         pf.annihilation_residual(())
@@ -530,7 +556,7 @@ def test_dop853_tableau_order_conditions():
 
 def test_transport_segment_matches_reference_on_seeded_paths(monkeypatch):
     rng = np.random.default_rng(808)
-    frame = pf._initial_frame(0.01, 80)
+    frame = pf._series_frame(0.01, 80)
     for y in _seeded_continuation_targets(rng, 150, 1e-2, 1e8):
         _assert_same_transport(monkeypatch, _S_START, cmath.log(y), frame)
 
@@ -538,7 +564,7 @@ def test_transport_segment_matches_reference_on_seeded_paths(monkeypatch):
 @pytest.mark.parametrize("radius", [1e-3, 0.01, 0.015])
 def test_transport_segment_matches_reference_on_the_origin_loop(monkeypatch, radius):
     s0 = cmath.log(radius)
-    _assert_same_transport(monkeypatch, s0, s0 + 2j * math.pi, pf._initial_frame(radius, 80))
+    _assert_same_transport(monkeypatch, s0, s0 + 2j * math.pi, pf._series_frame(radius, 80))
 
 
 def test_transport_right_hand_side_counts(monkeypatch):
@@ -569,7 +595,7 @@ def test_transport_finishes_on_a_sliver_step(monkeypatch, tmp_path):
     got, calls = _counting_exp_calls(monkeypatch, pf.continue_solutions, y, 0.01, record=args)
     assert args[:-11] == ray[:calls - 11] and args[-12] == s_k
     assert 0 < max(abs(a - s_k) for a in args[-11:]) <= 2e-15
-    ref, _ = _dop853_reference(_S_START, cmath.log(y), pf._initial_frame(0.01, 80), 1e-10)
+    ref, _ = _dop853_reference(_S_START, cmath.log(y), pf._series_frame(0.01, 80), 1e-10)
     assert np.max(np.abs(got.as_vector() - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref))
     # the default route's transport across the annulus, from the inner edge
     # 0.02, ends on such a sliver step too: on the command line as in-process
@@ -597,18 +623,6 @@ def test_transport_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_initial_frame_matches_the_coefficient_arrays():
-    # the one-pass sums against theta applied to the log-polynomial arrays
-    for y0 in (0.01, 0.015, 0.02j, complex(-0.02, 0.01), 1e-4):
-        ln_y = cmath.log(y0)
-        want = np.array([[pf._eval_array(arr, y0, ln_y),
-                          pf._eval_array(pf._theta_shift(arr), y0, ln_y),
-                          pf._eval_array(pf._theta_shift(pf._theta_shift(arr)), y0, ln_y)]
-                         for arr in pf._solution_arrays(80)])
-        got = pf._initial_frame(y0, 80)
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), y0
-
-
 @pytest.mark.parametrize("rtol", [1e-10, 1e-14])
 def test_continuation_err_estimate_bounds_true_error(rtol):
     # references: the inverse series past |y| = 100, the direct series inside
@@ -633,6 +647,19 @@ def test_continuation_rtol_keeps_err_estimate_within_target(target):
     assert rtol >= min(1e-10, target / 100.0) * (1.0 - 1e-15)
 
 
+@pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda rtol: pf.continue_solutions(0.03, rtol=rtol),
+    lambda rtol: pf.continue_solutions(0.01, rtol=rtol),
+    lambda rtol: pf.monodromy_around_origin(rtol=rtol),
+])
+def test_transport_tolerance_must_be_finite_and_positive(call, rtol):
+    # refused before any work: -1 gave err_estimate -100 at y = 0.03, nan
+    # ran to a step-size underflow, and the loop ran whole before failing
+    with pytest.raises(DomainError, match="rtol"):
+        call(rtol)
+
+
 def test_continuation_rtol_keeps_the_default():
     assert pf.continuation_rtol(1e-6) == 1e-10
     for bad in (0.0, -1e-9, math.nan):
@@ -652,7 +679,7 @@ def test_monodromy_around_origin_matrix():
 def _loop_distance_from_integers(radius):
     """Largest distance from an integer of an entry of the transported loop
     matrix, before monodromy_around_origin rounds it."""
-    start = pf._initial_frame(complex(radius), 80)
+    start = pf._series_frame(complex(radius), 80)
     s0 = cmath.log(radius)
     m = pf._transport_segment(s0, s0 + 2j * math.pi, start, 1e-10) @ np.linalg.inv(start)
     return np.max(np.abs(m - np.rint(m.real)))
@@ -867,7 +894,7 @@ def test_inverse_frame_matches_the_transported_frame():
     for r in (_OUTER_MARGIN, 0.2, 5.0, 1e3):
         for phase in _PHASES[7::2]:
             y = cmath.rect(r, phase)
-            want = pf._transport_segment(s0, cmath.log(y), pf._initial_frame(0.01, 80), 1e-13)
+            want = pf._transport_segment(s0, cmath.log(y), pf._series_frame(0.01, 80), 1e-13)
             assert np.max(np.abs(pf._inverse_frame(y, 80) - want)) <= 1e-11, y
 
 
