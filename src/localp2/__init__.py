@@ -4,7 +4,7 @@ Subpackages:
   cohomology       exact K-theory bases, pairings and central charges
   specfun          hypergeometric and elliptic special-function kernel
   picard_fuchs     series, Mellin-Barnes continuation, monodromy transport
-  mirror_geometry  vanishing-cycle periods and their large-|y| tail
+  mirror_geometry  vanishing-cycle periods
   mirror_map       transfer-matrix fit and mirror object identification
   cli              command-line front end
 """

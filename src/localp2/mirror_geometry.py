@@ -26,10 +26,7 @@ Conventions frozen here (measured, not assumed):
     are ``3 * OMEGA**k`` and the cycle with index k ends at exactly that
     point;
   * per-cycle segment combinations and their signs are seeded at z = 0 and
-    normalized so the alternating sum of the three periods equals +1;
-  * the large-|y| tails of the periods carry sixth-root-of-unity phases
-    ``TAIL_PHASE**k`` and ``TAIL_PHASE**(-k)`` on the y^(-1/3) and y^(-2/3)
-    terms respectively.
+    normalized so the alternating sum of the three periods equals +1.
 """
 
 from __future__ import annotations
@@ -46,13 +43,11 @@ from .specfun import PrecisionConfig
 
 __all__ = [
     "OMEGA",
-    "TAIL_PHASE",
     "PeriodVector",
     "CRITICAL_VALUES",
     "critical_points",
     "periods",
     "critical_ray_constants",
-    "expected_period_tail",
 ]
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -60,19 +55,7 @@ OMEGA = cmath.exp(2j * cmath.pi / 3)
 # Critical values of the elliptic fibration: the fiber degenerates at 3 OMEGA^k.
 CRITICAL_VALUES = (3.0 + 0.0j, 3.0 * OMEGA, 3.0 * OMEGA ** 2)
 
-# Phase base of the period tails.  A sixth root: the cube-root rotation of the
-# fibration composed with the orientation flip of alternating cycles.
-TAIL_PHASE = cmath.exp(1j * cmath.pi / 3)
-
 _ROOT_SCALE = 2.0 ** (-2.0 / 3.0)
-# Gamma(1/3)^3 and Gamma(2/3)^3, 2.6e-16 and 8.4e-17 relative off 30-digit
-# values; also the leading terms of ``picard_fuchs.w_at_infinity``
-_G13_CUBED = math.gamma(1.0 / 3.0) ** 3
-_G23_CUBED = math.gamma(2.0 / 3.0) ** 3
-
-# |coefficients| of the y^(-1/3) and y^(-2/3) period tails.
-TAIL_COEFF_1 = math.sqrt(3.0) * _G13_CUBED / (8.0 * math.pi ** 3)
-TAIL_COEFF_2 = math.sqrt(3.0) * _G23_CUBED / (16.0 * math.pi ** 3)
 
 PATH_CLEARANCE = 1e-6
 COLLISION_TOL = 1e-9
@@ -83,8 +66,8 @@ MAX_ROOT_STEP = 0.25
 # list of (sign, segment family) pairs, where family m is the Euler-branch
 # integral 2*Int dX/sqrt(cubic) from root m to root m+1, sign-threaded along
 # the ray.  Signs are the once-per-cycle seeds at z = 0; they are fixed by
-# the torus normalization (alternating period sum = +1) and by the measured
-# degeneration tails.
+# the torus normalization (alternating period sum = +1) and by the large-|y|
+# solution series, which the periods match through the integer transfer matrix.
 _CYCLE_SEGMENTS = {
     0: ((-1, 0), (-1, 2)),
     1: ((+1, 1), (-1, 2)),
@@ -162,6 +145,12 @@ def _inv_cbrt(y: complex) -> complex:
     k = math.frexp(max(abs(y.real), abs(y.imag)))[1] // 3
     w = complex(math.ldexp(y.real, -3 * k), math.ldexp(y.imag, -3 * k))
     return w ** (-1.0 / 3.0) * 2.0 ** -k
+
+
+def _ln_abs(y: complex) -> float:
+    """log|y|, -inf at y = 0; |y| itself overflows near the largest complex
+    doubles."""
+    return cmath.log(y).real if y != 0 else -math.inf
 
 
 def _origin_triple() -> np.ndarray:
@@ -320,11 +309,9 @@ def _period_modulus(y) -> complex:
     y = complex(y)
     if not cmath.isfinite(y):
         raise DomainError(f"period modulus must be finite, got {y}")
-    # log|y| from log y: abs(y) overflows near the largest complex doubles
-    ln_abs = cmath.log(y).real if y != 0 else -math.inf
-    if ln_abs <= math.log(27.0):
-        raise DomainError(
-            f"periods and their tails require |y| > 27, got |y| = {math.exp(ln_abs):.4g}")
+    # |y| decides near 27, where log|y| rounds; far out |y| can overflow
+    if _ln_abs(y) < 4.0 and not abs(y) > 27.0:
+        raise DomainError(f"periods require |y| > 27, got |y| = {abs(y):.4g}")
     return y
 
 
@@ -371,14 +358,3 @@ def critical_ray_constants() -> tuple:
         out.append(-complex(_cycle_combination(fam, k)) / _EIGHT_PI_SQ)
     return tuple(out)
 
-
-def expected_period_tail(y: complex, k: int) -> complex:
-    """Constant term plus two-term tail: the large-|y| period prediction
-    (finite |y| > 27, as for ``periods``)."""
-    y = _period_modulus(y)
-    if k not in (0, 1, 2):
-        raise DomainError(f"cycle index must be 0, 1 or 2, got {k}")
-    u = _inv_cbrt(y)
-    return ((-1.0) ** k / 3.0
-            + TAIL_PHASE ** k * TAIL_COEFF_1 * u
-            + TAIL_PHASE ** (-k) * TAIL_COEFF_2 * u * u)

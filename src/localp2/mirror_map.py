@@ -9,7 +9,6 @@ solution with an integer combination of brane K-classes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +30,6 @@ __all__ = [
     "FIT_MODULI",
 ]
 
-# Smallest |y| of a fit sample and of a central-charge modulus.  The
-# solution rows do not set it: ``w_at_infinity`` picks its order from |y| and
-# is exact to its rounding level on all of |y| > 1/27.  It keeps both on the
-# moduli where the periods' own checks (the ``reproduce`` periods stage and
-# its two-term tail, bound 5e-3 |y|^(-2/3)) have been run.
-_MIN_FIT_MODULUS = 1e3
 # the default fit samples of the transfer matrix
 FIT_MODULI = (1e3, 2e3, 4e3)
 
@@ -118,20 +111,16 @@ def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> Trans
 
     Each sample is a modulus, whose periods are computed at ``quad``, or a
     ``PeriodVector``, which is used as given at its own modulus.  Needs at
-    least three pairwise distinct samples with |y| >= 1e3
-    (``_MIN_FIT_MODULUS``), each paired with the large-|y| solution row.
-    Samples that nearly coincide make the least-squares system
-    ill-conditioned; the integrality check then raises FitError.
+    least three pairwise distinct samples in the domain |y| > 27 of
+    ``periods``, each paired with the large-|y| solution row, which is exact
+    to its rounding level there.  Samples that nearly coincide make the
+    least-squares system ill-conditioned; the integrality check then raises
+    FitError.
     """
     samples = list(y_samples)
     ys = [_modulus(s) for s in samples]
     if len(ys) < 3:
         raise DomainError("need at least three modulus samples")
-    for y in ys:
-        ln_abs = pf._ln_abs(y)
-        if ln_abs < math.log(_MIN_FIT_MODULUS):
-            raise DomainError(f"fit samples need |y| >= {_MIN_FIT_MODULUS:g}, "
-                              f"got |{y}| = {math.exp(ln_abs):g}")
     for a in range(len(ys)):
         for b in range(a + 1, len(ys)):
             if ys[a] == ys[b]:
@@ -205,20 +194,18 @@ def central_charge_report(y, quad: PrecisionConfig | None = None,
                           transfer: TransferMatrix | None = None) -> list:
     """Per-brane comparison of analytic and period-side central charges.
 
-    ``y`` is a modulus or a ``PeriodVector`` (used as given, at its own
-    modulus).  The analytic column pairs each compact brane class with the
-    large-|y| solution triple; the period column maps the numerically
-    integrated period triple through the fitted transfer matrix.  A row is
-    flagged when the two differ by more than ten times the propagated
-    quadrature error (plus the solution triple's err_estimate).
+    ``y`` is a modulus in the domain |y| > 27 of ``periods`` or a
+    ``PeriodVector`` (used as given, at its own modulus).  The analytic
+    column pairs each compact brane class with the large-|y| solution
+    triple; the period column maps the numerically integrated period triple
+    through the fitted transfer matrix.  A row is flagged when the two
+    differ by more than ten times the propagated quadrature error (plus the
+    solution triple's err_estimate).
     """
-    modulus = _modulus(y)
-    if pf._ln_abs(modulus) < math.log(_MIN_FIT_MODULUS):
-        raise DomainError(f"central charges need |y| >= {_MIN_FIT_MODULUS:g}")
+    pv = _period_vector(y, quad)
     if transfer is None:
         transfer = fit_transfer_matrix(FIT_MODULI, quad)
-    pv = _period_vector(y, quad)
-    sol = pf.w_at_infinity(modulus)
+    sol = pf.w_at_infinity(pv.y)
     ivec = np.array(pv.as_vector(), dtype=complex)
     m = np.array(transfer.entries, dtype=float)
     w_numeric = ivec @ m

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -325,6 +326,26 @@ def test_reproduce_computes_each_period_vector_once(tmp_path, monkeypatch):
     assert code == 0
     assert calls == [1e3, 2e3, 4e3]
     assert payload["transfer_matrix"] == [[1, 0, 0], [-1, 1, -1], [1, 1, 0]]
+
+
+def test_reproduce_checks_the_series_at_every_period_vector(tmp_path, monkeypatch):
+    # the central charges compare the periods through T with the large-|y|
+    # series at each modulus of the periods stage; that stage reports one
+    # sum gap per modulus in the form the benchmark reads
+    seen = []
+    report = mm.central_charge_report
+
+    def recorded(y, quad=None, transfer=None):
+        seen.append(y.y)
+        return report(y, quad, transfer)
+
+    monkeypatch.setattr(mm, "central_charge_report", recorded)
+    code, payload = _run_json(tmp_path, "reproduce")
+    assert code == 0
+    assert seen == [1e3, 2e3, 4e3]
+    stages = {st["name"]: st for st in payload["stages"]}
+    assert len(re.findall(r"sum gap (\S+),", stages["periods"]["detail"])) == 3
+    assert float(stages["central_charges"]["detail"].rsplit(" ", 1)[1]) <= 1.0
 
 
 def _package_env() -> dict:

@@ -1,7 +1,9 @@
 """Root tracking, segment families, and contour periods.
 
 Oracles: Vieta relations checked in exact form, gamma-function closed values
-via math.gamma, and a finer-rule reference for the period quadrature.
+via math.gamma, a finer-rule reference for the period quadrature, and the
+large-|y| solution series mapped to the periods by the inverse of the
+integer transfer matrix.
 """
 
 import cmath
@@ -17,12 +19,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localp2.mirror_geometry as geom
+import localp2.picard_fuchs as pf
 from localp2.errors import DomainError, RootCollisionError
 from localp2.specfun import PrecisionConfig
 
 W = geom.OMEGA
 G13 = math.gamma(1.0 / 3.0) ** 3
-G23 = math.gamma(2.0 / 3.0) ** 3
+# the integer transfer matrix, w = I T, and its inverse
+T = ((1, 0, 0), (-1, 1, -1), (1, 1, 0))
+T_INV = ((1, 0, 0), (-1, 0, 1), (-2, -1, 1))
+
+
+def _assert_periods_match_the_series(y):
+    """|I_k - (w_at_infinity(y) T^-1)_k| <= err_k + the series' err_estimate."""
+    pv = geom.periods(y)
+    w = pf.w_at_infinity(y)
+    ref = w.as_vector() @ np.array(T_INV)
+    for k, (v, e, r) in enumerate(zip(pv.as_vector(), pv.err, ref)):
+        assert abs(v - r) <= e + w.err_estimate, (y, k, abs(v - r))
 
 
 # --- critical points and constants -------------------------------------------
@@ -44,8 +58,6 @@ def test_critical_point_where_the_modulus_overflows():
         want = complex(-mp.power(mp.mpc(y), mp.mpf(-1) / 3))
     assert z_star.imag != 0.0
     assert abs(z_star - want) <= 1e-15 * abs(want)
-    # so does the period tail, which takes the same root
-    assert geom.expected_period_tail(y, 1).imag != 0.0
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -74,14 +86,6 @@ def test_inverse_cube_root_against_mpmath():
 def test_critical_points_reject_origin():
     with pytest.raises(DomainError):
         geom.critical_points(0.0)
-
-
-def test_tail_constants_match_gamma_closed_forms():
-    r3 = math.sqrt(3.0)
-    assert abs(geom.TAIL_COEFF_1 - r3 * G13 / (8 * math.pi ** 3)) < 1e-16
-    assert abs(geom.TAIL_COEFF_2 - r3 * G23 / (16 * math.pi ** 3)) < 1e-16
-    assert abs(geom.TAIL_PHASE - cmath.exp(1j * math.pi / 3)) < 1e-16
-    assert abs(geom.TAIL_PHASE ** 6 - 1.0) < 1e-15
 
 
 # --- root tracking ------------------------------------------------------------
@@ -222,30 +226,16 @@ def test_cycle_integral_rotation_pair():
     assert abs((b / a) ** 6 - 1.0) < 1e-9
 
 
-# --- degeneration tails ------------------------------------------------------------
-
-def test_expected_tail_alternating_sum_is_one():
-    # the sixth-root phases cancel in the alternating sum at any modulus
-    for y in (1e3, 2.7e3 * cmath.exp(1.1j), 5e4):
-        s = (geom.expected_period_tail(y, 0) - geom.expected_period_tail(y, 1)
-             + geom.expected_period_tail(y, 2))
-        assert abs(s - 1.0) < 1e-14
-
-
-def test_tail_domain_checks():
-    with pytest.raises(DomainError):
-        geom.expected_period_tail(5.0, 0)
-    with pytest.raises(DomainError):
-        geom.expected_period_tail(1e3, 3)
-
-
 # --- contour periods -----------------------------------------------------------------
 
-def test_periods_match_tails_large_modulus():
-    pv = geom.periods(1e3)
-    for k in range(3):
-        dev = abs(pv.as_vector()[k] - geom.expected_period_tail(1e3, k))
-        assert dev < 1e-5, k
+def test_periods_match_the_large_y_series():
+    # I = w T^-1 within the two error estimates, from the first double above
+    # |y| = 27 (whose log|y| rounds to log 27) to the largest doubles, where
+    # |y| itself overflows
+    assert np.array_equal(np.array(T) @ np.array(T_INV), np.eye(3))
+    for y in (math.nextafter(27.0, 28.0), -28.0j, 1e3, 1e6, 1e30, 1e300,
+              complex(1.7e308, 1.7e308)):
+        _assert_periods_match_the_series(y)
 
 
 def test_periods_alternating_sum_rule():
@@ -361,21 +351,19 @@ def test_non_finite_modulus_is_a_domain_error(y):
         geom.critical_points(y)
     with pytest.raises(DomainError):
         geom.periods(y)
-    with pytest.raises(DomainError):
-        geom.expected_period_tail(y, 0)
 
 
 @given(st.floats(1e-6, math.log10(1e8 / 27.0)), st.floats(-math.pi, math.pi))
 @settings(max_examples=100, deadline=None)
 def test_periods_over_the_whole_domain(log_ratio, phase):
     # 27 < |y| <= 1e8 at any phase: the sum rule holds within the reported
-    # error, and the periods approach the two-term tail within its O(1/|y|)
-    # remainder (measured <= 7.4e-5/|y|, worst at |y| just above 27)
+    # error, and the periods equal the large-|y| series through T^-1 within
+    # the two error estimates (measured: at most 0.10 of their sum, at 400
+    # seeded moduli)
     y = cmath.rect(27.0 * 10.0 ** log_ratio, phase)
     pv = geom.periods(y)
     assert abs(pv.alternating_sum() - 1.0) <= sum(pv.err), y
-    for k, v in enumerate(pv.as_vector()):
-        assert abs(v - geom.expected_period_tail(y, k)) <= 1e-4 / abs(y), (y, k)
+    _assert_periods_match_the_series(y)
 
 
 def test_threaded_family_matches_per_node_loop():

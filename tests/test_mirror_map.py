@@ -122,23 +122,31 @@ def test_fit_transfer_matrix_validation():
     with pytest.raises(DomainError):
         mm.fit_transfer_matrix((1e3, 2e3))
     with pytest.raises(DomainError):
-        mm.fit_transfer_matrix((500.0, 2e3, 4e3))
+        mm.fit_transfer_matrix((20.0, 2e3, 4e3))
     with pytest.raises(DomainError):
         mm.fit_transfer_matrix((1e3, 1e3, 2e3))
 
 
-_FIT_MODULUS = st.tuples(st.floats(3.0, 8.0), st.floats(-math.pi, math.pi))
+def test_fit_transfer_matrix_near_the_edge_of_the_period_domain():
+    # the fit takes every modulus the periods take, |y| > 27
+    for ys in ((28.0, 30.0, 35.0), (27.03, 27.03j, -27.03)):
+        tm = mm.fit_transfer_matrix(ys)
+        assert tm.entries == EXPECTED, ys
+        assert tm.pre_round_dev <= 1e-10, ys
+
+
+_FIT_MODULUS = st.tuples(st.floats(math.log10(27.0), 8.0), st.floats(-math.pi, math.pi))
 
 
 @given(st.tuples(_FIT_MODULUS, _FIT_MODULUS, _FIT_MODULUS))
 @settings(max_examples=25, deadline=None)
 def test_fit_transfer_matrix_at_random_moduli(samples):
-    # any three distinct moduli with 1e3 <= |y| <= 1e8: the fit returns the
+    # any three distinct moduli with 27 < |y| <= 1e8: the fit returns the
     # one integer matrix or, when samples nearly coincide and the least-
     # squares system is ill-conditioned, refuses with FitError; samples at
     # least 1% apart always give the matrix
     ys = [cmath.rect(10.0 ** e, p) for e, p in samples]
-    assume(all(abs(y) >= 1e3 for y in ys) and len(set(ys)) == 3)
+    assume(all(abs(y) > 27.0 for y in ys) and len(set(ys)) == 3)
     apart = min(abs(a - b) / max(abs(a), abs(b))
                 for a, b in itertools.combinations(ys, 2))
     try:
@@ -198,6 +206,12 @@ def test_central_charge_report_accepts_precomputed_transfer():
         assert ra["charge_periods"] == rb["charge_periods"]
 
 
+def test_central_charges_near_the_edge_of_the_period_domain():
+    tm = mm.fit_transfer_matrix(mm.FIT_MODULI)
+    for y in (27.03, -27.03, 27.03j, 100.0):
+        assert not any(r["flagged"] for r in mm.central_charge_report(y, transfer=tm)), y
+
+
 def test_central_charge_report_domain():
     with pytest.raises(DomainError):
-        mm.central_charge_report(500.0)
+        mm.central_charge_report(20.0)

@@ -406,8 +406,12 @@ def test_annihilation_residual_shrinks_with_terms():
 
 def test_annihilation_residual_on_the_large_y_series():
     # past |y| = 1/27 the theta^3 frame of the inverse series: at rounding
-    # level far out, and the truncation term near the circle
-    for y in (1.0, -5.0 + 5.0j, 0.1, 0.3j, 0.5, -2.0 + 2.0j):
+    # level far out, and the truncation term near the circle.  The leftover
+    # is relative to max(1, |y|): unscaled, the y (...) part lifts rounding
+    # to 1.4e-8 at y = 1e12 and 1.4e4 at 1e30; where |y| overflows a double
+    # it is read from log y
+    for y in (1.0, -5.0 + 5.0j, 0.1, 0.3j, 0.5, -2.0 + 2.0j, 1e12, 1e30,
+              complex(1.7e308, 1.7e308)):
         assert pf.annihilation_residual([y]) <= 1e-15, y
     r30, r60 = (pf.annihilation_residual([-0.05], n_terms=n) for n in (30, 60))
     assert 1e-9 < r30 and r60 < 1e-3 * r30, (r30, r60)
