@@ -4,7 +4,9 @@ Complex log-gamma, gamma and digamma, AGM elliptic integrals and
 2F1(1/2,1/2;1;.), Cardano root solving with continuity tracking, and
 Gauss-Chebyshev segment quadrature of dX/sqrt(cubic) on the Euler branch.
 Each kernel has one implementation, written as array operations so a whole
-batch of inputs costs one call.
+batch of inputs costs one call; the one exception is ``agm_fixed``, the AGM
+on fixed-point Gaussian integers (pairs of Python ints) behind extended
+precision.
 
 Log-gamma and digamma share one body: Stirling's series (and its derivative)
 past |w| = 12, reached by one upward shift of the entries below it, with the
@@ -44,6 +46,9 @@ _AGM_MAX_ITER = 64
 # slightly above one ulp of the sum: the iteration may settle into a one-ulp
 # limit cycle instead of exact equality
 _AGM_RTOL = 2.5e-16
+# ``agm_fixed`` stops once both parts of a - b are at most this many units
+# of 2^-q: its roots and halvings round down, by under a unit each
+_AGM_FIXED_UNITS = 8
 _ZETA = complex(-0.5, 0.8660254037844386467637232)
 _PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _PERM_INDEX = np.array(_PERMS)
@@ -190,6 +195,56 @@ def hyp2f1_half_array(z) -> tuple[np.ndarray, bool]:
     z = _c128(z)
     m, _, ok = _agm(np.ones(z.shape, dtype=np.complex128), np.sqrt(1.0 - z), 0.0)
     return 1.0 / m, ok
+
+
+def _gauss_sqrt(x: int, y: int) -> tuple[int, int]:
+    """The principal square root of x + iy, rounded down: for x + iy in
+    units of 2^(-2q), the root in units of 2^-q.  The larger part of the
+    root comes from ``math.isqrt`` and the other from y = 2 re im, so
+    neither cancels.  A real x + iy takes one root, of |x|, to the same
+    value."""
+    if not y:
+        root = math.isqrt(abs(x))
+        return (root, 0) if x >= 0 else (0, root)
+    r = math.isqrt(x * x + y * y)
+    if x >= 0:
+        re = math.isqrt((r + x) >> 1)
+        return re, (y // (2 * re) if re else 0)
+    im = math.isqrt((r - x) >> 1)
+    return abs(y) // (2 * im), (im if y >= 0 else -im)
+
+
+def agm_fixed(u: tuple[int, int], q: int) -> tuple[tuple, tuple, bool]:
+    """The optimal AGM of 1 and sqrt(u), with its companion sum, on
+    fixed-point Gaussian integers: ``_agm`` at q fractional bits.
+
+    ``u`` holds u 2^(2q) as a (real, imaginary) pair of ints.  Returns
+    (M, R, ok): M = AGM(1, sqrt u) 2^q and R = (1 - k^2/2 - sum_n 2^(n-1)
+    c_n^2) 2^(2q+2) with k^2 = 1 - u, c_n = (a_(n-1) - b_(n-1))/2, so that
+    1/M is 2F1(1/2, 1/2; 1; 1 - u) and E(k) = K(k) R once scaled back.
+    R starts from (1 + u)/2 = 1 - k^2/2 and takes each term exactly, so it
+    does not cancel as k -> 1.  Each halving and root rounds down, so
+    |a - b| settles within a few units of 2^-q, where the loop stops;
+    ``ok`` reports that it did.
+    """
+    ar, ai = 1 << q, 0
+    br, bi = _gauss_sqrt(*u)
+    rr, ri = (1 << (2 * q + 1)) + 2 * u[0], 2 * u[1]
+    for n in range(_AGM_MAX_ITER):
+        cr, ci = ar - br, ai - bi
+        if max(abs(cr), abs(ci)) <= _AGM_FIXED_UNITS:
+            return (ar, ai), (rr, ri), True
+        rr -= (cr * cr - ci * ci) << n
+        ri -= (2 * cr * ci) << n
+        mr, mi = (ar + br) >> 1, (ai + bi) >> 1
+        gr, gi = _gauss_sqrt(ar * br - ai * bi, ar * bi + ai * br)
+        # the sign that keeps |a - b| <= |a + b|, Re(b conj(a)) >= 0; ties
+        # break toward Im(b/a) > 0, as in ``_agm``
+        d = gr * mr + gi * mi
+        if d < 0 or (d == 0 and gi * mr - gr * mi < 0):
+            gr, gi = -gr, -gi
+        ar, ai, br, bi = mr, mi, gr, gi
+    return (ar, ai), (rr, ri), False
 
 
 def _fiber_roots(zs) -> np.ndarray:

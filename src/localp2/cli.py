@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="flagging tolerance (default %(default)g)")
     p.add_argument("--y", action="append", type=_parse_complex,
                    default=None, metavar="RE[,IM]",
-                   help="modulus sample; repeatable")
+                   help="modulus sample, repeatable; series, continue, periods, "
+                        "transfer-matrix and central-charges only")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--precision", choices=("double", "extended"), default=None,
                    help="closed-form identity precision; verify-appendix and reproduce only")
@@ -204,7 +205,8 @@ def _cmd_mirror_objects(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_central_charges(cfg: RunConfig) -> tuple[dict, int]:
-    ys = cfg.y_values or (1e3,)
+    # every modulus is checked before the fit computes its period vectors
+    ys = [geom._period_modulus(y) for y in cfg.y_values or (1e3,)]
     quad = cfg.precision()
     tm = mm.fit_transfer_matrix(mm.FIT_MODULI, quad)
     rows = []
@@ -341,6 +343,8 @@ _BODIES = {
 
 # the subcommands whose output the precision mode changes
 _PRECISION_AWARE = ("verify-appendix", "reproduce")
+# the subcommands that read --y
+_MODULUS_AWARE = ("series", "continue", "periods", "transfer-matrix", "central-charges")
 
 _CSV_ABLE = {"series", "continue", "periods", "central-charges",
              "verify-appendix"}
@@ -426,6 +430,8 @@ def dispatch(argv) -> int:
         ns = parser.parse_args(list(argv))
         if ns.precision and ns.command not in _PRECISION_AWARE:
             parser.error(f"--precision applies to {' and '.join(_PRECISION_AWARE)} only")
+        if ns.y and ns.command not in _MODULUS_AWARE:
+            parser.error(f"--y applies to {', '.join(_MODULUS_AWARE)} only")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,10 +13,12 @@ elliptic fibration at the origin of the base.
 
 Every route, closed form or numeric, is written once against the numbers of
 the precision mode (``_arith``): Python floats, the ``_kernels`` gamma and the
-``_kernels`` AGM in double mode; in extended mode mpmath numbers at the
-configured digits with mpmath's own ``gamma``, ``agm``, ``ellipk`` and
-``ellipe``.  mpmath is imported only on the first extended-precision request,
-so a double-precision run never loads it.  The numeric routes a closed form is
+``_kernels`` AGM in double mode.  In extended mode the AGM is one fixed-point
+loop on Gaussian integers (``_kernels.agm_fixed``) at the configured digits
+plus guard bits, with E from its companion sum as in double mode; mpmath
+supplies only the numbers, ``gamma`` and ``digamma``.  mpmath is imported
+only on the first extended-precision request, so a double-precision run
+never loads it.  The numeric routes a closed form is
 checked against (AGM, the elliptic chain rule, the finite difference, the
 splitting identity) never call a closed form, and only the finite-difference
 stencil differs by mode.
@@ -69,8 +71,9 @@ def _env_mode() -> str:
 class PrecisionConfig:
     """Evaluation settings shared by the special-function layer.
 
-    mode             "double" (numpy kernels) or "extended" (mpmath)
-    dps              mpmath working digits in extended mode (>= 30)
+    mode             "double" (numpy kernels) or "extended" (mpmath numbers
+                     and a fixed-point AGM)
+    dps              working digits in extended mode (>= 30)
     target_rel_err   requested relative accuracy for iterative evaluations
 
     Series truncation is set where a series is summed (the ``n_terms`` and
@@ -165,23 +168,61 @@ _DOUBLE = _Arith(
     lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
 
+# fractional bits the fixed-point AGM keeps beyond mpmath's working precision
+# (and beyond the bits by which 1 and sqrt(1 - x) differ in size)
+_AGM_GUARD_BITS = 32
+
+
 @contextmanager
 def _arith(cfg: PrecisionConfig):
     """The arithmetic of ``cfg.mode``; extended mode imports mpmath (once per
-    process) and works at ``cfg.dps`` digits inside the block, on mpmath's
-    own AGM (``agm``; ``ellipk`` is pi/(2 AGM) and ``ellipe`` comes from K
-    and a difference quotient of K), one point at a time.  A real argument
-    stays an ``mpf`` there and runs mpmath's real AGM."""
+    process) and works at ``cfg.dps`` digits inside the block.  Its AGM is
+    ``_kernels.agm_fixed`` on fixed-point Gaussian integers, one point at a
+    time: 2F1 is 1/M, K is pi/(2M) and E is K times the companion-sum
+    factor, with M = AGM(1, sqrt(1 - x)), x = z or k^2.  mpmath supplies
+    the numbers, 1 - x, ``gamma`` and ``digamma``.  A real argument with a
+    real AGM gives an ``mpf``."""
     if cfg.mode != "extended":
         yield _DOUBLE
         return
     import mpmath as mp
+    from mpmath import libmp
+
+    def agm(x):
+        """(M, E/K) for the argument x of 2F1 or the k^2 of K and E, at
+        mp.prec + _AGM_GUARD_BITS bits below the larger of 1 and
+        |sqrt(1 - x)|, and as many more as they differ by in size, so the
+        smaller keeps its relative precision too."""
+        x = mp.mpmathify(x)
+        real = isinstance(x, mp.mpf)
+        xr, xi = (x._mpf_, libmp.fzero) if real else x._mpc_
+        wp = mp.mp.prec + _AGM_GUARD_BITS
+        u = libmp.mpf_sub(libmp.fone, xr, wp), libmp.mpf_neg(xi)
+        # |sqrt(1 - x)| is about 2^half
+        half = max((t[2] + t[3] for t in u if t[1]), default=0) // 2
+        q = wp + max(-half, 0)
+        m, ratio, ok = _kernels.agm_fixed(tuple(libmp.to_fixed(t, 2 * q) for t in u), q)
+        if not ok:
+            raise ConvergenceError("AGM did not converge within 64 iterations")
+        # a real x below 1 keeps every iterate real
+        real = real and not m[1]
+        return num(m, -q, wp, real), num(ratio, -2 * q - 2, wp, real)
+
+    def num(v, exp, wp, real):
+        """The Gaussian integer v times 2^exp, rounded to wp bits."""
+        re, im = (libmp.from_man_exp(p, exp, wp, libmp.round_nearest) for p in v)
+        return mp.mp.make_mpf(re) if real else mp.mp.make_mpc((re, im))
 
     def hyp(zs):
-        return [1 / mp.agm(1, mp.sqrt(1 - mp.mpmathify(z))) for z in zs]
+        return [1 / agm(z)[0] for z in zs]
 
     def ellipke(ks):
-        return [(mp.ellipk(m), mp.ellipe(m)) for m in (mp.mpmathify(k) ** 2 for k in ks)]
+        out = []
+        for k in ks:
+            m, ratio = agm(mp.mpmathify(k) ** 2)
+            kk = mp.pi / (2 * m)
+            out.append((kk, kk * ratio))
+        return out
 
     with mp.workdps(cfg.dps):
         yield _Arith(
@@ -243,9 +284,8 @@ def elliptic_K(k, config: PrecisionConfig | None = None):
 
 
 def elliptic_E(k, config: PrecisionConfig | None = None):
-    """Complete elliptic integral E(k): the AGM companion sequence in double
-    mode, mpmath's ``ellipe`` (from K and a difference quotient of K) in
-    extended mode."""
+    """Complete elliptic integral E(k) from the companion sum of the AGM
+    that gives K."""
     return _ellipke("elliptic_E", k, config)[1]
 
 
@@ -408,7 +448,8 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     over F(-omega), the finite-difference stencil and the other two
     Ramanujan arguments, 7 points in double mode (4-point stencil) and 5 in
     extended mode (2-point stencil).  In double mode each pass is one
-    ``_kernels`` array call.
+    ``_kernels`` array call, in extended mode one ``_kernels.agm_fixed``
+    call per point.
     """
     cfg = _cfg(config)
     with _arith(cfg) as ar:

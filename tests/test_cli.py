@@ -190,6 +190,28 @@ def test_module_error_reports_json(capsys):
     assert "27" in report["context"]["message"]
 
 
+@pytest.mark.parametrize("moduli", [["5"], ["1e3", "5"], ["1e3", "0,20"]])
+def test_central_charges_refuse_a_bad_modulus_before_any_period(moduli, capsys, monkeypatch):
+    # the transfer fit at FIT_MODULI needs three period vectors; a modulus
+    # outside the periods' domain, anywhere in the request, is refused first
+    calls = []
+    periods = geom.periods
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return periods(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "periods", counting)
+    argv = ["central-charges"] + [f"--y={y}" for y in moduli]
+    assert dispatch(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, _schema("error"))
+    assert report["error"] == "DomainError"
+    assert report["context"]["command"] == "central-charges"
+    assert "27" in report["context"]["message"]
+    assert calls == []
+
+
 def test_error_report_replaces_an_earlier_out_file(tmp_path, capsys):
     # a failed run must not leave the previous run's report at --out
     out = tmp_path / "r.json"
@@ -228,6 +250,16 @@ def test_precision_flag_is_a_usage_error_where_it_changes_nothing(command, capsy
         monkeypatch.setenv("LOCALP2_PRECISION", "extended")
         assert dispatch([command]) == 0
         assert json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["monodromy", "mirror-objects", "verify-appendix",
+                                     "ktheory-table", "reproduce"])
+def test_modulus_flag_is_a_usage_error_where_no_modulus_is_read(command, capsys):
+    # these subcommands read no modulus; the flag was accepted and ignored
+    for value in ("1", "1e3", "0.02,0.01"):
+        assert dispatch([command, f"--y={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--y" in captured.err
 
 
 def test_tolerance_validation(capsys):

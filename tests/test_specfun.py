@@ -112,6 +112,85 @@ def test_extended_agm_functions_match_double_off_the_cuts():
             assert abs(f(z, double) - want) <= 1e-14 * abs(want), (f.__name__, z)
 
 
+def _oracle(dps, f, x):
+    """mpmath's value at the mpmath number x, worked at 2 dps + 20 digits:
+    at dps digits its ellipe, a difference quotient of ellipk, loses about
+    as many digits as k^2 has next to 1."""
+    with mp.workdps(2 * dps + 20):
+        return f(x)
+
+
+def _agm_oracle(z):
+    return 1 / mp.agm(1, mp.sqrt(1 - z))
+
+
+def _rel_err(got, want):
+    return abs(mp.mpmathify(got) - want) / abs(want)
+
+
+@pytest.mark.parametrize("dps", [30, 40, 80])
+def test_extended_agm_functions_match_mpmath(dps):
+    # the fixed-point AGM against mpmath's agm, ellipk and ellipe at seeded
+    # points: |z| from 1e-30 to 1e30 at every phase off the cut, the
+    # negative real axis, the imaginary axis, and k from 1e-30 to 1 in size
+    rng = np.random.default_rng(dps)
+    cfg = PrecisionConfig(mode="extended", dps=dps)
+    size = 10.0 ** rng.uniform(-30.0, 30.0, 40)
+    zs = [complex(r * np.exp(1j * t))
+          for r, t in zip(size[:20], rng.uniform(-math.pi, math.pi, 20))
+          if r < 1.0 or abs(t) > 1e-3]
+    zs += [-r for r in size[20:30]]
+    zs += [complex(0.0, r * s) for r, s in zip(size[30:], rng.choice((-1.0, 1.0), 10))]
+    ks = [complex(r * np.exp(1j * t)) for r, t in
+          zip(10.0 ** rng.uniform(-30.0, 0.0, 20), rng.uniform(-math.pi, math.pi, 20))]
+    ks += list(10.0 ** rng.uniform(-30.0, 0.0, 5)) + list(1.0 - 10.0 ** rng.uniform(-12.0, -1.0, 5))
+    bound = 10.0 ** (3 - dps)
+    for z in zs:
+        with mp.workdps(dps):
+            x = mp.mpmathify(z)
+        assert _rel_err(sf.hyp2f1_half(x, cfg), _oracle(dps, _agm_oracle, x)) <= bound, z
+    for k in ks:
+        with mp.workdps(dps):
+            x = mp.mpmathify(k)
+            m = x * x
+        assert _rel_err(sf.elliptic_K(x, cfg), _oracle(dps, mp.ellipk, m)) <= bound, k
+        assert _rel_err(sf.elliptic_E(x, cfg), _oracle(dps, mp.ellipe, m)) <= bound, k
+
+
+@pytest.mark.parametrize("dps", [30, 40, 80])
+def test_extended_agm_keeps_relative_precision_next_to_one(dps):
+    # z off the cut and k within 1e-10 to 10^(2 - dps) of 1, where
+    # sqrt(1 - z) and sqrt(1 - k^2) are tiny; the public functions refuse
+    # these points as on the cut, so they go to the arithmetic they call
+    rng = np.random.default_rng(100 + dps)
+    cfg = PrecisionConfig(mode="extended", dps=dps)
+    bound = 10.0 ** (3 - dps)
+    size = rng.uniform(10.0, dps - 2.0, 20)
+    with sf._arith(cfg) as ar:
+        zs = [1 + mp.mpf(10) ** -r * mp.expj(t) for r, t in
+              zip(size[:10], rng.uniform(0.01, 2.0 * math.pi - 0.01, 10))]
+        ks = [1 - mp.mpf(10) ** -r for r in size[10:15]]
+        ks += [1 + mp.mpf(10) ** -r * mp.expj(t) for r, t in
+               zip(size[15:], rng.uniform(-math.pi, math.pi, 5))]
+        ms = [k * k for k in ks]
+        hyp, ke = ar.hyp(zs), ar.ellipke(ks)
+    for z, got in zip(zs, hyp):
+        assert _rel_err(got, _oracle(dps, _agm_oracle, z)) <= bound, z
+    for m, (kk, ee) in zip(ms, ke):
+        assert _rel_err(kk, _oracle(dps, mp.ellipk, m)) <= bound, m
+        assert _rel_err(ee, _oracle(dps, mp.ellipe, m)) <= bound, m
+
+
+@pytest.mark.parametrize("dps", [30, 80])
+def test_closed_form_checks_follow_the_working_digits(dps):
+    # every AGM row (all but the finite difference, whose step is tied to
+    # dps) meets its closed form to within 10^(5 - dps)
+    rows = sf.closed_form_checks(PrecisionConfig(mode="extended", dps=dps))
+    for r in rows:
+        if r["name"] != "Fprime(-omega) finite difference":
+            assert r["rel_err"] <= 10.0 ** (5 - dps), r
+
+
 def test_closed_form_checks_double():
     rows = sf.closed_form_checks()
     names = {r["name"] for r in rows}
