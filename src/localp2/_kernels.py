@@ -201,11 +201,7 @@ def _gauss_sqrt(x: int, y: int) -> tuple[int, int]:
     """The principal square root of x + iy, rounded down: for x + iy in
     units of 2^(-2q), the root in units of 2^-q.  The larger part of the
     root comes from ``math.isqrt`` and the other from y = 2 re im, so
-    neither cancels.  A real x + iy takes one root, of |x|, to the same
-    value."""
-    if not y:
-        root = math.isqrt(abs(x))
-        return (root, 0) if x >= 0 else (0, root)
+    neither cancels."""
     r = math.isqrt(x * x + y * y)
     if x >= 0:
         re = math.isqrt((r + x) >> 1)
@@ -216,7 +212,11 @@ def _gauss_sqrt(x: int, y: int) -> tuple[int, int]:
 
 def agm_fixed(u: tuple[int, int], q: int) -> tuple[tuple, tuple, bool]:
     """The optimal AGM of 1 and sqrt(u), with its companion sum, on
-    fixed-point Gaussian integers: ``_agm`` at q fractional bits.
+    fixed-point Gaussian integers: ``_agm`` at q fractional bits.  From
+    a = 1 and the principal sqrt(u), a_n and b_n stay in the closed right
+    half-plane, and the principal root of a_n b_n lies in the angle between
+    them, as their mean does; so that root keeps Re(b conj a) >= 0, the
+    optimal AGM's sign, and the loop takes it with no sign test.
 
     ``u`` holds u 2^(2q) as a (real, imaginary) pair of ints.  Returns
     (M, R, ok): M = AGM(1, sqrt u) 2^q and R = (1 - k^2/2 - sum_n 2^(n-1)
@@ -236,14 +236,9 @@ def agm_fixed(u: tuple[int, int], q: int) -> tuple[tuple, tuple, bool]:
             return (ar, ai), (rr, ri), True
         rr -= (cr * cr - ci * ci) << n
         ri -= (2 * cr * ci) << n
-        mr, mi = (ar + br) >> 1, (ai + bi) >> 1
-        gr, gi = _gauss_sqrt(ar * br - ai * bi, ar * bi + ai * br)
-        # the sign that keeps |a - b| <= |a + b|, Re(b conj(a)) >= 0; ties
-        # break toward Im(b/a) > 0, as in ``_agm``
-        d = gr * mr + gi * mi
-        if d < 0 or (d == 0 and gi * mr - gr * mi < 0):
-            gr, gi = -gr, -gi
-        ar, ai, br, bi = mr, mi, gr, gi
+        g = _gauss_sqrt(ar * br - ai * bi, ar * bi + ai * br)
+        ar, ai = (ar + br) >> 1, (ai + bi) >> 1
+        br, bi = g
     return (ar, ai), (rr, ri), False
 
 

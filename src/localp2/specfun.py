@@ -188,16 +188,14 @@ def _arith(cfg: PrecisionConfig):
     import mpmath as mp
     from mpmath import libmp
 
-    def agm(x):
-        """(M, E/K) for the argument x of 2F1 or the k^2 of K and E, at
-        mp.prec + _AGM_GUARD_BITS bits below the larger of 1 and
-        |sqrt(1 - x)|, and as many more as they differ by in size, so the
-        smaller keeps its relative precision too."""
-        x = mp.mpmathify(x)
-        real = isinstance(x, mp.mpf)
-        xr, xi = (x._mpf_, libmp.fzero) if real else x._mpc_
-        wp = mp.mp.prec + _AGM_GUARD_BITS
-        u = libmp.mpf_sub(libmp.fone, xr, wp), libmp.mpf_neg(xi)
+    def agm(u, wp):
+        """(M, E/K) with M = AGM(1, sqrt u), for u = 1 - x at wp =
+        mp.prec + _AGM_GUARD_BITS bits, x the argument of 2F1 or the k^2 of
+        K and E.  The loop works wp bits below the larger of 1 and |sqrt u|,
+        and as many more as they differ by in size, so the smaller keeps
+        its relative precision too."""
+        real = isinstance(u, mp.mpf)
+        u = (u._mpf_, libmp.fzero) if real else u._mpc_
         # |sqrt(1 - x)| is about 2^half
         half = max((t[2] + t[3] for t in u if t[1]), default=0) // 2
         q = wp + max(-half, 0)
@@ -214,12 +212,15 @@ def _arith(cfg: PrecisionConfig):
         return mp.mp.make_mpf(re) if real else mp.mp.make_mpc((re, im))
 
     def hyp(zs):
-        return [1 / agm(z)[0] for z in zs]
+        wp = mp.mp.prec + _AGM_GUARD_BITS
+        return [1 / agm(mp.fsub(1, z, prec=wp), wp)[0] for z in zs]
 
     def ellipke(ks):
+        wp = mp.mp.prec + _AGM_GUARD_BITS
         out = []
         for k in ks:
-            m, ratio = agm(mp.mpmathify(k) ** 2)
+            # 1 - k^2 from k itself, so it keeps its relative precision as k -> 1
+            m, ratio = agm(mp.fmul(mp.fsub(1, k, prec=wp), mp.fadd(1, k, prec=wp), prec=wp), wp)
             kk = mp.pi / (2 * m)
             out.append((kk, kk * ratio))
         return out

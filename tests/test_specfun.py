@@ -124,6 +124,14 @@ def _agm_oracle(z):
     return 1 / mp.agm(1, mp.sqrt(1 - z))
 
 
+def _k_oracle(k):
+    return mp.ellipk(k * k)
+
+
+def _e_oracle(k):
+    return mp.ellipe(k * k)
+
+
 def _rel_err(got, want):
     return abs(mp.mpmathify(got) - want) / abs(want)
 
@@ -152,16 +160,17 @@ def test_extended_agm_functions_match_mpmath(dps):
     for k in ks:
         with mp.workdps(dps):
             x = mp.mpmathify(k)
-            m = x * x
-        assert _rel_err(sf.elliptic_K(x, cfg), _oracle(dps, mp.ellipk, m)) <= bound, k
-        assert _rel_err(sf.elliptic_E(x, cfg), _oracle(dps, mp.ellipe, m)) <= bound, k
+        assert _rel_err(sf.elliptic_K(x, cfg), _oracle(dps, _k_oracle, x)) <= bound, k
+        assert _rel_err(sf.elliptic_E(x, cfg), _oracle(dps, _e_oracle, x)) <= bound, k
 
 
 @pytest.mark.parametrize("dps", [30, 40, 80])
 def test_extended_agm_keeps_relative_precision_next_to_one(dps):
     # z off the cut and k within 1e-10 to 10^(2 - dps) of 1, where
     # sqrt(1 - z) and sqrt(1 - k^2) are tiny; the public functions refuse
-    # these points as on the cut, so they go to the arithmetic they call
+    # these points as on the cut, so they go to the arithmetic they call.
+    # The oracles square the exact k: k^2 rounded to dps digits would move
+    # 1 - k^2 by up to 10^(r - dps) of itself
     rng = np.random.default_rng(100 + dps)
     cfg = PrecisionConfig(mode="extended", dps=dps)
     bound = 10.0 ** (3 - dps)
@@ -172,13 +181,12 @@ def test_extended_agm_keeps_relative_precision_next_to_one(dps):
         ks = [1 - mp.mpf(10) ** -r for r in size[10:15]]
         ks += [1 + mp.mpf(10) ** -r * mp.expj(t) for r, t in
                zip(size[15:], rng.uniform(-math.pi, math.pi, 5))]
-        ms = [k * k for k in ks]
         hyp, ke = ar.hyp(zs), ar.ellipke(ks)
     for z, got in zip(zs, hyp):
         assert _rel_err(got, _oracle(dps, _agm_oracle, z)) <= bound, z
-    for m, (kk, ee) in zip(ms, ke):
-        assert _rel_err(kk, _oracle(dps, mp.ellipk, m)) <= bound, m
-        assert _rel_err(ee, _oracle(dps, mp.ellipe, m)) <= bound, m
+    for k, (kk, ee) in zip(ks, ke):
+        assert _rel_err(kk, _oracle(dps, _k_oracle, k)) <= bound, k
+        assert _rel_err(ee, _oracle(dps, _e_oracle, k)) <= bound, k
 
 
 @pytest.mark.parametrize("dps", [30, 80])
