@@ -5,7 +5,7 @@ Subpackages:
   specfun          hypergeometric and elliptic special-function kernel
   picard_fuchs     series, Mellin-Barnes continuation, monodromy transport
   mirror_geometry  vanishing-cycle periods
-  mirror_map       transfer-matrix fit and mirror object identification
+  mirror_map       pinned transfer matrix, its fit, mirror object identification
   cli              command-line front end
 """
 

@@ -154,7 +154,9 @@ def digamma_array(z) -> np.ndarray:
 def _agm(a: np.ndarray, b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, bool]:
     """Optimal AGM of the arrays ``a``, ``b``, with the companion sum
     ``s + sum_n 2^(n-1) c_n^2``, c_n = (a_(n-1) - b_(n-1))/2, that gives E;
-    the bool reports convergence."""
+    the bool reports convergence.  Its callers start from a = 1 and the
+    principal sqrt(1 - x), from which the principal root of a_n b_n is the
+    optimal AGM's root (see ``agm_fixed``), so the loop has no sign test."""
     pow2 = 0.5
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_AGM_MAX_ITER):
@@ -166,15 +168,6 @@ def _agm(a: np.ndarray, b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, bool]
             s = s + np.where(done, 0.0, pow2 * c * c)
             an = 0.5 * (a + b)
             bn = np.sqrt(a * b)
-            # the "optimal" AGM: the root's sign keeps |a-b| <= |a+b|, and
-            # ties break toward Im(b/a) > 0
-            d_minus = np.abs(an - bn)
-            d_plus = np.abs(an + bn)
-            flip = d_minus > d_plus
-            tie = d_minus == d_plus
-            if tie.any():
-                flip |= tie & (an != 0) & ((bn / np.where(an == 0, 1, an)).imag < 0)
-            bn = np.where(flip, -bn, bn)
             a = np.where(done, a, an)
             b = np.where(done, b, bn)
     return a, s, bool(np.all(np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b))))
@@ -216,7 +209,8 @@ def agm_fixed(u: tuple[int, int], q: int) -> tuple[tuple, tuple, bool]:
     a = 1 and the principal sqrt(u), a_n and b_n stay in the closed right
     half-plane, and the principal root of a_n b_n lies in the angle between
     them, as their mean does; so that root keeps Re(b conj a) >= 0, the
-    optimal AGM's sign, and the loop takes it with no sign test.
+    optimal AGM's sign, and this loop and ``_agm`` take it with no sign
+    test.
 
     ``u`` holds u 2^(2q) as a (real, imaginary) pair of ints.  Returns
     (M, R, ok): M = AGM(1, sqrt u) 2^q and R = (1 - k^2/2 - sum_n 2^(n-1)

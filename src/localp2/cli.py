@@ -175,15 +175,17 @@ def _cmd_periods(cfg: RunConfig) -> tuple[dict, int]:
 def _cmd_transfer_matrix(cfg: RunConfig) -> tuple[dict, int]:
     ys = cfg.y_values or mm.FIT_MODULI
     tm = mm.fit_transfer_matrix(ys, cfg.precision())
+    # the fit checks the pinned matrix
+    bad = tm.entries != mm.TRANSFER_MATRIX
     payload = {
         "entries": [list(r) for r in tm.entries],
         "residual": tm.residual,
         "pre_round_dev": tm.pre_round_dev,
         "determinant": tm.determinant(),
         "first_column": list(tm.column(0)),
-        "flagged": False,
+        "flagged": bad,
     }
-    return payload, 0
+    return payload, int(bad)
 
 
 def _kclass_payload(k: coh.KClass) -> dict:
@@ -205,14 +207,13 @@ def _cmd_mirror_objects(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_central_charges(cfg: RunConfig) -> tuple[dict, int]:
-    # every modulus is checked before the fit computes its period vectors
+    # every modulus is checked before any period vector is computed
     ys = [geom._period_modulus(y) for y in cfg.y_values or (1e3,)]
     quad = cfg.precision()
-    tm = mm.fit_transfer_matrix(mm.FIT_MODULI, quad)
     rows = []
     flagged = 0
     for y in ys:
-        for r in mm.central_charge_report(y, quad, tm):
+        for r in mm.central_charge_report(geom.periods(y, quad)):
             flagged += r["flagged"]
             rows.append({
                 "y": _cplx(y), "brane": r["brane"],
@@ -305,13 +306,12 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     stage("critical_rays", ray_dev <= 1e-14,
           f"critical-ray rel dev {ray_dev:.2e}")
 
-    tm = mm.fit_transfer_matrix(period_rows, quad)
-    expected = ((1, 0, 0), (-1, 1, -1), (1, 1, 0))
-    stage("transfer_matrix", tm.entries == expected,
+    tm = mm.fit_transfer_matrix(period_rows)
+    stage("transfer_matrix", tm.entries == mm.TRANSFER_MATRIX,
           f"entries {tm.entries}, residual {tm.residual:.3e}")
 
     # the periods against the large-|y| series through T, at every period vector
-    cc = [r for pv in period_rows for r in mm.central_charge_report(pv, quad, tm)]
+    cc = [r for pv in period_rows for r in mm.central_charge_report(pv)]
     n_flagged = sum(r["flagged"] for r in cc)
     worst_cc = max(r["abs_dev"] / r["tolerance"] for r in cc)
     stage("central_charges", n_flagged == 0,

@@ -1,10 +1,11 @@
-"""Transfer-matrix fit and identification of the mirror brane objects.
+"""The transfer matrix and identification of the mirror brane objects.
 
 The contour periods of the fibration and the flat-coordinate solutions of
-the differential annihilator span the same three-dimensional space; the
-integer change of basis between them is recovered here by a least-squares
-fit over several modulus samples, and the resulting columns identify each
-solution with an integer combination of brane K-classes.
+the differential annihilator span the same three-dimensional space.  The
+integer change of basis between them is a fixed fact of the equivalence,
+pinned once as ``TRANSFER_MATRIX``; its columns identify each solution with
+an integer combination of brane K-classes.  The least-squares fit over
+several modulus samples recovers it from the periods and is its check.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import DomainError, FitError, IntegralityError
 from .specfun import PrecisionConfig
 
 __all__ = [
+    "TRANSFER_MATRIX",
     "TransferMatrix",
     "solve_transfer",
     "fit_transfer_matrix",
@@ -29,6 +31,9 @@ __all__ = [
     "central_charge_report",
     "FIT_MODULI",
 ]
+
+# the period-to-solution matrix: W = I . TRANSFER_MATRIX, row-major
+TRANSFER_MATRIX = ((1, 0, 0), (-1, 1, -1), (1, 1, 0))
 
 # the default fit samples of the transfer matrix
 FIT_MODULI = (1e3, 2e3, 4e3)
@@ -53,11 +58,8 @@ class TransferMatrix:
             raise DomainError("transfer matrix must be 3x3")
         object.__setattr__(self, "entries", rows)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
     def determinant(self) -> int:
-        return round(np.linalg.det(self.as_array()))
+        return coh._det3(self.entries)
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(3))
@@ -99,7 +101,7 @@ def _modulus(sample) -> complex:
     return sample.y if isinstance(sample, geom.PeriodVector) else complex(sample)
 
 
-def _period_vector(sample, quad: PrecisionConfig | None) -> geom.PeriodVector:
+def _period_vector(sample, quad: PrecisionConfig | None = None) -> geom.PeriodVector:
     """A period vector as given, or the periods at a modulus."""
     if isinstance(sample, geom.PeriodVector):
         return sample
@@ -190,24 +192,21 @@ def ako_twist_check() -> bool:
     return True
 
 
-def central_charge_report(y, quad: PrecisionConfig | None = None,
-                          transfer: TransferMatrix | None = None) -> list:
+def central_charge_report(y) -> list:
     """Per-brane comparison of analytic and period-side central charges.
 
     ``y`` is a modulus in the domain |y| > 27 of ``periods`` or a
     ``PeriodVector`` (used as given, at its own modulus).  The analytic
     column pairs each compact brane class with the large-|y| solution
     triple; the period column maps the numerically integrated period triple
-    through the fitted transfer matrix.  A row is flagged when the two
-    differ by more than ten times the propagated quadrature error (plus the
-    solution triple's err_estimate).
+    through ``TRANSFER_MATRIX``.  A row is flagged when the two differ by
+    more than ten times the propagated quadrature error (plus the solution
+    triple's err_estimate).
     """
-    pv = _period_vector(y, quad)
-    if transfer is None:
-        transfer = fit_transfer_matrix(FIT_MODULI, quad)
+    pv = _period_vector(y)
     sol = pf.w_at_infinity(pv.y)
     ivec = np.array(pv.as_vector(), dtype=complex)
-    m = np.array(transfer.entries, dtype=float)
+    m = np.array(TRANSFER_MATRIX, dtype=float)
     w_numeric = ivec @ m
     w_err = np.abs(np.array(pv.err)) @ np.abs(m)
     labels = ("point", "line_twist", "plane_O(-2)")

@@ -380,17 +380,17 @@ def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = N
         return ar.hyp([ar.minus_omega()])[0]
 
 
-def _f_prime_elliptic(ar: _Arith, ke_plus, ke_minus, f_at):
+def _f_prime_elliptic(ar: _Arith, moduli, ke_plus, ke_minus, f_at):
     """F'(e^{i pi/3}) by differentiating the splitting identity at x = sqrt3.
 
     Uses dK/dk = E/(k(1-k^2)) - K/k at the two real singular moduli, so the
-    route is independent of the Gamma(1/3)^3 closed form.  The AGM values
-    it rests on are arguments, so a caller that already has them runs no
-    AGM again: ``ke_plus`` and ``ke_minus`` are (K, E) at k_+ and k_-, and
-    ``f_at`` is F(e^{i pi/3}).
+    route is independent of the Gamma(1/3)^3 closed form.  The values it
+    rests on are arguments, so a caller that already has them computes none
+    of them again: ``moduli`` is (k_+, k_-), ``ke_plus`` and ``ke_minus``
+    are (K, E) at k_+ and k_-, and ``f_at`` is F(e^{i pi/3}).
     """
     fp = []
-    for k, (kk, ee) in zip(ar.moduli(), (ke_plus, ke_minus)):
+    for k, (kk, ee) in zip(moduli, (ke_plus, ke_minus)):
         kprime = ee / (k * (1 - k * k)) - kk / k
         fp.append(kprime / (ar.pi * k))
     rhs_prime = (ar.cplx(1, 1) / 2 * fp[0] - ar.cplx(1, -1) / 2 * fp[1]) / 16
@@ -398,13 +398,12 @@ def _f_prime_elliptic(ar: _Arith, ke_plus, ke_minus, f_at):
     return -ar.cplx(0, 1) * ar.sqrt(2) * (rhs_prime - lhs_drift)
 
 
-def _finite_difference(ar: _Arith, cfg: PrecisionConfig):
-    """The stencil of the finite-difference route around e^{i pi/3}, and the
-    step that turns F at its nodes into F': a 4th-order stencil at h = 1e-3
-    in double mode (a plain central difference at an h small enough for
-    1e-10 would already be dominated by roundoff there), a central
+def _finite_difference(ar: _Arith, cfg: PrecisionConfig, z):
+    """The stencil of the finite-difference route around z = e^{i pi/3}, and
+    the step that turns F at its nodes into F': a 4th-order stencil at
+    h = 1e-3 in double mode (a plain central difference at an h small enough
+    for 1e-10 would already be dominated by roundoff there), a central
     difference at h = 10^(-dps/3) in extended mode."""
-    z = ar.minus_omega()
     if cfg.mode == "extended":
         h = ar.real(10) ** (-cfg.dps // 3)
         return [z + h, z - h], lambda f: (f[0] - f[1]) / (2 * h)
@@ -428,9 +427,10 @@ def f_prime_minus_omega(route: str = "closed_form",
         if route == "closed_form":
             return _f_prime_closed(ar, _consts(ar))
         if route == "elliptic":
-            return _f_prime_elliptic(ar, *ar.ellipke(ar.moduli()),
+            moduli = ar.moduli()
+            return _f_prime_elliptic(ar, moduli, *ar.ellipke(moduli),
                                      ar.hyp([ar.minus_omega()])[0])
-        nodes, derivative = _finite_difference(ar, cfg)
+        nodes, derivative = _finite_difference(ar, cfg, ar.minus_omega())
         return derivative(ar.hyp(nodes))
 
 
@@ -450,15 +450,16 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     Ramanujan arguments, 7 points in double mode (4-point stencil) and 5 in
     extended mode (2-point stencil).  In double mode each pass is one
     ``_kernels`` array call, in extended mode one ``_kernels.agm_fixed``
-    call per point.
+    call per point.  The singular moduli and e^{i pi/3} are formed once too.
     """
     cfg = _cfg(config)
     with _arith(cfg) as ar:
-        (kkp, eep), (kkm, eem) = ke_pm = ar.ellipke(ar.moduli())
-        stencil, derivative = _finite_difference(ar, cfg)
+        moduli, z = ar.moduli(), ar.minus_omega()
+        (kkp, eep), (kkm, eem) = ke_pm = ar.ellipke(moduli)
+        stencil, derivative = _finite_difference(ar, cfg, z)
         ram_nodes, ram_defect = _ramanujan(ar, ar.sqrt(ar.real(3)))
         # the first Ramanujan argument (1 + i sqrt3)/2 is -omega itself
-        f_at, *f = ar.hyp([ar.minus_omega(), *stencil, *ram_nodes[1:]])
+        f_at, *f = ar.hyp([z, *stencil, *ram_nodes[1:]])
         consts = _consts(ar)
         fp_closed = _f_prime_closed(ar, consts)
         rows = [
@@ -467,7 +468,8 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
             ("E(k_plus)", eep, _e_closed(ar, consts, +1)),
             ("E(k_minus)", eem, _e_closed(ar, consts, -1)),
             ("F(-omega)", f_at, _f_closed(ar, consts)),
-            ("Fprime(-omega) elliptic", _f_prime_elliptic(ar, *ke_pm, f_at), fp_closed),
+            ("Fprime(-omega) elliptic", _f_prime_elliptic(ar, moduli, *ke_pm, f_at),
+             fp_closed),
             ("Fprime(-omega) finite difference", derivative(f[:len(stencil)]), fp_closed),
         ]
         out = [{"name": name, "computed": complex(computed),

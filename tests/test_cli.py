@@ -192,8 +192,8 @@ def test_module_error_reports_json(capsys):
 
 @pytest.mark.parametrize("moduli", [["5"], ["1e3", "5"], ["1e3", "0,20"]])
 def test_central_charges_refuse_a_bad_modulus_before_any_period(moduli, capsys, monkeypatch):
-    # the transfer fit at FIT_MODULI needs three period vectors; a modulus
-    # outside the periods' domain, anywhere in the request, is refused first
+    # each modulus needs a period vector; a modulus outside the periods'
+    # domain, anywhere in the request, is refused before any is computed
     calls = []
     periods = geom.periods
 
@@ -210,6 +210,45 @@ def test_central_charges_refuse_a_bad_modulus_before_any_period(moduli, capsys, 
     assert report["context"]["command"] == "central-charges"
     assert "27" in report["context"]["message"]
     assert calls == []
+
+
+@pytest.mark.parametrize("moduli, computed", [([], [1e3]), (["1e3", "5e3"], [1e3, 5e3])])
+def test_central_charges_compute_one_period_vector_per_modulus(moduli, computed, tmp_path,
+                                                               monkeypatch):
+    # the charges map the periods through the pinned matrix: no fit, so no
+    # period vector beyond the requested moduli
+    calls = []
+    periods = geom.periods
+
+    def counting(y, quad=None):
+        calls.append(y)
+        return periods(y, quad)
+
+    monkeypatch.setattr(geom, "periods", counting)
+    out = tmp_path / "cc.json"
+    argv = ["central-charges", *(f"--y={y}" for y in moduli), "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert calls == computed
+    assert len(json.loads(out.read_text())["rows"]) == 3 * len(computed)
+
+
+def test_a_pinned_matrix_the_fit_contradicts_fails_every_check(tmp_path, monkeypatch):
+    # unimodular, but not the matrix the periods fit
+    monkeypatch.setattr(mm, "TRANSFER_MATRIX", ((1, 0, 0), (0, 1, 0), (1, 1, 1)))
+    code, payload = _run_json(tmp_path, "transfer-matrix")
+    assert (code, payload["flagged"]) == (1, True)
+    assert payload["entries"] == [[1, 0, 0], [-1, 1, -1], [1, 1, 0]]
+    jsonschema.validate(payload, _schema("transfer-matrix"))
+    code, payload = _run_json(tmp_path, "reproduce")
+    stages = {st["name"]: st for st in payload["stages"]}
+    assert (code, payload["all_pass"]) == (1, False)
+    assert not stages["transfer_matrix"]["pass"]
+    assert not stages["central_charges"]["pass"]
+    assert not stages["central_charges"]["detail"].startswith("0 flagged")
+    # the payload reports the fit, not the pin
+    assert payload["transfer_matrix"] == [[1, 0, 0], [-1, 1, -1], [1, 1, 0]]
+    code, payload = _run_json(tmp_path, "central-charges")
+    assert code == 1 and payload["n_flagged"] > 0
 
 
 def test_error_report_replaces_an_earlier_out_file(tmp_path, capsys):
@@ -367,9 +406,9 @@ def test_reproduce_checks_the_series_at_every_period_vector(tmp_path, monkeypatc
     seen = []
     report = mm.central_charge_report
 
-    def recorded(y, quad=None, transfer=None):
+    def recorded(y):
         seen.append(y.y)
-        return report(y, quad, transfer)
+        return report(y)
 
     monkeypatch.setattr(mm, "central_charge_report", recorded)
     code, payload = _run_json(tmp_path, "reproduce")
@@ -434,9 +473,8 @@ def test_central_charges_at_a_modulus_past_the_double_range_of_its_modulus():
 def test_transfer_matrix_with_a_sample_past_the_double_range_of_its_modulus():
     code, payload = _run_quiet(["transfer-matrix", "--y", HUGE, "--y", "1e3", "--y", "2e3"])
     assert (code, payload["flagged"]) == (0, False)
-    # the same integer matrix as the fit at the default moduli
-    assert payload["entries"] == [list(row) for row in
-                                  mm.fit_transfer_matrix(mm.FIT_MODULI).entries]
+    # the pinned integer matrix
+    assert payload["entries"] == [list(row) for row in mm.TRANSFER_MATRIX]
 
 
 def test_mpmath_is_loaded_only_for_extended_precision():

@@ -142,13 +142,26 @@ def test_agm_is_bit_identical_to_the_reference_loop():
                                    0.5 * ki * ki)
 
 
-def test_agm_breaks_a_tie_alike_for_both_signed_zeros():
-    # b = -1/4: a_1 = 3/8 and b_1 = +-i/2 tie (|a_1 - b_1| = |a_1 + b_1|), and
-    # the tie rule must pick the root with Im(b/a) > 0 whatever the sign of 0
-    one = np.ones(1, dtype=complex)
-    plus = _assert_agm_like_reference(one, np.array([complex(-0.25, 0.0)]), 0.0)
-    minus = _assert_agm_like_reference(one, np.array([complex(-0.25, -0.0)]), 0.0)
-    assert np.array_equal(plus[0], minus[0]) and plus[2] and minus[2]
+def test_agm_functions_against_mpmath_out_to_huge_arguments():
+    # |z| from 1e-30 to 1e300 and |k| from 1e-10 to 1e150, at all phases.
+    # Where sqrt(a_n b_n) falls below an ulp of the mean, |a - b| == |a + b|
+    # in floating point, and a tie rule on the root's sign put b on the wrong
+    # branch: 2F1 was 8% off for Im z < 0, |z| > 1e65, and K alike in k^2.
+    # The principal root stays on the optimal branch.
+    rng = np.random.default_rng(20261021)
+    z = 10.0 ** rng.uniform(-30.0, 300.0, 300) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+    k = 10.0 ** rng.uniform(-10.0, 150.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+    f, ok_f = K.hyp2f1_half_array(z)
+    kk, ee, ok_k = K.ellipke_array(k)
+    assert ok_f and ok_k
+    half = mp.mpf(1) / 2
+    with mp.workdps(30):
+        want_f = np.array([complex(mp.hyp2f1(half, half, 1, complex(zi))) for zi in z])
+        want_k = np.array([complex(mp.ellipk(mp.mpc(ki) ** 2)) for ki in k])
+        want_e = np.array([complex(mp.ellipe(mp.mpc(ki) ** 2)) for ki in k])
+    assert np.max(np.abs(f - want_f) / np.abs(want_f)) <= 4e-15
+    assert np.max(np.abs(kk - want_k) / np.abs(want_k)) <= 4e-15
+    assert np.max(np.abs(ee - want_e) / np.abs(want_e)) <= 1e-12
 
 
 def test_hyp2f1_half_against_mpmath():

@@ -79,6 +79,15 @@ def test_transfer_matrix_helpers():
     tm = mm.TransferMatrix(EXPECTED, 0.0, 0.0)
     assert tm.determinant() == 1
     assert tm.column(0) == (1, -1, 1)
+    # consecutive Fibonacci numbers past 1e10: Cassini's identity gives
+    # det = F(n+1) F(n-1) - F(n)^2 = (-1)^n exactly, where a float det
+    # rounds to 0
+    f = [0, 1]
+    while f[-1] < 10 ** 10:
+        f.append(f[-1] + f[-2])
+    n = len(f) - 2
+    tm = mm.TransferMatrix(((f[n + 1], f[n], 0), (f[n], f[n - 1], 0), (0, 0, 1)), 0.0, 0.0)
+    assert tm.determinant() == (-1) ** n
     with pytest.raises(DomainError):
         mm.TransferMatrix(((1, 0), (0, 1)), 0.0, 0.0)
 
@@ -87,7 +96,7 @@ def test_transfer_matrix_helpers():
 
 def test_fit_transfer_matrix_standard_samples():
     tm = mm.fit_transfer_matrix((1e3, 2e3, 4e3))
-    assert tm.entries == EXPECTED
+    assert tm.entries == mm.TRANSFER_MATRIX == EXPECTED
     assert tm.determinant() == 1
     assert tm.column(0) == (1, -1, 1)
     assert tm.pre_round_dev < 1e-4
@@ -113,9 +122,7 @@ def test_fit_and_central_charges_take_period_vectors():
     assert mm.fit_transfer_matrix(pvs) == mm.fit_transfer_matrix(ys)
     with pytest.raises(DomainError):
         mm.fit_transfer_matrix([pvs[0], pvs[0], pvs[1]])
-    tm = mm.fit_transfer_matrix(ys)
-    assert (mm.central_charge_report(pvs[2], transfer=tm)
-            == mm.central_charge_report(ys[2], transfer=tm))
+    assert mm.central_charge_report(pvs[2]) == mm.central_charge_report(ys[2])
 
 
 def test_fit_transfer_matrix_validation():
@@ -192,24 +199,15 @@ def test_central_charge_point_is_unity():
 
 
 def test_central_charge_plane_row_is_minus_second_period():
-    # with the fitted matrix, the [O(-2)] charge reads off -I_1
+    # through the pinned matrix, the [O(-2)] charge reads off -I_1
     rows = mm.central_charge_report(1e3)
     pv = geom.periods(1e3)
     assert abs(rows[2]["charge_periods"] - (-pv.i1)) < 1e-12
 
 
-def test_central_charge_report_accepts_precomputed_transfer():
-    tm = mm.fit_transfer_matrix((1e3, 2e3, 4e3))
-    a = mm.central_charge_report(2e3, transfer=tm)
-    b = mm.central_charge_report(2e3)
-    for ra, rb in zip(a, b):
-        assert ra["charge_periods"] == rb["charge_periods"]
-
-
 def test_central_charges_near_the_edge_of_the_period_domain():
-    tm = mm.fit_transfer_matrix(mm.FIT_MODULI)
     for y in (27.03, -27.03, 27.03j, 100.0):
-        assert not any(r["flagged"] for r in mm.central_charge_report(y, transfer=tm)), y
+        assert not any(r["flagged"] for r in mm.central_charge_report(y)), y
 
 
 def test_central_charge_report_domain():

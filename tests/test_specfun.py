@@ -276,6 +276,30 @@ def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, points):
         assert kernel_passes == []
 
 
+@pytest.mark.parametrize("mode", ["double", "extended"])
+def test_closed_form_checks_form_the_moduli_and_minus_omega_once(monkeypatch, mode):
+    # the ellipke pass and the elliptic F' row share one (k_+, k_-), and the
+    # hyp pass and the finite-difference stencil one e^{i pi/3}
+    calls = []
+    arith = sf._arith
+
+    def counting(name, f):
+        def run():
+            calls.append(name)
+            return f()
+        return run
+
+    @contextmanager
+    def counting_arith(cfg):
+        with arith(cfg) as ar:
+            yield ar._replace(moduli=counting("moduli", ar.moduli),
+                              minus_omega=counting("minus_omega", ar.minus_omega))
+
+    monkeypatch.setattr(sf, "_arith", counting_arith)
+    sf.closed_form_checks(PrecisionConfig(mode=mode))
+    assert sorted(calls) == ["minus_omega", "moduli"]
+
+
 def test_elliptic_f_prime_route_matches_its_row():
     # the public elliptic route computes its AGM inputs itself and lands on
     # the value of the closed_form_checks row bit for bit
