@@ -26,7 +26,7 @@ from . import mirror_geometry as geom
 from . import mirror_map as mm
 from . import picard_fuchs as pf
 from . import specfun
-from .errors import LocalP2Error
+from .errors import FitError, LocalP2Error
 from .specfun import PrecisionConfig
 
 SUBCOMMANDS = (
@@ -34,6 +34,11 @@ SUBCOMMANDS = (
     "mirror-objects", "central-charges", "verify-appendix",
     "ktheory-table", "reproduce",
 )
+
+# the subcommands whose output the precision mode changes
+_PRECISION_AWARE = ("verify-appendix", "reproduce")
+# the subcommands that read --y
+_MODULUS_AWARE = ("series", "continue", "periods", "transfer-matrix", "central-charges")
 
 _DEFAULT_TOL = 1e-6
 
@@ -99,11 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="flagging tolerance (default %(default)g)")
     p.add_argument("--y", action="append", type=_parse_complex,
                    default=None, metavar="RE[,IM]",
-                   help="modulus sample, repeatable; series, continue, periods, "
-                        "transfer-matrix and central-charges only")
+                   help=f"modulus sample, repeatable; {', '.join(_MODULUS_AWARE)} only")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--precision", choices=("double", "extended"), default=None,
-                   help="closed-form identity precision; verify-appendix and reproduce only")
+                   help=f"closed-form identity precision; {' and '.join(_PRECISION_AWARE)} only")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     return p
@@ -136,9 +140,9 @@ def _cmd_series(cfg: RunConfig) -> tuple[dict, int]:
 
 def _cmd_continue(cfg: RunConfig) -> tuple[dict, int]:
     ys = cfg.require_y()
-    rtol = pf.continuation_rtol(cfg.precision().target_rel_err)
+    target = cfg.precision().target_rel_err
     return _solution_payload(
-        [pf.continue_solutions(y, rtol=rtol) for y in ys], cfg.tolerance)
+        [pf.continue_solutions(y, err_target=target) for y in ys], cfg.tolerance)
 
 
 def _cmd_monodromy(cfg: RunConfig) -> tuple[dict, int]:
@@ -260,7 +264,8 @@ def _cmd_ktheory_table(cfg: RunConfig) -> tuple[dict, int]:
 
 def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     """Full pipeline: appendix identities, solution cross-checks, periods,
-    transfer fit, central charges.  Exit 0 only if every stage passes."""
+    transfer fit, central charges.  Exit 0 only if every stage passes; a
+    fit that raises fails its stage, and the payload's matrix is null."""
     stages = []
 
     def stage(name, ok, detail):
@@ -306,9 +311,13 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     stage("critical_rays", ray_dev <= 1e-14,
           f"critical-ray rel dev {ray_dev:.2e}")
 
-    tm = mm.fit_transfer_matrix(period_rows)
-    stage("transfer_matrix", tm.entries == mm.TRANSFER_MATRIX,
-          f"entries {tm.entries}, residual {tm.residual:.3e}")
+    try:
+        tm = mm.fit_transfer_matrix(period_rows)
+        stage("transfer_matrix", tm.entries == mm.TRANSFER_MATRIX,
+              f"entries {tm.entries}, residual {tm.residual:.3e}")
+    except FitError as exc:
+        tm = None
+        stage("transfer_matrix", False, str(exc))
 
     # the periods against the large-|y| series through T, at every period vector
     cc = [r for pv in period_rows for r in mm.central_charge_report(pv)]
@@ -324,7 +333,7 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
 
     all_pass = all(s["pass"] for s in stages)
     payload = {"stages": stages, "all_pass": all_pass,
-               "transfer_matrix": [list(r) for r in tm.entries]}
+               "transfer_matrix": [list(r) for r in tm.entries] if tm else None}
     return payload, 0 if all_pass else 1
 
 
@@ -340,11 +349,6 @@ _BODIES = {
     "ktheory-table": _cmd_ktheory_table,
     "reproduce": _cmd_reproduce,
 }
-
-# the subcommands whose output the precision mode changes
-_PRECISION_AWARE = ("verify-appendix", "reproduce")
-# the subcommands that read --y
-_MODULUS_AWARE = ("series", "continue", "periods", "transfer-matrix", "central-charges")
 
 _CSV_ABLE = {"series", "continue", "periods", "central-charges",
              "verify-appendix"}

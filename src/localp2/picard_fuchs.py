@@ -15,9 +15,11 @@ theta = y d/dy,
 
     L = theta^3 + 3y(3theta+1)(3theta+2)theta,
 
-drives the ODE transport used for monodromy around y = 0 and for numeric
-continuation across the annulus around |y| = 1/27, between the disc of the
-series at 0 and the region |y| > 1/27 of the inverse series at infinity.
+is, with x = -27y and f = theta w, the Gauss equation of
+2F1(1/3, 2/3; 1; x); re-centred Taylor steps of it (``_taylor``) carry the
+solution frame around y = 0 for the monodromy, and across the annulus
+around |y| = 1/27, between the disc of the series at 0 and the region
+|y| > 1/27 of the inverse series at infinity, with a bound of their error.
 
 Branch conventions: principal logarithms everywhere; log(-y) means
 log(y) - i*pi.  With that choice the double-log series matches the rho
@@ -34,8 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
-from ._dop853 import transport_segment as _transport_segment
+from . import _kernels, _taylor
 from .errors import ConvergenceError, DomainError, MonodromyError
 from .mirror_geometry import _inv_cbrt, _ln_abs
 
@@ -49,7 +50,6 @@ __all__ = [
     "annihilation_residual",
     "monodromy_around_origin",
     "continue_solutions",
-    "continuation_rtol",
     "series_coefficient",
     "series_order",
     "series_solutions",
@@ -473,36 +473,75 @@ def annihilation_residual(y_samples, n_terms: int = 40) -> float:
     return worst
 
 
-def monodromy_around_origin(radius: float = 1e-3, n_terms: int = 80,
-                            rtol: float = 1e-10) -> list[list[int]]:
+def _start_frame(y0: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The frame (w, theta w, theta^2 w) of the three solutions at y0, off
+    the circle |y| = 1/27, from the series that converges there, and the
+    bounds of its entries.
+
+    Each term t_m of either series is less than q = 27|y0| (or 1/(27|y0|))
+    times the one before and at most q^m (outside, its lead times q^m), so
+    the n-term sums of m^k t_m, k <= 2, leave tails below g q^n (n+1)^2,
+    g = (1 + q)/(1 - q)^3, which n puts below 2^-60, and rounding below
+    2^-52 n sum m^2 |t_m|.  The rows weigh the sums by at most
+    3 (|log(-y0)| + 6)/(4 pi^2) inside and 3 |u|^(3a)/(8 pi^3) outside; the
+    assembly adds _ROUND |frame|.
+    """
+    ln_27y = _ln_abs(y0) + math.log(27.0)
+    q = math.exp(-abs(ln_27y))
+    g = (1.0 + q) / (1.0 - q) ** 3
+    n = min(_SERIES_MAX_TERMS, math.ceil(
+        (math.log(2.0 ** -60 / g) - 2.0 * math.log(_SERIES_MAX_TERMS + 1.0)) / math.log(q)))
+    if ln_27y < 0.0:
+        frame = _series_frame(y0, n)
+        weight = np.full(1, 3.0 * (abs(cmath.log(y0) - 1j * math.pi) + 6.0) / (4.0 * math.pi ** 2))
+        lead, terms = np.ones(1), np.abs(_series_terms(y0, n, 2.0)[0][None])
+    else:
+        frame = _inverse_frame(y0, n)
+        u = abs(_inv_cbrt(y0))
+        weight = 3.0 * np.array([u, u * u]) / (8.0 * math.pi ** 3)
+        lead, terms = _INV_LEAD, np.abs(_inverse_terms(y0, n))
+    bound = weight @ (lead * g * q ** n * (n + 1.0) ** 2
+                      + 2.0 ** -52 * n * (terms @ np.arange(1.0, n + 1.0) ** 2))
+    return frame, bound * np.array([[0.0], [1.0], [1.0]]) + _taylor._ROUND * np.abs(frame)
+
+
+def _origin_loop(radius: float, err_target: float) -> tuple[np.ndarray, float]:
+    """The loop matrix of ``monodromy_around_origin`` before rounding, and
+    the bound of the error of its entries: with F_0 the start frame and
+    E_0, E its bounds before and after the loop, (E + |M| E_0) |F_0^-1|."""
+    start, err0 = _start_frame(complex(radius))
+    s0 = math.log(radius)
+    frame, err = _taylor.transport(s0, s0 + _TWO_PI_I, start, err0, err_target)
+    inv = np.linalg.inv(start)
+    m = frame @ inv
+    bound = (err + np.abs(np.rint(m.real)) @ err0) @ np.abs(inv)
+    return m, float(bound.max())
+
+
+def monodromy_around_origin(radius: float = 1e-3, err_target: float = 1e-8) -> list[list[int]]:
     """Transport the solution frame around y = radius * e^(i theta), theta
     from 0 to 2 pi, and return the integer matrix M with w_after = M w_before.
 
-    In s = log y the loop is the straight segment from log radius to
-    log radius + 2 pi i (the ODE coefficients are single-valued in y = e^s),
-    carried by one ``_transport_segment`` run.  Entries must land within
-    1e-6 of integers; the rounded matrix is returned.
+    The loop is frozen: it starts at y = radius on the positive axis and
+    runs counter-clockwise once round the circle |y| = radius, the straight
+    segment from log radius to log radius + 2 pi i in s = log y.  Its
+    Taylor steps (``_taylor``) carry the frame to err_target.  Entries must
+    land within 1e-6 of integers; the rounded matrix is returned.
 
-    Every loop inside |y| < 1/27 gives the same matrix.  Near 0 the frame
-    is log-polynomial up to a relative 27 r, so a small loop is cheap; at
-    rtol 1e-10, right-hand sides and the largest distance of an entry from
-    its integer:
+    Every loop inside |y| < 1/27 gives the same matrix.  At the default
+    err_target: steps x terms, the largest distance of an entry from its
+    integer, and the bound of that distance (``_origin_loop``):
 
-        r = 1e-2   259   2.9e-10
-        r = 5e-3   178   8.0e-10
-        r = 2e-3   131   2.5e-10
-        r = 1e-3   108   2.1e-10   (the default)
-        r = 1e-4    84   1.8e-11
+        r = 1e-2   18 x 32   3.2e-12   9.1e-12
+        r = 2e-3   15 x 32   1.7e-11   4.2e-11
+        r = 1e-3   15 x 32   2.8e-11   6.8e-11   (the default)
+        r = 1e-4   15 x 32   6.1e-11   1.5e-10
     """
     if not 0 < radius < _SERIES_RADIUS:
         raise DomainError("loop radius must sit inside the series disc")
-    if not 0.0 < rtol < math.inf:
-        raise DomainError(f"rtol must be finite and positive, got {rtol}")
-    y0 = complex(radius)
-    start = _series_frame(y0, n_terms)
-    s0 = cmath.log(y0)
-    frame = _transport_segment(s0, s0 + _TWO_PI_I, start, rtol)
-    m = frame @ np.linalg.inv(start)
+    if not 0.0 < err_target < math.inf:
+        raise DomainError(f"err_target must be finite and positive, got {err_target}")
+    m, _ = _origin_loop(radius, err_target)
     rounded = np.rint(m.real).astype(int)
     dev = np.max(np.abs(m - rounded))
     if dev > 1e-6:
@@ -511,93 +550,58 @@ def monodromy_around_origin(radius: float = 1e-3, n_terms: int = 80,
 
 
 def continue_solutions(y_target: complex, y_start: complex | None = None,
-                       n_terms: int = 80, rtol: float = 1e-10) -> SolutionTriple:
+                       err_target: float = 1e-8) -> SolutionTriple:
     """The solution triple at y_target, from the nearer exact series.
 
     Left to its default, y_start = None, the route depends on 27|y_target|:
 
         <= q = 0.54       ``chf_expand(y_target)``, 80 terms or more to
-                          meet 100 * rtol
+                          meet err_target
         >= 1/q            ``w_at_infinity(y_target)``, to the rounding level
         in between        the transport along the target's ray in log y,
                           from |y| = q/27 = 0.02 inside the circle
-                          |y| = 1/27 and from |y| = 1/(27 q) outside it,
-                          starting from the n_terms-term frame of that
-                          edge's series
+                          |y| = 1/27 and from |y| = 1/(27 q) outside it
 
-    The margin q = 0.54 was measured at the 8 phases k pi/8, k = 0..7:
-    largest relative error of w_1 or w_2 against 30-digit mpmath sums of the
-    same series, summed to the rounding level, at 27|y| = q and 1/q; and
-    right-hand sides of the default-rtol transport to 9 radii spread over
-    the annulus, at the same phases:
+    The margin keeps the default 80 terms of the direct series.  Measured
+    at the phases k pi/8, the largest relative error of w_1 or w_2 against
+    30-digit sums (terms, error; the inverse series' includes the 2.6e-16
+    of its Gamma(1/3)^3) is, at 27|y| = q and 1/q:
 
-        q      direct series     inverse series    transport RHS   time
-        0.54    80  3.1e-16       61  2.6e-15        34 mean, 119    0.36 ms
-        0.7     84  5.8e-16      107  5.7e-15        26 mean,  73    0.30 ms
-        0.8    137  6.6e-16      172  5.0e-15        21 mean,  49    0.26 ms
-        0.9    297  1.4e-15      371  4.3e-15        16 mean,  37    0.22 ms
-
-    (terms, error).  A sum takes 17-38 us at these orders, a transport a
-    few tenths of a ms, but the annulus is thin at every q; q = 0.54 keeps
-    the default 80 terms for the direct series and for the frames at both
-    edges (80^2 q^80 ~ 3e-18 bounds the tails of the theta^2 sums too).
-    The inverse series' error includes the 2.6e-16 relative error of its
-    Gamma(1/3)^3.
+        q = 0.54    80  3.1e-16       61  2.6e-15
+        q = 0.8    137  6.6e-16      172  5.0e-15
 
     An explicit y_start in the disc |y| < 1/27 transports from there along
-    the straight segment in log y, from the direct series' frame: the
-    independent cross-check of the other routes.
+    the straight segment in log y: the independent cross-check.
 
-    The frame (w, theta w, theta^2 w) of all three solutions is carried by
-    one DOP853 run (``_transport_segment``) at relative and absolute
-    tolerance rtol, and a transported triple reports err_estimate 100 * rtol:
-    against both series, at rtol 1e-10 and 1e-14, the largest distance
-    measured from y_start = 0.01 was 0.0047 of it.  A series triple reports
-    its tail bound.
+    The Taylor steps of ``_taylor`` carry the frame (w, theta w, theta^2 w)
+    of all three solutions from the start frame of ``_start_frame``, sized
+    for err_target.  A transported triple's err_estimate bounds its error:
+    the start frame's bounds and each step's tails and rounding, carried
+    through the later steps.  Steps x terms at the default err_target, at
+    arg y = 0 and next to the conifold, at pi - 0.001, where they shrink:
 
-    The lone finite singular point away from the origin is y = -1/27; a
-    transport whose log-segment passes within 0.05 of its logarithm
-    log(1/27) + i pi is refused.  On the default route the segment ends at
-    the target and stays on the target's side of |y| = 1/27, so the refused
-    targets are those within 0.05 of log(-1/27) in log y.
+        27|y| = 0.8    2 x 29    2 x 29
+        27|y| = 0.99   3 x 30    7 x 31
+        27|y| = 1.01   3 x 26   11 x 31
+
+    A series triple reports its tail bound.  A path that meets the conifold
+    y = -1/27 is refused.
     """
     y_target = _finite_modulus(y_target)
     if y_target == 0:
         raise DomainError("cannot continue into the origin")
-    if not 0.0 < rtol < math.inf:
-        raise DomainError(f"rtol must be finite and positive, got {rtol}")
+    if not 0.0 < err_target < math.inf:
+        raise DomainError(f"err_target must be finite and positive, got {err_target}")
     s1 = cmath.log(y_target)
-    s_sing = cmath.log(complex(-1.0 / 27.0))  # log(1/27) + i pi
     if y_start is None:
-        t = _nearer_series(y_target, 100.0 * rtol, _LN_INNER)
+        t = _nearer_series(y_target, err_target, _LN_INNER)
         if t is not None:
             return t
-        inside = s1.real < math.log(_SERIES_RADIUS)
-        s0 = complex(_LN_INNER if inside else _LN_OUTER, s1.imag)
+        s0 = complex(_LN_INNER if s1.real < math.log(_SERIES_RADIUS) else _LN_OUTER, s1.imag)
         y_start = cmath.exp(s0)
-        u = (_series_frame if inside else _inverse_frame)(y_start, n_terms)
     else:
         y_start = _check_series_domain(y_start)
         s0 = cmath.log(y_start)
-        u = _series_frame(y_start, n_terms)
-    seg = s1 - s0
-    if abs(seg) > 0:
-        tproj = max(0.0, min(1.0, ((s_sing - s0) / seg).real))
-        if abs(s0 + tproj * seg - s_sing) < 0.05:
-            raise DomainError("continuation path passes too close to y = -1/27")
-    u = _transport_segment(s0, s1, u, rtol)
-    return SolutionTriple(u[0, 0], u[1, 0], u[2, 0], y_target,
-                          err_estimate=100.0 * rtol)
-
-
-def continuation_rtol(err_target: float) -> float:
-    """rtol = min(1e-10, err_target / 100), the default rtol or tighter,
-    lowered by a few ulps where needed so that the err_estimate of
-    ``continue_solutions``, 100 * rtol, is at most err_target once rounded
-    (100 * (err_target / 100) exceeds err_target for some targets)."""
-    if not err_target > 0:
-        raise DomainError(f"error target must be positive, got {err_target}")
-    rtol = min(1e-10, err_target / 100.0)
-    while 100.0 * rtol > err_target:
-        rtol = math.nextafter(rtol, 0.0)
-    return rtol
+    frame, err = _taylor.transport(s0, s1, *_start_frame(y_start), err_target)
+    return SolutionTriple(frame[0, 0], frame[1, 0], frame[2, 0], y_target,
+                          err_estimate=float(err[:, 0].max()))

@@ -179,6 +179,33 @@ def test_reproduce_critical_ray_stage(tmp_path):
     assert float(stage["detail"].rsplit(" ", 1)[1]) <= 1e-14
 
 
+def test_a_fit_that_raises_fails_its_stage_and_keeps_the_others(monkeypatch, capsys):
+    # one cycle sign swapped: the fit raises FitError (not unimodular), and
+    # reproduce still prints every stage's verdict, with a null matrix
+    monkeypatch.setitem(geom._CYCLE_SEGMENTS, 0, ((+1, 0), (-1, 2)))
+    assert dispatch(["reproduce"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, _schema("reproduce"))
+    assert [st["name"] for st in payload["stages"]] == [
+        "appendix_closed_forms", "solution_cross_checks", "annihilator", "periods",
+        "critical_rays", "transfer_matrix", "central_charges", "ktheory"]
+    failing = {st["name"] for st in payload["stages"] if not st["pass"]}
+    assert {"periods", "transfer_matrix"} <= failing
+    stages = {st["name"]: st for st in payload["stages"]}
+    assert "unimodular" in stages["transfer_matrix"]["detail"]
+    assert payload["transfer_matrix"] is None and not payload["all_pass"]
+
+
+def test_help_names_the_subcommands_each_flag_applies_to(capsys):
+    from localp2.cli import _MODULUS_AWARE, _PRECISION_AWARE
+    assert dispatch(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, names in (("--y RE[,IM]", _MODULUS_AWARE), ("--precision {double,extended}",
+                                                          _PRECISION_AWARE)):
+        listed = re.search(re.escape(flag) + r" [^;]*; (.*?) only", text).group(1)
+        assert re.split(r", | and ", listed) == list(names), (flag, listed)
+
+
 def test_module_error_reports_json(capsys):
     # |y| <= 27 is outside the period contour domain
     code = dispatch(["periods", "--y", "5"])

@@ -6,7 +6,6 @@ recurrence-based summation) and mpmath digamma values.
 
 import cmath
 import inspect
-import json
 import math
 import os
 import subprocess
@@ -20,8 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import localp2.picard_fuchs as pf
-from localp2 import _dop853, _kernels
-from localp2.cli import dispatch
+from localp2 import _kernels, _taylor
 from localp2.errors import ConvergenceError, DomainError
 
 
@@ -428,196 +426,94 @@ def test_annihilation_needs_samples():
         pf.annihilation_residual(())
 
 
-# --- the DOP853 transport ---------------------------------------------------------
+# --- the Taylor transport ---------------------------------------------------------
 
-def _transport_rhs_reference(s, u):
-    y = cmath.exp(s)
-    a = 27.0 * y / (1.0 + 27.0 * y)
-    b = 6.0 * y / (1.0 + 27.0 * y)
-    du = np.empty_like(u)
-    du[..., 0] = u[..., 1]
-    du[..., 1] = u[..., 2]
-    du[..., 2] = -(a * u[..., 2] + b * u[..., 1])
-    return du
+def _local_taylor_oracle(x0: complex, h: complex, n_terms: int) -> list:
+    """The scaled Taylor coefficients u_n = f_n h^n, n < n_terms, at x0 of the
+    two solutions of the Gauss equation with (f, x f') = (1, 0) and (0, 1)
+    there, at 30 digits: combinations of F(x) = 2F1(1/3, 2/3; 1; x) and
+    F(1 - x), whose n-th derivatives are (1/3)_n (2/3)_n / n! times
+    2F1(1/3 + n, 2/3 + n; 1 + n; .)."""
+    with mp.workdps(30):
+        x0, h = mp.mpc(x0), mp.mpc(h)
+        a, b = mp.mpf(1) / 3, mp.mpf(2) / 3
 
+        def coeff(n, z):
+            return mp.rf(a, n) * mp.rf(b, n) / mp.factorial(n) ** 2 * mp.hyp2f1(a + n, b + n, 1 + n, z)
 
-def _dop853_reference(s0, s1, u, rtol):
-    """The DOP853 transport written stage by stage: twelve right-hand sides
-    per attempt (no FSAL), each stage state and each error vector summed
-    term by term.  Returns the frame and the list of accepted t."""
-    a, b, c = _dop853.A, _dop853.B, _dop853.C
-    length = abs(s1 - s0)
-    if length == 0:
-        return u, []
-    direction = (s1 - s0) / length
-    t = 0.0
-    h = min(0.1, length)
-    atol = rtol
-    accepted = []
-    while True:
-        step = min(h, length - t)
-        last = step == length - t
-        k = []
-        for i in range(12):
-            ui = u
-            for j in range(i):
-                ui = ui + step * a[i, j] * k[j]
-            k.append(direction * _transport_rhs_reference(
-                s0 + (t + c[i] * step) * direction, ui))
-        u_new = u + step * sum(bi * ki for bi, ki in zip(b, k))
-        scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
-        e5 = np.sum(np.abs(sum(ei * ki for ei, ki in zip(_dop853.E5, k)) / scale) ** 2)
-        e3 = np.sum(np.abs(sum(ei * ki for ei, ki in zip(_dop853.E3, k)) / scale) ** 2)
-        err = step * e5 / math.sqrt(u.size * (e5 + 0.01 * e3)) if e5 != 0.0 else 0.0
-        if err <= 1.0:
-            t += step
-            u = u_new
-            accepted.append(t)
-            if last:
-                return u, accepted
-        h = step * min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.125))
-        if h < 1e-13 * length:
-            raise AssertionError("reference transport step size underflow")
+        f = [coeff(n, x0) for n in range(n_terms)]
+        g = [(-1) ** n * coeff(n, 1 - x0) for n in range(n_terms)]
+        basis = mp.matrix([[f[0], g[0]], [x0 * f[1], x0 * g[1]]])
+        runs = []
+        for data in ((1, 0), (0, 1)):
+            c = mp.lu_solve(basis, mp.matrix(data))
+            runs.append([complex((c[0] * f[n] + c[1] * g[n]) * h ** n) for n in range(n_terms)])
+        return runs
 
 
-def _counting_exp_calls(monkeypatch, fn, *args, record=None):
-    """Run fn(*args) and count its calls of cmath.exp, one per right-hand side;
-    the argument of each call is appended to the list record, if one is given."""
-    calls = [0]
-    exp = cmath.exp
-
-    def counted(z):
-        calls[0] += 1
-        if record is not None:
-            record.append(z)
-        return exp(z)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(pf.cmath, "exp", counted)
-        out = fn(*args)
-    return out, calls[0]
-
-
-def _assert_same_transport(monkeypatch, s0, s1, frame, rtol=1e-10):
-    """Both transports take the same attempts and land within 1e-14 relative;
-    returns the array-stage result."""
-    (ref, accepted), ref_calls = _counting_exp_calls(
-        monkeypatch, _dop853_reference, s0, s1, frame, rtol)
-    got, got_calls = _counting_exp_calls(monkeypatch, pf._transport_segment,
-                                         s0, s1, frame, rtol)
-    # twelve right-hand sides per reference attempt; the kernel takes eleven
-    # per attempt, one to start and one after each accepted step but the last
-    assert ref_calls % 12 == 0, ref_calls
-    assert got_calls == 11 * (ref_calls // 12) + len(accepted), (s0, s1)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (s0, s1)
-    return got
-
-
-_S_START = cmath.log(0.01)
-_S_CONIFOLD = cmath.log(complex(-1.0 / 27.0))
+@pytest.mark.parametrize("y0, ds", [(0.01, 0.3j), (-0.02 + 0.03j, -0.2), (-0.05, 0.05 + 0.1j),
+                                    (1e3, 0.25), (cmath.rect(0.9 / 27.0, 3.0), 0.02j)])
+def test_recurrence_matches_the_taylor_coefficients(y0, ds):
+    # the two runs of the recurrence against 30-digit derivatives of the
+    # closed-form solutions, at centres on both sides of |y| = 1/27 and near
+    # the conifold; p = h/x0 = expm1(ds), q = h/(1 - x0)
+    x0 = -27.0 * y0
+    p = np.array([cmath.exp(ds) - 1.0])
+    q = p * x0 / (1.0 - x0)
+    got = _taylor.coefficients(p, q, 18)[:, :, 0]
+    for run, want in enumerate(_local_taylor_oracle(x0, complex(p[0]) * x0, 20)):
+        scale = max(abs(v) for v in want)
+        assert max(abs(g - w) for g, w in zip(got[:, run], want)) <= 1e-14 * scale, (y0, run)
 
 
 def _seeded_continuation_targets(rng, count, lo, hi):
-    """Moduli with lo <= |y| <= hi at any phase whose straight log-path from
-    y = 0.01 keeps clear of log(-1/27), which continue_solutions refuses."""
-    targets = []
-    while len(targets) < count:
-        y = cmath.rect(math.exp(rng.uniform(math.log(lo), math.log(hi))),
-                       rng.uniform(-math.pi, math.pi))
-        seg = cmath.log(y) - _S_START
-        tproj = max(0.0, min(1.0, ((_S_CONIFOLD - _S_START) / seg).real))
-        if abs(_S_START + tproj * seg - _S_CONIFOLD) > 0.1:
-            targets.append(y)
-    return targets
+    """Moduli with lo <= |y| <= hi at any phase."""
+    return [cmath.rect(math.exp(rng.uniform(math.log(lo), math.log(hi))),
+                       rng.uniform(-math.pi, math.pi)) for _ in range(count)]
 
 
-def test_dop853_tableau_order_conditions():
-    a, b, c = _dop853.A, _dop853.B, np.array(_dop853.C)
-    assert a.shape == (13, 12) and c.shape == (13,)
-    assert np.all(np.triu(a[:12]) == 0.0)
-    # each row sums to its node, up to the rounding of its literals
-    eps = np.finfo(float).eps
-    for row, ci in zip(a, c):
-        assert abs(math.fsum(row) - ci) <= eps * (math.fsum(np.abs(row)) + ci), row
-    # eighth order: the weights integrate c^(k-1) exactly for k = 1..8, and
-    # so do the weights b A for c^(k-1) against the stage nodes, k = 1..7
-    for k in range(1, 9):
-        assert abs(math.fsum(b * c[:12] ** (k - 1)) - 1.0 / k) <= 1e-15, k
-    for k in range(1, 8):
-        bac = math.fsum(b * (a[:12] @ c[:12] ** (k - 1)))
-        assert abs(bac - 1.0 / (k * (k + 1))) <= 1e-15, k
-    # both error vectors weigh differences of consistent weights
-    assert abs(math.fsum(_dop853.E5)) <= 1e-15
-    assert abs(math.fsum(_dop853.E3)) <= 1e-15
-    assert np.array_equal(_dop853._DOP_E, np.array([_dop853.E5, _dop853.E3]))
-    assert np.array_equal(_dop853._DOP_W, np.hstack([np.ones((13, 1)), a]))
-    # FSAL: the thirteenth row is b at c = 1, the new solution, and the first
-    # stage is the right-hand side at the state with no stage weight
-    assert np.array_equal(a[12], b) and c[12] == 1.0
-    assert c[0] == 0.0 and not a[0].any()
-    assert abs(math.fsum(b) - 1.0) <= 1e-15
+def _counting_steps(monkeypatch, fn, *args):
+    """Run fn(*args); its result and the (steps, terms) of each transport."""
+    counts = []
+    steps = _taylor.steps
+
+    def counted(*a):
+        rt, t, n = steps(*a)
+        counts.append((len(rt), n))
+        return rt, t, n
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_taylor, "steps", counted)
+        out = fn(*args)
+    return out, counts
 
 
-def test_transport_segment_matches_reference_on_seeded_paths(monkeypatch):
-    rng = np.random.default_rng(808)
-    frame = pf._series_frame(0.01, 80)
-    for y in _seeded_continuation_targets(rng, 150, 1e-2, 1e8):
-        _assert_same_transport(monkeypatch, _S_START, cmath.log(y), frame)
-
-
-@pytest.mark.parametrize("radius", [1e-3, 0.01, 0.015])
-def test_transport_segment_matches_reference_on_the_origin_loop(monkeypatch, radius):
-    s0 = cmath.log(radius)
-    _assert_same_transport(monkeypatch, s0, s0 + 2j * math.pi, pf._series_frame(radius, 80))
-
-
-def test_transport_right_hand_side_counts(monkeypatch):
-    # right-hand sides per seeded path on average, at two tolerances, and
-    # around the origin loop
+def test_transport_step_and_term_counts(monkeypatch):
+    # steps per seeded path from y = 0.01 (measured: 64.2 on average, the
+    # step sizes do not depend on the target) and terms per step (measured:
+    # at most 35 and 47)
     rng = np.random.default_rng(808)
     targets = _seeded_continuation_targets(rng, 150, 1e-2, 1e8)
-    for rtol, bound in ((1e-10, 210), (1e-14, 600)):
-        calls = sum(_counting_exp_calls(monkeypatch, pf.continue_solutions,
-                                        y, 0.01, 80, rtol)[1] for y in targets)
-        assert calls <= bound * len(targets), (rtol, calls / len(targets))
-    # the default loop at |y| = 1e-3 takes 108
-    m, calls = _counting_exp_calls(monkeypatch, pf.monodromy_around_origin)
+    for err_target, terms in ((1e-8, 35), (1e-12, 47)):
+        counts = [_counting_steps(monkeypatch, pf.continue_solutions, y, 0.01, err_target)[1][0]
+                  for y in targets]
+        assert np.mean([k for k, _ in counts]) <= 65, np.mean([k for k, _ in counts])
+        assert max(n for _, n in counts) <= terms, (err_target, max(n for _, n in counts))
+    # the default loop at |y| = 1e-3
+    m, counts = _counting_steps(monkeypatch, pf.monodromy_around_origin)
     assert m == EXPECTED_LOOP_MATRIX
-    assert calls <= 115, calls
+    assert counts == [(15, 32)], counts
 
 
-def test_transport_finishes_on_a_sliver_step(monkeypatch, tmp_path):
-    # On the ray from 0.01 an accepted step ends where its last stage (c = 1)
-    # and then the FSAL right-hand side are taken.  A target 1e-15 past such
-    # an end leaves a last step of about 1e-15, after which no step is needed.
-    ray = []
-    _counting_exp_calls(monkeypatch, pf.continue_solutions, 1e6, 0.01, record=ray)
-    ends = [a for a, b in zip(ray, ray[1:]) if a == b]
-    s_k = next(s for s in ends if s.real - _S_START.real > 1.5)
-    y = math.exp(s_k.real + 1e-15)
-    args = []
-    got, calls = _counting_exp_calls(monkeypatch, pf.continue_solutions, y, 0.01, record=args)
-    assert args[:-11] == ray[:calls - 11] and args[-12] == s_k
-    assert 0 < max(abs(a - s_k) for a in args[-11:]) <= 2e-15
-    ref, _ = _dop853_reference(_S_START, cmath.log(y), pf._series_frame(0.01, 80), 1e-10)
-    assert np.max(np.abs(got.as_vector() - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref))
-    # the default route's transport across the annulus, from the inner edge
-    # 0.02, ends on such a sliver step too: on the command line as in-process
-    edge = []
-    _counting_exp_calls(monkeypatch, pf.continue_solutions, 0.0369, record=edge)
-    s_k = [a for a, b in zip(edge, edge[1:]) if a == b][-1]
-    y = math.exp(s_k.real + 1e-15)
-    args = []
-    got, _ = _counting_exp_calls(monkeypatch, pf.continue_solutions, y, record=args)
-    assert args[-12] == s_k and 0 < max(abs(a - s_k) for a in args[-11:]) <= 2e-15
-    out = tmp_path / "continue.json"
-    assert dispatch(["continue", "--y", repr(y), "--out", str(out)]) == 0
-    (row,) = json.loads(out.read_text())["rows"]
-    assert complex(row["w1"]["re"], row["w1"]["im"]) == got.w1
+def test_a_transport_that_meets_the_conifold_is_refused():
+    # along the negative axis through y = -1/27, and into it
+    for y, start in ((-0.05, -0.01), (-1.0 / 27.0, None), (-1.0 / 27.0, 0.01)):
+        with pytest.raises(DomainError, match="meets y = -1/27"):
+            pf.continue_solutions(y, y_start=start)
 
 
 def test_transport_loads_no_scipy():
-    # the DOP853 coefficients are literals of the package, not scipy's
+    # the transport is the package's own recurrence, not scipy's integrators
     code = ("import sys, localp2; localp2.picard_fuchs.continue_solutions(1e4, 0.01); "
             "localp2.picard_fuchs.monodromy_around_origin(); print('scipy' in sys.modules)")
     src = os.path.dirname(os.path.dirname(pf.__file__))
@@ -627,8 +523,8 @@ def test_transport_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("rtol", [1e-10, 1e-14])
-def test_continuation_err_estimate_bounds_true_error(rtol):
+@pytest.mark.parametrize("err_target", [1e-10, 1e-14])
+def test_continuation_err_estimate_bounds_true_error(err_target):
     # references: the inverse series past |y| = 100, the direct series inside
     # |y| <= 0.02, both truncated far below the transport's error
     rng = np.random.default_rng(909)
@@ -637,38 +533,23 @@ def test_continuation_err_estimate_bounds_true_error(rtol):
     cases += [(y, pf.chf_expand(y, n_max=200))
               for y in _seeded_continuation_targets(rng, 20, 1e-4, 0.02)]
     for y, ref in cases:
-        got = pf.continue_solutions(y, y_start=0.01, rtol=rtol)
-        assert got.err_estimate == 100.0 * rtol
+        got = pf.continue_solutions(y, y_start=0.01, err_target=err_target)
+        assert got.err_estimate <= max(err_target, 1e-11), (y, got.err_estimate)
         dist = max(abs(got.w0 - ref.w0), abs(got.w1 - ref.w1), abs(got.w2 - ref.w2))
-        assert dist <= got.err_estimate, (y, rtol, dist)
+        assert dist <= got.err_estimate, (y, err_target, dist)
 
 
-@given(st.floats(min_value=1e-12, max_value=1e-6))
-def test_continuation_rtol_keeps_err_estimate_within_target(target):
-    rtol = pf.continuation_rtol(target)
-    assert 0 < rtol <= 1e-10
-    assert 100.0 * rtol <= target
-    assert rtol >= min(1e-10, target / 100.0) * (1.0 - 1e-15)
-
-
-@pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("err_target", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("call", [
-    lambda rtol: pf.continue_solutions(0.03, rtol=rtol),
-    lambda rtol: pf.continue_solutions(0.01, rtol=rtol),
-    lambda rtol: pf.monodromy_around_origin(rtol=rtol),
+    lambda err_target: pf.continue_solutions(0.03, err_target=err_target),
+    lambda err_target: pf.continue_solutions(0.01, err_target=err_target),
+    lambda err_target: pf.monodromy_around_origin(err_target=err_target),
 ])
-def test_transport_tolerance_must_be_finite_and_positive(call, rtol):
-    # refused before any work: -1 gave err_estimate -100 at y = 0.03, nan
-    # ran to a step-size underflow, and the loop ran whole before failing
-    with pytest.raises(DomainError, match="rtol"):
-        call(rtol)
-
-
-def test_continuation_rtol_keeps_the_default():
-    assert pf.continuation_rtol(1e-6) == 1e-10
-    for bad in (0.0, -1e-9, math.nan):
-        with pytest.raises(DomainError):
-            pf.continuation_rtol(bad)
+def test_transport_tolerance_must_be_finite_and_positive(call, err_target):
+    # refused before any work, at a target the transport answers, one the
+    # series answers, and the loop
+    with pytest.raises(DomainError, match="err_target"):
+        call(err_target)
 
 
 # --- monodromy and continuation -------------------------------------------------
@@ -680,22 +561,22 @@ def test_monodromy_around_origin_matrix():
     assert pf.monodromy_around_origin() == EXPECTED_LOOP_MATRIX
 
 
-def _loop_distance_from_integers(radius):
-    """Largest distance from an integer of an entry of the transported loop
-    matrix, before monodromy_around_origin rounds it."""
-    start = pf._series_frame(complex(radius), 80)
-    s0 = cmath.log(radius)
-    m = pf._transport_segment(s0, s0 + 2j * math.pi, start, 1e-10) @ np.linalg.inv(start)
-    return np.max(np.abs(m - np.rint(m.real)))
+@pytest.mark.parametrize("err_target", [1e-8, 1e-12])
+def test_origin_loop_lands_within_its_bound_of_the_integers(err_target):
+    for radius in (1e-4, 1e-3, 0.01, 0.02, 0.03):
+        m, bound = pf._origin_loop(radius, err_target)
+        assert np.max(np.abs(m - np.rint(m.real))) <= bound <= 1e-8, radius
 
 
-def test_default_origin_loop_is_no_further_from_integers():
-    # near y = 0 the frame is log-polynomial up to a relative 27|y|, so the
-    # small default loop is cheaper and lands no further from the integers
-    # than the loop at |y| = 0.01
+def test_default_origin_loop_takes_the_fewest_steps(monkeypatch):
+    # near y = 0 the step sizes approach 0.45 in log y (x0/(1 - x0) -> 0),
+    # so the small default loop takes fewer steps than the loop at
+    # |y| = 0.01: 15 against 18, of 32 terms each
     default = inspect.signature(pf.monodromy_around_origin).parameters["radius"].default
     assert default == 1e-3
-    assert _loop_distance_from_integers(default) <= _loop_distance_from_integers(0.01)
+    counts = [_counting_steps(monkeypatch, pf.monodromy_around_origin, r)[1][0][0]
+              for r in (default, 0.01)]
+    assert counts[0] < counts[1], counts
 
 
 def test_monodromy_unipotent_and_unimodular():
@@ -822,15 +703,15 @@ def test_w_at_infinity_domain():
         pf.w_at_infinity(1e3, n_terms=pf._SERIES_MAX_TERMS + 1)
 
 
-def w_infinity_oracle(y: complex) -> tuple[complex, complex]:
+def w_infinity_oracle(y: complex, digits: int = 34) -> tuple[complex, complex]:
     """w1 and w2 of the large-|y| series, summed at 30 digits from mpmath
-    Gamma values until a term drops below 1e-34 of its sum."""
+    Gamma values until a term drops below 10^-digits of its sum."""
     with mp.workdps(30):
         y = mp.mpc(y)
         sums = []
         for a in (mp.mpf(1) / 3, mp.mpf(2) / 3):
             total, term, n = mp.mpc(0), mp.gamma(a) ** 3 / mp.gamma(3 * a + 1), 0
-            while abs(term) >= mp.mpf(10) ** -34 * abs(total):
+            while abs(term) >= mp.mpf(10) ** -digits * abs(total):
                 total += term
                 term *= -(n + a) ** 3 / ((3 * n + 3 * a + 1) * (3 * n + 3 * a + 2)
                                          * (3 * n + 3 * a + 3)) / y
@@ -898,22 +779,22 @@ def test_inverse_frame_matches_the_transported_frame():
     for r in (_OUTER_MARGIN, 0.2, 5.0, 1e3):
         for phase in _PHASES[7::2]:
             y = cmath.rect(r, phase)
-            want = pf._transport_segment(s0, cmath.log(y), pf._series_frame(0.01, 80), 1e-13)
+            want, _ = _taylor.transport(s0, cmath.log(y), *pf._start_frame(0.01), 1e-13)
             assert np.max(np.abs(pf._inverse_frame(y, 80) - want)) <= 1e-11, y
 
 
-@pytest.mark.parametrize("rtol", [1e-10, 1e-14])
-def test_series_agree_with_the_transport_on_both_sides_of_the_annulus(rtol):
+@pytest.mark.parametrize("err_target", [1e-10, 1e-14])
+def test_series_agree_with_the_transport_on_both_sides_of_the_annulus(err_target):
     # the default route's series against the transport from y = 0.01, inside
     # the inner margin and past the outer one
     for r27 in (0.3, 0.54, 1.0 / 0.54, 3.0, 100.0):
         for phase in _PHASES[7:]:
             y = cmath.rect(r27 / 27.0, phase)
             series = pf.continue_solutions(y)
-            ref = pf.continue_solutions(y, y_start=0.01, rtol=rtol)
-            assert series.err_estimate < ref.err_estimate == 100.0 * rtol
+            ref = pf.continue_solutions(y, y_start=0.01, err_target=err_target)
+            assert ref.err_estimate <= max(err_target, 1e-12), (y, ref.err_estimate)
             dist = np.max(np.abs(series.as_vector() - ref.as_vector()))
-            assert dist <= ref.err_estimate, (y, rtol, dist)
+            assert dist <= series.err_estimate + ref.err_estimate, (y, err_target, dist)
 
 
 def test_default_route_takes_the_nearer_series(monkeypatch):
@@ -925,24 +806,72 @@ def test_default_route_takes_the_nearer_series(monkeypatch):
     for r27 in np.geomspace(0.54, 1.0 / 0.54, 11)[1:-1]:
         for phase in _PHASES[8:15]:
             y = cmath.rect(r27 / 27.0, phase)
-            got, calls = _counting_exp_calls(monkeypatch, pf.continue_solutions, y)
-            assert got.err_estimate == 1e-8
+            got, (count,) = _counting_steps(monkeypatch, pf.continue_solutions, y)
+            assert got.err_estimate <= 1e-8
             ref = pf.continue_solutions(y, y_start=0.005)
-            assert np.max(np.abs(got.as_vector() - ref.as_vector())) <= 2e-8, y
-            counts.append(calls)
-    # measured: 34 on average, at most 119
-    assert np.mean(counts) <= 40 and max(counts) <= 130, (np.mean(counts), max(counts))
+            dist = np.max(np.abs(got.as_vector() - ref.as_vector()))
+            assert dist <= got.err_estimate + ref.err_estimate, y
+            counts.append(count)
+    # measured: 2.1 steps on average, at most 6, of at most 30 terms
+    steps = [k for k, _ in counts]
+    assert np.mean(steps) <= 2.2 and max(steps) <= 6, (np.mean(steps), max(steps))
+    assert max(n for _, n in counts) <= 30, counts
 
 
-def test_default_route_refusal_is_the_targets_distance_from_the_conifold():
-    # refused within 0.05 of log(-1/27) in log y
-    for y in (-1.0 / 27.0, -1.02 / 27.0, cmath.rect(0.99 / 27.0, math.pi - 0.03)):
-        with pytest.raises(DomainError):
-            pf.continue_solutions(y)
-    # 0.0516 from it, but the straight path from y = 0.01 passes within 0.05:
-    # the explicit start keeps refusing it
+def w_disc_oracle(y: complex) -> tuple[complex, complex]:
+    """w1 and w2 of the printed direct series, summed at 30 digits by term
+    ratios and harmonic-gap increments until a term drops below 1e-24."""
+    with mp.workdps(30):
+        y = mp.mpc(y)
+        ln_my = mp.log(y) - 1j * mp.pi
+        s = d = mp.mpc(0)
+        term, gap, m = -2 * y, mp.mpf(1) / 2, 1          # C_1 (-y), H_2 - H_1
+        while abs(term) >= mp.mpf(10) ** -24:
+            s += term
+            d += term * gap
+            m += 1
+            term *= -y * (3 * m - 1) * (3 * m - 2) * (3 * m - 3) / mp.mpf(m) ** 3
+            gap += (mp.mpf(1) / (3 * m - 3) + mp.mpf(1) / (3 * m - 2)
+                    + mp.mpf(1) / (3 * m - 1) - mp.mpf(1) / m)
+        w1 = (mp.log(y) + 3 * s) / (2j * mp.pi)
+        w2 = mp.mpf(1) / 8 - (ln_my ** 2 / 2 + 3 * (ln_my * s + 3 * d)) / (4 * mp.pi ** 2)
+        return complex(w1), complex(w2)
+
+
+def test_continuation_err_estimate_bounds_the_error_over_the_annulus():
+    # seeded targets over the annulus 0.54 < 27|y| < 1/0.54 of the default
+    # route, and mirror-image pairs within 0.05 of log(-1/27), where the
+    # steps shrink towards the conifold; the reference is whichever series
+    # converges there, summed at 30 digits.  Within 1% of |y| = 1/27 those
+    # sums need more than 5000 terms, so the draws keep out of that band.
+    rng = np.random.default_rng(2323)
+    targets = []
+    while len(targets) < 16:
+        if len(targets) % 3:
+            ln_27y = rng.uniform(math.log(0.54), -math.log(0.54))
+            pair = [cmath.rect(math.exp(ln_27y) / 27.0, rng.uniform(-math.pi, math.pi))]
+        else:
+            d = 0.05 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            y = cmath.exp(d) * (-1.0 / 27.0 + 0j)
+            pair = [y, y.conjugate()]
+        targets += [y for y in pair if abs(math.log(27.0 * abs(y))) >= 0.01]
+    targets += [cmath.rect(r / 27.0, s * (math.pi - 0.001)) for r in (0.99, 1.01) for s in (1, -1)]
+    for y in targets:
+        want = w_disc_oracle(y) if abs(y) < 1.0 / 27.0 else w_infinity_oracle(y, 24)
+        for err_target in (1e-8, 1e-12, 1e-16):
+            got = pf.continue_solutions(y, err_target=err_target)
+            dist = max(abs(got.w0 - 1.0), abs(got.w1 - want[0]), abs(got.w2 - want[1]))
+            assert dist <= got.err_estimate <= max(err_target, 1e-12), (y, dist, got.err_estimate)
+
+
+def test_targets_next_to_the_conifold_answer_on_both_sides_of_the_cut():
+    # targets within 0.05 of log(-1/27) in log y answer on both sides of the
+    # cut, and so does the straight path from y = 0.01 that passes within
+    # 0.05 of it on the way to a target 0.0516 from it
     y = complex(-0.03899644601598481, 0.00014580153867710185)
-    assert 0.05 < abs(cmath.log(y) - _S_CONIFOLD) < 0.052
-    assert pf.continue_solutions(y).err_estimate == 1e-8
-    with pytest.raises(DomainError):
-        pf.continue_solutions(y, y_start=0.01)
+    for target in (-1.02 / 27.0, cmath.rect(0.99 / 27.0, math.pi - 0.03), y):
+        for t in (target, target.conjugate()):
+            assert pf.continue_solutions(t).err_estimate <= 1e-8, t
+    ref = pf.continue_solutions(y, y_start=0.01)
+    got = pf.continue_solutions(y)
+    assert np.max(np.abs(got.as_vector() - ref.as_vector())) <= got.err_estimate + ref.err_estimate
