@@ -16,12 +16,16 @@ the precision mode (``_arith``): Python floats, the ``_kernels`` gamma and the
 ``_kernels`` AGM in double mode.  In extended mode the AGM is one fixed-point
 loop on Gaussian integers (``_kernels.agm_fixed``) at the configured digits
 plus guard bits, with E from its companion sum as in double mode; mpmath
-supplies only the numbers, ``gamma`` and ``digamma``.  mpmath is imported
-only on the first extended-precision request, so a double-precision run
-never loads it.  The numeric routes a closed form is
-checked against (AGM, the elliptic chain rule, the finite difference, the
-splitting identity) never call a closed form, and only the finite-difference
-stencil differs by mode.
+supplies only the numbers, ``gamma``, ``digamma``, the cube root and
+``hypot``.  mpmath is imported only on the first extended-precision request,
+so a double-precision run never loads it.  The closed forms take Gamma(1/3)
+and Gamma(2/3) from one gamma pass of the arithmetic, and write every power
+of 2 and 3 they take as a product of integer powers of c = 2^(1/3) and
+q = 3^(1/4), formed once per evaluation, so none of them calls a
+transcendental power.  The numeric routes a closed form is checked against
+(AGM, the elliptic chain rule, the finite difference, the splitting
+identity) never call a closed form, and only the finite-difference stencil
+differs by mode.
 """
 
 from __future__ import annotations
@@ -134,13 +138,26 @@ def _agm_pass(kernel, zs) -> list:
     return [v.tolist() for v in vals]
 
 
-def _double_gamma(z) -> complex:
-    """The ``_kernels`` gamma at the one point z: 0 where Gamma underflows,
-    DomainError where |Gamma| exceeds the double range."""
-    g = complex(_kernels.gamma_array(z)[0])
-    if not math.isfinite(abs(g)):
-        raise DomainError(f"|gamma({z})| exceeds the double range")
-    return g
+def _double_gamma(zs) -> list:
+    """The ``_kernels`` gamma at the points zs, from one array call: 0 where
+    Gamma underflows, DomainError where any |Gamma| exceeds the double range."""
+    gs = _kernels.gamma_array(zs).tolist()
+    for z, g in zip(zs, gs):
+        if not math.isfinite(abs(g)):
+            raise DomainError(f"|gamma({z})| exceeds the double range")
+    return gs
+
+
+def _double_ellipke(ks) -> list:
+    """(K(k), E(k)) at the moduli ks from one ``_kernels`` AGM pass;
+    DomainError where any |k^2| exceeds the double range, past which the
+    kernel's k^2 overflows."""
+    for k in ks:
+        kc = complex(k)
+        size = math.hypot(kc.real, kc.imag)
+        if not math.isfinite(size * size):
+            raise DomainError(f"modulus {kc} has |k^2| beyond the double range")
+    return list(zip(*_agm_pass(_kernels.ellipke_array, ks)))
 
 
 class _Arith(NamedTuple):
@@ -150,8 +167,10 @@ class _Arith(NamedTuple):
     real: Callable         # float -> float or mpf
     cplx: Callable         # (re, im) -> complex or mpc
     sqrt: Callable
+    cbrt: Callable         # x -> x^(1/3), x real
+    hypot: Callable        # (x, y) -> sqrt(x^2 + y^2), without overflow
     pi: object
-    gamma: Callable
+    gamma: Callable        # [z] -> [Gamma(z)]
     digamma: Callable
     hyp: Callable          # [z] -> [2F1(1/2, 1/2; 1; z) = 1/AGM(1, sqrt(1-z))]
     ellipke: Callable      # [k] -> [(K(k), E(k))]
@@ -160,11 +179,11 @@ class _Arith(NamedTuple):
 
 
 _DOUBLE = _Arith(
-    float, complex, math.sqrt, math.pi,
+    float, complex, math.sqrt, lambda x: x ** (1.0 / 3.0), math.hypot, math.pi,
     _double_gamma,
     lambda z: complex(_kernels.digamma_array(z)[0]),
     lambda zs: _agm_pass(_kernels.hyp2f1_half_array, zs)[0],
-    lambda ks: list(zip(*_agm_pass(_kernels.ellipke_array, ks))),
+    _double_ellipke,
     lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
 
@@ -227,7 +246,8 @@ def _arith(cfg: PrecisionConfig):
 
     with mp.workdps(cfg.dps):
         yield _Arith(
-            mp.mpf, mp.mpc, mp.sqrt, mp.pi, mp.gamma, mp.digamma, hyp, ellipke,
+            mp.mpf, mp.mpc, mp.sqrt, mp.cbrt, mp.hypot, mp.pi,
+            lambda zs: [mp.gamma(z) for z in zs], mp.digamma, hyp, ellipke,
             lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
             lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
 
@@ -249,7 +269,7 @@ def gamma(z, config: PrecisionConfig | None = None):
         raise PoleError(f"gamma pole at z = {zc}")
     with _arith(_cfg(config)) as ar:
         # a real argument stays real, so extended mode returns an mpf
-        return ar.gamma(ar.cplx(z) if zc.imag else ar.real(zc.real))
+        return ar.gamma([ar.cplx(z) if zc.imag else ar.real(zc.real)])[0]
 
 
 def digamma(z, config: PrecisionConfig | None = None):
@@ -280,20 +300,23 @@ def _ellipke(name: str, k, config: PrecisionConfig | None):
 
 
 def elliptic_K(k, config: PrecisionConfig | None = None):
-    """Complete elliptic integral K(k) (modulus convention) by the AGM."""
+    """Complete elliptic integral K(k) (modulus convention) by the AGM.
+
+    In double mode a modulus whose |k^2| exceeds the double range, |k|
+    above about 1.34e154, raises DomainError; extended mode answers there."""
     return _ellipke("elliptic_K", k, config)[0]
 
 
 def elliptic_E(k, config: PrecisionConfig | None = None):
     """Complete elliptic integral E(k) from the companion sum of the AGM
-    that gives K."""
+    that gives K, on the domain of ``elliptic_K``."""
     return _ellipke("elliptic_E", k, config)[1]
 
 
 def _ramanujan(ar: _Arith, x):
     """The three arguments of F in the splitting identity at x, and the
     step that turns F at them into |LHS - RHS|."""
-    r = ar.sqrt(1 + x * x)
+    r = ar.hypot(1, x)
 
     def defect(f):
         lhs = ar.sqrt(r) * f[0]
@@ -310,12 +333,21 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
             = (1+i)/2 F((1 + x/sqrt(1+x^2))/2) + (1-i)/2 F((1 - x/sqrt(1+x^2))/2)
 
     at real x >= 0.  Returns |LHS - RHS|.
+
+    The node (1 + x/sqrt(1+x^2))/2 tends to 1, the branch point of F, as x
+    grows.  Where it rounds to 1 in the arithmetic of the precision mode,
+    from about x = 4.5e7 in double mode and 2e20 in extended mode at 40
+    digits, BranchCutError is raised.  sqrt(1+x^2) is formed by ``hypot``,
+    so it does not overflow.
     """
     xf = float(x)
     if xf < 0.0 or not math.isfinite(xf):
         raise DomainError("ramanujan_residual expects real x >= 0")
     with _arith(_cfg(config)) as ar:
         nodes, defect = _ramanujan(ar, ar.real(xf))
+        if nodes[1] >= 1:
+            raise BranchCutError(f"ramanujan_residual at x = {xf}: the node "
+                                 "(1 + x/sqrt(1+x^2))/2 rounds to 1, the branch point of F")
         return defect(ar.hyp(nodes))
 
 
@@ -325,49 +357,58 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
 
 
 def _consts(ar: _Arith):
-    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, two) in the arithmetic ``ar``,
-    the ``consts`` argument of each closed form below."""
-    return (ar.pi, ar.sqrt(ar.real(3)), ar.gamma(ar.real(1) / 3) ** 3,
-            ar.gamma(ar.real(2) / 3) ** 3, ar.real(2))
+    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, c, q) in the arithmetic ``ar``,
+    the ``consts`` argument of each closed form below.  Gamma(1/3) and
+    Gamma(2/3) come from one gamma pass.  c = 2^(1/3) and q = 3^(1/4) =
+    sqrt(sqrt3) are the two algebraic numbers the closed forms are written
+    in: every power of 2 and 3 they take is a product of integer powers of
+    c, q and sqrt3 = q^2, so none of them calls a transcendental power."""
+    s3 = ar.sqrt(ar.real(3))
+    g13, g23 = ar.gamma([ar.real(1) / 3, ar.real(2) / 3])
+    return ar.pi, s3, g13 ** 3, g23 ** 3, ar.cbrt(ar.real(2)), ar.sqrt(s3)
 
 
 def _k_closed(ar: _Arith, consts, sign: int):
-    """K(k_+) (sign=+1) or K(k_-) (sign=-1) in terms of Gamma(1/3)^3."""
-    pi, _, g3, _, two = consts
-    r = ar.real
-    expo = r(3) / 4 if sign > 0 else r(1) / 4
-    return two ** (-r(7) / 3) * r(3) ** expo * g3 / pi
+    """K(k_+) (sign=+1) or K(k_-) (sign=-1): 2^(-7/3) 3^(3/4 or 1/4)
+    Gamma(1/3)^3 / pi, with 2^(-7/3) = 1/(4c)."""
+    pi, s3, g3, _, c, q = consts
+    q_pow = s3 * q if sign > 0 else q
+    return q_pow * g3 / (4 * c * pi)
 
 
 def _e_closed(ar: _Arith, consts, sign: int):
-    """E(k_+) (sign=+1) or E(k_-) (sign=-1)."""
-    pi, s3, g3, _, two = consts
-    r = ar.real
+    """E(k_+) (sign=+1) or E(k_-) (sign=-1):
+
+        E(k_+) = 2^(1/3) 3^(-1/4) pi^2 / G + 2^(-10/3) 3^(1/4) (sqrt3 - 1) G / pi
+        E(k_-) = 2^(1/3) 3^(-3/4) pi^2 / G + 2^(-10/3) 3^(-1/4) (sqrt3 + 1) G / pi
+
+    with G = Gamma(1/3)^3 and 2^(-10/3) = c^2/16."""
+    pi, s3, g3, _, c, q = consts
     if sign > 0:
-        return (two ** (r(1) / 3) * r(3) ** (-r(1) / 4) * pi * pi / g3
-                + two ** (-r(10) / 3) * r(3) ** (r(1) / 4) * (s3 - 1) / pi * g3)
-    return (two ** (r(1) / 3) * r(3) ** (-r(3) / 4) * pi * pi / g3
-            + two ** (-r(10) / 3) * r(3) ** (-r(1) / 4) * (s3 + 1) / pi * g3)
+        return c / q * pi * pi / g3 + c * c / 16 * q * (s3 - 1) / pi * g3
+    return c / (s3 * q) * pi * pi / g3 + c * c / (16 * q) * (s3 + 1) / pi * g3
 
 
 def _f_closed(ar: _Arith, consts):
-    pi, _, g3, _, two = consts
-    r = ar.real
-    a = two ** (-r(7) / 3) * r(3) ** (r(3) / 4) * g3 / (pi * pi)
-    b = two ** (-r(7) / 3) * r(3) ** (r(1) / 4) * g3 / (pi * pi)
-    r2 = ar.sqrt(two)
-    return ar.cplx(1, 1) / r2 * a + ar.cplx(1, -1) / r2 * b
+    """F(e^{i pi/3}) = e^{i pi/4} a + e^{-i pi/4} b, with b = K(k_-)/pi and
+    a = K(k_+)/pi = sqrt3 b."""
+    pi, s3, g3, _, c, q = consts
+    b = q * g3 / (4 * c * pi * pi)
+    r2 = ar.sqrt(ar.real(2))
+    return ar.cplx(1, 1) / r2 * (s3 * b) + ar.cplx(1, -1) / r2 * b
 
 
 def _f_prime_closed(ar: _Arith, consts):
-    pi, s3, g3, g23, two = consts
-    r = ar.real
-    r2 = ar.sqrt(two)
+    """F'(e^{i pi/3}) =   2^(-7/3) 3^(-1/4) G (e4 - sqrt3 e4c) / (2 pi^2)
+                        + 2^(-8/3) 3^(3/4) G' (e4 + sqrt3 e4c) / pi^2
+
+    with G = Gamma(1/3)^3, G' = Gamma(2/3)^3, e4 = e^{i pi/4}, e4c its
+    conjugate, 2^(-7/3) = 1/(4c) and 2^(-8/3) = c/8."""
+    pi, s3, g3, g23, c, q = consts
+    r2 = ar.sqrt(ar.real(2))
     e4, e4c = ar.cplx(1, 1) / r2, ar.cplx(1, -1) / r2  # e^{+-i pi/4}
-    return (g3 * r(3) ** (-r(1) / 4) * two ** (-r(7) / 3)
-            * (e4 - s3 * e4c) / (2 * pi * pi)
-            + g23 * r(3) ** (r(3) / 4) * two ** (-r(8) / 3)
-            * (e4 + s3 * e4c) / (pi * pi))
+    return (g3 / (4 * c * q) * (e4 - s3 * e4c) / (2 * pi * pi)
+            + g23 * s3 * q * c / 8 * (e4 + s3 * e4c) / (pi * pi))
 
 
 def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = None):
@@ -394,7 +435,7 @@ def _f_prime_elliptic(ar: _Arith, moduli, ke_plus, ke_minus, f_at):
         kprime = ee / (k * (1 - k * k)) - kk / k
         fp.append(kprime / (ar.pi * k))
     rhs_prime = (ar.cplx(1, 1) / 2 * fp[0] - ar.cplx(1, -1) / 2 * fp[1]) / 16
-    lhs_drift = ar.sqrt(3) * 2 ** ar.real(-2.5) * f_at
+    lhs_drift = ar.sqrt(ar.real(3) / 32) * f_at
     return -ar.cplx(0, 1) * ar.sqrt(2) * (rhs_prime - lhs_drift)
 
 
@@ -451,6 +492,9 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     extended mode (2-point stencil).  In double mode each pass is one
     ``_kernels`` array call, in extended mode one ``_kernels.agm_fixed``
     call per point.  The singular moduli and e^{i pi/3} are formed once too.
+    The closed forms share one gamma pass over 1/3 and 2/3 (one
+    ``_kernels.gamma_array`` call in double mode), and write every power of
+    2 and 3 as integer powers of one 2^(1/3) and one 3^(1/4).
     """
     cfg = _cfg(config)
     with _arith(cfg) as ar:

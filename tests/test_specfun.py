@@ -226,17 +226,55 @@ def test_closed_form_checks_modes_agree():
 
 
 def test_closed_form_checks_evaluate_gamma_once_per_constant(monkeypatch):
-    # the six closed forms share one Gamma(1/3) and one Gamma(2/3)
+    # the six closed forms share one Gamma(1/3) and one Gamma(2/3), both
+    # from one gamma_array call
     calls = []
     gamma_array = sf._kernels.gamma_array
 
     def counting(z):
-        calls.append(z)
+        calls.append(len(z))
         return gamma_array(z)
 
     monkeypatch.setattr(sf._kernels, "gamma_array", counting)
     sf.closed_form_checks(PrecisionConfig(mode="double"))
-    assert len(calls) == 2
+    assert calls == [2]
+
+
+def _literal_closed_forms(pi, g3, g23):
+    """The closed forms with every power of 2 and 3 written as the
+    non-integer power it is, at mpmath's working precision, from the given
+    pi, Gamma(1/3)^3 and Gamma(2/3)^3."""
+    r, s3 = mp.mpf, mp.sqrt(3)
+    e4 = mp.mpc(1, 1) / mp.sqrt(2)
+    k_plus = 2 ** (-r(7) / 3) * 3 ** (r(3) / 4) * g3 / pi
+    k_minus = 2 ** (-r(7) / 3) * 3 ** (r(1) / 4) * g3 / pi
+    return [
+        k_plus, k_minus,
+        (2 ** (r(1) / 3) * 3 ** (-r(1) / 4) * pi * pi / g3
+         + 2 ** (-r(10) / 3) * 3 ** (r(1) / 4) * (s3 - 1) / pi * g3),
+        (2 ** (r(1) / 3) * 3 ** (-r(3) / 4) * pi * pi / g3
+         + 2 ** (-r(10) / 3) * 3 ** (-r(1) / 4) * (s3 + 1) / pi * g3),
+        (e4 * k_plus + mp.conj(e4) * k_minus) / pi,
+        (g3 * 3 ** (-r(1) / 4) * 2 ** (-r(7) / 3) * (e4 - s3 * mp.conj(e4)) / (2 * pi * pi)
+         + g23 * 3 ** (r(3) / 4) * 2 ** (-r(8) / 3) * (e4 + s3 * mp.conj(e4)) / (pi * pi)),
+    ]
+
+
+@pytest.mark.parametrize("mode, bound", [("extended", 1e-55), ("double", 4e-16)])
+def test_closed_forms_match_their_literal_powers(mode, bound):
+    # the closed forms, written in integer powers of 2^(1/3) and 3^(1/4),
+    # against the same identities with non-integer powers of 2 and 3 at 60
+    # digits, from the same pi and Gamma cubes: in extended mode at 60
+    # digits, and in double mode within the rounding of the double products
+    with sf._arith(PrecisionConfig(mode=mode, dps=60)) as ar:
+        pi, _, g3, g23, _, _ = consts = sf._consts(ar)
+        got = [sf._k_closed(ar, consts, +1), sf._k_closed(ar, consts, -1),
+               sf._e_closed(ar, consts, +1), sf._e_closed(ar, consts, -1),
+               sf._f_closed(ar, consts), sf._f_prime_closed(ar, consts)]
+    with mp.workdps(60):
+        want = _literal_closed_forms(*map(mp.mpmathify, (pi, g3, g23)))
+        for g, w in zip(got, want):
+            assert abs(mp.mpmathify(g) - w) <= bound * abs(w), (g, w)
 
 
 @pytest.mark.parametrize("mode, points", [("double", 9), ("extended", 7)])
@@ -308,6 +346,39 @@ def test_elliptic_f_prime_route_matches_its_row():
         row = next(r for r in sf.closed_form_checks(cfg)
                    if r["name"] == "Fprime(-omega) elliptic")
         assert complex(sf.f_prime_minus_omega("elliptic", cfg)) == row["computed"]
+
+
+def test_double_elliptic_moduli_past_the_double_range_are_refused():
+    # k^2 overflows a double past |k| = 1.34e154: double mode refuses such a
+    # modulus without a warning, where it would return pi/2 for K and a NaN
+    # for E; extended mode answers there, and agrees with double mode inside
+    double, extended = PrecisionConfig(mode="double"), PrecisionConfig(mode="extended")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in (1e155j, 3e160 + 1e160j):
+            for f in (sf.elliptic_K, sf.elliptic_E):
+                with pytest.raises(DomainError, match="double range"):
+                    f(k, double)
+                assert mp.isfinite(f(k, extended)) and f(k, extended) != 0
+        k = 1e153j
+        for f in (sf.elliptic_K, sf.elliptic_E):
+            want = complex(f(k, extended))
+            assert abs(f(k, double) - want) <= 1e-15 * abs(want), f.__name__
+
+
+def test_ramanujan_node_on_the_branch_point_is_refused():
+    # (1 + x/sqrt(1+x^2))/2 rounds to 1, the branch point of F, from about
+    # x = 4.5e7 in double mode and 2e20 at 40 digits: a BranchCutError,
+    # where double mode raised ConvergenceError and returned inf at 1e200
+    double, extended = PrecisionConfig(mode="double"), PrecisionConfig(mode="extended")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x, cfg in ((6e7, double), (1e200, double), (1e21, extended), (1e200, extended)):
+            with pytest.raises(BranchCutError, match="branch point"):
+                sf.ramanujan_residual(x, cfg)
+        # below the thresholds both modes answer
+        assert math.isfinite(sf.ramanujan_residual(4e7, double))
+        assert sf.ramanujan_residual(1e10, extended) <= 1e-21
 
 
 def test_branch_cut_rejected():
