@@ -190,6 +190,21 @@ def hyp2f1_half_array(z) -> tuple[np.ndarray, bool]:
     return 1.0 / m, ok
 
 
+def ellipke_hyp2f1_half_array(k, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(K(k), E(k)) at an array of moduli and 2F1(1/2,1/2;1;z) at an array
+    of points from one AGM run over both, the moduli's companion sums
+    started at k^2/2 and the points' at 0; the bool reports convergence.
+    Each entry's iterates stop where its own do, so every value is the one
+    ``ellipke_array`` or ``hyp2f1_half_array`` gives."""
+    k, z = _c128(k), _c128(z)
+    n = len(k)
+    a, s, ok = _agm(np.ones(n + len(z), dtype=np.complex128),
+                    np.sqrt(1.0 - np.concatenate([k * k, z])),
+                    np.concatenate([0.5 * k * k, np.zeros(len(z))]))
+    kk = np.pi / (2.0 * a[:n])
+    return kk, kk * (1.0 - s[:n]), 1.0 / a[n:], ok
+
+
 def _gauss_sqrt(x: int, y: int) -> tuple[int, int]:
     """The principal square root of x + iy, rounded down: for x + iy in
     units of 2^(-2q), the root in units of 2^-q.  The larger part of the

@@ -113,9 +113,21 @@ def _mb_factors(n: int, weighted: bool = True) -> tuple:
                 if weighted else None)
 
 
-# Both factors at every node a modulus with pi - |arg y| >= 0.25 needs.
-_MB_LG, _MB_PSI = _mb_factors(math.ceil(42.0 / 0.25 / _MB_STEP) + 1)
-for _table in (_RATIO, _GAP, _MOMENTS, _INV_RATIO, _MB_LG, _MB_PSI):
+def _mb_contour(n: int, weighted: bool = True) -> tuple:
+    """The y-independent factors of the contour integrand at t_k, k = -K..K,
+    K = n - 1: the multiplier 1/2 - i t_k of log y, and the factors of
+    ``_mb_factors`` on t_0..t_K, conjugated onto t_(-k) = -t_k."""
+    lg, psi = _mb_factors(n, weighted)
+    return (0.5 - 1j * _MB_STEP * np.arange(1 - n, n),
+            np.concatenate([lg[:0:-1].conjugate(), lg]),
+            None if psi is None else np.concatenate([psi[:0:-1].conjugate(), psi]))
+
+
+# The nodes t_0..t_(_MB_HALF - 1) that every modulus with pi - |arg y| >= 0.25
+# needs, and all three factors on the whole contour through them.
+_MB_HALF = math.ceil(42.0 / 0.25 / _MB_STEP) + 1
+_MB_EXP, _MB_LG, _MB_PSI = _mb_contour(_MB_HALF)
+for _table in (_RATIO, _GAP, _MOMENTS, _INV_RATIO, _MB_EXP, _MB_LG, _MB_PSI):
     _table.setflags(write=False)
 del _M, _E, _table
 
@@ -255,7 +267,8 @@ def series_solutions(y: complex, err_target: float) -> SolutionTriple:
 
 def series_w1(y: complex, n_terms: int = 80) -> complex:
     """Single-log solution: (1/2 pi i) [ log y + 3 sum C_m (-y)^m ]."""
-    return _series_rows(_check_series_domain(y), n_terms, 1)[1][0]
+    y = _check_series_domain(y)
+    return _series_rows(y, _series_terms(y, n_terms, 2.0)[0], 1)[1][0]
 
 
 def series_w2(y: complex, n_terms: int = 80) -> complex:
@@ -266,7 +279,8 @@ def series_w2(y: complex, n_terms: int = 80) -> complex:
 
     with log(-y) = log(y) - i pi.
     """
-    return _series_rows(_check_series_domain(y), n_terms, 1)[2][0]
+    y = _check_series_domain(y)
+    return _series_rows(y, _series_terms(y, n_terms, 2.0)[0], 1)[2][0]
 
 
 def _printed_rows(ln_y: complex, s, d) -> list[list[complex]]:
@@ -289,17 +303,18 @@ def _printed_rows(ln_y: complex, s, d) -> list[list[complex]]:
     return rows
 
 
-def _series_rows(y: complex, n_terms: int, order: int) -> list[list[complex]]:
-    """``_printed_rows`` at y from the n_terms-term sums S_k, D_k, k < order:
-    one product of the terms of ``_series_terms`` with ``_MOMENTS``."""
-    sd = (_series_terms(y, n_terms, 2.0)[0] @ _MOMENTS[:n_terms, :2 * order]).tolist()
+def _series_rows(y: complex, t: np.ndarray, order: int) -> list[list[complex]]:
+    """``_printed_rows`` at y from the sums S_k, D_k, k < order, over the
+    terms t of ``_series_terms`` (lead 2): one product with ``_MOMENTS``."""
+    sd = (t @ _MOMENTS[:len(t), :2 * order]).tolist()
     return _printed_rows(cmath.log(y), sd[::2], sd[1::2])
 
 
-def _series_frame(y0: complex, n_terms: int, order: int = 3) -> np.ndarray:
+def _series_frame(y0: complex, t: np.ndarray, order: int = 3) -> np.ndarray:
     """3 x order matrix of the rows (w_i, theta w_i, ..., theta^(order-1) w_i)
-    at y0 from the n_terms-term printed series."""
-    return np.array(_series_rows(y0, n_terms, order), dtype=complex)
+    at y0 from the printed series over the terms t of ``_series_terms``
+    (lead 2)."""
+    return np.array(_series_rows(y0, t, order), dtype=complex)
 
 
 def mellin_barnes(y: complex, which: str = "plain") -> complex:
@@ -323,12 +338,13 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     ``lgamma_array`` calls, both at Re = 3/2.  Only half the contour is
     evaluated: at t_(-k) every argument is the conjugate of its value at t_k,
     so the log factor (and the digamma weight) is the conjugate there.
-    Neither depends on y (``_mb_factors``): both are tabled at import on the
-    nodes t_0..t_2100 that every modulus with pi - |arg y| >= 0.25 needs, so
-    such a call makes no kernel call; closer to the cut a call builds what
-    it needs on its own grid.  Each node then costs one exp of the log
-    factor plus (1/2 - it) log y, and no factor leaves the double range
-    before the product is formed.
+    Neither depends on y, nor does the multiplier 1/2 - it of log y
+    (``_mb_contour``): all three are tabled at import on the whole contour
+    t_(-2100)..t_2100 that every modulus with pi - |arg y| >= 0.25 needs,
+    so such a call slices the tables and makes no kernel call; closer to
+    the cut a call builds what it needs on its own grid.  Each node then
+    costs one exp of the log factor plus (1/2 - it) log y, and no factor
+    leaves the double range before the product is formed.
 
     Working range: pi - |arg y| > 0.05 at every finite |y|; closer to the
     negative real axis the call raises ConvergenceError, and so does a
@@ -344,13 +360,14 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     if decay <= 0.05:
         raise ConvergenceError("arg y too close to pi for the truncated contour")
     n = math.ceil(42.0 / decay / _MB_STEP) + 1                     # t_k, k = 0..K
-    lg, wgt = ((_MB_LG[:n], _MB_PSI[:n]) if n <= len(_MB_LG)
-               else _mb_factors(n, which == "digamma"))
-    k = np.arange(1 - n, n)                                           # k = -K..K
-    vals = -math.pi * np.exp(np.concatenate([lg[:0:-1].conjugate(), lg])
-                             + (0.5 - 1j * _MB_STEP * k) * cmath.log(y))
+    if n <= _MB_HALF:
+        k = slice(_MB_HALF - n, _MB_HALF - 1 + n)                     # k = -K..K
+        expo, lg, wgt = _MB_EXP[k], _MB_LG[k], _MB_PSI[k]
+    else:
+        expo, lg, wgt = _mb_contour(n, which == "digamma")
+    vals = -math.pi * np.exp(lg + expo * cmath.log(y))
     if which == "digamma":
-        vals = vals * np.concatenate([wgt[:0:-1].conjugate(), wgt])
+        vals = vals * wgt
     if not np.isfinite(vals).all():
         raise ConvergenceError("contour integrand left the double range")
     # endpoint check: the truncation must sit deep in the decayed region
@@ -430,13 +447,13 @@ def w_at_infinity(y: complex, n_terms: int | None = None) -> SolutionTriple:
     return SolutionTriple(w0, w1, w2, y, err)
 
 
-def _inverse_frame(y0: complex, n_terms: int, order: int = 3) -> np.ndarray:
+def _inverse_frame(y0: complex, t: np.ndarray, order: int = 3) -> np.ndarray:
     """3 x order matrix of the rows (w_i, theta w_i, ..., theta^(order-1) w_i)
-    at y0 from the n_terms-term sums of ``w_at_infinity``: theta multiplies
-    its term u^(3a) t_n^a, a multiple of y^-(n+a), by -(n + a)."""
-    t = _inverse_terms(y0, n_terms)[:, None]
-    e = _inverse_exponents(n_terms)[:, None]
-    m = (t * e ** np.arange(float(order))[:, None]).sum(axis=2).tolist()     # m[a][k]
+    at y0 from the sums of ``w_at_infinity`` over the terms t of
+    ``_inverse_terms``: theta multiplies its term u^(3a) t_n^a, a multiple
+    of y^-(n+a), by -(n + a)."""
+    e = _inverse_exponents(t.shape[1])[:, None]
+    m = (t[:, None] * e ** np.arange(float(order))[:, None]).sum(axis=2).tolist()  # m[a][k]
     return np.array(_inverse_rows(_inv_cbrt(y0), *m), dtype=complex)
 
 
@@ -462,9 +479,9 @@ def annihilation_residual(y_samples, n_terms: int = 40) -> float:
     for y in samples:
         ln_abs = _ln_abs(y)
         if -math.inf < ln_abs < math.log(_SERIES_RADIUS):
-            f = _series_frame(y, n_terms, 4)
+            f = _series_frame(y, _series_terms(y, n_terms, 2.0)[0], 4)
         elif ln_abs > math.log(_SERIES_RADIUS):
-            f = _inverse_frame(y, n_terms, 4)
+            f = _inverse_frame(y, _inverse_terms(y, n_terms), 4)
         else:
             raise DomainError(f"annihilator samples need 0 < |y| != 1/27, got {y}")
         scale = math.exp(-max(0.0, ln_abs))                    # 1 / max(1, |y|)
@@ -484,7 +501,8 @@ def _start_frame(y0: complex) -> tuple[np.ndarray, np.ndarray]:
     g = (1 + q)/(1 - q)^3, which n puts below 2^-60, and rounding below
     2^-52 n sum m^2 |t_m|.  The rows weigh the sums by at most
     3 (|log(-y0)| + 6)/(4 pi^2) inside and 3 |u|^(3a)/(8 pi^3) outside; the
-    assembly adds _ROUND |frame|.
+    assembly adds _ROUND |frame|.  The frame and the rounding bound share
+    one array of terms.
     """
     ln_27y = _ln_abs(y0) + math.log(27.0)
     q = math.exp(-abs(ln_27y))
@@ -492,14 +510,16 @@ def _start_frame(y0: complex) -> tuple[np.ndarray, np.ndarray]:
     n = min(_SERIES_MAX_TERMS, math.ceil(
         (math.log(2.0 ** -60 / g) - 2.0 * math.log(_SERIES_MAX_TERMS + 1.0)) / math.log(q)))
     if ln_27y < 0.0:
-        frame = _series_frame(y0, n)
+        t = _series_terms(y0, n, 2.0)[0]
+        frame = _series_frame(y0, t)
         weight = np.full(1, 3.0 * (abs(cmath.log(y0) - 1j * math.pi) + 6.0) / (4.0 * math.pi ** 2))
-        lead, terms = np.ones(1), np.abs(_series_terms(y0, n, 2.0)[0][None])
+        lead, terms = np.ones(1), np.abs(t[None])
     else:
-        frame = _inverse_frame(y0, n)
+        t = _inverse_terms(y0, n)
+        frame = _inverse_frame(y0, t)
         u = abs(_inv_cbrt(y0))
         weight = 3.0 * np.array([u, u * u]) / (8.0 * math.pi ** 3)
-        lead, terms = _INV_LEAD, np.abs(_inverse_terms(y0, n))
+        lead, terms = _INV_LEAD, np.abs(t)
     bound = weight @ (lead * g * q ** n * (n + 1.0) ** 2
                       + 2.0 ** -52 * n * (terms @ np.arange(1.0, n + 1.0) ** 2))
     return frame, bound * np.array([[0.0], [1.0], [1.0]]) + _taylor._ROUND * np.abs(frame)
@@ -526,7 +546,9 @@ def monodromy_around_origin(radius: float = 1e-3, err_target: float = 1e-8) -> l
     runs counter-clockwise once round the circle |y| = radius, the straight
     segment from log radius to log radius + 2 pi i in s = log y.  Its
     Taylor steps (``_taylor``) carry the frame to err_target.  Entries must
-    land within 1e-6 of integers; the rounded matrix is returned.
+    land within 1e-6 of integers, and within the loop's own bound of its
+    error (``_origin_loop``), else the bound failed: MonodromyError either
+    way.  The rounded matrix is returned.
 
     Every loop inside |y| < 1/27 gives the same matrix.  At the default
     err_target: steps x terms, the largest distance of an entry from its
@@ -541,11 +563,14 @@ def monodromy_around_origin(radius: float = 1e-3, err_target: float = 1e-8) -> l
         raise DomainError("loop radius must sit inside the series disc")
     if not 0.0 < err_target < math.inf:
         raise DomainError(f"err_target must be finite and positive, got {err_target}")
-    m, _ = _origin_loop(radius, err_target)
+    m, bound = _origin_loop(radius, err_target)
     rounded = np.rint(m.real).astype(int)
     dev = np.max(np.abs(m - rounded))
     if dev > 1e-6:
         raise MonodromyError(f"monodromy entries off integers by {dev:.2e}")
+    if dev > bound:
+        raise MonodromyError(f"monodromy entries off integers by {dev:.2e}, "
+                             f"beyond the loop's error bound {bound:.2e}")
     return rounded.tolist()
 
 

@@ -129,10 +129,10 @@ def _on_cut_from_one(z: complex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _agm_pass(kernel, zs) -> list:
-    """The values of an AGM kernel at the points zs, from one array call:
-    one list per output of the kernel."""
-    *vals, ok = kernel(zs)
+def _agm_pass(kernel, *points) -> list:
+    """The values of an AGM kernel at its arrays of points, from one array
+    call: one list per output of the kernel."""
+    *vals, ok = kernel(*points)
     if not ok:
         raise ConvergenceError("AGM did not converge within 64 iterations")
     return [v.tolist() for v in vals]
@@ -148,16 +148,27 @@ def _double_gamma(zs) -> list:
     return gs
 
 
-def _double_ellipke(ks) -> list:
-    """(K(k), E(k)) at the moduli ks from one ``_kernels`` AGM pass;
-    DomainError where any |k^2| exceeds the double range, past which the
-    kernel's k^2 overflows."""
+def _double_moduli(ks):
+    """ks; DomainError where any |k^2| exceeds the double range, past which
+    the AGM kernels' k^2 overflows."""
     for k in ks:
         kc = complex(k)
         size = math.hypot(kc.real, kc.imag)
         if not math.isfinite(size * size):
             raise DomainError(f"modulus {kc} has |k^2| beyond the double range")
-    return list(zip(*_agm_pass(_kernels.ellipke_array, ks)))
+    return ks
+
+
+def _double_ellipke(ks) -> list:
+    """(K(k), E(k)) at the moduli ks from one ``_kernels`` AGM pass."""
+    return list(zip(*_agm_pass(_kernels.ellipke_array, _double_moduli(ks))))
+
+
+def _double_agm(ks, zs) -> tuple[list, list]:
+    """(K(k), E(k)) at the moduli ks and 2F1(1/2, 1/2; 1; z) at the points
+    zs from one ``_kernels`` AGM pass over both."""
+    kk, ee, f = _agm_pass(_kernels.ellipke_hyp2f1_half_array, _double_moduli(ks), zs)
+    return list(zip(kk, ee)), f
 
 
 class _Arith(NamedTuple):
@@ -174,6 +185,7 @@ class _Arith(NamedTuple):
     digamma: Callable
     hyp: Callable          # [z] -> [2F1(1/2, 1/2; 1; z) = 1/AGM(1, sqrt(1-z))]
     ellipke: Callable      # [k] -> [(K(k), E(k))]
+    agm: Callable          # ([k], [z]) -> ([(K(k), E(k))], [2F1(...; z)]), one pass
     moduli: Callable       # () -> the singular moduli (k_+, k_-)
     minus_omega: Callable  # () -> e^{i pi/3}
 
@@ -183,7 +195,7 @@ _DOUBLE = _Arith(
     _double_gamma,
     lambda z: complex(_kernels.digamma_array(z)[0]),
     lambda zs: _agm_pass(_kernels.hyp2f1_half_array, zs)[0],
-    _double_ellipke,
+    _double_ellipke, _double_agm,
     lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
 
@@ -197,7 +209,8 @@ def _arith(cfg: PrecisionConfig):
     """The arithmetic of ``cfg.mode``; extended mode imports mpmath (once per
     process) and works at ``cfg.dps`` digits inside the block.  Its AGM is
     ``_kernels.agm_fixed`` on fixed-point Gaussian integers, one point at a
-    time: 2F1 is 1/M, K is pi/(2M) and E is K times the companion-sum
+    time, so its joint ``agm`` pass is the ``ellipke`` pass and the ``hyp``
+    pass in turn: 2F1 is 1/M, K is pi/(2M) and E is K times the companion-sum
     factor, with M = AGM(1, sqrt(1 - x)), x = z or k^2.  mpmath supplies
     the numbers, 1 - x, ``gamma`` and ``digamma``.  A real argument with a
     real AGM gives an ``mpf``."""
@@ -248,6 +261,7 @@ def _arith(cfg: PrecisionConfig):
         yield _Arith(
             mp.mpf, mp.mpc, mp.sqrt, mp.cbrt, mp.hypot, mp.pi,
             lambda zs: [mp.gamma(z) for z in zs], mp.digamma, hyp, ellipke,
+            lambda ks, zs: (ellipke(ks), hyp(zs)),
             lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
             lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
 
@@ -339,6 +353,13 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
     from about x = 4.5e7 in double mode and 2e20 in extended mode at 40
     digits, BranchCutError is raised.  sqrt(1+x^2) is formed by ``hypot``,
     so it does not overflow.
+
+    Well before that threshold the double-mode residual measures the
+    rounding of that node, not the identity: 1 - node is about 1/(4x^2),
+    so one rounding of the node moves it by up to 4x^2 2^-53 of itself,
+    and F is log-singular there.  Measured: 1.7e-13 at x = 1e2, 1.6e-11
+    at 1e3, 1.9e-8 at 1e5, 2.0e-5 at 1e6 and 5.2e-3 at 1e7.  Extended mode
+    at 40 digits gives 2.7e-28 at x = 1e7; use it for large x.
     """
     xf = float(x)
     if xf < 0.0 or not math.isfinite(xf):
@@ -469,8 +490,8 @@ def f_prime_minus_omega(route: str = "closed_form",
             return _f_prime_closed(ar, _consts(ar))
         if route == "elliptic":
             moduli = ar.moduli()
-            return _f_prime_elliptic(ar, moduli, *ar.ellipke(moduli),
-                                     ar.hyp([ar.minus_omega()])[0])
+            ke, (f_at,) = ar.agm(moduli, [ar.minus_omega()])
+            return _f_prime_elliptic(ar, moduli, *ke, f_at)
         nodes, derivative = _finite_difference(ar, cfg, ar.minus_omega())
         return derivative(ar.hyp(nodes))
 
@@ -484,26 +505,28 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     finite difference for the derivative), never through the Gamma(1/3)^3
     expressions being checked.  Each AGM value is computed once: K and E at
     k_+ and k_- and F(e^{i pi/3}) are the K, E and F(-omega) rows and also
-    the inputs of the elliptic F' row, and F(e^{i pi/3}) is the first
-    Ramanujan value at x = sqrt3 too.  The checks make two AGM passes of the
-    arithmetic: one ``ellipke`` pass at k_+ and k_-, and one ``hyp`` pass
-    over F(-omega), the finite-difference stencil and the other two
-    Ramanujan arguments, 7 points in double mode (4-point stencil) and 5 in
-    extended mode (2-point stencil).  In double mode each pass is one
-    ``_kernels`` array call, in extended mode one ``_kernels.agm_fixed``
-    call per point.  The singular moduli and e^{i pi/3} are formed once too.
-    The closed forms share one gamma pass over 1/3 and 2/3 (one
-    ``_kernels.gamma_array`` call in double mode), and write every power of
-    2 and 3 as integer powers of one 2^(1/3) and one 3^(1/4).
+    the inputs of the elliptic F' row.  The Ramanujan identity at x = sqrt3
+    takes F at (1 + i sqrt3)/2 = e^{i pi/3}, and at (1 +- sqrt3/2)/2 =
+    k_+-^2, where F is 2K(k_+-)/pi, so its row runs no AGM of its own.  The
+    checks make one AGM pass of the arithmetic (``agm``) over the two
+    moduli, F(-omega) and the finite-difference stencil: 7 points in double
+    mode (4-point stencil), one ``_kernels.ellipke_hyp2f1_half_array``
+    call, and 5 in extended mode (2-point stencil), one
+    ``_kernels.agm_fixed`` call per point.  The singular moduli and
+    e^{i pi/3} are formed once too.  The closed forms share one gamma pass
+    over 1/3 and 2/3 (one ``_kernels.gamma_array`` call in double mode), and
+    write every power of 2 and 3 as integer powers of one 2^(1/3) and one
+    3^(1/4).
     """
     cfg = _cfg(config)
     with _arith(cfg) as ar:
         moduli, z = ar.moduli(), ar.minus_omega()
-        (kkp, eep), (kkm, eem) = ke_pm = ar.ellipke(moduli)
         stencil, derivative = _finite_difference(ar, cfg, z)
-        ram_nodes, ram_defect = _ramanujan(ar, ar.sqrt(ar.real(3)))
-        # the first Ramanujan argument (1 + i sqrt3)/2 is -omega itself
-        f_at, *f = ar.hyp([z, *stencil, *ram_nodes[1:]])
+        ke_pm, (f_at, *f) = ar.agm(moduli, [z, *stencil])
+        (kkp, eep), (kkm, eem) = ke_pm
+        # the Ramanujan arguments at x = sqrt3 are (1 + i sqrt3)/2 = -omega
+        # itself and (1 +- sqrt3/2)/2 = k_+-^2, where F is 2K/pi
+        _, ram_defect = _ramanujan(ar, ar.sqrt(ar.real(3)))
         consts = _consts(ar)
         fp_closed = _f_prime_closed(ar, consts)
         rows = [
@@ -514,13 +537,13 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
             ("F(-omega)", f_at, _f_closed(ar, consts)),
             ("Fprime(-omega) elliptic", _f_prime_elliptic(ar, moduli, *ke_pm, f_at),
              fp_closed),
-            ("Fprime(-omega) finite difference", derivative(f[:len(stencil)]), fp_closed),
+            ("Fprime(-omega) finite difference", derivative(f), fp_closed),
         ]
         out = [{"name": name, "computed": complex(computed),
                 "closed_form": complex(closed),
                 "rel_err": float(abs(computed - closed) / abs(closed))}
                for name, computed, closed in rows]
-        r = float(ram_defect([f_at, *f[len(stencil):]]))
+        r = float(ram_defect([f_at, 2 * kkp / ar.pi, 2 * kkm / ar.pi]))
     out.append({"name": "ramanujan x=sqrt3", "computed": complex(r, 0.0),
                 "closed_form": 0j, "rel_err": r})
     return out

@@ -164,6 +164,22 @@ def test_agm_functions_against_mpmath_out_to_huge_arguments():
     assert np.max(np.abs(ee - want_e) / np.abs(want_e)) <= 1e-12
 
 
+def test_joint_agm_array_is_bitwise_the_separate_arrays():
+    # one run over moduli and 2F1 arguments together: each entry stops where
+    # it would alone, so K, E and F are bitwise those of the separate kernels
+    rng = np.random.default_rng(20261019)
+    z = 10.0 ** rng.uniform(-10.0, 10.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    k = 10.0 ** rng.uniform(-5.0, 5.0, 30) * np.exp(1j * rng.uniform(-np.pi, np.pi, 30))
+    kk, ee, f, ok = K.ellipke_hyp2f1_half_array(k, z)
+    kk_alone, ee_alone, ok_k = K.ellipke_array(k)
+    f_alone, ok_f = K.hyp2f1_half_array(z)
+    assert ok and ok_k and ok_f
+    for got, want in ((kk, kk_alone), (ee, ee_alone), (f, f_alone)):
+        assert got.tobytes() == want.tobytes()
+    kk, ee, f, ok = K.ellipke_hyp2f1_half_array((), z[:3])
+    assert ok and kk.size == ee.size == 0 and f.tobytes() == K.hyp2f1_half_array(z[:3])[0].tobytes()
+
+
 def test_hyp2f1_half_against_mpmath():
     for z in (0.25, -0.75, 0.2 + 0.6j, -2.0 + 1.0j, 0.5 + 0.8660254037844386j):
         vals, ok = K.hyp2f1_half_array(complex(z))

@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 
 import localp2.picard_fuchs as pf
 from localp2 import _kernels, _taylor
-from localp2.errors import ConvergenceError, DomainError
+from localp2.errors import ConvergenceError, DomainError, MonodromyError
 
 
 # --- oracles ---------------------------------------------------------------
@@ -199,12 +199,12 @@ def test_series_frame_matches_the_oracles_in_every_theta_column():
         for _ in range(10):
             y = (math.exp(rng.uniform(math.log(1e-6), math.log(0.02)))
                  * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
-            got = pf._series_frame(y, n, 4)
+            got = pf._series_frame(y, pf._series_terms(y, n, 2.0)[0], 4)
             for k in range(4):
                 want = (1.0 if k == 0 else 0.0, w1_oracle(y, n, k), w2_oracle(y, n, k))
                 dev = max(abs(g - w) for g, w in zip(got[:, k], want))
                 assert dev <= 1e-15 * max(1.0, abs(want[2])), (y, n, k, dev)
-            for short in (pf._series_frame(y, n, 3),
+            for short in (pf._series_frame(y, pf._series_terms(y, n, 2.0)[0], 3),
                           [[1.0], [pf.series_w1(y, n)], [pf.series_w2(y, n)]]):
                 assert np.allclose(short, got[:, :len(short[0])], rtol=1e-15, atol=0.0)
 
@@ -367,7 +367,7 @@ def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
     assert sizes == {"gamma_array": [], "lgamma_array": [], "digamma_array": []}
     y = cmath.rect(0.01, math.pi - 0.1)
     n_half = math.ceil(42.0 / (math.pi - abs(cmath.phase(y))) / 0.08) + 1
-    assert n_half > len(pf._MB_LG)
+    assert n_half > pf._MB_HALF
     pf.mellin_barnes(y, "plain")
     assert sizes == {"gamma_array": [], "lgamma_array": [n_half] * 2, "digamma_array": []}
     pf.mellin_barnes(y, "digamma")
@@ -376,16 +376,52 @@ def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
 
 
 def test_mellin_barnes_node_table_is_read_only_and_fresh():
-    # the table covers pi - |arg y| >= 0.25, is bitwise a fresh build of its
-    # length, and its head is bitwise a fresh build of a shorter grid
-    n = len(pf._MB_LG)
-    assert n == len(pf._MB_PSI) == math.ceil(42.0 / 0.25 / 0.08) + 1
+    # the tables cover the whole contour through the nodes that
+    # pi - |arg y| >= 0.25 needs, are bitwise a fresh build of their length,
+    # and their middle is bitwise a fresh build of a shorter contour
+    n = pf._MB_HALF
+    assert n == math.ceil(42.0 / 0.25 / 0.08) + 1
+    tables = (pf._MB_EXP, pf._MB_LG, pf._MB_PSI)
     for length in (n, 461):
-        fresh = pf._mb_factors(length)
-        for table, built in zip((pf._MB_LG, pf._MB_PSI), fresh):
-            assert not table.flags.writeable
-            assert table[:length].tobytes() == built.tobytes()
-    assert pf._mb_factors(461, weighted=False)[1] is None
+        middle = slice(n - length, n - 1 + length)
+        for table, built in zip(tables, pf._mb_contour(length)):
+            assert not table.flags.writeable and len(table) == 2 * n - 1
+            assert table[middle].tobytes() == built.tobytes()
+    assert pf._mb_contour(461, weighted=False)[2] is None
+
+
+def _mellin_barnes_half_grid(y, which):
+    """The tabled contour sum as built from the half grid: the nodes
+    k = -K..K, the factors of ``_mb_factors`` on t_0..t_K, conjugated onto
+    t_(-k)."""
+    n = math.ceil(42.0 / (math.pi - abs(cmath.phase(y))) / 0.08) + 1
+    lg, wgt = pf._mb_factors(n)
+    k = np.arange(1 - n, n)
+    vals = -math.pi * np.exp(np.concatenate([lg[:0:-1].conjugate(), lg])
+                             + (0.5 - 1j * 0.08 * k) * cmath.log(y))
+    if which == "digamma":
+        vals = vals * np.concatenate([wgt[:0:-1].conjugate(), wgt])
+    return complex(np.sum(vals) * 0.08 / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("which", ["plain", "digamma"])
+def test_tabled_mellin_barnes_is_bitwise_the_half_grid_sum(monkeypatch, which):
+    # on pi - |arg y| >= 0.25 a call slices the whole-contour tables and
+    # makes no kernel call; its value is bitwise the sum over the half grid
+    rng = np.random.default_rng(2510)
+    moduli = [cmath.rect(math.exp(rng.uniform(math.log(1e-6), math.log(10.0))),
+                         rng.uniform(-1.0, 1.0) * (math.pi - 0.25))
+              for _ in range(60)]
+    moduli += [cmath.rect(0.01, a) for a in (0.0, 1.5, 2.5, 2.85, math.pi - 0.25)]
+    want = [_mellin_barnes_half_grid(y, which) for y in moduli]
+
+    def refuse(z):
+        raise AssertionError("kernel call on the tabled range")
+
+    for name in ("lgamma_array", "digamma_array"):
+        monkeypatch.setattr(pf._kernels, name, refuse)
+    for y, w in zip(moduli, want):
+        assert pf.mellin_barnes(y, which) == w, y
 
 
 # --- annihilator ---------------------------------------------------------------
@@ -566,6 +602,20 @@ def test_origin_loop_lands_within_its_bound_of_the_integers(err_target):
     for radius in (1e-4, 1e-3, 0.01, 0.02, 0.03):
         m, bound = pf._origin_loop(radius, err_target)
         assert np.max(np.abs(m - np.rint(m.real))) <= bound <= 1e-8, radius
+
+
+def test_monodromy_refuses_a_loop_off_integers_beyond_its_own_bound(monkeypatch):
+    # an entry farther from its integer than the loop's bound means the bound
+    # failed, even well inside the fixed 1e-6 gate
+    loop = pf._origin_loop
+
+    def understated(radius, err_target):
+        m, _ = loop(radius, err_target)
+        return m, 0.5 * float(np.max(np.abs(m - np.rint(m.real))))
+
+    monkeypatch.setattr(pf, "_origin_loop", understated)
+    with pytest.raises(MonodromyError, match="bound"):
+        pf.monodromy_around_origin()
 
 
 def test_default_origin_loop_takes_the_fewest_steps(monkeypatch):
@@ -780,7 +830,7 @@ def test_inverse_frame_matches_the_transported_frame():
         for phase in _PHASES[7::2]:
             y = cmath.rect(r, phase)
             want, _ = _taylor.transport(s0, cmath.log(y), *pf._start_frame(0.01), 1e-13)
-            assert np.max(np.abs(pf._inverse_frame(y, 80) - want)) <= 1e-11, y
+            assert np.max(np.abs(pf._inverse_frame(y, pf._inverse_terms(y, 80)) - want)) <= 1e-11, y
 
 
 @pytest.mark.parametrize("err_target", [1e-10, 1e-14])

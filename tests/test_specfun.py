@@ -277,41 +277,88 @@ def test_closed_forms_match_their_literal_powers(mode, bound):
             assert abs(mp.mpmathify(g) - w) <= bound * abs(w), (g, w)
 
 
-@pytest.mark.parametrize("mode, points", [("double", 9), ("extended", 7)])
+@pytest.mark.parametrize("mode, points", [("double", 7), ("extended", 5)])
 def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, points):
-    # One ellipke pass at k_+ and k_- serves the K and E rows and the
-    # elliptic F' row.  One hyp pass takes F(e^{i pi/3}) (its own row, the
-    # elliptic F' row and the first Ramanujan value, at (1 + i sqrt3)/2 =
-    # e^{i pi/3}), the finite-difference stencil (4 points in double, 2 in
-    # extended) and the other two Ramanujan arguments: `points` AGM values in
-    # all, counted per call of the hyp and ellipke entries of the arithmetic
-    # _arith yields, and in double mode per call of the _kernels AGM arrays
+    # One AGM pass takes K and E at k_+ and k_- (the K and E rows and the
+    # elliptic F' row), F(e^{i pi/3}) (its own row, the elliptic F' row and
+    # the first Ramanujan value, at (1 + i sqrt3)/2 = e^{i pi/3}) and the
+    # finite-difference stencil (4 points in double, 2 in extended).  The
+    # other two Ramanujan arguments (1 +- sqrt3/2)/2 are k_+-^2, where F is
+    # 2K/pi, so they run no AGM: `points` AGM values in all, in one call of
+    # the agm entry of the arithmetic _arith yields, which is one _kernels
+    # array call in double mode and one agm_fixed call per point in extended
     passes, kernel_passes = [], []
     arith = sf._arith
 
     def counting(record, name, f):
-        def run(zs):
-            record.append((name, len(zs)))
-            return f(zs)
+        def run(*args):
+            record.append((name, sum(len(a) for a in args)))
+            return f(*args)
         return run
 
     @contextmanager
     def counting_arith(cfg):
         with arith(cfg) as ar:
             yield ar._replace(hyp=counting(passes, "hyp", ar.hyp),
-                              ellipke=counting(passes, "ellipke", ar.ellipke))
+                              ellipke=counting(passes, "ellipke", ar.ellipke),
+                              agm=counting(passes, "agm", ar.agm))
 
     monkeypatch.setattr(sf, "_arith", counting_arith)
-    for name in ("hyp2f1_half_array", "ellipke_array"):
+    for name in ("hyp2f1_half_array", "ellipke_array", "ellipke_hyp2f1_half_array"):
         monkeypatch.setattr(sf._kernels, name,
                             counting(kernel_passes, name, getattr(sf._kernels, name)))
+    agm_fixed = sf._kernels.agm_fixed
+    fixed_calls = []
+
+    def counting_fixed(u, q):
+        fixed_calls.append(u)
+        return agm_fixed(u, q)
+
+    monkeypatch.setattr(sf._kernels, "agm_fixed", counting_fixed)
     sf.closed_form_checks(PrecisionConfig(mode=mode))
-    assert sorted(passes) == [("ellipke", 2), ("hyp", points - 2)]
+    assert passes == [("agm", points)]
     if mode == "double":
-        assert sorted(kernel_passes) == [("ellipke_array", 2),
-                                         ("hyp2f1_half_array", points - 2)]
+        assert kernel_passes == [("ellipke_hyp2f1_half_array", points)]
+        assert fixed_calls == []
     else:
         assert kernel_passes == []
+        assert len(fixed_calls) == points
+
+
+@pytest.mark.parametrize("mode", ["double", "extended"])
+def test_joint_agm_pass_matches_the_separate_passes(mode):
+    # the agm entry's values are bitwise those of the ellipke and hyp entries
+    ks = [0.3, K_PLUS, 0.2 + 0.9j]
+    zs = [sf.MINUS_OMEGA, -3.0 + 0.5j, 0.99]
+    with sf._arith(PrecisionConfig(mode=mode)) as ar:
+        ks, zs = [ar.cplx(k) for k in ks], [ar.cplx(z) for z in zs]
+        assert ar.agm(ks, zs) == (ar.ellipke(ks), ar.hyp(zs))
+        assert ar.agm(ks, []) == (ar.ellipke(ks), [])
+        assert ar.agm([], zs) == ([], ar.hyp(zs))
+
+
+def test_double_joint_agm_pass_refuses_an_overflowing_modulus():
+    with sf._arith(PrecisionConfig(mode="double")) as ar:
+        with pytest.raises(DomainError):
+            ar.agm([2e154], [0.5])
+
+
+def test_ramanujan_row_reads_f_at_the_squared_moduli():
+    # (1 +- sqrt3/2)/2, the Ramanujan arguments at x = sqrt3 besides
+    # e^{i pi/3}, are k_+-^2, where F = 2K/pi: the row's residual is the
+    # one ramanujan_residual finds from its own AGM pass, to rounding
+    for mode, tol in (("double", 1e-15), ("extended", 1e-39)):
+        cfg = PrecisionConfig(mode=mode)
+        row = sf.closed_form_checks(cfg)[-1]
+        assert row["name"] == "ramanujan x=sqrt3"
+        assert row["rel_err"] <= tol, (mode, row)
+        assert float(sf.ramanujan_residual(math.sqrt(3.0), cfg)) <= 10 * tol, mode
+    with mp.workdps(50):
+        x = mp.sqrt(3)
+        for sign in (1, -1):
+            k = (mp.sqrt(6) + sign * mp.sqrt(2)) / 4
+            node = (1 + sign * x / mp.sqrt(1 + x * x)) / 2
+            assert abs(node - k * k) <= mp.mpf(10) ** -48
 
 
 @pytest.mark.parametrize("mode", ["double", "extended"])
