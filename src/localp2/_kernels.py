@@ -1,12 +1,11 @@
 """Low-level numeric kernels, vectorized over numpy arrays.
 
 Complex log-gamma, gamma and digamma, AGM elliptic integrals and
-2F1(1/2,1/2;1;.), Cardano root solving with continuity tracking, and
-Gauss-Chebyshev segment quadrature of dX/sqrt(cubic) on the Euler branch.
-Each kernel has one implementation, written as array operations so a whole
-batch of inputs costs one call; the one exception is ``agm_fixed``, the AGM
-on fixed-point Gaussian integers (pairs of Python ints) behind extended
-precision.
+2F1(1/2,1/2;1;.), fiber segment integrals of dX/sqrt(cubic) from that AGM,
+and Cardano root solving with continuity tracking.  Each kernel has one
+implementation, written as array operations so a whole batch of inputs
+costs one call; the one exception is ``agm_fixed``, the AGM on fixed-point
+Gaussian integers (pairs of Python ints) behind extended precision.
 
 Log-gamma and digamma share one body: Stirling's series (and its derivative)
 past |w| = 12, reached by one upward shift of the entries below it, with the
@@ -299,27 +298,31 @@ def track_roots(zs, seed) -> np.ndarray:
     return np.take_along_axis(raw, _PERM_INDEX[list(labels)], axis=1)
 
 
-def segment_integrals(xa, xb, xc, n: int) -> np.ndarray:
-    """n-node Gauss-Chebyshev quadrature of dX/sqrt((X-xa)(X-xb)(X-xc)) from
-    xa to xb on the Euler branch, one value per entry of the equal-length
-    arrays ``xa``, ``xb``, ``xc``.
+def segment_integrals(xa, xb, xc) -> tuple[np.ndarray, bool]:
+    """The integral of dX/sqrt((X-xa)(X-xb)(X-xc)) from xa to xb on the
+    Euler branch, per entry of equal-shape arrays, from one AGM run; the
+    bool reports its convergence.
 
     With X = xa + (xb-xa) t the integral is Int_0^1 dt / sqrt(t(1-t)) times
-    (1 - sigma t)^(-1/2) / sqrt(xc-xa), sigma = (xb-xa)/(xc-xa): the
-    Chebyshev weight is the segment's own pair of roots, so the rule sums
-    (1 - sigma t_i)^(-1/2) alone.  Principal roots give the branch that is
-    continuous along the open segment, because 1 - sigma t, a straight
-    segment from 1 to 1 - sigma, meets the cut (-inf, 0] only when xc lies
-    on the segment itself; no sign is continued from node to node.
+    (1 - sigma t)^(-1/2) / sqrt(xc-xa), sigma = (xb-xa)/(xc-xa): Euler's
+    integral pi 2F1(1/2,1/2;1;sigma) / sqrt(xc-xa) (DLMF 15.6.1).  Principal
+    roots give the branch that is continuous along the open segment,
+    because 1 - sigma t, a straight segment from 1 to 1 - sigma, meets the
+    cut (-inf, 0] only when xc lies on the segment itself; off sigma in
+    [1, inf) they agree with the principal 2F1 of ``hyp2f1_half_array``.
     """
     xa, xb, xc = (_c128(v) for v in (xa, xb, xc))
-    t = 0.5 * (1.0 + np.cos((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)))
-    sigma = (xb - xa) / (xc - xa)
-    total = np.sum(1.0 / np.sqrt(1.0 - sigma[:, None] * t), axis=1)
-    return total * (np.pi / n) / np.sqrt(xc - xa)
+    f, ok = hyp2f1_half_array((xb - xa) / (xc - xa))
+    return np.pi * f / np.sqrt(xc - xa), ok
 
 
+# Kept only because ``perfbench/`` micro-times it and the tests check it;
+# ROADMAP item 1 deletes it.
 def segment_integral(xa, xb, xc, n: int) -> complex:
-    """Euler-branch quadrature of dX/sqrt(cubic) along the segment xa -> xb
-    (one segment of ``segment_integrals``)."""
-    return complex(segment_integrals(xa, xb, xc, int(n))[0])
+    """One ``segment_integrals`` value as an n-node Gauss-Chebyshev sum: the
+    weight 1/sqrt(t(1-t)) is the segment's own pair of roots, so the rule
+    sums (1 - sigma t_i)^(-1/2) alone."""
+    xa, xb, xc = (_c128(v) for v in (xa, xb, xc))
+    t = 0.5 * (1.0 + np.cos((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)))
+    total = np.sum(1.0 / np.sqrt(1.0 - (xb - xa) / (xc - xa) * t))
+    return complex(total * (np.pi / n) / np.sqrt(xc - xa)[0])

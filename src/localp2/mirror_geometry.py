@@ -4,10 +4,10 @@ The fiber over z is the double cover Y^2 = X^3 + (z/2)^2 X^2 + (z/2) X + 1/4.
 Along a sampled ray from the origin its branch roots are tracked with
 continuous labels (``_kernels.track_roots``, seeded by the exact roots at
 z = 0 and guarded by ``_check_tracked``).  Each segment family, twice the
-integral of dX/sqrt(cubic) between two labeled roots, is a Gauss-Chebyshev
-sum on the segment's Euler branch (the branch of the principal roots, which
-needs no continuation along the segment), sign-threaded along the ray from
-its z = 0 value.  The three-cycle periods are contour integrals of a fixed
+integral of dX/sqrt(cubic) between two labeled roots, is Euler's complete
+elliptic integral on the segment's branch; all three, at every ray node,
+come from one AGM run (``_kernels.segment_integrals``), sign-threaded along
+the ray from z = 0.  The three-cycle periods are contour integrals of a fixed
 two-segment fiber combination h_k(z) from the degeneration point
 z_* = -y^(-1/3) through the origin to the critical value 3 OMEGA^k.
 
@@ -82,8 +82,6 @@ _RAY_NODES = (16, 32)
 # Newton steps of a Gauss-Legendre node solve: from Tricomi's nodes two
 # reach about 1e-9, the third rounding, for every n from 2 to 100.
 _GL_NEWTON_STEPS = 3
-# Gauss-Chebyshev nodes of one fiber segment integral.
-_SEG_N = 64
 # Rounding level of a period value; no error estimate reports less.
 _ROUNDING_FLOOR = 1e-15
 # Tanh-sinh step and half-width (in steps) of the critical-ray check.
@@ -251,52 +249,54 @@ def _tanh_sinh(step: float, levels: int):
     return t[keep], w[keep]
 
 
-def _threaded_family(roots: np.ndarray, m: int, seg_n: int) -> np.ndarray:
-    """Segment-family values along a tracked ray, sign-threaded from z = 0.
+def _threaded_families(roots: np.ndarray) -> np.ndarray:
+    """Segment-family values along a tracked ray, sign-threaded from z = 0:
+    column m is family m, one row per row of ``roots``.
 
-    The z = 0 anchor is the first row of one batched kernel call.  Each
-    value takes the sign that keeps it closer to its predecessor than to
-    its negative; a flip of the predecessor only swaps the two distances,
-    so the signs are a running product of flips between the raw values.
+    The z = 0 anchor is the first row of one AGM run over all rows and
+    families (QuadratureError if it does not converge).  Each value takes
+    the sign that keeps it closer to its predecessor than to its negative;
+    a flip of the predecessor only swaps the two distances, so the signs
+    are a running product of flips between the raw values.
     """
-    a, b, c = m, (m + 1) % 3, (m + 2) % 3
     rows = np.vstack([_origin_triple(), roots])
-    vals = 2.0 * _kernels.segment_integrals(rows[:, a], rows[:, b], rows[:, c], seg_n)
+    vals, ok = _kernels.segment_integrals(rows, np.roll(rows, -1, axis=1),
+                                          np.roll(rows, -2, axis=1))
+    if not ok:
+        raise QuadratureError("the fiber segment AGM did not converge")
+    vals = 2.0 * vals
     flip = np.abs(vals[1:] - vals[:-1]) > np.abs(vals[1:] + vals[:-1])
-    return vals[1:] * np.cumprod(np.where(flip, -1.0, 1.0))
+    return vals[1:] * np.cumprod(np.where(flip, -1.0, 1.0), axis=0)
 
 
-def _ray_integrals(endpoint: complex, families, t: np.ndarray,
-                   weights: np.ndarray, seg_n: int) -> dict:
-    """Integrals of segment families along the ray 0 -> endpoint.
+def _ray_integrals(endpoint: complex, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Integrals of the three segment families along the ray 0 -> endpoint.
 
     ``t`` holds the ray parameters in [0, 1], ascending, and ``weights`` one
-    row of quadrature weights over them per rule (or a single row).  The
-    result maps each family to its integral under each rule.
+    row of quadrature weights over them per rule (or a single row).  Column
+    m of the result is family m's integral, one row per rule.
     """
     zs = t * endpoint
     tracked = _kernels.track_roots(zs, _origin_triple())
     _check_tracked(zs, tracked, (0.0j, endpoint))
-    return {m: weights @ _threaded_family(tracked, m, seg_n) * endpoint
-            for m in families}
+    return weights @ _threaded_families(tracked) * endpoint
 
 
-def _cycle_combination(family_values: dict, k: int):
+def _cycle_combination(family_values: np.ndarray, k: int):
     (sa, a), (sb, b) = _CYCLE_SEGMENTS[k]
-    return sa * family_values[a] + sb * family_values[b]
+    return sa * family_values[..., a] + sb * family_values[..., b]
 
 
-def _period_estimates(y: complex, nodes=_RAY_NODES, seg_n: int = _SEG_N):
+def _period_estimates(y: complex):
     """(value, error estimate) of the three periods at y.
 
     I_k = (-1)^k/3 + (1/8 pi^2) * Int_0^{z_*} h_k dz.  The three segment
-    families are integrated along the degeneration ray once, under every
-    Gauss-Legendre rule in ``nodes`` on one merged, tracked and
+    families are integrated along the degeneration ray once, under both
+    Gauss-Legendre rules of ``_RAY_GRID`` on one merged, tracked and
     sign-threaded pass; the value takes the last rule, the error estimate
     its distance from the first, floored at the rounding level.
     """
-    t, weights = _RAY_GRID if nodes == _RAY_NODES else _merged_rules(nodes)
-    fam = _ray_integrals(critical_points(y)[0], range(3), t, weights, seg_n)
+    fam = _ray_integrals(critical_points(y)[0], *_RAY_GRID)
     out = []
     for k in range(3):
         b = _cycle_combination(fam, k)
@@ -326,7 +326,7 @@ def periods(y: complex, quad: PrecisionConfig | None = None) -> PeriodVector:
     panel resolves it: the value takes 32 nodes, and ``err`` is the
     difference from 16 nodes over 8 pi^2, floored at 1e-15.  Raises
     QuadratureError if an estimate exceeds ``quad.target_rel_err`` (default
-    1e-9) times max(1, |I_k|).
+    1e-9) times max(1, |I_k|), or if the fiber AGM does not converge.
     """
     y = _period_modulus(y)
     tol = 1e-9 if quad is None else quad.target_rel_err
@@ -351,10 +351,5 @@ def critical_ray_constants() -> tuple:
     their place; this is the check that the two agree.
     """
     t, w = _tanh_sinh(_TS_STEP, _TS_LEVELS)
-    out = []
-    for k, end in enumerate(CRITICAL_VALUES):
-        (_, a), (_, b) = _CYCLE_SEGMENTS[k]
-        fam = _ray_integrals(end, (a, b), t, w, _SEG_N)
-        out.append(-complex(_cycle_combination(fam, k)) / _EIGHT_PI_SQ)
-    return tuple(out)
-
+    return tuple(-complex(_cycle_combination(_ray_integrals(end, t, w), k)) / _EIGHT_PI_SQ
+                 for k, end in enumerate(CRITICAL_VALUES))

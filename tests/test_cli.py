@@ -453,6 +453,20 @@ def _package_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def test_periods_report_a_fiber_agm_that_does_not_converge():
+    # `python -m localp2 periods --y 1e3` with the AGM cut to one step
+    code = ("import runpy, sys; import localp2._kernels as k; k._AGM_MAX_ITER = 1; "
+            "sys.argv = ['localp2', 'periods', '--y', '1e3']; "
+            "runpy.run_module('localp2', run_name='__main__', alter_sys=True)")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                         capture_output=True, text=True, env=_package_env())
+    assert (out.returncode, out.stderr) == (1, "")
+    report = json.loads(out.stdout, parse_constant=pytest.fail)
+    jsonschema.validate(report, _schema("error"))
+    assert report["error"] == "QuadratureError"
+    assert report["context"]["command"] == "periods"
+
+
 def test_continue_at_the_top_of_the_double_range_is_quiet():
     # 27y/(1 + 27y) overflowed here: a numpy warning, then a ConvergenceError.
     # The row now comes from the large-|y| series, whose estimate is its tail

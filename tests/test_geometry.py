@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import localp2.mirror_geometry as geom
 import localp2.picard_fuchs as pf
-from localp2.errors import DomainError, RootCollisionError
+from localp2.errors import DomainError, QuadratureError, RootCollisionError
 from localp2.specfun import PrecisionConfig
 
 W = geom.OMEGA
@@ -113,11 +113,13 @@ def _vieta_residual(z, t):
                abs(a * b * c + 0.25))
 
 
-def _families(t, n=256):
+def _families(t):
     """The three segment families 2 Int dX/sqrt(cubic), root m to root m+1
     on the Euler branch, at one labeled root triple."""
     t = np.asarray(t)
-    return 2.0 * geom._kernels.segment_integrals(t, np.roll(t, -1), np.roll(t, -2), n)
+    vals, ok = geom._kernels.segment_integrals(t, np.roll(t, -1), np.roll(t, -2))
+    assert ok
+    return 2.0 * vals
 
 
 def test_roots_at_origin_exact():
@@ -205,7 +207,7 @@ def test_cycle_integral_at_origin_closed_value():
     # at z = 0 each segment family is Gamma(1/3)^3/pi times a sixth root of
     # unity, and the cycle-0 integral (family 2 minus family 0) is
     # i Gamma(1/3)^3/pi
-    fam = _families(geom._origin_triple(), n=geom._SEG_N)
+    fam = _families(geom._origin_triple())
     phases = (cmath.exp(-2j * math.pi / 3), -1.0, cmath.exp(-1j * math.pi / 3))
     for v, p in zip(fam, phases):
         assert abs(abs(v) - G13 / math.pi) < 1e-14
@@ -234,7 +236,9 @@ def test_periods_match_the_large_y_series():
     # |y| itself overflows
     assert np.array_equal(np.array(T) @ np.array(T_INV), np.eye(3))
     for y in (math.nextafter(27.0, 28.0), -28.0j, 1e3, 1e6, 1e30, 1e300,
-              complex(1.7e308, 1.7e308)):
+              complex(1.7e308, 1.7e308),
+              # the -0.0 side of the cut, where sigma is real
+              complex(-1e3, -0.0), complex(-27.03, -0.0), complex(-0.0, 27.03)):
         _assert_periods_match_the_series(y)
 
 
@@ -254,19 +258,18 @@ ACCURACY_MODULI = (27.03, -27.03, 27.03j, 28.0, 1e3, -1e3, 1e8) + tuple(
 
 
 def _reference_periods(y):
-    # more ray nodes and a finer fiber rule than the defaults
-    return [v for v, _ in geom._period_estimates(y, nodes=(48,), seg_n=256)]
+    # a 48-node ray rule on the same fiber values
+    fam = geom._ray_integrals(geom.critical_points(y)[0], *geom._gauss_legendre(48))
+    return [(-1.0) ** k / 3.0 + complex(geom._cycle_combination(fam, k)) / geom._EIGHT_PI_SQ
+            for k in range(3)]
 
 
 def test_period_converged_against_refined_reference():
-    # the default rules reach rounding level; a coarse fiber rule does not
+    # the default ray rules reach rounding level
     for y in (1e3, 27.03, 2e4 * cmath.exp(2.0j)):
         ref = _reference_periods(y)
         default = max(abs(a - b) for a, b in zip(geom.periods(y).as_vector(), ref))
-        coarse = max(abs(v - r) for (v, _), r in
-                     zip(geom._period_estimates(y, seg_n=8), ref))
         assert default < 1e-14, y
-        assert coarse > 100.0 * max(default, 1e-16), y
 
 
 @pytest.mark.parametrize("n", geom._RAY_NODES)
@@ -368,29 +371,39 @@ def test_periods_over_the_whole_domain(log_ratio, phase):
 
 def test_threaded_family_matches_per_node_loop():
     # the batched sign threading against the node-by-node rule: each value
-    # takes the sign that keeps it nearer its predecessor, from the z = 0 anchor
+    # takes the sign that keeps it nearer its predecessor, from the z = 0
+    # anchor.  Each ray is checked on the families its periods use: on the
+    # ray to 3 OMEGA^2 the third root crosses family 2's segment near
+    # t = 0.69, where that value turns by 90 degrees (an exact tie of the
+    # rule) and no sign continues it; cycle 2 does not use family 2.
     t, _ = geom._tanh_sinh(geom._TS_STEP, geom._TS_LEVELS)
-    ends = geom.CRITICAL_VALUES + (geom.critical_points(27.03j)[0],
-                                   geom.critical_points(-5e3 + 2e3j)[0])
+    ends = {end: [m for _, m in geom._CYCLE_SEGMENTS[k]]
+            for k, end in enumerate(geom.CRITICAL_VALUES)}
+    ends.update({geom.critical_points(y)[0]: range(3) for y in (27.03j, -5e3 + 2e3j)})
     origin = geom._origin_triple()
     flips = 0
-    for end in ends:
+    for end, families in ends.items():
         zs = t * end
         roots = geom._kernels.track_roots(zs, origin)
-        for m in range(3):
-            a, b, c = m, (m + 1) % 3, (m + 2) % 3
-            prev = 2.0 * geom._kernels.segment_integral(origin[a], origin[b], origin[c], 64)
+        got = geom._threaded_families(roots)
+        for m in families:
+            prev = _families(origin)[m]
             want = []
             for r in roots:
-                v = 2.0 * geom._kernels.segment_integral(r[a], r[b], r[c], 64)
+                v = _families(r)[m]
                 if abs(v - prev) > abs(v + prev):
                     v = -v
                     flips += 1
                 want.append(v)
                 prev = v
-            got = geom._threaded_family(roots, m, 64)
-            assert np.max(np.abs(got - np.array(want)) / np.abs(want)) <= 1e-14
+            assert np.max(np.abs(got[:, m] - np.array(want)) / np.abs(want)) <= 1e-14
     assert flips > 0
+
+
+def test_periods_raise_when_the_fiber_agm_does_not_converge(monkeypatch):
+    monkeypatch.setattr(geom._kernels, "_AGM_MAX_ITER", 1)
+    with pytest.raises(QuadratureError, match="AGM"):
+        geom.periods(1e3)
 
 
 def test_period_vector_alternating_sum_trivial():

@@ -1,4 +1,4 @@
-"""Kernel layer: special functions, root tracking, segment quadrature."""
+"""Kernel layer: special functions, root tracking, fiber segment integrals."""
 
 import cmath
 import math
@@ -228,12 +228,16 @@ def test_segment_integral_euler_identity():
             lam = (-abs(g) / g) ** (1.0 / 3.0)
             xa, xb, xc = lam * xa, lam * xb, lam * xc
         triples.append((xa, xb, xc))
+    agm, ok = K.segment_integrals(*np.array(triples).T)
+    assert ok
     jumpy = 0
-    for xa, xb, xc in triples:
+    for (xa, xb, xc), got in zip(triples, agm):
         sigma = (xb - xa) / (xc - xa)
         want = math.pi * mp_hyp_half(sigma) / cmath.sqrt(xc - xa)
-        got = complex(K.segment_integral(xa, xb, xc, 256))
-        assert abs(got - want) <= 1e-12 * abs(want), (xa, xb, xc)
+        assert abs(got - want) <= 2e-15 * abs(want), (xa, xb, xc)
+        # the Gauss-Chebyshev sum meets the same oracle
+        cheb = complex(K.segment_integral(xa, xb, xc, 256))
+        assert abs(cheb - want) <= 1e-12 * abs(want), (xa, xb, xc)
         jumpy += _principal_jumps(xa, xb, xc, 256) > 0
     # the Euler branch must hold where the cubic's principal root does not
     assert jumpy >= 10
@@ -276,14 +280,24 @@ def test_segment_integrals_batch_matches_per_node_loop():
     rng = np.random.default_rng(20261018)
     tri = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
     for n in (16, 64):
-        got = K.segment_integrals(tri[:, 0], tri[:, 1], tri[:, 2], n)
+        got = np.array([K.segment_integral(*row, n) for row in tri])
         want = np.array([_segment_reference(*map(complex, row), n) for row in tri])
-        # the batch must hold rows where the cubic's principal root jumps
+        # the rows must include some where the cubic's principal root jumps
         # branch between nodes, not only rows where it stays on one
         assert sum(_principal_jumps(*row, n) > 0 for row in tri) >= 10
-        assert got.shape == (len(tri),)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
-        assert complex(K.segment_integral(*tri[7], n)) == got[7]
+
+
+def test_segment_integrals_batch_matches_euler_integral():
+    # one AGM run over the seeded rows above, against Euler's integral at
+    # 30 digits, |sigma| up to about 66
+    rng = np.random.default_rng(20261018)
+    tri = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+    got, ok = K.segment_integrals(tri[:, 0], tri[:, 1], tri[:, 2])
+    assert ok and got.shape == (len(tri),)
+    sigma = (tri[:, 1] - tri[:, 0]) / (tri[:, 2] - tri[:, 0])
+    want = np.array([math.pi * mp_hyp_half(s) for s in sigma]) / np.sqrt(tri[:, 2] - tri[:, 0])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
 
 
 @given(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
