@@ -155,7 +155,9 @@ def _agm(a: np.ndarray, b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, bool]
     ``s + sum_n 2^(n-1) c_n^2``, c_n = (a_(n-1) - b_(n-1))/2, that gives E;
     the bool reports convergence.  Its callers start from a = 1 and the
     principal sqrt(1 - x), from which the principal root of a_n b_n is the
-    optimal AGM's root (see ``agm_fixed``), so the loop has no sign test."""
+    optimal AGM's root (see ``agm_fixed``), so the loop has no sign test.
+    Each entry's iterates stop where its own do, so its value does not
+    depend on the other entries of the run."""
     pow2 = 0.5
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_AGM_MAX_ITER):

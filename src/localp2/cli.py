@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,17 @@ _MODULUS_AWARE = ("series", "continue", "periods", "transfer-matrix", "central-c
 _DEFAULT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class RunConfig:
+# RunConfig's fields; the validating constructor is the subclass's __new__,
+# since a NamedTuple body may not define one
+class _RunFields(NamedTuple):
+    precision_mode: str
+    tolerance: float
+    y_values: tuple
+    output_format: str
+    out_path: str | None
+
+
+class RunConfig(_RunFields):
     """Validated run settings shared by all subcommands.
 
     ``precision_mode`` is "double" or "extended": ``dispatch`` takes it from
@@ -52,18 +61,17 @@ class RunConfig:
     ``LOCALP2_PRECISION`` and rejects an unknown mode.
     """
 
-    precision_mode: str
-    tolerance: float = _DEFAULT_TOL
-    y_values: tuple = ()
-    output_format: str = "json"
-    out_path: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1e-12 <= self.tolerance <= 1e-3):
+    def __new__(cls, precision_mode: str, tolerance: float = _DEFAULT_TOL,
+                y_values: tuple = (), output_format: str = "json",
+                out_path: str | None = None):
+        if not (1e-12 <= tolerance <= 1e-3):
             raise LocalP2Error(
-                f"tolerance must lie in [1e-12, 1e-3], got {self.tolerance:g}")
-        object.__setattr__(self, "y_values",
-                           tuple(complex(v) for v in self.y_values))
+                f"tolerance must lie in [1e-12, 1e-3], got {tolerance:g}")
+        return super().__new__(cls, precision_mode, tolerance,
+                               tuple(complex(v) for v in y_values),
+                               output_format, out_path)
 
     def precision(self) -> PrecisionConfig:
         # PrecisionConfig accepts a narrower accuracy window than the CLI

@@ -12,8 +12,8 @@ consumes complex period values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import BasisError
 
@@ -44,17 +44,24 @@ class Basis(str, Enum):
     CHARGE = "charge"             # [O], [O(1)]-[O], point  (dual to brane)
 
 
-@dataclass(frozen=True)
-class KClass:
+# KClass's fields; the validating constructor is the subclass's __new__,
+# since a NamedTuple body may not define one
+class _KClassFields(NamedTuple):
     basis: Basis
     coords: tuple[int, int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", Basis(self.basis))
-        c = tuple(self.coords)
+
+class KClass(_KClassFields):
+    """An integer coordinate triple in one registered frame."""
+
+    __slots__ = ()
+
+    def __new__(cls, basis: Basis, coords):
+        basis = Basis(basis)
+        c = tuple(coords)
         if len(c) != 3 or not all(isinstance(v, int) for v in c):
-            raise BasisError(f"coords must be an integer triple, got {self.coords!r}")
-        object.__setattr__(self, "coords", c)
+            raise BasisError(f"coords must be an integer triple, got {coords!r}")
+        return super().__new__(cls, basis, c)
 
 
 # columns are the frame's basis vectors written in line-bundle coordinates
@@ -209,14 +216,15 @@ def exceptional_collection() -> list[KClass]:
 def central_charge(f: KClass, w) -> complex:
     """Linear pairing of a compact class with the solution triple w.
 
-    Z(f) = sum_i w_i * euler_pairing_bk(f, e_i) over the charge basis, so the
-    three brane classes pick out w_0, w_1, w_2 respectively.
+    Z(f) = sum_i w_i * euler_pairing_bk(f, e_i) over the charge basis e_i.
+    That basis is dual to the brane basis (``pairing_table`` is the
+    identity), so the pairings are f's brane coordinates c_i, and
+    Z(f) = w_0 c_0 + w_1 c_1 + w_2 c_2: the three brane classes pick out
+    w_0, w_1, w_2 respectively.
     """
+    c0, c1, c2 = _mat_vec(_LB_TO_FRAME[Basis.BRANE], _lb_coords(f))
     w0, w1, w2 = (complex(v) for v in w)
-    es = charge_basis()
-    return (w0 * euler_pairing_bk(f, es[0])
-            + w1 * euler_pairing_bk(f, es[1])
-            + w2 * euler_pairing_bk(f, es[2]))
+    return w0 * c0 + w1 * c1 + w2 * c2
 
 
 def pairing_table() -> list[list[int]]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ _TS_LEVELS = 64
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodVector:
+class PeriodVector(NamedTuple):
     """The three contour periods at one modulus value, with error estimates."""
 
     i0: complex
@@ -250,36 +249,57 @@ def _tanh_sinh(step: float, levels: int):
 
 
 def _threaded_families(roots: np.ndarray) -> np.ndarray:
-    """Segment-family values along a tracked ray, sign-threaded from z = 0:
-    column m is family m, one row per row of ``roots``.
+    """Segment-family values along tracked rays, sign-threaded from z = 0.
 
-    The z = 0 anchor is the first row of one AGM run over all rows and
-    families (QuadratureError if it does not converge).  Each value takes
-    the sign that keeps it closer to its predecessor than to its negative;
-    a flip of the predecessor only swaps the two distances, so the signs
-    are a running product of flips between the raw values.
+    ``roots`` holds the labeled root triples of one ray, shape (N, 3), or
+    of several stacked rays, shape (..., N, 3), with the nodes of a ray on
+    the next-to-last axis; column m of the result is family m at each node.
+    The z = 0 anchor heads every ray in one AGM run over all rays, rows and
+    families (QuadratureError if it does not converge); each entry's
+    iterates stop where its own do, so a value does not depend on what else
+    shares the run.  Each value takes the sign that keeps it closer to its
+    predecessor than to its negative; a flip of the predecessor only swaps
+    the two distances, so the signs are a running product of flips between
+    the raw values.
+
+    A sign continues a family only while no root crosses its segment.  On
+    each critical ray the third root crosses one family's segment, between
+    t = 0.64 and 0.69 (family 1 on the ray to 3, family 0 to 3 OMEGA,
+    family 2 to 3 OMEGA^2): sigma crosses the cut [1, inf) of 2F1, the raw
+    value turns by 90 degrees, and an exact tie of the two distances, broken
+    by rounding, picks its sign from there on.  That family is not continued
+    past the crossing, and no cycle read on that ray uses it
+    (``_CYCLE_SEGMENTS``).
     """
-    rows = np.vstack([_origin_triple(), roots])
-    vals, ok = _kernels.segment_integrals(rows, np.roll(rows, -1, axis=1),
-                                          np.roll(rows, -2, axis=1))
+    origin = np.broadcast_to(_origin_triple(), roots.shape[:-2] + (1, 3))
+    rows = np.concatenate([origin, roots], axis=-2)
+    vals, ok = _kernels.segment_integrals(rows, np.roll(rows, -1, axis=-1),
+                                          np.roll(rows, -2, axis=-1))
     if not ok:
         raise QuadratureError("the fiber segment AGM did not converge")
     vals = 2.0 * vals
-    flip = np.abs(vals[1:] - vals[:-1]) > np.abs(vals[1:] + vals[:-1])
-    return vals[1:] * np.cumprod(np.where(flip, -1.0, 1.0), axis=0)
+    prev, vals = vals[..., :-1, :], vals[..., 1:, :]
+    flip = np.abs(vals - prev) > np.abs(vals + prev)
+    return vals * np.cumprod(np.where(flip, -1.0, 1.0), axis=-2)
+
+
+def _tracked_ray(endpoint: complex, t: np.ndarray) -> np.ndarray:
+    """Labeled root triples at the parameters ``t`` of the ray 0 -> endpoint,
+    continued from z = 0 and checked by ``_check_tracked``."""
+    zs = t * endpoint
+    tracked = _kernels.track_roots(zs, _origin_triple())
+    _check_tracked(zs, tracked, (0.0j, endpoint))
+    return tracked
 
 
 def _ray_integrals(endpoint: complex, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Integrals of the three segment families along the ray 0 -> endpoint.
 
     ``t`` holds the ray parameters in [0, 1], ascending, and ``weights`` one
-    row of quadrature weights over them per rule (or a single row).  Column
-    m of the result is family m's integral, one row per rule.
+    row of quadrature weights over them per rule.  Column m of the result
+    is family m's integral, one row per rule.
     """
-    zs = t * endpoint
-    tracked = _kernels.track_roots(zs, _origin_triple())
-    _check_tracked(zs, tracked, (0.0j, endpoint))
-    return weights @ _threaded_families(tracked) * endpoint
+    return weights @ _threaded_families(_tracked_ray(endpoint, t)) * endpoint
 
 
 def _cycle_combination(family_values: np.ndarray, k: int):
@@ -348,8 +368,10 @@ def critical_ray_constants() -> tuple:
     Integrates the cycle-k fiber combination along the critical ray
     0 -> 3 OMEGA^k with a tanh-sinh rule and returns -1/(8 pi^2) times each
     integral.  The exact values are (-1)^k/3, which ``periods`` uses in
-    their place; this is the check that the two agree.
+    their place; this is the check that the two agree.  The three rays are
+    tracked one by one and sign-threaded in one AGM run.
     """
     t, w = _tanh_sinh(_TS_STEP, _TS_LEVELS)
-    return tuple(-complex(_cycle_combination(_ray_integrals(end, t, w), k)) / _EIGHT_PI_SQ
+    fam = _threaded_families(np.stack([_tracked_ray(end, t) for end in CRITICAL_VALUES]))
+    return tuple(-complex(_cycle_combination(w @ fam[k] * end, k)) / _EIGHT_PI_SQ
                  for k, end in enumerate(CRITICAL_VALUES))

@@ -10,7 +10,7 @@ several modulus samples recovers it from the periods and is its check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,15 @@ TRANSFER_MATRIX = ((1, 0, 0), (-1, 1, -1), (1, 1, 0))
 FIT_MODULI = (1e3, 2e3, 4e3)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+# TransferMatrix's fields; the validating constructor is the subclass's __new__,
+# since a NamedTuple body may not define one
+class _TransferFields(NamedTuple):
+    entries: tuple
+    residual: float
+    pre_round_dev: float
+
+
+class TransferMatrix(_TransferFields):
     """Integer matrix sending the period triple to the solution triple.
 
     entries        rounded integer matrix, row-major
@@ -48,15 +55,13 @@ class TransferMatrix:
     pre_round_dev  max distance of a fitted entry from its integer
     """
 
-    entries: tuple
-    residual: float
-    pre_round_dev: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+    def __new__(cls, entries, residual: float, pre_round_dev: float):
+        rows = tuple(tuple(int(v) for v in row) for row in entries)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise DomainError("transfer matrix must be 3x3")
-        object.__setattr__(self, "entries", rows)
+        return super().__new__(cls, rows, residual, pre_round_dev)
 
     def determinant(self) -> int:
         return coh._det3(self.entries)

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +132,7 @@ for _table in (_RATIO, _GAP, _MOMENTS, _INV_RATIO, _MB_EXP, _MB_LG, _MB_PSI):
 del _M, _E, _table
 
 
-@dataclass(frozen=True)
-class SolutionTriple:
+class SolutionTriple(NamedTuple):
     w0: complex
     w1: complex
     w2: complex

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import _kernels
@@ -71,12 +70,20 @@ def _env_mode() -> str:
     return os.environ.get("LOCALP2_PRECISION", "double")
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+# PrecisionConfig's fields; the validating constructor is the subclass's __new__,
+# since a NamedTuple body may not define one
+class _PrecisionFields(NamedTuple):
+    mode: str
+    dps: int
+    target_rel_err: float
+
+
+class PrecisionConfig(_PrecisionFields):
     """Evaluation settings shared by the special-function layer.
 
     mode             "double" (numpy kernels) or "extended" (mpmath numbers
-                     and a fixed-point AGM)
+                     and a fixed-point AGM); None reads ``LOCALP2_PRECISION``
+                     at construction
     dps              working digits in extended mode (>= 30)
     target_rel_err   requested relative accuracy for iterative evaluations
 
@@ -84,17 +91,18 @@ class PrecisionConfig:
     ``n_max`` arguments of ``picard_fuchs``), not here.
     """
 
-    mode: str = field(default_factory=_env_mode)
-    dps: int = 40
-    target_rel_err: float = 1e-13
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in {"double", "extended"}:
-            raise DomainError(f"unknown precision mode {self.mode!r}")
-        if self.mode == "extended" and self.dps < 30:
+    def __new__(cls, mode: str | None = None, dps: int = 40,
+                target_rel_err: float = 1e-13):
+        mode = _env_mode() if mode is None else mode
+        if mode not in {"double", "extended"}:
+            raise DomainError(f"unknown precision mode {mode!r}")
+        if mode == "extended" and dps < 30:
             raise DomainError("extended mode requires dps >= 30")
-        if not (1e-15 <= self.target_rel_err <= 1e-6):
+        if not (1e-15 <= target_rel_err <= 1e-6):
             raise DomainError("target_rel_err must lie in [1e-15, 1e-6]")
+        return super().__new__(cls, mode, dps, target_rel_err)
 
 
 def default_config() -> PrecisionConfig:

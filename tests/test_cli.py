@@ -19,8 +19,8 @@ import localp2
 import localp2.mirror_geometry as geom
 import localp2.mirror_map as mm
 import localp2.picard_fuchs as pf
-from localp2.cli import (SUBCOMMANDS, _build_parser, _json_text, _parse_complex,
-                         dispatch, main)
+from localp2.cli import (SUBCOMMANDS, RunConfig, _build_parser, _json_text,
+                         _parse_complex, dispatch, main)
 from localp2.errors import LocalP2Error
 
 # minimal clean invocation per subcommand
@@ -336,6 +336,22 @@ def test_tolerance_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", [1e-13, 9.9e-13, 1.01e-3, 1.0, float("nan")])
+def test_run_config_rejects_a_tolerance_outside_its_window(tol):
+    with pytest.raises(LocalP2Error, match="tolerance must lie in"):
+        RunConfig("double", tolerance=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3])
+def test_run_config_keeps_its_defaults_and_normalizes_the_moduli(tol):
+    cfg = RunConfig("double", tol, y_values=[2, 1e3 + 1j])
+    assert cfg.tolerance == tol
+    assert cfg.y_values == (2 + 0j, 1e3 + 1j)
+    assert all(type(y) is complex for y in cfg.y_values)
+    assert (cfg.output_format, cfg.out_path) == ("json", None)
+    assert RunConfig("extended").y_values == ()
+
+
 def test_missing_y_is_reported(capsys):
     code = dispatch(["continue"])
     report = json.loads(capsys.readouterr().out)
@@ -519,16 +535,20 @@ def test_transfer_matrix_with_a_sample_past_the_double_range_of_its_modulus():
 
 
 def test_mpmath_is_loaded_only_for_extended_precision():
-    code = ("import os, sys; import localp2.cli as cli; "
+    # after numpy, a double-precision reproduce adds neither mpmath nor
+    # dataclasses (the records are named tuples) to the interpreter
+    code = ("import os, sys; import numpy; before = set(sys.modules); "
+            "import localp2.cli as cli; "
             "print('mpmath' in sys.modules); "
             "print(cli.dispatch(['reproduce', '--precision', 'double', "
             "'--out', os.devnull]), 'mpmath' in sys.modules); "
+            "print(sorted({'dataclasses', 'mpmath'} & (set(sys.modules) - before))); "
             "print(cli.dispatch(['verify-appendix', '--precision', 'extended', "
             "'--out', os.devnull]), 'mpmath' in sys.modules)")
     env = {k: v for k, v in _package_env().items() if k != "LOCALP2_PRECISION"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.split("\n")[:3] == ["False", "0 False", "0 True"]
+    assert out.stdout.split("\n")[:4] == ["False", "0 False", "[]", "0 True"]
 
 
 def test_console_entry_prints_the_dispatch_bytes(tmp_path, capsys, monkeypatch):

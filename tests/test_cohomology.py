@@ -1,6 +1,8 @@
 """Exact K-theory layer.  Oracle: hand-rolled Riemann-Roch arithmetic on
 line bundles of the plane, written here independently of the module."""
 
+import random
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -155,6 +157,33 @@ def test_central_charge_linear():
 def test_kclass_rejects_non_integer():
     with pytest.raises(BasisError):
         coh.KClass(coh.Basis.BRANE, (1.5, 0, 0))
+
+
+@pytest.mark.parametrize("coords", [(1.0, 0, 0), (0, 0, "1"), (0, 1), (0, 1, 2, 3),
+                                    (0, None, 0)])
+def test_kclass_rejects_coordinates_that_are_not_an_integer_triple(coords):
+    with pytest.raises(BasisError, match="integer triple"):
+        coh.KClass(coh.Basis.LINE_BUNDLE, coords)
+
+
+def test_kclass_normalizes_its_frame_and_coordinates():
+    k = coh.KClass("charge", [1, -2, 3])
+    assert k.basis is coh.Basis.CHARGE and k.coords == (1, -2, 3)
+
+
+@pytest.mark.parametrize("frame", list(coh.Basis))
+def test_central_charge_is_the_charge_basis_pairing(frame):
+    # the defining pairing Z(f) = sum_i w_i euler_pairing_bk(f, e_i) over
+    # the charge basis, exactly, for classes given in every frame
+    rng = random.Random(f"central-charge-{frame.value}")
+    es = coh.charge_basis()
+    for _ in range(40):
+        f = coh.KClass(frame, tuple(rng.randint(-9, 9) for _ in range(3)))
+        w = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
+        want = (w[0] * coh.euler_pairing_bk(f, es[0])
+                + w[1] * coh.euler_pairing_bk(f, es[1])
+                + w[2] * coh.euler_pairing_bk(f, es[2]))
+        assert coh.central_charge(f, w) == want, (f, w)
 
 
 @given(st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8)),

@@ -1,4 +1,5 @@
-"""Every name a localp2 module exports in ``__all__`` exists."""
+"""Every name a localp2 module exports in ``__all__`` exists, and the
+package's records keep their fields read-only."""
 
 import importlib
 import pkgutil
@@ -6,6 +7,8 @@ import pkgutil
 import pytest
 
 import localp2
+from localp2 import cli, cohomology as coh, mirror_geometry as geom
+from localp2 import mirror_map as mm, picard_fuchs as pf, specfun as sf
 
 # __main__ runs the command line when imported
 _MODULES = ["localp2"] + [f"localp2.{m.name}" for m in pkgutil.iter_modules(localp2.__path__)
@@ -22,3 +25,32 @@ def test_all_entries_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+# each record, the arguments of one valid instance, and its fields
+_RECORDS = [
+    (cli.RunConfig, ("double",),
+     ("precision_mode", "tolerance", "y_values", "output_format", "out_path")),
+    (coh.KClass, (coh.Basis.BRANE, (0, 0, 1)), ("basis", "coords")),
+    (sf.PrecisionConfig, ("double",), ("mode", "dps", "target_rel_err")),
+    (geom.PeriodVector, (1.0, 2.0, 3.0, 1e3, (0.0, 0.0, 0.0)),
+     ("i0", "i1", "i2", "y", "err")),
+    (mm.TransferMatrix, (mm.TRANSFER_MATRIX, 0.0, 0.0),
+     ("entries", "residual", "pre_round_dev")),
+    (pf.SolutionTriple, (1.0, 2.0, 3.0, 0.01, 0.0),
+     ("w0", "w1", "w2", "y", "err_estimate")),
+]
+
+
+@pytest.mark.parametrize("cls, args, fields", _RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in _RECORDS])
+def test_record_fields_are_read_only(cls, args, fields):
+    record = cls(*args)
+    for name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        assert getattr(record, name) is value
+    # nor does a record take a new attribute
+    with pytest.raises(AttributeError):
+        record.note = "x"

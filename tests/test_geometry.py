@@ -412,6 +412,25 @@ def test_threaded_family_matches_per_node_loop():
     assert flips > 0
 
 
+def test_stacked_rays_thread_as_each_ray_alone():
+    # one AGM run over stacked rays gives every ray its own values bit for
+    # bit, at any stacking depth, and the critical-ray constants are those
+    # of the three rays integrated one at a time
+    t, w = geom._tanh_sinh(geom._TS_STEP, geom._TS_LEVELS)
+    ends = [*geom.CRITICAL_VALUES, geom.critical_points(-5e3 + 2e3j)[0]]
+    rays = [geom._tracked_ray(end, t) for end in ends]
+    alone = [geom._threaded_families(r) for r in rays]
+    stacked = geom._threaded_families(np.stack(rays))
+    square = geom._threaded_families(np.stack(rays).reshape(2, 2, len(t), 3))
+    for k, want in enumerate(alone):
+        assert np.array_equal(stacked[k], want), ends[k]
+        assert np.array_equal(square[k // 2, k % 2], want), ends[k]
+    one_by_one = tuple(
+        -complex(geom._cycle_combination(geom._ray_integrals(end, t, w), k))
+        / geom._EIGHT_PI_SQ for k, end in enumerate(geom.CRITICAL_VALUES))
+    assert geom.critical_ray_constants() == one_by_one
+
+
 def test_periods_raise_when_the_fiber_agm_does_not_converge(monkeypatch):
     monkeypatch.setattr(geom._kernels, "_AGM_MAX_ITER", 1)
     with pytest.raises(QuadratureError, match="AGM"):

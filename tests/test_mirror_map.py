@@ -92,6 +92,24 @@ def test_transfer_matrix_helpers():
         mm.TransferMatrix(((1, 0), (0, 1)), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("entries", [
+    ((1, 0, 0), (0, 1, 0)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
+    ((1, 0, 0), (0, 1, 0), (0, 0)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1, 0)),
+])
+def test_transfer_matrix_must_be_3x3(entries):
+    with pytest.raises(DomainError, match="3x3"):
+        mm.TransferMatrix(entries, 0.0, 0.0)
+
+
+def test_transfer_matrix_entries_become_integer_rows():
+    tm = mm.TransferMatrix(np.array(EXPECTED, dtype=float), 1e-16, 2e-9)
+    assert tm.entries == EXPECTED
+    assert all(type(v) is int for row in tm.entries for v in row)
+    assert (tm.residual, tm.pre_round_dev) == (1e-16, 2e-9)
+
+
 # --- fit on real period data ----------------------------------------------------
 
 def test_fit_transfer_matrix_standard_samples():

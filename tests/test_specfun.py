@@ -490,6 +490,29 @@ def test_precision_config_validation():
         PrecisionConfig(target_rel_err=1.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "Double"}, "unknown precision mode"),
+    ({"mode": "extended", "dps": 29}, "dps >= 30"),
+    ({"target_rel_err": 1e-16}, "target_rel_err"),
+    ({"target_rel_err": 1e-5}, "target_rel_err"),
+    ({"mode": "double", "target_rel_err": float("nan")}, "target_rel_err"),
+])
+def test_precision_config_rejects(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        PrecisionConfig(**kwargs)
+
+
+@pytest.mark.parametrize("mode", ["double", "extended"])
+def test_precision_config_reads_the_environment_at_each_construction(monkeypatch, mode):
+    monkeypatch.setenv("LOCALP2_PRECISION", mode)
+    assert PrecisionConfig() == PrecisionConfig(mode, 40, 1e-13)
+    assert PrecisionConfig(dps=30).mode == mode
+    # double mode takes any dps; an explicit mode overrides the environment
+    assert PrecisionConfig("double", dps=10).dps == 10
+    monkeypatch.delenv("LOCALP2_PRECISION")
+    assert PrecisionConfig().mode == "double"
+
+
 def test_unknown_precision_mode_in_environment_is_rejected(monkeypatch):
     # the same value the command line rejects
     monkeypatch.setenv("LOCALP2_PRECISION", "bogus")
