@@ -17,9 +17,11 @@ depend on y and is worth exactly -8 pi^2 (-1)^k / 3, so
     I_k(y) = (-1)^k/3 + (1/8 pi^2) Int_0^{z_*} h_k(z) dz.
 
 The degeneration ray is short (|z_*| < 1/3 for |y| > 27) and far from the
-critical values, so one Gauss-Legendre panel integrates it to rounding; the
-critical ray, whose endpoint is a root collision, is integrated only as a
-check (``critical_ray_constants``, tanh-sinh).
+critical values, so one 6-node Gauss-Legendre rule integrates it to
+rounding, and its error has an a-priori bound (``_ray_error_bound``) from a
+pinned majorant of |h_k| on the disc |z| <= 3/2; the critical ray, whose
+endpoint is a root collision, is integrated only as a check
+(``critical_ray_constants``, tanh-sinh).
 
 Conventions frozen here (measured, not assumed):
   * internal primitive cube root ``OMEGA = exp(2 pi i/3)``; critical values
@@ -76,14 +78,16 @@ _CYCLE_SEGMENTS = {
 
 _EIGHT_PI_SQ = 8.0 * math.pi ** 2
 
-# Gauss-Legendre sizes on the degeneration ray: a period takes the last rule,
-# its error estimate the distance from the first.
-_RAY_NODES = (16, 32)
 # Newton steps of a Gauss-Legendre node solve: from Tricomi's nodes two
 # reach about 1e-9, the third rounding, for every n from 2 to 100.
 _GL_NEWTON_STEPS = 3
 # Rounding level of a period value; no error estimate reports less.
 _ROUNDING_FLOOR = 1e-15
+# A disc about the origin and a majorant of every |h_k| on it.  The largest
+# |h_k| sampled on |z| <= 3/2 is 12.4; past |z| = 1.9 a root crosses a
+# family's segment on the critical rays, so the disc stays inside that.
+_H_DISC_RADIUS = 1.5
+_H_MAJORANT = 16.0
 # Tanh-sinh step and half-width (in steps) of the critical-ray check.
 _TS_STEP = 1.0 / 16.0
 _TS_LEVELS = 64
@@ -212,38 +216,42 @@ def _gauss_legendre(n: int):
     return 0.5 * (1.0 + np.cos(theta)), 1.0 / (dp * dp)
 
 
-def _merged_rules(nodes):
-    """Gauss-Legendre rules of the sizes in ``nodes`` on one merged grid:
-    (parameters in [0, 1] ascending, one row of weights per rule)."""
-    rules = [_gauss_legendre(n) for n in nodes]
-    t = np.concatenate([r for r, _ in rules])
-    weights = np.zeros((len(rules), len(t)))
-    start = 0
-    for row, (_, w) in enumerate(rules):
-        weights[row, start:start + len(w)] = w
-        start += len(w)
-    # sorted() rather than np.argsort: numpy's sort kernels would add about
-    # 0.25 MB of mapped code to every process that imports the package
-    order = sorted(range(len(t)), key=t.__getitem__)
-    return t[order], weights[:, order]
+# The degeneration-ray rule, built once per process.  At |y| = 27, the
+# longest ray, its ``_ray_error_bound`` is 5.4e-16, under the rounding floor.
+_RAY_GRID = _gauss_legendre(6)
 
 
-# The degeneration-ray rules, built once per process.
-_RAY_GRID = _merged_rules(_RAY_NODES)
+def _ray_error_bound(z_star: complex, m: int) -> float:
+    """A-priori error of the m-node Gauss-Legendre rule on 0 -> z_*, over 8 pi^2.
+
+    Trefethen, *Approximation Theory and Approximation Practice*, Thm 19.3:
+    if f is analytic with |f| <= M inside the Bernstein ellipse E_rho of
+    [-1, 1], the (n+1)-point Gauss rule errs by at most
+    (64/15) M rho^(-2n) / (rho^2 - 1); here n = m - 1, and the ray's
+    half-length |z_*|/2 scales [-1, 1] onto it.  rho is the largest with
+    the ellipse about [0, z_*] inside the disc |z| <= R where |h_k| <= M:
+    (|z_*|/2)(1 + (rho + 1/rho)/2) = R.
+    """
+    half = 0.5 * abs(z_star)
+    c = _H_DISC_RADIUS / half - 1.0
+    rho = c + math.sqrt(c * c - 1.0)
+    return (64.0 / 15.0 * _H_MAJORANT * rho ** (2 - 2 * m) / (rho * rho - 1.0)
+            * half / _EIGHT_PI_SQ)
 
 
-def _tanh_sinh(step: float, levels: int):
-    """Tanh-sinh rule on [0, 1] (Takahasi & Mori 1974): nodes ascending.
+def _tanh_sinh():
+    """Tanh-sinh rule on [0, 1] (Takahasi & Mori 1974): nodes ascending, at
+    step ``_TS_STEP`` and half-width ``_TS_LEVELS`` steps.
 
     The nodes crowd double-exponentially into both ends, which resolves the
     endpoint where two branch roots collide.  Nodes that round onto an end
     (t = 1 is the collision itself) are dropped; at step 1/16 their weights
     sum to 8e-17 per end.
     """
-    j = np.arange(-levels, levels + 1) * step
+    j = np.arange(-_TS_LEVELS, _TS_LEVELS + 1) * _TS_STEP
     u = 0.5 * math.pi * np.sinh(j)
     t = 0.5 * (1.0 + np.tanh(u))
-    w = 0.25 * math.pi * step * np.cosh(j) / np.cosh(u) ** 2
+    w = 0.25 * math.pi * _TS_STEP * np.cosh(j) / np.cosh(u) ** 2
     keep = (t > 0.0) & (t < 1.0)
     return t[keep], w[keep]
 
@@ -295,9 +303,8 @@ def _tracked_ray(endpoint: complex, t: np.ndarray) -> np.ndarray:
 def _ray_integrals(endpoint: complex, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Integrals of the three segment families along the ray 0 -> endpoint.
 
-    ``t`` holds the ray parameters in [0, 1], ascending, and ``weights`` one
-    row of quadrature weights over them per rule.  Column m of the result
-    is family m's integral, one row per rule.
+    ``t`` and ``weights`` are a quadrature rule on [0, 1], nodes ascending;
+    entry m of the result is family m's integral.
     """
     return weights @ _threaded_families(_tracked_ray(endpoint, t)) * endpoint
 
@@ -305,24 +312,6 @@ def _ray_integrals(endpoint: complex, t: np.ndarray, weights: np.ndarray) -> np.
 def _cycle_combination(family_values: np.ndarray, k: int):
     (sa, a), (sb, b) = _CYCLE_SEGMENTS[k]
     return sa * family_values[..., a] + sb * family_values[..., b]
-
-
-def _period_estimates(y: complex):
-    """(value, error estimate) of the three periods at y.
-
-    I_k = (-1)^k/3 + (1/8 pi^2) * Int_0^{z_*} h_k dz.  The three segment
-    families are integrated along the degeneration ray once, under both
-    Gauss-Legendre rules of ``_RAY_GRID`` on one merged, tracked and
-    sign-threaded pass; the value takes the last rule, the error estimate
-    its distance from the first, floored at the rounding level.
-    """
-    fam = _ray_integrals(critical_points(y)[0], *_RAY_GRID)
-    out = []
-    for k in range(3):
-        b = _cycle_combination(fam, k)
-        err = max(abs(b[-1] - b[0]) / _EIGHT_PI_SQ, _ROUNDING_FLOOR)
-        out.append(((-1.0) ** k / 3.0 + complex(b[-1]) / _EIGHT_PI_SQ, err))
-    return out
 
 
 def _period_modulus(y) -> complex:
@@ -342,24 +331,27 @@ def periods(y: complex, quad: PrecisionConfig | None = None) -> PeriodVector:
     ray 0 -> 3 OMEGA^k does not depend on y and contributes exactly
     (-1)^k/3 (``critical_ray_constants`` checks it by quadrature).  The
     degeneration ray 0 -> z_* has |z_*| < 1/3, far from the critical values
-    at |z| = 3, so its integrand is analytic there and one Gauss-Legendre
-    panel resolves it: the value takes 32 nodes, and ``err`` is the
-    difference from 16 nodes over 8 pi^2, floored at 1e-15.  Raises
-    QuadratureError if an estimate exceeds ``quad.target_rel_err`` (default
-    1e-9) times max(1, |I_k|), or if the fiber AGM does not converge.
+    at |z| = 3, so its integrand is analytic there and one 6-node
+    Gauss-Legendre rule (``_RAY_GRID``) resolves it, on one tracked and
+    sign-threaded pass over the three segment families.  ``err`` is that
+    rule's a-priori bound (``_ray_error_bound``, at most 5.4e-16), floored
+    at 1e-15.  Raises QuadratureError if an estimate exceeds
+    ``quad.target_rel_err`` (default 1e-9) times max(1, |I_k|), or if the
+    fiber AGM does not converge.
     """
     y = _period_modulus(y)
     tol = 1e-9 if quad is None else quad.target_rel_err
-    vals = []
-    errs = []
-    for k, (value, err) in enumerate(_period_estimates(y)):
+    z_star = critical_points(y)[0]
+    fam = _ray_integrals(z_star, *_RAY_GRID)
+    err = max(_ray_error_bound(z_star, len(_RAY_GRID[0])), _ROUNDING_FLOOR)
+    vals = [(-1.0) ** k / 3.0 + complex(_cycle_combination(fam, k)) / _EIGHT_PI_SQ
+            for k in range(3)]
+    for k, value in enumerate(vals):
         if err > tol * max(1.0, abs(value)):
             raise QuadratureError(
                 f"period {k} not converged on the degeneration ray "
                 f"0 -> z_*: err {err:.3e} > tol {tol:.1e}")
-        vals.append(value)
-        errs.append(err)
-    return PeriodVector(vals[0], vals[1], vals[2], y, tuple(errs))
+    return PeriodVector(*vals, y, (err,) * 3)
 
 
 def critical_ray_constants() -> tuple:
@@ -371,7 +363,7 @@ def critical_ray_constants() -> tuple:
     their place; this is the check that the two agree.  The three rays are
     tracked one by one and sign-threaded in one AGM run.
     """
-    t, w = _tanh_sinh(_TS_STEP, _TS_LEVELS)
+    t, w = _tanh_sinh()
     fam = _threaded_families(np.stack([_tracked_ray(end, t) for end in CRITICAL_VALUES]))
     return tuple(-complex(_cycle_combination(w @ fam[k] * end, k)) / _EIGHT_PI_SQ
                  for k, end in enumerate(CRITICAL_VALUES))

@@ -257,41 +257,97 @@ ACCURACY_MODULI = (27.03, -27.03, 27.03j, 28.0, 1e3, -1e3, 1e8) + tuple(
     for e, p in zip(_rng.uniform(1.5, 8.0, 6), _rng.uniform(-math.pi, math.pi, 6)))
 
 
-def _reference_periods(y):
-    # a 48-node ray rule on the same fiber values
-    fam = geom._ray_integrals(geom.critical_points(y)[0], *geom._gauss_legendre(48))
+def _periods_on_rule(y, n):
+    """The three periods at y under an n-node Gauss-Legendre ray rule, on the
+    same fiber values."""
+    fam = geom._ray_integrals(geom.critical_points(y)[0], *geom._gauss_legendre(n))
     return [(-1.0) ** k / 3.0 + complex(geom._cycle_combination(fam, k)) / geom._EIGHT_PI_SQ
             for k in range(3)]
 
 
 def test_period_converged_against_refined_reference():
-    # the default ray rules reach rounding level
+    # the ray rule reaches rounding level
     for y in (1e3, 27.03, 2e4 * cmath.exp(2.0j)):
-        ref = _reference_periods(y)
+        ref = _periods_on_rule(y, 48)
         default = max(abs(a - b) for a, b in zip(geom.periods(y).as_vector(), ref))
         assert default < 1e-14, y
 
 
-@pytest.mark.parametrize("n", geom._RAY_NODES)
+def _gauss_legendre_30_digits(n, t0):
+    """n-node Gauss-Legendre rule on [0, 1] to 30 digits, rounded: Newton
+    from the nodes ``t0``, and weights (1 - x^2)/(n P_(n-1)(x))^2 in
+    x = 2t - 1."""
+    with mp.workdps(30):
+        nodes, weights = [], []
+        for t in t0:
+            x = mp.mpf(2.0 * t - 1.0)
+            for _ in range(3):
+                p, q = mp.legendre(n, x), mp.legendre(n - 1, x)
+                x -= p * (x * x - 1) / (n * (x * p - q))
+            nodes.append(float((x + 1) / 2))
+            weights.append(float((1 - x * x) / (n * mp.legendre(n - 1, x)) ** 2))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("n", [len(geom._RAY_GRID[0]), 48])
 def test_ray_rules_match_leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    t, wt = geom._gauss_legendre(n)
+    # the production ray rule, and the rule of the 48-node reference.  The
+    # weights are checked against a 30-digit rule, not leggauss, whose end
+    # weights at n = 48 are 1.3e-12 off in relative terms
+    x, _ = np.polynomial.legendre.leggauss(n)
+    t, wt = geom._RAY_GRID if n == len(geom._RAY_GRID[0]) else geom._gauss_legendre(n)
+    exact_t, exact_w = _gauss_legendre_30_digits(n, t)
     assert np.all(np.diff(t) > 0.0)
     assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 1e-15
-    assert np.max(np.abs(wt - 0.5 * w)) <= 1e-15
-    # exact for polynomials of degree < 2n, up to rounding
+    assert np.max(np.abs(t - exact_t)) <= 1e-15
+    assert np.max(np.abs(wt - exact_w)) <= 1e-15
+    # exact for polynomials of degree < 2n, up to the rounding of a sum of
+    # n positive terms
     k = np.arange(2 * n)
-    assert np.max(np.abs(wt @ t[:, None] ** k - 1.0 / (k + 1.0))) <= 1e-15
+    moments = np.max(np.abs(wt @ t[:, None] ** k - 1.0 / (k + 1.0)))
+    assert moments <= max(1e-15, n * np.finfo(float).eps)
 
 
-def test_ray_grid_merges_the_default_rules():
-    t, weights = geom._RAY_GRID
-    assert weights.shape == (len(geom._RAY_NODES), len(t))
-    assert np.all(np.diff(t) > 0.0)
-    for row, n in zip(weights, geom._RAY_NODES):
-        nodes, w = geom._gauss_legendre(n)
-        assert np.array_equal(t[row != 0.0], nodes)
-        assert np.array_equal(row[row != 0.0], w)
+def test_fiber_combination_majorant_on_the_disc():
+    # |h_k| <= M on |z| <= R, the disc of the ray error bound: h_k at 400
+    # nodes on each of 360 rays to |z| = R, tracked and sign-threaded from
+    # z = 0 as on the degeneration ray.  The largest sample is 12.4, so M = 16
+    # holds with a margin of 1.29
+    t = np.linspace(0.0, 1.0, 401)[1:]
+    ends = geom._H_DISC_RADIUS * np.exp(2j * np.pi * np.arange(360) / 360)
+    fam = geom._threaded_families(np.stack([geom._tracked_ray(e, t) for e in ends]))
+    worst = max(np.max(np.abs(geom._cycle_combination(fam, k))) for k in range(3))
+    assert worst <= geom._H_MAJORANT
+    assert geom._H_MAJORANT / worst > 1.25
+
+
+def _longest_rays():
+    """|y| = 27(1 + 1e-9) at 24 phases, and the -0.0 side of the cut."""
+    return [cmath.rect(27.0 * (1.0 + 1e-9), p)
+            for p in np.linspace(-math.pi, math.pi, 24, endpoint=False)] + [complex(-27.03, -0.0)]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_ray_error_bound_holds_where_it_is_not_floored(m):
+    # the a-priori bound of an m-node ray rule against the large-|y| series
+    # through T^-1, on the longest rays, where the bound is largest.  At
+    # |y| = 27(1 + 1e-9) the worst true errors are 3.5e-12, 1.0e-15 and
+    # 1.7e-16 at m = 3, 4 and 5, against bounds 8.8e-9, 3.5e-11 and 1.4e-13
+    for y in _longest_rays():
+        bound = geom._ray_error_bound(geom.critical_points(y)[0], m)
+        assert bound > geom._ROUNDING_FLOOR
+        ref = pf.w_at_infinity(y).as_vector() @ np.array(T_INV)
+        for k, (v, r) in enumerate(zip(_periods_on_rule(y, m), ref)):
+            assert abs(v - r) <= bound, (y, m, k)
+
+
+def test_ray_rule_bound_is_under_the_rounding_floor():
+    # the production rule's bound is largest on the longest rays, 5.4e-16,
+    # so every period reports the floor
+    m = len(geom._RAY_GRID[0])
+    for y in _longest_rays():
+        assert geom._ray_error_bound(geom.critical_points(y)[0], m) <= 5.4e-16
+        assert geom.periods(y).err == (geom._ROUNDING_FLOOR,) * 3
 
 
 def test_periods_do_not_load_numpy_polynomial():
@@ -307,7 +363,7 @@ def test_periods_do_not_load_numpy_polynomial():
 def test_period_error_estimate_bounds_true_error():
     for y in ACCURACY_MODULI:
         pv = geom.periods(y)
-        for v, e, r in zip(pv.as_vector(), pv.err, _reference_periods(y)):
+        for v, e, r in zip(pv.as_vector(), pv.err, _periods_on_rule(y, 48)):
             assert abs(v - r) <= e, y
 
 
@@ -369,6 +425,21 @@ def test_periods_over_the_whole_domain(log_ratio, phase):
     _assert_periods_match_the_series(y)
 
 
+def test_periods_match_the_series_over_the_whole_domain():
+    # seeded draws over the whole domain of ``periods``: |y| from
+    # 27(1 + 1e-9) to 1.7e308 at all phases, half of them within a factor
+    # 2 of 27, where the ray is longest, and both signed zeros on the cut
+    rng = np.random.default_rng(20261020)
+    near = 27.0 * (1.0 + 10.0 ** rng.uniform(-9.0, 0.0, 150))
+    far = np.exp(rng.uniform(math.log(54.0), math.log(1.7e308), 150))
+    moduli = np.concatenate([near, far])
+    for r, phase in zip(moduli, rng.uniform(-math.pi, math.pi, 300)):
+        _assert_periods_match_the_series(cmath.rect(r, phase))
+    for r in moduli[::15]:
+        for zero in (0.0, -0.0):
+            _assert_periods_match_the_series(complex(-r, zero))
+
+
 def test_threaded_family_matches_per_node_loop():
     # the batched sign threading against the node-by-node rule: each value
     # takes the sign that keeps it nearer its predecessor, from the z = 0
@@ -380,7 +451,7 @@ def test_threaded_family_matches_per_node_loop():
     # 3 OMEGA and 3 OMEGA^2 are its images under z -> OMEGA z (families 0
     # and 2).  A turning family is compared exactly before its turn and up
     # to one sign from it on; no cycle uses it on its ray.
-    t, _ = geom._tanh_sinh(geom._TS_STEP, geom._TS_LEVELS)
+    t, _ = geom._tanh_sinh()
     ends = [*geom.CRITICAL_VALUES,
             *(geom.critical_points(y)[0] for y in (27.03j, -5e3 + 2e3j))]
     origin = geom._origin_triple()
@@ -416,7 +487,7 @@ def test_stacked_rays_thread_as_each_ray_alone():
     # one AGM run over stacked rays gives every ray its own values bit for
     # bit, at any stacking depth, and the critical-ray constants are those
     # of the three rays integrated one at a time
-    t, w = geom._tanh_sinh(geom._TS_STEP, geom._TS_LEVELS)
+    t, w = geom._tanh_sinh()
     ends = [*geom.CRITICAL_VALUES, geom.critical_points(-5e3 + 2e3j)[0]]
     rays = [geom._tracked_ray(end, t) for end in ends]
     alone = [geom._threaded_families(r) for r in rays]

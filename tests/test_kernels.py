@@ -353,18 +353,20 @@ def _assert_tracks_like_reference(zs, seed):
 
 def test_track_roots_matches_loop_on_critical_rays():
     # tanh-sinh nodes crowd into the root collision at each critical value
-    t, _ = geom._tanh_sinh(geom._TS_STEP, geom._TS_LEVELS)
+    t, _ = geom._tanh_sinh()
     for end in geom.CRITICAL_VALUES:
         _assert_tracks_like_reference(t * end, geom._origin_triple())
 
 
 def test_track_roots_matches_loop_on_degeneration_rays():
+    # on the production ray rule and the 48-node rule of the period reference
     rng = np.random.default_rng(20261018)
-    t = geom._RAY_GRID[0]
+    rules = (geom._RAY_GRID[0], geom._gauss_legendre(48)[0])
     for log_y, phase in zip(rng.uniform(math.log10(27.0) + 1e-6, 8.43, 150),
                             rng.uniform(-math.pi, math.pi, 150)):
         z_star = geom.critical_points(cmath.rect(10.0 ** log_y, phase))[0]
-        _assert_tracks_like_reference(t * z_star, geom._origin_triple())
+        for t in rules:
+            _assert_tracks_like_reference(t * z_star, geom._origin_triple())
 
 
 def test_track_roots_matches_loop_on_long_paths():
