@@ -84,8 +84,10 @@ _GL_NEWTON_STEPS = 3
 # Rounding level of a period value; no error estimate reports less.
 _ROUNDING_FLOOR = 1e-15
 # A disc about the origin and a majorant of every |h_k| on it.  The largest
-# |h_k| sampled on |z| <= 3/2 is 12.4; past |z| = 1.9 a root crosses a
-# family's segment on the critical rays, so the disc stays inside that.
+# |h_k| sampled on |z| <= 3/2 is 12.4.  No root crosses a family's segment
+# in the disc (sampled: every sigma stays 0.29 from the cut [1, inf)), so
+# the threaded values there are h_k's analytic continuation; past
+# |z| = 1.9 a root crosses one on the critical rays.
 _H_DISC_RADIUS = 1.5
 _H_MAJORANT = 16.0
 # Tanh-sinh step and half-width (in steps) of the critical-ray check.

@@ -16,7 +16,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import localp2.mirror_geometry as geom
 import localp2.picard_fuchs as pf
@@ -301,21 +301,30 @@ def test_ray_rules_match_leggauss(n):
     assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 1e-15
     assert np.max(np.abs(t - exact_t)) <= 1e-15
     assert np.max(np.abs(wt - exact_w)) <= 1e-15
-    # exact for polynomials of degree < 2n, up to the rounding of a sum of
-    # n positive terms
+    # exact for polynomials of degree < 2n, up to rounding: 1e-15 for the
+    # production rule, and the rounding of a sum of n positive terms for the
+    # reference rule, whose moment error is 2.0e-15 at n = 48
     k = np.arange(2 * n)
     moments = np.max(np.abs(wt @ t[:, None] ** k - 1.0 / (k + 1.0)))
-    assert moments <= max(1e-15, n * np.finfo(float).eps)
+    assert moments <= (1e-15 if n == len(geom._RAY_GRID[0]) else n * np.finfo(float).eps)
 
 
 def test_fiber_combination_majorant_on_the_disc():
     # |h_k| <= M on |z| <= R, the disc of the ray error bound: h_k at 400
     # nodes on each of 360 rays to |z| = R, tracked and sign-threaded from
-    # z = 0 as on the degeneration ray.  The largest sample is 12.4, so M = 16
+    # z = 0 as on the degeneration ray.  The threaded values are the analytic
+    # continuation of h_k only while no root crosses a family's segment, so
+    # every family's sigma = (x_b - x_a)/(x_c - x_a) stays off the cut
+    # [1, inf) of 2F1: its distance from the cut is at least 0.289 (0.092 at
+    # R = 1.9, 1.5e-4 at R = 2.1).  The largest |h_k| is 12.4, so M = 16
     # holds with a margin of 1.29
     t = np.linspace(0.0, 1.0, 401)[1:]
     ends = geom._H_DISC_RADIUS * np.exp(2j * np.pi * np.arange(360) / 360)
-    fam = geom._threaded_families(np.stack([geom._tracked_ray(e, t) for e in ends]))
+    roots = np.stack([geom._tracked_ray(e, t) for e in ends])
+    sigma = (np.roll(roots, -1, axis=-1) - roots) / (np.roll(roots, -2, axis=-1) - roots)
+    to_cut = np.where(sigma.real >= 1.0, np.abs(sigma.imag), np.abs(sigma - 1.0))
+    assert np.min(to_cut) > 0.25
+    fam = geom._threaded_families(roots)
     worst = max(np.max(np.abs(geom._cycle_combination(fam, k))) for k in range(3))
     assert worst <= geom._H_MAJORANT
     assert geom._H_MAJORANT / worst > 1.25
@@ -412,32 +421,25 @@ def test_non_finite_modulus_is_a_domain_error(y):
         geom.periods(y)
 
 
-@given(st.floats(1e-6, math.log10(1e8 / 27.0)), st.floats(-math.pi, math.pi))
-@settings(max_examples=100, deadline=None)
-def test_periods_over_the_whole_domain(log_ratio, phase):
-    # 27 < |y| <= 1e8 at any phase: the sum rule holds within the reported
-    # error, and the periods equal the large-|y| series through T^-1 within
-    # the two error estimates (measured: at most 0.10 of their sum, at 400
-    # seeded moduli)
-    y = cmath.rect(27.0 * 10.0 ** log_ratio, phase)
+@example(complex(-27.0 * (1.0 + 1e-9), 0.0))
+@example(complex(-27.0 * (1.0 + 1e-9), -0.0))
+@example(complex(-27.03, 0.0))
+@example(complex(-27.03, -0.0))
+@example(complex(-1.7e308, 0.0))
+@example(complex(-1.7e308, -0.0))
+@given(st.builds(lambda u, phase: cmath.rect(27.0 * (1.0 + 10.0 ** u), phase),
+                 st.floats(-9.0, math.log10(1.7e308 / 27.0)), st.floats(-math.pi, math.pi)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_periods_over_the_whole_domain(y):
+    # the whole domain of ``periods``: |y| = 27(1 + 10^u) from 27(1 + 1e-9),
+    # where the ray is longest, to 1.7e308 at any phase, and both signed
+    # zeros on the cut.  The sum rule holds within the reported error, and
+    # the periods equal the large-|y| series through T^-1 within the two
+    # error estimates (measured: at most 0.101 of their sum, at 340 seeded
+    # moduli)
     pv = geom.periods(y)
     assert abs(pv.alternating_sum() - 1.0) <= sum(pv.err), y
     _assert_periods_match_the_series(y)
-
-
-def test_periods_match_the_series_over_the_whole_domain():
-    # seeded draws over the whole domain of ``periods``: |y| from
-    # 27(1 + 1e-9) to 1.7e308 at all phases, half of them within a factor
-    # 2 of 27, where the ray is longest, and both signed zeros on the cut
-    rng = np.random.default_rng(20261020)
-    near = 27.0 * (1.0 + 10.0 ** rng.uniform(-9.0, 0.0, 150))
-    far = np.exp(rng.uniform(math.log(54.0), math.log(1.7e308), 150))
-    moduli = np.concatenate([near, far])
-    for r, phase in zip(moduli, rng.uniform(-math.pi, math.pi, 300)):
-        _assert_periods_match_the_series(cmath.rect(r, phase))
-    for r in moduli[::15]:
-        for zero in (0.0, -0.0):
-            _assert_periods_match_the_series(complex(-r, zero))
 
 
 def test_threaded_family_matches_per_node_loop():
