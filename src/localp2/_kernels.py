@@ -174,6 +174,7 @@ def _agm(a: np.ndarray, b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, bool]
     return a, s, bool(np.all(np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b))))
 
 
+# no caller in the package is left; kept because perfbench micro-times it
 def ellipke_array(k) -> tuple[np.ndarray, np.ndarray, bool]:
     """(K(k), E(k)) for an array of moduli from one AGM run with the companion
     sum; the bool reports AGM convergence."""

@@ -9,7 +9,9 @@ Gamma(1/3)^3, and give the value and derivative of
     F(z) := 2F1(1/2, 1/2; 1; z)
 
 at z = e^{i pi/3}, the argument produced by the degenerate fiber of the
-elliptic fibration at the origin of the base.
+elliptic fibration at the origin of the base.  Each closed form and each
+numeric route it is checked against has one entry, its row of
+``closed_form_checks``.
 
 Every route, closed form or numeric, is written once against the numbers of
 the precision mode (``_arith``): Python floats, the ``_kernels`` gamma and the
@@ -47,8 +49,6 @@ __all__ = [
     "elliptic_K",
     "elliptic_E",
     "ramanujan_residual",
-    "f_minus_omega",
-    "f_prime_minus_omega",
     "closed_form_checks",
     "K_PLUS",
     "K_MINUS",
@@ -137,15 +137,6 @@ def _on_cut_from_one(z: complex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _agm_pass(kernel, *points) -> list:
-    """The values of an AGM kernel at its arrays of points, from one array
-    call: one list per output of the kernel."""
-    *vals, ok = kernel(*points)
-    if not ok:
-        raise ConvergenceError("AGM did not converge within 64 iterations")
-    return [v.tolist() for v in vals]
-
-
 def _double_gamma(zs) -> list:
     """The ``_kernels`` gamma at the points zs, from one array call: 0 where
     Gamma underflows, DomainError where any |Gamma| exceeds the double range."""
@@ -167,16 +158,13 @@ def _double_moduli(ks):
     return ks
 
 
-def _double_ellipke(ks) -> list:
-    """(K(k), E(k)) at the moduli ks from one ``_kernels`` AGM pass."""
-    return list(zip(*_agm_pass(_kernels.ellipke_array, _double_moduli(ks))))
-
-
 def _double_agm(ks, zs) -> tuple[list, list]:
     """(K(k), E(k)) at the moduli ks and 2F1(1/2, 1/2; 1; z) at the points
     zs from one ``_kernels`` AGM pass over both."""
-    kk, ee, f = _agm_pass(_kernels.ellipke_hyp2f1_half_array, _double_moduli(ks), zs)
-    return list(zip(kk, ee)), f
+    kk, ee, f, ok = _kernels.ellipke_hyp2f1_half_array(_double_moduli(ks), zs)
+    if not ok:
+        raise ConvergenceError("AGM did not converge within 64 iterations")
+    return list(zip(kk.tolist(), ee.tolist())), f.tolist()
 
 
 class _Arith(NamedTuple):
@@ -191,9 +179,7 @@ class _Arith(NamedTuple):
     pi: object
     gamma: Callable        # [z] -> [Gamma(z)]
     digamma: Callable
-    hyp: Callable          # [z] -> [2F1(1/2, 1/2; 1; z) = 1/AGM(1, sqrt(1-z))]
-    ellipke: Callable      # [k] -> [(K(k), E(k))]
-    agm: Callable          # ([k], [z]) -> ([(K(k), E(k))], [2F1(...; z)]), one pass
+    agm: Callable          # ([k], [z]) -> ([(K(k), E(k))], [2F1(1/2, 1/2; 1; z)]), one pass
     moduli: Callable       # () -> the singular moduli (k_+, k_-)
     minus_omega: Callable  # () -> e^{i pi/3}
 
@@ -202,8 +188,7 @@ _DOUBLE = _Arith(
     float, complex, math.sqrt, lambda x: x ** (1.0 / 3.0), math.hypot, math.pi,
     _double_gamma,
     lambda z: complex(_kernels.digamma_array(z)[0]),
-    lambda zs: _agm_pass(_kernels.hyp2f1_half_array, zs)[0],
-    _double_ellipke, _double_agm,
+    _double_agm,
     lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
 
@@ -217,9 +202,9 @@ def _arith(cfg: PrecisionConfig):
     """The arithmetic of ``cfg.mode``; extended mode imports mpmath (once per
     process) and works at ``cfg.dps`` digits inside the block.  Its AGM is
     ``_kernels.agm_fixed`` on fixed-point Gaussian integers, one point at a
-    time, so its joint ``agm`` pass is the ``ellipke`` pass and the ``hyp``
-    pass in turn: 2F1 is 1/M, K is pi/(2M) and E is K times the companion-sum
-    factor, with M = AGM(1, sqrt(1 - x)), x = z or k^2.  mpmath supplies
+    time, so its ``agm`` pass runs the moduli and then the 2F1 arguments:
+    2F1 is 1/M, K is pi/(2M) and E is K times the companion-sum factor,
+    with M = AGM(1, sqrt(1 - x)), x = z or k^2.  mpmath supplies
     the numbers, 1 - x, ``gamma`` and ``digamma``.  A real argument with a
     real AGM gives an ``mpf``."""
     if cfg.mode != "extended":
@@ -251,25 +236,20 @@ def _arith(cfg: PrecisionConfig):
         re, im = (libmp.from_man_exp(p, exp, wp, libmp.round_nearest) for p in v)
         return mp.mp.make_mpf(re) if real else mp.mp.make_mpc((re, im))
 
-    def hyp(zs):
+    def joint(ks, zs):
         wp = mp.mp.prec + _AGM_GUARD_BITS
-        return [1 / agm(mp.fsub(1, z, prec=wp), wp)[0] for z in zs]
-
-    def ellipke(ks):
-        wp = mp.mp.prec + _AGM_GUARD_BITS
-        out = []
+        ke = []
         for k in ks:
             # 1 - k^2 from k itself, so it keeps its relative precision as k -> 1
             m, ratio = agm(mp.fmul(mp.fsub(1, k, prec=wp), mp.fadd(1, k, prec=wp), prec=wp), wp)
             kk = mp.pi / (2 * m)
-            out.append((kk, kk * ratio))
-        return out
+            ke.append((kk, kk * ratio))
+        return ke, [1 / agm(mp.fsub(1, z, prec=wp), wp)[0] for z in zs]
 
     with mp.workdps(cfg.dps):
         yield _Arith(
             mp.mpf, mp.mpc, mp.sqrt, mp.cbrt, mp.hypot, mp.pi,
-            lambda zs: [mp.gamma(z) for z in zs], mp.digamma, hyp, ellipke,
-            lambda ks, zs: (ellipke(ks), hyp(zs)),
+            lambda zs: [mp.gamma(z) for z in zs], mp.digamma, joint,
             lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
             lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
 
@@ -310,7 +290,7 @@ def hyp2f1_half(z, config: PrecisionConfig | None = None):
     if _on_cut_from_one(zc):
         raise BranchCutError(f"hyp2f1_half argument {zc} lies on the cut [1, oo)")
     with _arith(_cfg(config)) as ar:
-        return ar.hyp([z])[0]
+        return ar.agm([], [z])[1][0]
 
 
 def _ellipke(name: str, k, config: PrecisionConfig | None):
@@ -318,7 +298,7 @@ def _ellipke(name: str, k, config: PrecisionConfig | None):
     if _on_cut_from_one(kc * kc):
         raise BranchCutError(f"{name} modulus {kc} has k^2 on [1, oo)")
     with _arith(_cfg(config)) as ar:
-        return ar.ellipke([k])[0]
+        return ar.agm([k], [])[0][0]
 
 
 def elliptic_K(k, config: PrecisionConfig | None = None):
@@ -377,7 +357,7 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
         if nodes[1] >= 1:
             raise BranchCutError(f"ramanujan_residual at x = {xf}: the node "
                                  "(1 + x/sqrt(1+x^2))/2 rounds to 1, the branch point of F")
-        return defect(ar.hyp(nodes))
+        return defect(ar.agm([], nodes)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -440,24 +420,14 @@ def _f_prime_closed(ar: _Arith, consts):
             + g23 * s3 * q * c / 8 * (e4 + s3 * e4c) / (pi * pi))
 
 
-def f_minus_omega(route: str = "closed_form", config: PrecisionConfig | None = None):
-    """F(e^{i pi/3}) either from its Gamma(1/3)^3 closed form or numerically by AGM."""
-    if route not in ("closed_form", "agm"):
-        raise DomainError(f"unknown route {route!r}")
-    with _arith(_cfg(config)) as ar:
-        if route == "closed_form":
-            return _f_closed(ar, _consts(ar))
-        return ar.hyp([ar.minus_omega()])[0]
-
-
 def _f_prime_elliptic(ar: _Arith, moduli, ke_plus, ke_minus, f_at):
     """F'(e^{i pi/3}) by differentiating the splitting identity at x = sqrt3.
 
     Uses dK/dk = E/(k(1-k^2)) - K/k at the two real singular moduli, so the
     route is independent of the Gamma(1/3)^3 closed form.  The values it
-    rests on are arguments, so a caller that already has them computes none
-    of them again: ``moduli`` is (k_+, k_-), ``ke_plus`` and ``ke_minus``
-    are (K, E) at k_+ and k_-, and ``f_at`` is F(e^{i pi/3}).
+    rests on are those of the K, E and F(-omega) rows of
+    ``closed_form_checks``: ``moduli`` is (k_+, k_-), ``ke_plus`` and
+    ``ke_minus`` are (K, E) at k_+ and k_-, and ``f_at`` is F(e^{i pi/3}).
     """
     fp = []
     for k, (kk, ee) in zip(moduli, (ke_plus, ke_minus)):
@@ -480,28 +450,6 @@ def _finite_difference(ar: _Arith, cfg: PrecisionConfig, z):
     h = 1e-3
     return ([z + k * h for k in (-2, -1, 1, 2)],
             lambda f: (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h))
-
-
-def f_prime_minus_omega(route: str = "closed_form",
-                        config: PrecisionConfig | None = None):
-    """F'(e^{i pi/3}) by the requested route.
-
-    route = "closed_form"       Gamma(1/3)^3 / Gamma(2/3)^3 expression
-    route = "elliptic"          chain rule through K and E at k_+/-
-    route = "finite_difference" central difference of the AGM evaluation
-    """
-    cfg = _cfg(config)
-    if route not in ("closed_form", "elliptic", "finite_difference"):
-        raise DomainError(f"unknown route {route!r}")
-    with _arith(cfg) as ar:
-        if route == "closed_form":
-            return _f_prime_closed(ar, _consts(ar))
-        if route == "elliptic":
-            moduli = ar.moduli()
-            ke, (f_at,) = ar.agm(moduli, [ar.minus_omega()])
-            return _f_prime_elliptic(ar, moduli, *ke, f_at)
-        nodes, derivative = _finite_difference(ar, cfg, ar.minus_omega())
-        return derivative(ar.hyp(nodes))
 
 
 def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:

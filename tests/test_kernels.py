@@ -165,8 +165,9 @@ def test_agm_functions_against_mpmath_out_to_huge_arguments():
 
 
 def test_joint_agm_array_is_bitwise_the_separate_arrays():
-    # one run over moduli and 2F1 arguments together: each entry stops where
-    # it would alone, so K, E and F are bitwise those of the separate kernels
+    # one run over moduli and 2F1 arguments together, or over either alone:
+    # each entry stops where it would alone, so K, E and F are bitwise those
+    # of the separate kernels
     rng = np.random.default_rng(20261019)
     z = 10.0 ** rng.uniform(-10.0, 10.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
     k = 10.0 ** rng.uniform(-5.0, 5.0, 30) * np.exp(1j * rng.uniform(-np.pi, np.pi, 30))
@@ -178,6 +179,9 @@ def test_joint_agm_array_is_bitwise_the_separate_arrays():
         assert got.tobytes() == want.tobytes()
     kk, ee, f, ok = K.ellipke_hyp2f1_half_array((), z[:3])
     assert ok and kk.size == ee.size == 0 and f.tobytes() == K.hyp2f1_half_array(z[:3])[0].tobytes()
+    kk, ee, f, ok = K.ellipke_hyp2f1_half_array(k, ())
+    assert ok and f.size == 0
+    assert kk.tobytes() == kk_alone.tobytes() and ee.tobytes() == ee_alone.tobytes()
 
 
 def test_hyp2f1_half_against_mpmath():

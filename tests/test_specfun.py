@@ -48,11 +48,20 @@ def test_elliptic_e_values():
     assert abs(sf.elliptic_E(K_MINUS) - ORACLE_E_MINUS) < 1e-13
 
 
+def _rows(mode):
+    """The closed_form_checks rows of the precision mode, by name."""
+    return {r["name"]: r for r in sf.closed_form_checks(PrecisionConfig(mode=mode))}
+
+
 def test_f_at_sixth_root():
-    got = sf.f_minus_omega("agm")
-    assert abs(got - ORACLE_F_SIXTH) < 1e-13
-    closed = sf.f_minus_omega("closed_form")
-    assert abs(closed - ORACLE_F_SIXTH) < 1e-13
+    # the AGM and Gamma(1/3)^3 values of the F(-omega) row against mpmath;
+    # extended rows hold Python complex values, so 1e-15 relative there
+    row = _rows("double")["F(-omega)"]
+    assert abs(row["computed"] - ORACLE_F_SIXTH) < 1e-13
+    assert abs(row["closed_form"] - ORACLE_F_SIXTH) < 1e-13
+    row = _rows("extended")["F(-omega)"]
+    for value in (row["computed"], row["closed_form"]):
+        assert abs(value - ORACLE_F_SIXTH) <= 1e-15 * abs(ORACLE_F_SIXTH)
 
 
 def test_legendre_relation():
@@ -64,16 +73,21 @@ def test_legendre_relation():
 
 
 def test_f_prime_routes_agree():
-    closed = sf.f_prime_minus_omega("closed_form")
-    elli = sf.f_prime_minus_omega("elliptic")
-    fd = sf.f_prime_minus_omega("finite_difference")
-    assert abs(closed - elli) < 1e-12
-    assert abs(closed - fd) < 5e-11
+    # the closed form, the elliptic chain rule and the finite difference of
+    # the two Fprime(-omega) rows against each other and against mpmath
     with mp.workdps(50):
         oracle = complex(mp.diff(
             lambda t: mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, t),
             mp.exp(mp.mpc(0, mp.pi) / 3)))
+    rows = _rows("double")
+    closed = rows["Fprime(-omega) elliptic"]["closed_form"]
+    assert abs(closed - rows["Fprime(-omega) elliptic"]["computed"]) < 1e-12
+    assert abs(closed - rows["Fprime(-omega) finite difference"]["computed"]) < 5e-11
     assert abs(closed - oracle) < 1e-12
+    rows = _rows("extended")
+    for name in ("Fprime(-omega) elliptic", "Fprime(-omega) finite difference"):
+        for value in (rows[name]["computed"], rows[name]["closed_form"]):
+            assert abs(value - oracle) <= 1e-15 * abs(oracle), name
 
 
 def test_ramanujan_residual_grid():
@@ -181,7 +195,7 @@ def test_extended_agm_keeps_relative_precision_next_to_one(dps):
         ks = [1 - mp.mpf(10) ** -r for r in size[10:15]]
         ks += [1 + mp.mpf(10) ** -r * mp.expj(t) for r, t in
                zip(size[15:], rng.uniform(-math.pi, math.pi, 5))]
-        hyp, ke = ar.hyp(zs), ar.ellipke(ks)
+        ke, hyp = ar.agm(ks, zs)
     for z, got in zip(zs, hyp):
         assert _rel_err(got, _oracle(dps, _agm_oracle, z)) <= bound, z
     for k, (kk, ee) in zip(ks, ke):
@@ -299,9 +313,7 @@ def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, points):
     @contextmanager
     def counting_arith(cfg):
         with arith(cfg) as ar:
-            yield ar._replace(hyp=counting(passes, "hyp", ar.hyp),
-                              ellipke=counting(passes, "ellipke", ar.ellipke),
-                              agm=counting(passes, "agm", ar.agm))
+            yield ar._replace(agm=counting(passes, "agm", ar.agm))
 
     monkeypatch.setattr(sf, "_arith", counting_arith)
     for name in ("hyp2f1_half_array", "ellipke_array", "ellipke_hyp2f1_half_array"):
@@ -323,18 +335,6 @@ def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, points):
     else:
         assert kernel_passes == []
         assert len(fixed_calls) == points
-
-
-@pytest.mark.parametrize("mode", ["double", "extended"])
-def test_joint_agm_pass_matches_the_separate_passes(mode):
-    # the agm entry's values are bitwise those of the ellipke and hyp entries
-    ks = [0.3, K_PLUS, 0.2 + 0.9j]
-    zs = [sf.MINUS_OMEGA, -3.0 + 0.5j, 0.99]
-    with sf._arith(PrecisionConfig(mode=mode)) as ar:
-        ks, zs = [ar.cplx(k) for k in ks], [ar.cplx(z) for z in zs]
-        assert ar.agm(ks, zs) == (ar.ellipke(ks), ar.hyp(zs))
-        assert ar.agm(ks, []) == (ar.ellipke(ks), [])
-        assert ar.agm([], zs) == ([], ar.hyp(zs))
 
 
 def test_double_joint_agm_pass_refuses_an_overflowing_modulus():
@@ -363,8 +363,8 @@ def test_ramanujan_row_reads_f_at_the_squared_moduli():
 
 @pytest.mark.parametrize("mode", ["double", "extended"])
 def test_closed_form_checks_form_the_moduli_and_minus_omega_once(monkeypatch, mode):
-    # the ellipke pass and the elliptic F' row share one (k_+, k_-), and the
-    # hyp pass and the finite-difference stencil one e^{i pi/3}
+    # the AGM pass and the elliptic F' row share one (k_+, k_-), and the
+    # AGM pass and the finite-difference stencil one e^{i pi/3}
     calls = []
     arith = sf._arith
 
@@ -383,16 +383,6 @@ def test_closed_form_checks_form_the_moduli_and_minus_omega_once(monkeypatch, mo
     monkeypatch.setattr(sf, "_arith", counting_arith)
     sf.closed_form_checks(PrecisionConfig(mode=mode))
     assert sorted(calls) == ["minus_omega", "moduli"]
-
-
-def test_elliptic_f_prime_route_matches_its_row():
-    # the public elliptic route computes its AGM inputs itself and lands on
-    # the value of the closed_form_checks row bit for bit
-    for mode in ("double", "extended"):
-        cfg = PrecisionConfig(mode=mode)
-        row = next(r for r in sf.closed_form_checks(cfg)
-                   if r["name"] == "Fprime(-omega) elliptic")
-        assert complex(sf.f_prime_minus_omega("elliptic", cfg)) == row["computed"]
 
 
 def test_double_elliptic_moduli_past_the_double_range_are_refused():
