@@ -4,8 +4,8 @@ Complex log-gamma, gamma and digamma, AGM elliptic integrals and
 2F1(1/2,1/2;1;.), fiber segment integrals of dX/sqrt(cubic) from that AGM,
 and Cardano root solving with continuity tracking.  Each kernel has one
 implementation, written as array operations so a whole batch of inputs
-costs one call; the one exception is ``agm_fixed``, the AGM on fixed-point
-Gaussian integers (pairs of Python ints) behind extended precision.
+costs one call.  These are the double-precision kernels only: the AGM of
+extended precision, on fixed-point Gaussian integers, is ``_extended``.
 
 Log-gamma and digamma share one body: Stirling's series (and its derivative)
 past |w| = 12, reached by one upward shift of the entries below it, with the
@@ -45,9 +45,6 @@ _AGM_MAX_ITER = 64
 # slightly above one ulp of the sum: the iteration may settle into a one-ulp
 # limit cycle instead of exact equality
 _AGM_RTOL = 2.5e-16
-# ``agm_fixed`` stops once both parts of a - b are at most this many units
-# of 2^-q: its roots and halvings round down, by under a unit each
-_AGM_FIXED_UNITS = 8
 _ZETA = complex(-0.5, 0.8660254037844386467637232)
 _PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _PERM_INDEX = np.array(_PERMS)
@@ -155,9 +152,9 @@ def _agm(a: np.ndarray, b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, bool]
     ``s + sum_n 2^(n-1) c_n^2``, c_n = (a_(n-1) - b_(n-1))/2, that gives E;
     the bool reports convergence.  Its callers start from a = 1 and the
     principal sqrt(1 - x), from which the principal root of a_n b_n is the
-    optimal AGM's root (see ``agm_fixed``), so the loop has no sign test.
-    Each entry's iterates stop where its own do, so its value does not
-    depend on the other entries of the run."""
+    optimal AGM's root (see ``_extended.agm_fixed``), so the loop has no
+    sign test.  Each entry's iterates stop where its own do, so its value
+    does not depend on the other entries of the run."""
     pow2 = 0.5
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_AGM_MAX_ITER):
@@ -205,52 +202,6 @@ def ellipke_hyp2f1_half_array(k, z) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                     np.concatenate([0.5 * k * k, np.zeros(len(z))]))
     kk = np.pi / (2.0 * a[:n])
     return kk, kk * (1.0 - s[:n]), 1.0 / a[n:], ok
-
-
-def _gauss_sqrt(x: int, y: int) -> tuple[int, int]:
-    """The principal square root of x + iy, rounded down: for x + iy in
-    units of 2^(-2q), the root in units of 2^-q.  The larger part of the
-    root comes from ``math.isqrt`` and the other from y = 2 re im, so
-    neither cancels."""
-    r = math.isqrt(x * x + y * y)
-    if x >= 0:
-        re = math.isqrt((r + x) >> 1)
-        return re, (y // (2 * re) if re else 0)
-    im = math.isqrt((r - x) >> 1)
-    return abs(y) // (2 * im), (im if y >= 0 else -im)
-
-
-def agm_fixed(u: tuple[int, int], q: int) -> tuple[tuple, tuple, bool]:
-    """The optimal AGM of 1 and sqrt(u), with its companion sum, on
-    fixed-point Gaussian integers: ``_agm`` at q fractional bits.  From
-    a = 1 and the principal sqrt(u), a_n and b_n stay in the closed right
-    half-plane, and the principal root of a_n b_n lies in the angle between
-    them, as their mean does; so that root keeps Re(b conj a) >= 0, the
-    optimal AGM's sign, and this loop and ``_agm`` take it with no sign
-    test.
-
-    ``u`` holds u 2^(2q) as a (real, imaginary) pair of ints.  Returns
-    (M, R, ok): M = AGM(1, sqrt u) 2^q and R = (1 - k^2/2 - sum_n 2^(n-1)
-    c_n^2) 2^(2q+2) with k^2 = 1 - u, c_n = (a_(n-1) - b_(n-1))/2, so that
-    1/M is 2F1(1/2, 1/2; 1; 1 - u) and E(k) = K(k) R once scaled back.
-    R starts from (1 + u)/2 = 1 - k^2/2 and takes each term exactly, so it
-    does not cancel as k -> 1.  Each halving and root rounds down, so
-    |a - b| settles within a few units of 2^-q, where the loop stops;
-    ``ok`` reports that it did.
-    """
-    ar, ai = 1 << q, 0
-    br, bi = _gauss_sqrt(*u)
-    rr, ri = (1 << (2 * q + 1)) + 2 * u[0], 2 * u[1]
-    for n in range(_AGM_MAX_ITER):
-        cr, ci = ar - br, ai - bi
-        if max(abs(cr), abs(ci)) <= _AGM_FIXED_UNITS:
-            return (ar, ai), (rr, ri), True
-        rr -= (cr * cr - ci * ci) << n
-        ri -= (2 * cr * ci) << n
-        g = _gauss_sqrt(ar * br - ai * bi, ar * bi + ai * br)
-        ar, ai = (ar + br) >> 1, (ai + bi) >> 1
-        br, bi = g
-    return (ar, ai), (rr, ri), False
 
 
 def _fiber_roots(zs) -> np.ndarray:

@@ -20,6 +20,9 @@ is, with x = -27y and f = theta w, the Gauss equation of
 solution frame around y = 0 for the monodromy, and across the annulus
 around |y| = 1/27, between the disc of the series at 0 and the region
 |y| > 1/27 of the inverse series at infinity, with a bound of their error.
+``_taylor`` and ``fractions`` (for the exact ``series_coefficient``) are
+imported by the functions that use them, so a run that neither transports
+nor asks for an exact coefficient, as ``reproduce`` does not, loads neither.
 
 Branch conventions: principal logarithms everywhere; log(-y) means
 log(y) - i*pi.  With that choice the double-log series matches the rho
@@ -31,14 +34,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import _kernels, _taylor
+from . import _kernels
 from .errors import ConvergenceError, DomainError, MonodromyError
 from .mirror_geometry import _inv_cbrt, _ln_abs
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "SolutionTriple",
@@ -148,6 +153,8 @@ def series_coefficient(m: int) -> Fraction:
 
     Not integral in general (m = 3 gives 1680/9), hence the exact rational.
     """
+    from fractions import Fraction
+
     if m < 1:
         raise DomainError("coefficient index starts at 1")
     return Fraction(math.factorial(3 * m - 1), math.factorial(m) ** 3)
@@ -503,6 +510,8 @@ def _start_frame(y0: complex) -> tuple[np.ndarray, np.ndarray]:
     assembly adds _ROUND |frame|.  The frame and the rounding bound share
     one array of terms.
     """
+    from . import _taylor
+
     ln_27y = _ln_abs(y0) + math.log(27.0)
     q = math.exp(-abs(ln_27y))
     g = (1.0 + q) / (1.0 - q) ** 3
@@ -528,6 +537,8 @@ def _origin_loop(radius: float, err_target: float) -> tuple[np.ndarray, float]:
     """The loop matrix of ``monodromy_around_origin`` before rounding, and
     the bound of the error of its entries: with F_0 the start frame and
     E_0, E its bounds before and after the loop, (E + |M| E_0) |F_0^-1|."""
+    from . import _taylor
+
     start, err0 = _start_frame(complex(radius))
     s0 = math.log(radius)
     frame, err = _taylor.transport(s0, s0 + _TWO_PI_I, start, err0, err_target)
@@ -626,6 +637,9 @@ def continue_solutions(y_target: complex, y_start: complex | None = None,
     else:
         y_start = _check_series_domain(y_start)
         s0 = cmath.log(y_start)
+    # imported here, past the series routes, which most calls take
+    from . import _taylor
+
     frame, err = _taylor.transport(s0, s1, *_start_frame(y_start), err_target)
     return SolutionTriple(frame[0, 0], frame[1, 0], frame[2, 0], y_target,
                           err_estimate=float(err[:, 0].max()))

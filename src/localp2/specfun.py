@@ -16,18 +16,18 @@ numeric route it is checked against has one entry, its row of
 Every route, closed form or numeric, is written once against the numbers of
 the precision mode (``_arith``): Python floats, the ``_kernels`` gamma and the
 ``_kernels`` AGM in double mode.  In extended mode the AGM is one fixed-point
-loop on Gaussian integers (``_kernels.agm_fixed``) at the configured digits
+loop on Gaussian integers (``_extended.agm_fixed``) at the configured digits
 plus guard bits, with E from its companion sum as in double mode; mpmath
 supplies only the numbers, ``gamma``, ``digamma``, the cube root and
-``hypot``.  mpmath is imported only on the first extended-precision request,
-so a double-precision run never loads it.  The closed forms take Gamma(1/3)
-and Gamma(2/3) from one gamma pass of the arithmetic, and write every power
-of 2 and 3 they take as a product of integer powers of c = 2^(1/3) and
-q = 3^(1/4), formed once per evaluation, so none of them calls a
-transcendental power.  The numeric routes a closed form is checked against
-(AGM, the elliptic chain rule, the finite difference, the splitting
-identity) never call a closed form, and only the finite-difference stencil
-differs by mode.
+``hypot``.  mpmath and ``_extended`` are imported only on the first
+extended-precision request, so a double-precision run loads neither.  The
+closed forms take Gamma(1/3) and Gamma(2/3) from one gamma pass of the
+arithmetic, and write every power of 2 and 3 they take as a product of
+integer powers of c = 2^(1/3) and q = 3^(1/4), formed once per evaluation,
+so none of them calls a transcendental power.  The numeric routes a closed
+form is checked against (AGM, the elliptic chain rule, the finite
+difference, the splitting identity) never call a closed form, and only the
+finite-difference stencil differs by mode.
 """
 
 from __future__ import annotations
@@ -192,64 +192,25 @@ _DOUBLE = _Arith(
     lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
 
-# fractional bits the fixed-point AGM keeps beyond mpmath's working precision
-# (and beyond the bits by which 1 and sqrt(1 - x) differ in size)
-_AGM_GUARD_BITS = 32
-
-
 @contextmanager
 def _arith(cfg: PrecisionConfig):
-    """The arithmetic of ``cfg.mode``; extended mode imports mpmath (once per
-    process) and works at ``cfg.dps`` digits inside the block.  Its AGM is
-    ``_kernels.agm_fixed`` on fixed-point Gaussian integers, one point at a
-    time, so its ``agm`` pass runs the moduli and then the 2F1 arguments:
-    2F1 is 1/M, K is pi/(2M) and E is K times the companion-sum factor,
-    with M = AGM(1, sqrt(1 - x)), x = z or k^2.  mpmath supplies
-    the numbers, 1 - x, ``gamma`` and ``digamma``.  A real argument with a
-    real AGM gives an ``mpf``."""
+    """The arithmetic of ``cfg.mode``; extended mode imports mpmath and
+    ``_extended`` (once per process) and works at ``cfg.dps`` digits inside
+    the block.  Its AGM is ``_extended.joint``: ``_extended.agm_fixed`` on
+    fixed-point Gaussian integers, one point at a time, the moduli and then
+    the 2F1 arguments.  mpmath supplies the numbers, 1 - x, ``gamma`` and
+    ``digamma``.  A real argument with a real AGM gives an ``mpf``."""
     if cfg.mode != "extended":
         yield _DOUBLE
         return
     import mpmath as mp
-    from mpmath import libmp
 
-    def agm(u, wp):
-        """(M, E/K) with M = AGM(1, sqrt u), for u = 1 - x at wp =
-        mp.prec + _AGM_GUARD_BITS bits, x the argument of 2F1 or the k^2 of
-        K and E.  The loop works wp bits below the larger of 1 and |sqrt u|,
-        and as many more as they differ by in size, so the smaller keeps
-        its relative precision too."""
-        real = isinstance(u, mp.mpf)
-        u = (u._mpf_, libmp.fzero) if real else u._mpc_
-        # |sqrt(1 - x)| is about 2^half
-        half = max((t[2] + t[3] for t in u if t[1]), default=0) // 2
-        q = wp + max(-half, 0)
-        m, ratio, ok = _kernels.agm_fixed(tuple(libmp.to_fixed(t, 2 * q) for t in u), q)
-        if not ok:
-            raise ConvergenceError("AGM did not converge within 64 iterations")
-        # a real x below 1 keeps every iterate real
-        real = real and not m[1]
-        return num(m, -q, wp, real), num(ratio, -2 * q - 2, wp, real)
-
-    def num(v, exp, wp, real):
-        """The Gaussian integer v times 2^exp, rounded to wp bits."""
-        re, im = (libmp.from_man_exp(p, exp, wp, libmp.round_nearest) for p in v)
-        return mp.mp.make_mpf(re) if real else mp.mp.make_mpc((re, im))
-
-    def joint(ks, zs):
-        wp = mp.mp.prec + _AGM_GUARD_BITS
-        ke = []
-        for k in ks:
-            # 1 - k^2 from k itself, so it keeps its relative precision as k -> 1
-            m, ratio = agm(mp.fmul(mp.fsub(1, k, prec=wp), mp.fadd(1, k, prec=wp), prec=wp), wp)
-            kk = mp.pi / (2 * m)
-            ke.append((kk, kk * ratio))
-        return ke, [1 / agm(mp.fsub(1, z, prec=wp), wp)[0] for z in zs]
+    from . import _extended
 
     with mp.workdps(cfg.dps):
         yield _Arith(
             mp.mpf, mp.mpc, mp.sqrt, mp.cbrt, mp.hypot, mp.pi,
-            lambda zs: [mp.gamma(z) for z in zs], mp.digamma, joint,
+            lambda zs: [mp.gamma(z) for z in zs], mp.digamma, _extended.joint,
             lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
             lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
 
@@ -468,7 +429,7 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     moduli, F(-omega) and the finite-difference stencil: 7 points in double
     mode (4-point stencil), one ``_kernels.ellipke_hyp2f1_half_array``
     call, and 5 in extended mode (2-point stencil), one
-    ``_kernels.agm_fixed`` call per point.  The singular moduli and
+    ``_extended.agm_fixed`` call per point.  The singular moduli and
     e^{i pi/3} are formed once too.  The closed forms share one gamma pass
     over 1/3 and 2/3 (one ``_kernels.gamma_array`` call in double mode), and
     write every power of 2 and 3 as integer powers of one 2^(1/3) and one

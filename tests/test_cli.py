@@ -534,21 +534,51 @@ def test_transfer_matrix_with_a_sample_past_the_double_range_of_its_modulus():
     assert payload["entries"] == [list(row) for row in mm.TRANSFER_MATRIX]
 
 
+# modules a double-precision reproduce never runs: dataclasses (the records
+# are named tuples), fractions and decimal (series_coefficient), the Taylor
+# transport (continuation and monodromy) and the extended arithmetic
+_NOT_IN_A_DOUBLE_REPRODUCE = ("dataclasses", "decimal", "fractions", "localp2._extended",
+                              "localp2._taylor", "mpmath")
+
+
 def test_mpmath_is_loaded_only_for_extended_precision():
-    # after numpy, a double-precision reproduce adds neither mpmath nor
-    # dataclasses (the records are named tuples) to the interpreter
+    # after numpy, a double-precision reproduce adds none of those modules
+    # to the interpreter; extended precision then loads mpmath
     code = ("import os, sys; import numpy; before = set(sys.modules); "
             "import localp2.cli as cli; "
             "print('mpmath' in sys.modules); "
             "print(cli.dispatch(['reproduce', '--precision', 'double', "
             "'--out', os.devnull]), 'mpmath' in sys.modules); "
-            "print(sorted({'dataclasses', 'mpmath'} & (set(sys.modules) - before))); "
+            f"print(sorted(set({_NOT_IN_A_DOUBLE_REPRODUCE!r}) & (set(sys.modules) - before))); "
             "print(cli.dispatch(['verify-appendix', '--precision', 'extended', "
             "'--out', os.devnull]), 'mpmath' in sys.modules)")
     env = {k: v for k, v in _package_env().items() if k != "LOCALP2_PRECISION"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split("\n")[:4] == ["False", "0 False", "[]", "0 True"]
+
+
+# a module imported inside the functions that use it, and a request whose
+# first call in a fresh interpreter runs that import
+_FIRST_CALLS = [
+    ("localp2._taylor",
+     ["continue", "--y", "1e30", "--y=-0.05,0.001", "--y", "0,0.04", "--tol", "1e-12"]),
+    ("localp2._taylor", ["monodromy"]),
+    ("localp2._extended", ["verify-appendix", "--precision", "extended"]),
+]
+
+
+@pytest.mark.parametrize("module, argv", _FIRST_CALLS, ids=[argv[0] for _, argv in _FIRST_CALLS])
+def test_a_first_call_imports_its_module_and_writes_the_warm_bytes(tmp_path, module, argv):
+    fresh, warm = tmp_path / "fresh.json", tmp_path / "warm.json"
+    code = ("import sys; import localp2.cli as cli; "
+            f"print({module!r} in sys.modules); "
+            f"print(cli.dispatch({[*argv, '--out', str(fresh)]!r}), {module!r} in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_package_env())
+    assert out.stdout.split("\n")[:2] == ["False", "0 True"]
+    assert dispatch([*argv, "--out", str(warm)]) == 0
+    assert fresh.read_bytes() == warm.read_bytes()
 
 
 def test_console_entry_prints_the_dispatch_bytes(tmp_path, capsys, monkeypatch):

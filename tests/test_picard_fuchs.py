@@ -72,6 +72,20 @@ def test_series_coefficient_first_values():
     assert pf.series_coefficient(3) == Fraction(1680, 9)
 
 
+def test_series_coefficient_first_call_in_a_fresh_interpreter_is_exact():
+    # the module imports fractions where it builds the first Fraction
+    code = ("import sys; import localp2.picard_fuchs as pf; "
+            "print('fractions' in sys.modules); "
+            "print([(type(c).__name__, c.numerator, c.denominator) "
+            "for c in map(pf.series_coefficient, range(1, 13))])")
+    src = os.path.dirname(os.path.dirname(pf.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    want = [("Fraction", c.numerator, c.denominator) for c in map(coeff_oracle, range(1, 13))]
+    assert out.stdout.split("\n")[:2] == ["False", repr(want)]
+
+
 def test_series_coefficient_rejects_zero():
     with pytest.raises(DomainError):
         pf.series_coefficient(0)

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from localp2 import _kernels, specfun as sf
+from localp2 import _extended, _kernels, specfun as sf
 from localp2.errors import BranchCutError, DomainError
 from localp2.specfun import PrecisionConfig
 
@@ -300,7 +300,8 @@ def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, points):
     # other two Ramanujan arguments (1 +- sqrt3/2)/2 are k_+-^2, where F is
     # 2K/pi, so they run no AGM: `points` AGM values in all, in one call of
     # the agm entry of the arithmetic _arith yields, which is one _kernels
-    # array call in double mode and one agm_fixed call per point in extended
+    # array call in double mode and one _extended.agm_fixed call per point
+    # in extended
     passes, kernel_passes = [], []
     arith = sf._arith
 
@@ -319,14 +320,14 @@ def test_closed_form_checks_run_each_agm_once(monkeypatch, mode, points):
     for name in ("hyp2f1_half_array", "ellipke_array", "ellipke_hyp2f1_half_array"):
         monkeypatch.setattr(sf._kernels, name,
                             counting(kernel_passes, name, getattr(sf._kernels, name)))
-    agm_fixed = sf._kernels.agm_fixed
+    agm_fixed = _extended.agm_fixed
     fixed_calls = []
 
     def counting_fixed(u, q):
         fixed_calls.append(u)
         return agm_fixed(u, q)
 
-    monkeypatch.setattr(sf._kernels, "agm_fixed", counting_fixed)
+    monkeypatch.setattr(_extended, "agm_fixed", counting_fixed)
     sf.closed_form_checks(PrecisionConfig(mode=mode))
     assert passes == [("agm", points)]
     if mode == "double":
