@@ -57,8 +57,7 @@ class RunConfig(_RunFields):
     """Validated run settings shared by all subcommands.
 
     ``precision_mode`` is "double" or "extended": ``dispatch`` takes it from
-    ``--precision``, else from ``specfun.default_config()``, which reads
-    ``LOCALP2_PRECISION`` and rejects an unknown mode.
+    ``--precision``, else from ``specfun.default_config()``, which is double.
     """
 
     __slots__ = ()
@@ -404,12 +403,12 @@ def _json_text(obj) -> str:
 
 
 def _write(text: str, out_path: str | None) -> bool:
-    """Write ``text`` to ``out_path``, else to stdout; an OSError on
-    ``out_path`` propagates.  False when stdout cannot be written (its reader
-    has closed the pipe): stdout is then pointed at os.devnull, so the
-    interpreter's flush at exit cannot fail again, and nothing is retried
-    there."""
-    if out_path:
+    """Write ``text`` to ``out_path`` when one is given, else to stdout; an
+    OSError on ``out_path`` propagates, so an empty path fails as a missing
+    file does.  False when stdout cannot be written (its reader has closed
+    the pipe): stdout is then pointed at os.devnull, so the interpreter's
+    flush at exit cannot fail again, and nothing is retried there."""
+    if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write(text)
         return True
@@ -417,7 +416,9 @@ def _write(text: str, out_path: str | None) -> bool:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return False
     return True
 

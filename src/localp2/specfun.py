@@ -33,7 +33,6 @@ finite-difference stencil differs by mode.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
@@ -64,12 +63,6 @@ MINUS_OMEGA = complex(0.5, math.sqrt(3.0) / 2.0)
 _POLE_TOL = 1e-13
 
 
-def _env_mode() -> str:
-    """``LOCALP2_PRECISION`` as given; PrecisionConfig rejects unknown modes,
-    as the command line does."""
-    return os.environ.get("LOCALP2_PRECISION", "double")
-
-
 # PrecisionConfig's fields; the validating constructor is the subclass's __new__,
 # since a NamedTuple body may not define one
 class _PrecisionFields(NamedTuple):
@@ -82,8 +75,7 @@ class PrecisionConfig(_PrecisionFields):
     """Evaluation settings shared by the special-function layer.
 
     mode             "double" (numpy kernels) or "extended" (mpmath numbers
-                     and a fixed-point AGM); None reads ``LOCALP2_PRECISION``
-                     at construction
+                     and a fixed-point AGM)
     dps              working digits in extended mode (>= 30)
     target_rel_err   requested relative accuracy for iterative evaluations
 
@@ -93,9 +85,8 @@ class PrecisionConfig(_PrecisionFields):
 
     __slots__ = ()
 
-    def __new__(cls, mode: str | None = None, dps: int = 40,
+    def __new__(cls, mode: str = "double", dps: int = 40,
                 target_rel_err: float = 1e-13):
-        mode = _env_mode() if mode is None else mode
         if mode not in {"double", "extended"}:
             raise DomainError(f"unknown precision mode {mode!r}")
         if mode == "extended" and dps < 30:
@@ -106,6 +97,7 @@ class PrecisionConfig(_PrecisionFields):
 
 
 def default_config() -> PrecisionConfig:
+    """The settings of a call made without a config: double precision."""
     return PrecisionConfig()
 
 

@@ -19,6 +19,7 @@ import localp2
 import localp2.mirror_geometry as geom
 import localp2.mirror_map as mm
 import localp2.picard_fuchs as pf
+import localp2.specfun as sf
 from localp2.cli import (SUBCOMMANDS, RunConfig, _build_parser, _json_text,
                          _parse_complex, dispatch, main)
 from localp2.errors import LocalP2Error
@@ -163,9 +164,8 @@ def test_double_precision_solution_runs_load_no_mpmath():
             "'--tol', '1e-12', '--out', os.devnull]), "
             "dispatch(['series', '--y', '0.5', '--y', '1e30', '--tol', '1e-12', "
             "'--out', os.devnull]), 'mpmath' in sys.modules)")
-    env = {k: v for k, v in _package_env().items() if k != "LOCALP2_PRECISION"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
+                         text=True, check=True, env=_package_env())
     assert out.stdout.split() == ["0", "0", "False"]
 
 
@@ -290,32 +290,31 @@ def test_error_report_replaces_an_earlier_out_file(tmp_path, capsys):
     assert "27" in report["context"]["message"]
 
 
-def test_precision_environment_is_read_by_specfun(monkeypatch, capsys):
-    # an unknown LOCALP2_PRECISION is rejected by the one reader in specfun;
-    # --precision takes its place
-    monkeypatch.setenv("LOCALP2_PRECISION", "bogus")
-    assert dispatch(["series"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["error"] == "DomainError"
-    assert "bogus" in report["context"]["message"]
-    assert dispatch(["verify-appendix", "--precision", "double"]) == 0
-    capsys.readouterr()
+def test_the_environment_picks_no_arithmetic(monkeypatch, capsys):
+    # --precision and an explicit PrecisionConfig mode are the only switches:
+    # a precision variable in the environment, valid or not, changes nothing
+    def observed():
+        runs = [(dispatch([command]), capsys.readouterr())
+                for command in ("monodromy", "verify-appendix")]
+        return sf.PrecisionConfig(), sf.default_config(), sf.closed_form_checks(), runs
+
+    monkeypatch.delenv("LOCALP2_PRECISION", raising=False)
+    want = observed()
+    assert want[0].mode == "double" and [code for code, _ in want[3]] == [0, 0]
+    for value in ("extended", "bogus"):
+        monkeypatch.setenv("LOCALP2_PRECISION", value)
+        assert observed() == want, value
 
 
 @pytest.mark.parametrize("command", [c for c in SUBCOMMANDS
                                      if c not in ("verify-appendix", "reproduce")])
-def test_precision_flag_is_a_usage_error_where_it_changes_nothing(command, capsys, monkeypatch):
+def test_precision_flag_is_a_usage_error_where_it_changes_nothing(command, capsys):
     # the mode changes only the closed-form identities; elsewhere the flag
     # was accepted and ignored, so it is refused as bad syntax
     for mode in ("double", "extended"):
         assert dispatch([command, f"--precision={mode}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--precision" in captured.err
-    # LOCALP2_PRECISION stays a default that these subcommands ignore
-    if command in ("monodromy", "ktheory-table"):
-        monkeypatch.setenv("LOCALP2_PRECISION", "extended")
-        assert dispatch([command]) == 0
-        assert json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("command", ["monodromy", "mirror-objects", "verify-appendix",
@@ -552,9 +551,8 @@ def test_mpmath_is_loaded_only_for_extended_precision():
             f"print(sorted(set({_NOT_IN_A_DOUBLE_REPRODUCE!r}) & (set(sys.modules) - before))); "
             "print(cli.dispatch(['verify-appendix', '--precision', 'extended', "
             "'--out', os.devnull]), 'mpmath' in sys.modules)")
-    env = {k: v for k, v in _package_env().items() if k != "LOCALP2_PRECISION"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
+                         text=True, check=True, env=_package_env())
     assert out.stdout.split("\n")[:4] == ["False", "0 False", "[]", "0 True"]
 
 
@@ -623,6 +621,19 @@ def test_closed_stdout_exits_one_quietly(argv):
     assert (out.returncode, out.stderr) == (1, b"")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    # dispatch points the dead stdout at os.devnull and closes its own
+    # descriptor of os.devnull, so repeated calls do not leak one each
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert dispatch(["monodromy"]) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 def test_stdout_matches_out_file(tmp_path, capsys):
     code = dispatch(["mirror-objects"])
     stdout_text = capsys.readouterr().out
@@ -653,6 +664,16 @@ def test_unwritable_out_is_reported(tmp_path, capsys, target):
     assert path in report["context"]["message"]
 
 
+@pytest.mark.parametrize("argv", [["--out="], ["--out", ""]])
+def test_an_empty_out_path_is_reported_as_a_missing_file(capsys, argv):
+    # an empty path names no file: the report is not printed in its place
+    assert dispatch(["mirror-objects", *argv]) == 1
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, _schema("error"))
+    assert report["error"] == "FileNotFoundError"
+    assert report["context"]["command"] == "mirror-objects"
+
+
 # --- argv fuzzing ----------------------------------------------------------------
 
 CSV_HEADERS = {
@@ -671,7 +692,7 @@ FLAG_VALUES = {
             "0", "nan", "abc", "1,2,3"),
     "--format": ("json", "csv", "xml"),
     "--precision": ("double", "extended", "quad"),
-    "--out": ("<OUT>/report.txt", "<OUT>/missing/report.txt", "<OUT>"),
+    "--out": ("<OUT>/report.txt", "<OUT>/missing/report.txt", "<OUT>", ""),
 }
 # no help flag (it prints usage and exits 0) and no prefix of --out (it
 # would write outside the temporary directory)

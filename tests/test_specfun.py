@@ -479,6 +479,9 @@ def test_precision_config_validation():
         PrecisionConfig(mode="extended", dps=10)
     with pytest.raises(DomainError):
         PrecisionConfig(target_rel_err=1.0)
+    # a config without a mode is double precision, which takes any dps
+    assert PrecisionConfig() == PrecisionConfig("double", 40, 1e-13) == sf.default_config()
+    assert PrecisionConfig("double", dps=10).dps == 10
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -491,25 +494,3 @@ def test_precision_config_validation():
 def test_precision_config_rejects(kwargs, message):
     with pytest.raises(DomainError, match=message):
         PrecisionConfig(**kwargs)
-
-
-@pytest.mark.parametrize("mode", ["double", "extended"])
-def test_precision_config_reads_the_environment_at_each_construction(monkeypatch, mode):
-    monkeypatch.setenv("LOCALP2_PRECISION", mode)
-    assert PrecisionConfig() == PrecisionConfig(mode, 40, 1e-13)
-    assert PrecisionConfig(dps=30).mode == mode
-    # double mode takes any dps; an explicit mode overrides the environment
-    assert PrecisionConfig("double", dps=10).dps == 10
-    monkeypatch.delenv("LOCALP2_PRECISION")
-    assert PrecisionConfig().mode == "double"
-
-
-def test_unknown_precision_mode_in_environment_is_rejected(monkeypatch):
-    # the same value the command line rejects
-    monkeypatch.setenv("LOCALP2_PRECISION", "bogus")
-    with pytest.raises(DomainError, match="bogus"):
-        PrecisionConfig()
-    with pytest.raises(DomainError):
-        sf.default_config()
-    monkeypatch.setenv("LOCALP2_PRECISION", "extended")
-    assert PrecisionConfig().mode == "extended"
