@@ -1,8 +1,9 @@
 """Command-line front end: dispatch, serialization, reproduction pipeline.
 
-Complex numbers serialize as {"re": .., "im": ..} objects, matrices
-row-major, rationals as {"num": .., "den": ..} strings; every subcommand's
-JSON payload matches the schema of the same name under ``schemas/``, and an
+Subcommand bodies return plain values; ``_json_text`` and ``_csv_emit``
+write them.  Complex numbers, numpy's included, serialize as
+{"re": .., "im": ..} objects, matrices row-major; every subcommand's JSON
+payload matches the schema of the same name under ``schemas/``, and an
 error report matches ``schemas/error.json``.
 Exit code 0 means no row of the emitted report was flagged.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import gc
-import io
 import json
 import math
 import os
@@ -96,11 +96,6 @@ def _parse_complex(text: str) -> complex:
         f"expected a finite real or 're,im' pair, got {text!r}")
 
 
-def _cplx(v) -> dict:
-    v = complex(v)
-    return {"re": float(v.real), "im": float(v.imag)}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="localp2",
@@ -125,18 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _rows_payload(rows: list) -> tuple[dict, int]:
+    """The report of a row-shaped subcommand, and its count of the rows
+    whose ``flagged`` is set."""
+    n_flagged = sum(r["flagged"] for r in rows)
+    return {"rows": rows, "n_flagged": n_flagged}, n_flagged
+
+
 def _solution_payload(triples, tol) -> tuple[dict, int]:
-    rows = []
-    flagged = 0
-    for t in triples:
-        bad = bool(t.err_estimate > tol)
-        flagged += bad
-        rows.append({
-            "y": _cplx(t.y), "w0": _cplx(t.w0), "w1": _cplx(t.w1),
-            "w2": _cplx(t.w2), "err_estimate": float(t.err_estimate),
-            "flagged": bad,
-        })
-    return {"rows": rows, "n_flagged": flagged}, flagged
+    return _rows_payload([{**t._asdict(), "flagged": t.err_estimate > tol}
+                          for t in triples])
 
 
 def _cmd_series(cfg: RunConfig) -> tuple[dict, int]:
@@ -154,33 +147,17 @@ def _cmd_continue(cfg: RunConfig) -> tuple[dict, int]:
 
 def _cmd_monodromy(cfg: RunConfig) -> tuple[dict, int]:
     m = pf.monodromy_around_origin()
-    mat = np.array(m)
-    n = mat - np.eye(3, dtype=int)
-    unipotent = bool(not np.any(n @ n @ n))
-    payload = {
-        "matrix": [[int(v) for v in row] for row in m],
-        "unipotent": unipotent,
-        "flagged": not unipotent,
-    }
+    n = np.array(m) - np.eye(3, dtype=int)
+    unipotent = not np.any(n @ n @ n)
+    payload = {"matrix": m, "unipotent": unipotent, "flagged": not unipotent}
     return payload, 0 if unipotent else 1
 
 
 def _cmd_periods(cfg: RunConfig) -> tuple[dict, int]:
-    ys = cfg.require_y()
     quad = cfg.precision()
-    rows = []
-    flagged = 0
-    for y in ys:
-        pv = geom.periods(y, quad)
-        bad = bool(max(pv.err) > cfg.tolerance)
-        flagged += bad
-        rows.append({
-            "y": _cplx(y),
-            "I": [_cplx(v) for v in pv.as_vector()],
-            "err": [float(e) for e in pv.err],
-            "flagged": bad,
-        })
-    return {"rows": rows, "n_flagged": flagged}, flagged
+    return _rows_payload([{"y": pv.y, "I": pv.as_vector(), "err": pv.err,
+                           "flagged": max(pv.err) > cfg.tolerance}
+                          for pv in (geom.periods(y, quad) for y in cfg.require_y())])
 
 
 def _cmd_transfer_matrix(cfg: RunConfig) -> tuple[dict, int]:
@@ -189,31 +166,26 @@ def _cmd_transfer_matrix(cfg: RunConfig) -> tuple[dict, int]:
     # the fit checks the pinned matrix
     bad = tm.entries != mm.TRANSFER_MATRIX
     payload = {
-        "entries": [list(r) for r in tm.entries],
+        "entries": tm.entries,
         "residual": tm.residual,
         "pre_round_dev": tm.pre_round_dev,
         "determinant": tm.determinant(),
-        "first_column": list(tm.column(0)),
+        "first_column": tm.column(0),
         "flagged": bad,
     }
     return payload, int(bad)
 
 
-def _kclass_payload(k: coh.KClass) -> dict:
-    lb = coh.basis_change(k, coh.Basis.LINE_BUNDLE)
-    return {"basis": k.basis.value, "coords": list(k.coords),
-            "line_bundle_coords": list(lb.coords)}
+def _mirror_object_rows() -> list:
+    """The mirror objects N_k in their basis and in line-bundle coordinates."""
+    return [{"name": f"N_{i}", "basis": n.basis.value, "coords": n.coords,
+             "line_bundle_coords": coh.basis_change(n, coh.Basis.LINE_BUNDLE).coords}
+            for i, n in enumerate(mm.mirror_objects())]
 
 
 def _cmd_mirror_objects(cfg: RunConfig) -> tuple[dict, int]:
-    ns = mm.mirror_objects()
     ok = mm.ako_twist_check()
-    payload = {
-        "objects": [
-            {"name": f"N_{i}", **_kclass_payload(n)} for i, n in enumerate(ns)
-        ],
-        "twist_check": bool(ok),
-    }
+    payload = {"objects": _mirror_object_rows(), "twist_check": ok}
     return payload, 0 if ok else 1
 
 
@@ -221,36 +193,13 @@ def _cmd_central_charges(cfg: RunConfig) -> tuple[dict, int]:
     # every modulus is checked before any period vector is computed
     ys = [geom._period_modulus(y) for y in cfg.y_values or (1e3,)]
     quad = cfg.precision()
-    rows = []
-    flagged = 0
-    for y in ys:
-        for r in mm.central_charge_report(geom.periods(y, quad)):
-            flagged += r["flagged"]
-            rows.append({
-                "y": _cplx(y), "brane": r["brane"],
-                "charge_analytic": _cplx(r["charge_analytic"]),
-                "charge_periods": _cplx(r["charge_periods"]),
-                "abs_dev": float(r["abs_dev"]),
-                "tolerance": float(r["tolerance"]),
-                "flagged": bool(r["flagged"]),
-            })
-    return {"rows": rows, "n_flagged": flagged}, flagged
+    return _rows_payload([{"y": y, **r} for y in ys
+                          for r in mm.central_charge_report(geom.periods(y, quad))])
 
 
 def _cmd_verify_appendix(cfg: RunConfig) -> tuple[dict, int]:
-    rows = []
-    flagged = 0
-    for r in specfun.closed_form_checks(cfg.precision()):
-        bad = bool(r["rel_err"] > cfg.tolerance)
-        flagged += bad
-        rows.append({
-            "name": r["name"],
-            "computed": _cplx(r["computed"]),
-            "closed_form": _cplx(r["closed_form"]),
-            "rel_err": float(r["rel_err"]),
-            "flagged": bad,
-        })
-    return {"rows": rows, "n_flagged": flagged}, flagged
+    return _rows_payload([{**r, "flagged": r["rel_err"] > cfg.tolerance}
+                          for r in specfun.closed_form_checks(cfg.precision())])
 
 
 def _cmd_ktheory_table(cfg: RunConfig) -> tuple[dict, int]:
@@ -260,11 +209,8 @@ def _cmd_ktheory_table(cfg: RunConfig) -> tuple[dict, int]:
     payload = {
         "brane_charge_duality": duality,
         "hom_dimensions": mm.hom_dimensions(),
-        "mirror_objects": [
-            {"name": f"N_{i}", **_kclass_payload(n)}
-            for i, n in enumerate(mm.mirror_objects())
-        ],
-        "duality_is_identity": bool(ident),
+        "mirror_objects": _mirror_object_rows(),
+        "duality_is_identity": ident,
     }
     return payload, 0 if ident else 1
 
@@ -276,7 +222,7 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     stages = []
 
     def stage(name, ok, detail):
-        stages.append({"name": name, "pass": bool(ok), "detail": detail})
+        stages.append({"name": name, "pass": ok, "detail": detail})
 
     checks = specfun.closed_form_checks(cfg.precision())
     worst = max(r["rel_err"] for r in checks)
@@ -328,7 +274,7 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
 
     # the periods against the large-|y| series through T, at every period vector
     cc = [r for pv in period_rows for r in mm.central_charge_report(pv)]
-    n_flagged = sum(r["flagged"] for r in cc)
+    _, n_flagged = _rows_payload(cc)
     worst_cc = max(r["abs_dev"] / r["tolerance"] for r in cc)
     stage("central_charges", n_flagged == 0,
           f"{n_flagged} flagged rows, worst dev/tolerance {worst_cc:.2e}")
@@ -340,7 +286,7 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
 
     all_pass = all(s["pass"] for s in stages)
     payload = {"stages": stages, "all_pass": all_pass,
-               "transfer_matrix": [list(r) for r in tm.entries] if tm else None}
+               "transfer_matrix": tm.entries if tm else None}
     return payload, 0 if all_pass else 1
 
 
@@ -362,42 +308,43 @@ _CSV_ABLE = {"series", "continue", "periods", "central-charges",
 
 
 def _csv_emit(command: str, payload: dict) -> str:
-    out = io.StringIO()
+    """One line per row (per cycle for periods); each number in its
+    shortest round-trip form."""
     rows = payload["rows"]
     if command in ("series", "continue"):
-        out.write("y_re,y_im,abs_w0,abs_w1,abs_w2,err_estimate\n")
-        for r in rows:
-            w = [math.hypot(r[f"w{i}"]["re"], r[f"w{i}"]["im"]) for i in range(3)]
-            out.write(f'{r["y"]["re"]!r},{r["y"]["im"]!r},'
-                      f'{w[0]!r},{w[1]!r},{w[2]!r},{r["err_estimate"]!r}\n')
+        head = "y_re,y_im,abs_w0,abs_w1,abs_w2,err_estimate"
+        lines = [(r["y"].real, r["y"].imag,
+                  *(math.hypot(r[w].real, r[w].imag) for w in ("w0", "w1", "w2")),
+                  r["err_estimate"]) for r in rows]
     elif command == "periods":
-        out.write("y_re,y_im,k,I_re,I_im,err\n")
-        for r in rows:
-            for k in range(3):
-                out.write(f'{r["y"]["re"]!r},{r["y"]["im"]!r},{k},'
-                          f'{r["I"][k]["re"]!r},{r["I"][k]["im"]!r},'
-                          f'{r["err"][k]!r}\n')
+        head = "y_re,y_im,k,I_re,I_im,err"
+        lines = [(r["y"].real, r["y"].imag, k, z.real, z.imag, r["err"][k])
+                 for r in rows for k, z in enumerate(r["I"])]
     elif command == "central-charges":
-        out.write("y_re,y_im,brane,analytic_re,analytic_im,"
-                  "periods_re,periods_im,abs_dev,flagged\n")
-        for r in rows:
-            out.write(f'{r["y"]["re"]!r},{r["y"]["im"]!r},{r["brane"]},'
-                      f'{r["charge_analytic"]["re"]!r},'
-                      f'{r["charge_analytic"]["im"]!r},'
-                      f'{r["charge_periods"]["re"]!r},'
-                      f'{r["charge_periods"]["im"]!r},'
-                      f'{r["abs_dev"]!r},{int(r["flagged"])}\n')
+        head = "y_re,y_im,brane,analytic_re,analytic_im,periods_re,periods_im,abs_dev,flagged"
+        lines = [(r["y"].real, r["y"].imag, r["brane"],
+                  r["charge_analytic"].real, r["charge_analytic"].imag,
+                  r["charge_periods"].real, r["charge_periods"].imag,
+                  r["abs_dev"], int(r["flagged"])) for r in rows]
     else:
-        out.write("name,rel_err,flagged\n")
-        for r in rows:
-            out.write(f'{r["name"]},{r["rel_err"]!r},{int(r["flagged"])}\n')
-    return out.getvalue()
+        head = "name,rel_err,flagged"
+        lines = [(r["name"], r["rel_err"], int(r["flagged"])) for r in rows]
+    return head + "\n" + "".join(",".join(map(str, line)) + "\n" for line in lines)
+
+
+def _json_default(value) -> dict:
+    """The one wire form of a complex number, numpy's included; any other
+    type json cannot write is an error."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
 def _json_text(obj) -> str:
     """Strict JSON: a non-finite number is an error, never ``NaN``."""
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_default) + "\n"
     except ValueError as exc:
         raise LocalP2Error(f"report holds a non-finite number: {exc}") from None
 

@@ -138,6 +138,9 @@ del _M, _E, _table
 
 
 class SolutionTriple(NamedTuple):
+    """The solution triple at y, with the bound of its error; every route
+    builds it from Python scalars, which reports write as they are."""
+
     w0: complex
     w1: complex
     w2: complex
@@ -450,7 +453,7 @@ def w_at_infinity(y: complex, n_terms: int | None = None) -> SolutionTriple:
     err = ((abs(t[0, -1]) * weight[0] + abs(t[1, -1]) * weight[1])
            * math.exp(-ln_27y) / one_minus_q + 2.0 ** -48 * (1.0 / 3.0 + e0 / one_minus_q))
     (w0,), (w1,), (w2,) = _inverse_rows(u, *t.sum(axis=1, keepdims=True).tolist())
-    return SolutionTriple(w0, w1, w2, y, err)
+    return SolutionTriple(w0, w1, w2, y, float(err))
 
 
 def _inverse_frame(y0: complex, t: np.ndarray, order: int = 3) -> np.ndarray:
@@ -641,5 +644,4 @@ def continue_solutions(y_target: complex, y_start: complex | None = None,
     from . import _taylor
 
     frame, err = _taylor.transport(s0, s1, *_start_frame(y_start), err_target)
-    return SolutionTriple(frame[0, 0], frame[1, 0], frame[2, 0], y_target,
-                          err_estimate=float(err[:, 0].max()))
+    return SolutionTriple(*frame[:, 0].tolist(), y_target, float(err[:, 0].max()))

@@ -1,9 +1,11 @@
 """End-to-end command dispatch: schemas, exit codes, CSV, determinism."""
 
 import contextlib
+import csv
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -415,6 +417,49 @@ def test_verify_appendix_csv_shape(tmp_path):
     assert lines[0] == "name,rel_err,flagged"
     assert len(lines) > 3
     assert all(ln.endswith(",0") for ln in lines[1:])
+
+
+# one call per CSV-able subcommand; continue at a disc, an annulus and a
+# large-|y| modulus
+_CSV_CALLS = [
+    ["series", "--y", "0.02", "--y", "1e30"],
+    ["continue", "--y", "0.02", "--y=-0.05,0.001", "--y", "100,3"],
+    ["periods", "--y", "1000", "--y=-500,30"],
+    ["central-charges", "--y", "1000", "--y=-500,30"],
+    ["verify-appendix"],
+]
+
+
+def _csv_lines_of(command, rows):
+    """The CSV lines a JSON report's rows must print, as numbers."""
+    def parts(z, prefix):
+        return {f"{prefix}_re": z["re"], f"{prefix}_im": z["im"]}
+    if command in ("series", "continue"):
+        return [{**parts(r["y"], "y"), "err_estimate": r["err_estimate"],
+                 **{f"abs_w{i}": math.hypot(r[f"w{i}"]["re"], r[f"w{i}"]["im"])
+                    for i in range(3)}} for r in rows]
+    if command == "periods":
+        return [{**parts(r["y"], "y"), "k": k, **parts(z, "I"), "err": r["err"][k]}
+                for r in rows for k, z in enumerate(r["I"])]
+    if command == "central-charges":
+        return [{**parts(r["y"], "y"), "brane": r["brane"],
+                 **parts(r["charge_analytic"], "analytic"),
+                 **parts(r["charge_periods"], "periods"),
+                 "abs_dev": r["abs_dev"], "flagged": r["flagged"]} for r in rows]
+    return [{"name": r["name"], "rel_err": r["rel_err"], "flagged": r["flagged"]}
+            for r in rows]
+
+
+@pytest.mark.parametrize("argv", _CSV_CALLS, ids=[argv[0] for argv in _CSV_CALLS])
+def test_csv_carries_the_numbers_of_the_json_report(tmp_path, argv):
+    json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+    assert dispatch([*argv, "--out", str(json_out)]) == 0
+    assert dispatch([*argv, "--format", "csv", "--out", str(csv_out)]) == 0
+    with open(csv_out, newline="") as fh:
+        lines = [{k: v if k in ("brane", "name") else float(v) for k, v in line.items()}
+                 for line in csv.DictReader(fh)]
+    # exact: each CSV number reads back as the JSON one
+    assert lines == _csv_lines_of(argv[0], json.loads(json_out.read_text())["rows"])
 
 
 def test_reproduce_deterministic(tmp_path):

@@ -882,6 +882,27 @@ def test_default_route_takes_the_nearer_series(monkeypatch):
     assert max(n for _, n in counts) <= 30, counts
 
 
+# every route that builds a SolutionTriple, each at a modulus where it answers
+_ROUTES = {
+    "chf_expand": lambda: pf.chf_expand(np.float64(0.02)),
+    "series in the disc": lambda: pf.series_solutions(0.02 + 0.01j, 1e-8),
+    "series past the outer margin": lambda: pf.series_solutions(complex(-500, 30), 1e-8),
+    "w_at_infinity": lambda: pf.w_at_infinity(np.complex128(100, 3)),
+    "continue, direct series": lambda: pf.continue_solutions(0.02),
+    "continue, transport": lambda: pf.continue_solutions(0.05),
+    "continue, large-|y| series": lambda: pf.continue_solutions(complex(100, 3)),
+    "continue from y_start": lambda: pf.continue_solutions(0.1j, y_start=0.01),
+}
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_every_route_builds_its_record_from_python_scalars(route):
+    # the annotated types, not numpy's: reports write the record's values as they are
+    t = _ROUTES[route]()
+    assert [type(v) for v in (t.w0, t.w1, t.w2, t.y)] == [complex] * 4, route
+    assert type(t.err_estimate) is float, route
+
+
 def w_disc_oracle(y: complex) -> tuple[complex, complex]:
     """w1 and w2 of the printed direct series, summed at 30 digits by term
     ratios and harmonic-gap increments until a term drops below 1e-24."""
