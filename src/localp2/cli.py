@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -43,34 +43,25 @@ _MODULUS_AWARE = ("series", "continue", "periods", "transfer-matrix", "central-c
 _DEFAULT_TOL = 1e-6
 
 
-# RunConfig's fields; the validating constructor is the subclass's __new__,
-# since a NamedTuple body may not define one
-class _RunFields(NamedTuple):
-    precision_mode: str
-    tolerance: float
-    y_values: tuple
-    output_format: str
-    out_path: str | None
+class RunConfig(namedtuple("RunConfig", "precision_mode tolerance y_values")):
+    """Validated run settings read by the subcommand bodies.
 
-
-class RunConfig(_RunFields):
-    """Validated run settings shared by all subcommands.
-
-    ``precision_mode`` is "double" or "extended": ``dispatch`` takes it from
-    ``--precision``, else from ``specfun.default_config()``, which is double.
+    precision_mode  str: "double" or "extended"; ``dispatch`` takes it from
+                    ``--precision``, else from ``specfun.default_config()``,
+                    which is double
+    tolerance       float: the flagging tolerance, in [1e-12, 1e-3]
+    y_values        tuple[complex, ...]: the moduli given with ``--y``
     """
 
     __slots__ = ()
 
     def __new__(cls, precision_mode: str, tolerance: float = _DEFAULT_TOL,
-                y_values: tuple = (), output_format: str = "json",
-                out_path: str | None = None):
+                y_values: tuple = ()):
         if not (1e-12 <= tolerance <= 1e-3):
             raise LocalP2Error(
                 f"tolerance must lie in [1e-12, 1e-3], got {tolerance:g}")
         return super().__new__(cls, precision_mode, tolerance,
-                               tuple(complex(v) for v in y_values),
-                               output_format, out_path)
+                               tuple(complex(v) for v in y_values))
 
     def precision(self) -> PrecisionConfig:
         # PrecisionConfig accepts a narrower accuracy window than the CLI
@@ -398,22 +389,20 @@ def dispatch(argv) -> int:
         cfg = RunConfig(
             tolerance=ns.tol,
             y_values=tuple(ns.y) if ns.y else (),
-            output_format=ns.format,
             precision_mode=ns.precision or specfun.default_config().mode,
-            out_path=ns.out,
         )
-        if cfg.output_format == "csv" and ns.command not in _CSV_ABLE:
+        if ns.format == "csv" and ns.command not in _CSV_ABLE:
             raise LocalP2Error(
                 f"subcommand {ns.command} has no CSV form; use --format json")
         payload, flagged = _BODIES[ns.command](cfg)
-        if cfg.output_format == "csv":
+        if ns.format == "csv":
             text = _csv_emit(ns.command, payload)
         else:
             text = _json_text(payload)
     except LocalP2Error as exc:
         return _report_error(ns.command, exc, ns.out)
     try:
-        written = _write(text, cfg.out_path)
+        written = _write(text, ns.out)
     except OSError as exc:
         return _report_error(ns.command, exc, None)
     return 0 if written and flagged == 0 else 1

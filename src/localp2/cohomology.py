@@ -12,8 +12,8 @@ consumes complex period values).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import BasisError
 
@@ -44,22 +44,29 @@ class Basis(str, Enum):
     CHARGE = "charge"             # [O], [O(1)]-[O], point  (dual to brane)
 
 
-# KClass's fields; the validating constructor is the subclass's __new__,
-# since a NamedTuple body may not define one
-class _KClassFields(NamedTuple):
-    basis: Basis
-    coords: tuple[int, int, int]
+def _basis(frame) -> Basis:
+    """The registered frame named by ``frame``; BasisError for any other."""
+    try:
+        return Basis(frame)
+    except ValueError:
+        raise BasisError(f"unknown basis {frame!r}; expected one of "
+                         f"{[b.value for b in Basis]}") from None
 
 
-class KClass(_KClassFields):
-    """An integer coordinate triple in one registered frame."""
+class KClass(namedtuple("KClass", "basis coords")):
+    """An integer coordinate triple in one registered frame.
+
+    basis   Basis: the frame
+    coords  tuple[int, int, int]: the coordinates in that frame
+    """
 
     __slots__ = ()
 
     def __new__(cls, basis: Basis, coords):
-        basis = Basis(basis)
+        basis = _basis(basis)
         c = tuple(coords)
-        if len(c) != 3 or not all(isinstance(v, int) for v in c):
+        # bool is an int subclass, but True is no coordinate
+        if len(c) != 3 or not all(type(v) is not bool and isinstance(v, int) for v in c):
             raise BasisError(f"coords must be an integer triple, got {coords!r}")
         return super().__new__(cls, basis, c)
 
@@ -111,8 +118,8 @@ _LB_TO_FRAME = {b: _inv3(m) for b, m in _FRAME_TO_LB.items()}
 
 def change_of_basis_matrix(source: Basis, target: Basis):
     """Integer matrix applied to coordinate triples by basis_change."""
-    source = Basis(source)
-    target = Basis(target)
+    source = _basis(source)
+    target = _basis(target)
     return _mat_mul(_LB_TO_FRAME[target], _FRAME_TO_LB[source])
 
 
@@ -120,30 +127,24 @@ def basis_change(k: KClass, target: Basis) -> KClass:
     """Rewrite k in the target frame by the registered unimodular matrix."""
     if not isinstance(k, KClass):
         raise BasisError(f"expected KClass, got {type(k).__name__}")
-    target = Basis(target)
     m = change_of_basis_matrix(k.basis, target)
     return KClass(target, _mat_vec(m, k.coords))
 
 
 def _lb_coords(k: KClass) -> tuple[int, int, int]:
-    if k.basis not in _FRAME_TO_LB:
-        raise BasisError(f"unknown basis tag {k.basis!r}")
     return _mat_vec(_FRAME_TO_LB[k.basis], k.coords)
 
 
 def line_bundle_class(n: int) -> KClass:
     """K-class of O(n) in line-bundle coordinates, any integer n.
 
-    Works in Z[t]/(1-t)^3 with t the class of O(-1): negative twists are
-    powers of t, positive twists are powers of t^{-1} = 3 - 3t + t^2.
+    Works in Z[t]/(1-t)^3 with t the class of O(-1).  With u = 1 - t,
+    u^3 = 0, so O(n) = t^(-n) = (1 - u)^(-n) = 1 + n u + n(n+1)/2 u^2 for
+    every integer n; in powers of t that is
+    (1 + n + n(n+1)/2) - n(n+2) t + n(n+1)/2 t^2.
     """
-    if n == 0:
-        poly = (1, 0, 0)
-    elif n < 0:
-        poly = _poly_pow((0, 1, 0), -n)
-    else:
-        poly = _poly_pow((3, -3, 1), n)
-    return KClass(Basis.LINE_BUNDLE, poly)
+    half = n * (n + 1) // 2
+    return KClass(Basis.LINE_BUNDLE, (1 + n + half, -n * (n + 2), half))
 
 
 def _poly_mul(p, q):
@@ -157,13 +158,6 @@ def _poly_mul(p, q):
     c1 = full[1] - 3 * full[3] - 8 * full[4]
     c2 = full[2] + 3 * full[3] + 6 * full[4]
     return (c0, c1, c2)
-
-
-def _poly_pow(p, n):
-    out = (1, 0, 0)
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
 
 
 def tensor(a: KClass, b: KClass) -> KClass:

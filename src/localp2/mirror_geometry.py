@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -100,14 +100,15 @@ _TS_LEVELS = 64
 # ---------------------------------------------------------------------------
 
 
-class PeriodVector(NamedTuple):
-    """The three contour periods at one modulus value, with error estimates."""
+class PeriodVector(namedtuple("PeriodVector", "i0 i1 i2 y err")):
+    """The three contour periods at one modulus value, with error estimates.
 
-    i0: complex
-    i1: complex
-    i2: complex
-    y: complex
-    err: tuple
+    i0, i1, i2  complex: the periods
+    y           complex: the modulus
+    err         tuple: the error estimate of each period
+    """
+
+    __slots__ = ()
 
     def as_vector(self) -> list:
         return [self.i0, self.i1, self.i2]

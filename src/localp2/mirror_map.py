@@ -10,7 +10,7 @@ several modulus samples recovers it from the periods and is its check.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,20 +39,12 @@ TRANSFER_MATRIX = ((1, 0, 0), (-1, 1, -1), (1, 1, 0))
 FIT_MODULI = (1e3, 2e3, 4e3)
 
 
-# TransferMatrix's fields; the validating constructor is the subclass's __new__,
-# since a NamedTuple body may not define one
-class _TransferFields(NamedTuple):
-    entries: tuple
-    residual: float
-    pre_round_dev: float
-
-
-class TransferMatrix(_TransferFields):
+class TransferMatrix(namedtuple("TransferMatrix", "entries residual pre_round_dev")):
     """Integer matrix sending the period triple to the solution triple.
 
-    entries        rounded integer matrix, row-major
-    residual       max |W - I . entries| after rounding
-    pre_round_dev  max distance of a fitted entry from its integer
+    entries        tuple: rounded integer matrix, row-major
+    residual       float: max |W - I . entries| after rounding
+    pre_round_dev  float: max distance of a fitted entry from its integer
     """
 
     __slots__ = ()

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -137,15 +138,16 @@ for _table in (_RATIO, _GAP, _MOMENTS, _INV_RATIO, _MB_EXP, _MB_LG, _MB_PSI):
 del _M, _E, _table
 
 
-class SolutionTriple(NamedTuple):
+class SolutionTriple(namedtuple("SolutionTriple", "w0 w1 w2 y err_estimate")):
     """The solution triple at y, with the bound of its error; every route
-    builds it from Python scalars, which reports write as they are."""
+    builds it from Python scalars, which reports write as they are.
 
-    w0: complex
-    w1: complex
-    w2: complex
-    y: complex
-    err_estimate: float
+    w0, w1, w2    complex: the solutions
+    y             complex: the modulus
+    err_estimate  float: the bound of their error
+    """
+
+    __slots__ = ()
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.w0, self.w1, self.w2], dtype=complex)

@@ -33,8 +33,8 @@ finite-difference stencil differs by mode.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import contextmanager
-from typing import Callable, NamedTuple
 
 from . import _kernels
 from .errors import BranchCutError, ConvergenceError, DomainError, PoleError
@@ -63,21 +63,14 @@ MINUS_OMEGA = complex(0.5, math.sqrt(3.0) / 2.0)
 _POLE_TOL = 1e-13
 
 
-# PrecisionConfig's fields; the validating constructor is the subclass's __new__,
-# since a NamedTuple body may not define one
-class _PrecisionFields(NamedTuple):
-    mode: str
-    dps: int
-    target_rel_err: float
-
-
-class PrecisionConfig(_PrecisionFields):
+class PrecisionConfig(namedtuple("PrecisionConfig", "mode dps target_rel_err")):
     """Evaluation settings shared by the special-function layer.
 
-    mode             "double" (numpy kernels) or "extended" (mpmath numbers
-                     and a fixed-point AGM)
-    dps              working digits in extended mode (>= 30)
-    target_rel_err   requested relative accuracy for iterative evaluations
+    mode             str: "double" (numpy kernels) or "extended" (mpmath
+                     numbers and a fixed-point AGM)
+    dps              int: working digits in extended mode (>= 30)
+    target_rel_err   float: requested relative accuracy for iterative
+                     evaluations
 
     Series truncation is set where a series is summed (the ``n_terms`` and
     ``n_max`` arguments of ``picard_fuchs``), not here.
@@ -159,21 +152,20 @@ def _double_agm(ks, zs) -> tuple[list, list]:
     return list(zip(kk.tolist(), ee.tolist())), f.tolist()
 
 
-class _Arith(NamedTuple):
-    """The numbers of one precision mode, against which each numeric route
-    is written once."""
-
-    real: Callable         # float -> float or mpf
-    cplx: Callable         # (re, im) -> complex or mpc
-    sqrt: Callable
-    cbrt: Callable         # x -> x^(1/3), x real
-    hypot: Callable        # (x, y) -> sqrt(x^2 + y^2), without overflow
-    pi: object
-    gamma: Callable        # [z] -> [Gamma(z)]
-    digamma: Callable
-    agm: Callable          # ([k], [z]) -> ([(K(k), E(k))], [2F1(1/2, 1/2; 1; z)]), one pass
-    moduli: Callable       # () -> the singular moduli (k_+, k_-)
-    minus_omega: Callable  # () -> e^{i pi/3}
+# The numbers of one precision mode, against which each numeric route is
+# written once.  Every field but pi (a float or mpf) is a function:
+#   real         float -> float or mpf
+#   cplx         (re, im) -> complex or mpc
+#   sqrt         x -> sqrt(x)
+#   cbrt         x -> x^(1/3), x real
+#   hypot        (x, y) -> sqrt(x^2 + y^2), without overflow
+#   gamma        [z] -> [Gamma(z)]
+#   digamma      z -> psi(z)
+#   agm          ([k], [z]) -> ([(K(k), E(k))], [2F1(1/2, 1/2; 1; z)]), one pass
+#   moduli       () -> the singular moduli (k_+, k_-)
+#   minus_omega  () -> e^{i pi/3}
+_Arith = namedtuple("_Arith", "real cplx sqrt cbrt hypot pi gamma digamma agm "
+                              "moduli minus_omega")
 
 
 _DOUBLE = _Arith(

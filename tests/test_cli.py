@@ -349,7 +349,6 @@ def test_run_config_keeps_its_defaults_and_normalizes_the_moduli(tol):
     assert cfg.tolerance == tol
     assert cfg.y_values == (2 + 0j, 1e3 + 1j)
     assert all(type(y) is complex for y in cfg.y_values)
-    assert (cfg.output_format, cfg.out_path) == ("json", None)
     assert RunConfig("extended").y_values == ()
 
 

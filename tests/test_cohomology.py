@@ -64,6 +64,20 @@ def test_line_bundle_reduction_matches_oracle():
         assert k.coords == lb_coords_of_twist(n), n
 
 
+def test_line_bundle_class_is_the_n_fold_tensor_of_a_unit_twist():
+    for sign in (1, -1):
+        k = coh.line_bundle_class(0)
+        for m in range(1, 13):
+            k = coh.tensor(k, coh.line_bundle_class(sign))
+            assert coh.line_bundle_class(sign * m) == k, sign * m
+
+
+@pytest.mark.parametrize("n", [*range(-12, 13), 10**30, -10**30])
+def test_riemann_roch_for_every_twist(n):
+    # chi(O, O(n)) = (n + 1)(n + 2)/2, exactly, also far past a float's range
+    assert coh.chi_p2(coh.line_bundle_class(0), coh.line_bundle_class(n)) == chi_line(n)
+
+
 def test_tensor_agrees_with_twist_addition():
     for a in range(-3, 3):
         for b in range(-3, 3):
@@ -160,10 +174,22 @@ def test_kclass_rejects_non_integer():
 
 
 @pytest.mark.parametrize("coords", [(1.0, 0, 0), (0, 0, "1"), (0, 1), (0, 1, 2, 3),
-                                    (0, None, 0)])
+                                    (0, None, 0), (True, 0, 1)])
 def test_kclass_rejects_coordinates_that_are_not_an_integer_triple(coords):
     with pytest.raises(BasisError, match="integer triple"):
         coh.KClass(coh.Basis.LINE_BUNDLE, coords)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coh.KClass("bogus", (0, 0, 1)),
+    lambda: coh.basis_change(coh.KClass(coh.Basis.BRANE, (0, 0, 1)), "bogus"),
+    lambda: coh.change_of_basis_matrix("brane", "bogus"),
+    lambda: coh.change_of_basis_matrix("bogus", "brane"),
+], ids=["KClass", "basis_change", "change_of_basis_matrix_target",
+        "change_of_basis_matrix_source"])
+def test_an_unknown_frame_is_a_basis_error(call):
+    with pytest.raises(BasisError, match="unknown basis 'bogus'"):
+        call()
 
 
 def test_kclass_normalizes_its_frame_and_coordinates():
