@@ -26,6 +26,11 @@ r < 1 is at least max(|p|, |q|).
 In s = log y the path is a straight segment, cut into steps with r at most
 ``_RATIO``, so |h| <= _RATIO min(|x0|, |1 - x0|); x0, p and q come from s
 through e^(+-s) and expm1, so nothing overflows up to the largest doubles.
+
+Every array pass covers all steps of the path at once.  The recurrence
+takes two per term, a product and a sum; the rest of ``steps`` takes a
+fixed number, the term count N one over the a-priori tails of every N up
+to _MAX_TERMS, and ``transport`` one ``_scan`` of log2(steps) rounds.
 """
 
 import cmath
@@ -43,11 +48,13 @@ _MAX_TERMS = 100
 _ROUND = 2.0 ** -52
 
 _N = np.arange(_MAX_TERMS + 2.0)
-# the n-only factors of the recurrence, 1/(k+j+1), and the weights 1/(n+1),
-# 1 and n of the sums of ``steps``
+# the n-only factors of the recurrence; 1/(i+j+1), and the 0/1 mask of
+# i + j <= _MAX_TERMS + 1, whose rows from _MAX_TERMS - N on mask i + j <=
+# N + 1; and the weights 1/(n+1), 1 and n of the sums of ``steps``
 _GROW_0 = (_N + 1.0 / 3.0) * (_N + 2.0 / 3.0) / ((_N + 1.0) * (_N + 2.0))
 _GROW_1 = (_N + 1.0) / (_N + 2.0)
 _HANKEL = 1.0 / (np.add.outer(_N, _N) + 1.0)
+_HANKEL_CUT = (np.add.outer(_N, _N) <= _MAX_TERMS + 1.0) * 1.0
 _MOMENTS = np.stack([1.0 / (_N + 1.0), np.ones_like(_N), _N], axis=1).astype(complex)
 
 
@@ -61,17 +68,17 @@ def _path(s0: complex, s1: complex) -> tuple[list, list]:
     length = abs(s1 - s0)
     direction = (s1 - s0) / length
     ends, ratios = [s0], []
-    t = 0.0
+    t, outward, ln_27 = 0.0, direction.real > 0.0, math.log(27.0)
     while t < length:
         s = ends[-1]
-        if s.real + math.log(27.0) <= 0.0:
+        if s.real + ln_27 <= 0.0:
             c = -27.0 * cmath.exp(s)
             c /= 1.0 - c
         else:
             c = 1.0 / (-cmath.exp(-s) / 27.0 - 1.0)
         a, b = abs(1.0 - c), abs(c)
         step = 2.0 * _RATIO / (a + math.sqrt(a * a + 4.0 * b))
-        if direction.real > 0.0:            # |expm1(z)| <= |z| while Re z <= 0
+        if outward:                         # |expm1(z)| <= |z| while Re z <= 0
             step = math.log1p(step)
         if t + step == t or not b < 2.0 ** 50:
             raise DomainError("continuation path meets y = -1/27")
@@ -83,18 +90,23 @@ def _path(s0: complex, s1: complex) -> tuple[list, list]:
 
 def coefficients(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     """u_0..u_(n+1) of both runs at each step (one entry of p and q per
-    step), indexed [n, run, step]."""
+    step), indexed [n, run, step].  u_(i+2) is one product of the window
+    (u_i, u_(i+1)), a view into u, with the factors of term i, laid out
+    alike, and one sum of that pair."""
     k = len(p)
-    grow = np.empty((n, 2, 1, k), dtype=complex)            # factors of u_i, u_(i+1)
+    grow = np.empty((n, 2, 2, k), dtype=complex)            # factors of u_i, u_(i+1)
     np.multiply.outer(_GROW_0[:n], p * q, out=grow[:, 0, 0])
     np.multiply.outer(_GROW_1[:n], q - p, out=grow[:, 1, 0])
+    grow[:, :, 1] = grow[:, :, 0]
     u = np.zeros((n + 2, 2, k), dtype=complex)
     u[0, 0] = 1.0
     u[1, 1] = p
+    windows = np.ndarray((n, 2, 2, k), complex, u, 0, u.strides[:1] + u.strides)
     pair = np.empty((2, 2, k), dtype=complex)
-    for i in range(n):
-        np.multiply(u[i:i + 2], grow[i], pair)
-        np.add(pair[0], pair[1], u[i + 2])
+    first, second = pair
+    for window, factors, term in zip(windows, grow, u[2:]):
+        np.multiply(window, factors, pair)
+        np.add(first, second, term)
     return u
 
 
@@ -111,14 +123,17 @@ def steps(s0: complex, s1: complex, err_target: float) -> tuple[np.ndarray, np.n
     |gamma_n| <= |p|^(n-N-1) |gamma_(N+1)| + |p| (n-N-1) M r^n, as |p| <= r,
     which bounds the tail of w."""
     ends, ratios = _path(s0, s1)
-    p = np.expm1(np.diff(ends))
+    ends = np.array(ends)
+    p = np.expm1(ends[1:] - ends[:-1])
     q = p * np.array(ratios)
     k = len(p)
     alpha, beta = np.abs(p - q), np.abs(p * q)
     r = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0 * beta))
-    r_max, n = float(r.max()), 0
-    while n < _MAX_TERMS and r_max ** (n + 1) * (n + 3) > err_target / k * (1.0 - r_max) ** 2:
-        n += 1
+    r_max = float(r.max())
+    # the tail falls with N (r <= _RATIO), so the N below _MAX_TERMS whose
+    # tails miss the target are the first ones
+    n = int(np.count_nonzero(r_max ** _N[1:_MAX_TERMS + 1] * (_N[:_MAX_TERMS] + 3.0)
+                             > err_target / k * (1.0 - r_max) ** 2))
     u = coefficients(p, q, n)
     powers = np.empty((n + 2, k), dtype=complex)            # p (-p)^i
     powers[0] = p
@@ -131,9 +146,10 @@ def steps(s0: complex, s1: complex, err_target: float) -> tuple[np.ndarray, np.n
     rt, t = np.zeros((k, 3, 3), dtype=complex), np.zeros((k, 3, 3))
     rt[:, 0, 0], t[:, 0, 0] = 1.0, _ROUND * (n + 3)
     sums, bound = rt[:, 1:], t[:, 1:]
-    sums[:] = u.T @ _MOMENTS[:n + 2]
-    hankel = _HANKEL[:n + 2, :n + 2]
-    weights = (hankel * (hankel >= 1.0 / (n + 2))) @ powers         # i + j <= N + 1
+    # the sums of u_n and n u_n, and of u_j w_j, the weights w_j from the
+    # entries i + j <= N + 1 of the Hankel matrix
+    sums[..., 1:] = u.T @ _MOMENTS[:n + 2, 1:]
+    weights = (_HANKEL[:n + 2, :n + 2] * _HANKEL_CUT[_MAX_TERMS - n:, :n + 2]) @ powers
     sums[..., 0] = (u * weights[:, None]).sum(axis=0).T
     sums[..., 2] *= ((1.0 + p) / p)[:, None]
     bound[:] = au.T @ _MOMENTS[:n + 2].real * (_ROUND * (n + 3))
@@ -161,13 +177,20 @@ def transport(s0: complex, s1: complex, frame: np.ndarray, err: np.ndarray,
     """The 3 x 3 frame (rows: solutions; columns: w, theta w, theta^2 w) at
     y = e^s0, with the bounds err of its entries, carried to e^s1: the frame
     there and the bounds of its entries.  err and each step's error reach
-    the end through the modulus of the product of the later steps."""
+    the end through the modulus of the product of the later steps.  One
+    ``_scan`` forms the products of the earlier steps and, transposed, of
+    the later ones; the frames before and after every step fill one array."""
     if s1 == s0:
         return frame, err
     rt, t, _ = steps(s0, s1, err_target)
-    upto, later = _scan(np.stack([rt, rt[::-1].transpose(0, 2, 1)]))
-    frames = frame @ upto
-    later = later[::-1].transpose(0, 2, 1)                  # R_k @ ... @ R_K
-    local = np.abs(np.concatenate([frame[None], frames[:-1]])) @ t
-    total = local[-1] + np.einsum("kij,kjl->il", local[:-1], np.abs(later[1:]))
-    return frames[-1], total + err @ np.abs(later[0])
+    k = len(rt)
+    m = np.empty((2, k, 3, 3), dtype=complex)
+    m[0], m[1] = rt, rt[::-1].transpose(0, 2, 1)
+    upto, later = _scan(m)
+    frames = np.empty((k + 1, 3, 3), dtype=complex)
+    frames[0] = frame
+    np.matmul(frame, upto, out=frames[1:])
+    later = np.abs(later[::-1].transpose(0, 2, 1))          # |R_k @ ... @ R_K|
+    local = np.abs(frames[:-1]) @ t
+    total = local[-1] + np.einsum("kij,kjl->il", local[:-1], later[1:])
+    return frames[-1], total + err @ later[0]

@@ -63,6 +63,9 @@ class RunConfig(namedtuple("RunConfig", "precision_mode tolerance y_values")):
         return super().__new__(cls, precision_mode, tolerance,
                                tuple(complex(v) for v in y_values))
 
+    # _replace builds through _make, so both check what __new__ checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def precision(self) -> PrecisionConfig:
         # PrecisionConfig accepts a narrower accuracy window than the CLI
         rel = min(self.tolerance, 1e-6)

@@ -70,6 +70,9 @@ class KClass(namedtuple("KClass", "basis coords")):
             raise BasisError(f"coords must be an integer triple, got {coords!r}")
         return super().__new__(cls, basis, c)
 
+    # _replace builds through _make, so both check what __new__ checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
 
 # columns are the frame's basis vectors written in line-bundle coordinates
 _FRAME_TO_LB = {

@@ -55,6 +55,9 @@ class TransferMatrix(namedtuple("TransferMatrix", "entries residual pre_round_de
             raise DomainError("transfer matrix must be 3x3")
         return super().__new__(cls, rows, residual, pre_round_dev)
 
+    # _replace builds through _make, so both check what __new__ checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def determinant(self) -> int:
         return coh._det3(self.entries)
 

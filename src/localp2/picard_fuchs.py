@@ -85,6 +85,8 @@ _GAP = np.cumsum(_GAP)
 # m^k (H_(3m-1) - H_m), k = 0..3; complex, so that their product with
 # complex terms needs no cast.
 _MOMENTS = np.stack([_M ** k * w for k in range(4) for w in (1.0, _GAP)], axis=1).astype(complex)
+# m^2, the weights of the rounding bound of ``_start_frame``
+_SQUARES = _M ** 2
 
 
 def _inverse_exponents(n: int) -> np.ndarray:
@@ -133,7 +135,7 @@ def _mb_contour(n: int, weighted: bool = True) -> tuple:
 # needs, and all three factors on the whole contour through them.
 _MB_HALF = math.ceil(42.0 / 0.25 / _MB_STEP) + 1
 _MB_EXP, _MB_LG, _MB_PSI = _mb_contour(_MB_HALF)
-for _table in (_RATIO, _GAP, _MOMENTS, _INV_RATIO, _MB_EXP, _MB_LG, _MB_PSI):
+for _table in (_RATIO, _GAP, _MOMENTS, _SQUARES, _INV_RATIO, _MB_EXP, _MB_LG, _MB_PSI):
     _table.setflags(write=False)
 del _M, _E, _table
 
@@ -353,13 +355,18 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     (``_mb_contour``): all three are tabled at import on the whole contour
     t_(-2100)..t_2100 that every modulus with pi - |arg y| >= 0.25 needs,
     so such a call slices the tables and makes no kernel call; closer to
-    the cut a call builds what it needs on its own grid.  Each node then
-    costs one exp of the log factor plus (1/2 - it) log y, and no factor
-    leaves the double range before the product is formed.
+    the cut a call builds what it needs on its own grid.  The nodes then
+    take one array of exponents x = log factor + (1/2 - it) log y, formed
+    once and exponentiated in place, so no factor leaves the double range
+    before the product is formed.  The checks read x and the sum: the
+    plain integrand's modulus is pi e^(Re x) (the digamma weight adds a
+    factor that grows only like log t), so its decay is read from Re x at
+    the ends and at its largest, and a non-finite node leaves the sum
+    non-finite.
 
     Working range: pi - |arg y| > 0.05 at every finite |y|; closer to the
     negative real axis the call raises ConvergenceError, and so does a
-    truncation point where the integrand has not decayed to 1e-12 of its
+    truncation point where pi e^(Re x) has not decayed to 1e-12 of its
     largest value, or a non-finite node value.
     """
     if which not in {"plain", "digamma"}:
@@ -376,16 +383,20 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
         expo, lg, wgt = _MB_EXP[k], _MB_LG[k], _MB_PSI[k]
     else:
         expo, lg, wgt = _mb_contour(n, which == "digamma")
-    vals = -math.pi * np.exp(lg + expo * cmath.log(y))
+    x = expo * cmath.log(y)
+    np.add(lg, x, out=x)
+    # the envelope pi e^(Re x) of the integrand, at its top and at the ends
+    top, ends = x.real.max(), max(x[0].real, x[-1].real)
+    vals = np.multiply(-math.pi, np.exp(x, out=x), out=x)
     if which == "digamma":
-        vals = vals * wgt
-    if not np.isfinite(vals).all():
+        np.multiply(vals, wgt, out=vals)
+    total = np.sum(vals)
+    if not cmath.isfinite(total):
         raise ConvergenceError("contour integrand left the double range")
-    # endpoint check: the truncation must sit deep in the decayed region
-    center = np.max(np.abs(vals))
-    if abs(vals[0]) > 1e-12 * center or abs(vals[-1]) > 1e-12 * center:
+    # the truncation must sit deep in the decayed region
+    if ends > top + math.log(1e-12):
         raise ConvergenceError("contour truncation reached before integrand decay")
-    return complex(np.sum(vals) * _MB_STEP / (2.0 * math.pi))
+    return complex(total * _MB_STEP / (2.0 * math.pi))
 
 
 def _inverse_terms(y: complex, n: int) -> np.ndarray:
@@ -534,7 +545,7 @@ def _start_frame(y0: complex) -> tuple[np.ndarray, np.ndarray]:
         weight = 3.0 * np.array([u, u * u]) / (8.0 * math.pi ** 3)
         lead, terms = _INV_LEAD, np.abs(t)
     bound = weight @ (lead * g * q ** n * (n + 1.0) ** 2
-                      + 2.0 ** -52 * n * (terms @ np.arange(1.0, n + 1.0) ** 2))
+                      + 2.0 ** -52 * n * (terms @ _SQUARES[:n]))
     return frame, bound * np.array([[0.0], [1.0], [1.0]]) + _taylor._ROUND * np.abs(frame)
 
 

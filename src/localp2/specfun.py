@@ -88,6 +88,9 @@ class PrecisionConfig(namedtuple("PrecisionConfig", "mode dps target_rel_err")):
             raise DomainError("target_rel_err must lie in [1e-15, 1e-6]")
         return super().__new__(cls, mode, dps, target_rel_err)
 
+    # _replace builds through _make, so both check what __new__ checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
 
 def default_config() -> PrecisionConfig:
     """The settings of a call made without a config: double precision."""
@@ -260,17 +263,12 @@ def elliptic_E(k, config: PrecisionConfig | None = None):
     return _ellipke("elliptic_E", k, config)[1]
 
 
-def _ramanujan(ar: _Arith, x):
-    """The three arguments of F in the splitting identity at x, and the
-    step that turns F at them into |LHS - RHS|."""
-    r = ar.hypot(1, x)
-
-    def defect(f):
-        lhs = ar.sqrt(r) * f[0]
-        rhs = ar.cplx(1, 1) / 2 * f[1] + ar.cplx(1, -1) / 2 * f[2]
-        return abs(lhs - rhs)
-
-    return [ar.cplx(1, x) / 2, (1 + x / r) / 2, (1 - x / r) / 2], defect
+def _ramanujan_defect(ar: _Arith, r, f):
+    """|LHS - RHS| of the splitting identity at x, r = sqrt(1 + x^2), from F
+    at its three arguments (1 + ix)/2 and (1 +- x/r)/2."""
+    lhs = ar.sqrt(r) * f[0]
+    rhs = ar.cplx(1, 1) / 2 * f[1] + ar.cplx(1, -1) / 2 * f[2]
+    return abs(lhs - rhs)
 
 
 def ramanujan_residual(x, config: PrecisionConfig | None = None):
@@ -298,11 +296,13 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
     if xf < 0.0 or not math.isfinite(xf):
         raise DomainError("ramanujan_residual expects real x >= 0")
     with _arith(_cfg(config)) as ar:
-        nodes, defect = _ramanujan(ar, ar.real(xf))
+        x = ar.real(xf)
+        r = ar.hypot(1, x)
+        nodes = [ar.cplx(1, x) / 2, (1 + x / r) / 2, (1 - x / r) / 2]
         if nodes[1] >= 1:
             raise BranchCutError(f"ramanujan_residual at x = {xf}: the node "
                                  "(1 + x/sqrt(1+x^2))/2 rounds to 1, the branch point of F")
-        return defect(ar.agm([], nodes)[1])
+        return _ramanujan_defect(ar, r, ar.agm([], nodes)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +311,24 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
 
 
 def _consts(ar: _Arith):
-    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, c, q) in the arithmetic ``ar``,
-    the ``consts`` argument of each closed form below.  Gamma(1/3) and
-    Gamma(2/3) come from one gamma pass.  c = 2^(1/3) and q = 3^(1/4) =
-    sqrt(sqrt3) are the two algebraic numbers the closed forms are written
-    in: every power of 2 and 3 they take is a product of integer powers of
-    c, q and sqrt3 = q^2, so none of them calls a transcendental power."""
-    s3 = ar.sqrt(ar.real(3))
+    """(pi, sqrt3, gamma(1/3)^3, gamma(2/3)^3, c, q, sqrt2, e4, e4c) in the
+    arithmetic ``ar``, the ``consts`` argument of each closed form below.
+    Gamma(1/3) and Gamma(2/3) come from one gamma pass.  c = 2^(1/3) and
+    q = 3^(1/4) = sqrt(sqrt3) are the two algebraic numbers the closed forms
+    are written in: every power of 2 and 3 they take is a product of integer
+    powers of c, q and sqrt3 = q^2, so none of them calls a transcendental
+    power.  e4 = e^{i pi/4} = (1 + i)/sqrt2 and e4c, its conjugate, are the
+    phases of F and F' at e^{i pi/3}."""
+    s3, r2 = ar.sqrt(ar.real(3)), ar.sqrt(ar.real(2))
     g13, g23 = ar.gamma([ar.real(1) / 3, ar.real(2) / 3])
-    return ar.pi, s3, g13 ** 3, g23 ** 3, ar.cbrt(ar.real(2)), ar.sqrt(s3)
+    return (ar.pi, s3, g13 ** 3, g23 ** 3, ar.cbrt(ar.real(2)), ar.sqrt(s3),
+            r2, ar.cplx(1, 1) / r2, ar.cplx(1, -1) / r2)
 
 
 def _k_closed(ar: _Arith, consts, sign: int):
     """K(k_+) (sign=+1) or K(k_-) (sign=-1): 2^(-7/3) 3^(3/4 or 1/4)
     Gamma(1/3)^3 / pi, with 2^(-7/3) = 1/(4c)."""
-    pi, s3, g3, _, c, q = consts
+    pi, s3, g3, _, c, q, *_ = consts
     q_pow = s3 * q if sign > 0 else q
     return q_pow * g3 / (4 * c * pi)
 
@@ -337,7 +340,7 @@ def _e_closed(ar: _Arith, consts, sign: int):
         E(k_-) = 2^(1/3) 3^(-3/4) pi^2 / G + 2^(-10/3) 3^(-1/4) (sqrt3 + 1) G / pi
 
     with G = Gamma(1/3)^3 and 2^(-10/3) = c^2/16."""
-    pi, s3, g3, _, c, q = consts
+    pi, s3, g3, _, c, q, *_ = consts
     if sign > 0:
         return c / q * pi * pi / g3 + c * c / 16 * q * (s3 - 1) / pi * g3
     return c / (s3 * q) * pi * pi / g3 + c * c / (16 * q) * (s3 + 1) / pi * g3
@@ -346,10 +349,9 @@ def _e_closed(ar: _Arith, consts, sign: int):
 def _f_closed(ar: _Arith, consts):
     """F(e^{i pi/3}) = e^{i pi/4} a + e^{-i pi/4} b, with b = K(k_-)/pi and
     a = K(k_+)/pi = sqrt3 b."""
-    pi, s3, g3, _, c, q = consts
+    pi, s3, g3, _, c, q, _, e4, e4c = consts
     b = q * g3 / (4 * c * pi * pi)
-    r2 = ar.sqrt(ar.real(2))
-    return ar.cplx(1, 1) / r2 * (s3 * b) + ar.cplx(1, -1) / r2 * b
+    return e4 * (s3 * b) + e4c * b
 
 
 def _f_prime_closed(ar: _Arith, consts):
@@ -358,21 +360,20 @@ def _f_prime_closed(ar: _Arith, consts):
 
     with G = Gamma(1/3)^3, G' = Gamma(2/3)^3, e4 = e^{i pi/4}, e4c its
     conjugate, 2^(-7/3) = 1/(4c) and 2^(-8/3) = c/8."""
-    pi, s3, g3, g23, c, q = consts
-    r2 = ar.sqrt(ar.real(2))
-    e4, e4c = ar.cplx(1, 1) / r2, ar.cplx(1, -1) / r2  # e^{+-i pi/4}
+    pi, s3, g3, g23, c, q, _, e4, e4c = consts
     return (g3 / (4 * c * q) * (e4 - s3 * e4c) / (2 * pi * pi)
             + g23 * s3 * q * c / 8 * (e4 + s3 * e4c) / (pi * pi))
 
 
-def _f_prime_elliptic(ar: _Arith, moduli, ke_plus, ke_minus, f_at):
+def _f_prime_elliptic(ar: _Arith, r2, moduli, ke_plus, ke_minus, f_at):
     """F'(e^{i pi/3}) by differentiating the splitting identity at x = sqrt3.
 
     Uses dK/dk = E/(k(1-k^2)) - K/k at the two real singular moduli, so the
     route is independent of the Gamma(1/3)^3 closed form.  The values it
     rests on are those of the K, E and F(-omega) rows of
     ``closed_form_checks``: ``moduli`` is (k_+, k_-), ``ke_plus`` and
-    ``ke_minus`` are (K, E) at k_+ and k_-, and ``f_at`` is F(e^{i pi/3}).
+    ``ke_minus`` are (K, E) at k_+ and k_-, and ``f_at`` is F(e^{i pi/3});
+    r2 is sqrt2.
     """
     fp = []
     for k, (kk, ee) in zip(moduli, (ke_plus, ke_minus)):
@@ -380,7 +381,7 @@ def _f_prime_elliptic(ar: _Arith, moduli, ke_plus, ke_minus, f_at):
         fp.append(kprime / (ar.pi * k))
     rhs_prime = (ar.cplx(1, 1) / 2 * fp[0] - ar.cplx(1, -1) / 2 * fp[1]) / 16
     lhs_drift = ar.sqrt(ar.real(3) / 32) * f_at
-    return -ar.cplx(0, 1) * ar.sqrt(2) * (rhs_prime - lhs_drift)
+    return -ar.cplx(0, 1) * r2 * (rhs_prime - lhs_drift)
 
 
 def _finite_difference(ar: _Arith, cfg: PrecisionConfig, z):
@@ -414,10 +415,11 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     mode (4-point stencil), one ``_kernels.ellipke_hyp2f1_half_array``
     call, and 5 in extended mode (2-point stencil), one
     ``_extended.agm_fixed`` call per point.  The singular moduli and
-    e^{i pi/3} are formed once too.  The closed forms share one gamma pass
-    over 1/3 and 2/3 (one ``_kernels.gamma_array`` call in double mode), and
-    write every power of 2 and 3 as integer powers of one 2^(1/3) and one
-    3^(1/4).
+    e^{i pi/3} are formed once too, and so are sqrt2, sqrt3 and e^{+-i pi/4}
+    (``_consts``), which the closed forms, the elliptic F' row and the
+    Ramanujan row share.  The closed forms share one gamma pass over 1/3 and
+    2/3 (one ``_kernels.gamma_array`` call in double mode), and write every
+    power of 2 and 3 as integer powers of one 2^(1/3) and one 3^(1/4).
     """
     cfg = _cfg(config)
     with _arith(cfg) as ar:
@@ -425,10 +427,8 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
         stencil, derivative = _finite_difference(ar, cfg, z)
         ke_pm, (f_at, *f) = ar.agm(moduli, [z, *stencil])
         (kkp, eep), (kkm, eem) = ke_pm
-        # the Ramanujan arguments at x = sqrt3 are (1 + i sqrt3)/2 = -omega
-        # itself and (1 +- sqrt3/2)/2 = k_+-^2, where F is 2K/pi
-        _, ram_defect = _ramanujan(ar, ar.sqrt(ar.real(3)))
         consts = _consts(ar)
+        s3, r2 = consts[1], consts[6]
         fp_closed = _f_prime_closed(ar, consts)
         rows = [
             ("K(k_plus)", kkp, _k_closed(ar, consts, +1)),
@@ -436,7 +436,7 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
             ("E(k_plus)", eep, _e_closed(ar, consts, +1)),
             ("E(k_minus)", eem, _e_closed(ar, consts, -1)),
             ("F(-omega)", f_at, _f_closed(ar, consts)),
-            ("Fprime(-omega) elliptic", _f_prime_elliptic(ar, moduli, *ke_pm, f_at),
+            ("Fprime(-omega) elliptic", _f_prime_elliptic(ar, r2, moduli, *ke_pm, f_at),
              fp_closed),
             ("Fprime(-omega) finite difference", derivative(f), fp_closed),
         ]
@@ -444,7 +444,9 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
                 "closed_form": complex(closed),
                 "rel_err": float(abs(computed - closed) / abs(closed))}
                for name, computed, closed in rows]
-        r = float(ram_defect([f_at, 2 * kkp / ar.pi, 2 * kkm / ar.pi]))
+        # the Ramanujan arguments at x = sqrt3 are (1 + i sqrt3)/2 = -omega
+        # itself and (1 +- sqrt3/2)/2 = k_+-^2, where F is 2K/pi
+        r = float(_ramanujan_defect(ar, ar.hypot(1, s3), [f_at, 2 * kkp / ar.pi, 2 * kkm / ar.pi]))
     out.append({"name": "ramanujan x=sqrt3", "computed": complex(r, 0.0),
                 "closed_form": 0j, "rel_err": r})
     return out

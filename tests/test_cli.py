@@ -352,6 +352,17 @@ def test_run_config_keeps_its_defaults_and_normalizes_the_moduli(tol):
     assert RunConfig("extended").y_values == ()
 
 
+def test_run_config_replace_and_make_check_what_the_constructor_checks():
+    cfg = RunConfig("double")
+    with pytest.raises(LocalP2Error, match="tolerance must lie in"):
+        cfg._replace(tolerance=1.0)
+    with pytest.raises(LocalP2Error, match="tolerance must lie in"):
+        RunConfig._make(["double", 1.0, ()])
+    # a valid replacement normalizes the moduli like the constructor
+    got = cfg._replace(y_values=[2])
+    assert got == RunConfig("double", y_values=(2 + 0j,)) and type(got.y_values[0]) is complex
+
+
 def test_missing_y_is_reported(capsys):
     code = dispatch(["continue"])
     report = json.loads(capsys.readouterr().out)

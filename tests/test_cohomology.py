@@ -197,6 +197,24 @@ def test_kclass_normalizes_its_frame_and_coordinates():
     assert k.basis is coh.Basis.CHARGE and k.coords == (1, -2, 3)
 
 
+@pytest.mark.parametrize("fields, message", [({"coords": (1.5, 0, 0)}, "integer triple"),
+                                             ({"basis": "x"}, "unknown basis 'x'")])
+def test_kclass_replace_and_make_check_what_the_constructor_checks(fields, message):
+    k = coh.KClass(coh.Basis.BRANE, (0, 0, 1))
+    with pytest.raises(BasisError, match=message):
+        k._replace(**fields)
+    with pytest.raises(BasisError, match=message):
+        coh.KClass._make({**k._asdict(), **fields}.values())
+    # a valid replacement is normalized like a constructed class
+    assert k._replace(basis="charge", coords=[1, -2, 3]) == coh.KClass("charge", (1, -2, 3))
+
+
+def test_a_tensor_with_a_replaced_unknown_frame_is_a_basis_error():
+    k = coh.KClass(coh.Basis.BRANE, (0, 0, 1))
+    with pytest.raises(BasisError, match="unknown basis 'x'"):
+        coh.tensor(k._replace(basis="x"), k)
+
+
 @pytest.mark.parametrize("frame", list(coh.Basis))
 def test_central_charge_is_the_charge_basis_pairing(frame):
     # the defining pairing Z(f) = sum_i w_i euler_pairing_bk(f, e_i) over

@@ -110,6 +110,18 @@ def test_transfer_matrix_entries_become_integer_rows():
     assert (tm.residual, tm.pre_round_dev) == (1e-16, 2e-9)
 
 
+def test_transfer_matrix_replace_and_make_check_what_the_constructor_checks():
+    tm = mm.TransferMatrix(EXPECTED, 0.0, 0.0)
+    with pytest.raises(DomainError, match="3x3"):
+        tm._replace(entries=((1, 0), (0, 1)))
+    with pytest.raises(DomainError, match="3x3"):
+        mm.TransferMatrix._make([((1, 0), (0, 1)), 0.0, 0.0])
+    # a valid replacement rounds its entries to integer rows
+    got = tm._replace(entries=np.array(EXPECTED, dtype=float), residual=1e-16)
+    assert got == mm.TransferMatrix(EXPECTED, 1e-16, 0.0)
+    assert all(type(v) is int for row in got.entries for v in row)
+
+
 # --- fit on real period data ----------------------------------------------------
 
 def test_fit_transfer_matrix_standard_samples():

@@ -360,6 +360,25 @@ def test_mellin_barnes_refuses_the_last_sliver_before_the_cut(decay):
                 pf.mellin_barnes(cmath.rect(r, math.pi - decay), which)
 
 
+@pytest.mark.parametrize("which", ["plain", "digamma"])
+def test_mellin_barnes_refuses_an_integrand_out_of_range_or_undecayed(monkeypatch, which):
+    # no modulus reaches either in-body refusal with the true node tables,
+    # so each is forced through a patched copy of the log factor: its
+    # centre raised past the double range, or the centre value on every
+    # node, so that the integrand grows towards one end of the contour
+    y, centre = 0.01j, pf._MB_LG[pf._MB_HALF - 1]
+    lg = pf._MB_LG.copy()
+    lg[pf._MB_HALF - 1] += 1000.0
+    monkeypatch.setattr(pf, "_MB_LG", lg)
+    with pytest.raises(ConvergenceError, match="contour integrand left the double range"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        pf.mellin_barnes(y, which)
+    monkeypatch.setattr(pf, "_MB_LG", np.full_like(lg, centre))
+    with pytest.raises(ConvergenceError,
+                       match="contour truncation reached before integrand decay"):
+        pf.mellin_barnes(y, which)
+
+
 def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
     # inside the node table (pi - |arg y| >= 0.25) a call makes no kernel
     # call; past it the plain variant makes two log-gamma calls and the
@@ -510,10 +529,13 @@ def test_recurrence_matches_the_taylor_coefficients(y0, ds):
     x0 = -27.0 * y0
     p = np.array([cmath.exp(ds) - 1.0])
     q = p * x0 / (1.0 - x0)
-    got = _taylor.coefficients(p, q, 18)[:, :, 0]
-    for run, want in enumerate(_local_taylor_oracle(x0, complex(p[0]) * x0, 20)):
-        scale = max(abs(v) for v in want)
-        assert max(abs(g - w) for g, w in zip(got[:, run], want)) <= 1e-14 * scale, (y0, run)
+    oracle = _local_taylor_oracle(x0, complex(p[0]) * x0, 20)
+    for n in (0, 1, 2, 7, 18):
+        got = _taylor.coefficients(p, q, n)[:, :, 0]
+        assert got.shape == (n + 2, 2)
+        for run, want in enumerate(oracle):
+            scale = max(abs(v) for v in want)
+            assert max(abs(g - w) for g, w in zip(got[:, run], want)) <= 1e-14 * scale, (y0, n)
 
 
 def _seeded_continuation_targets(rng, count, lo, hi):

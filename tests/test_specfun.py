@@ -281,7 +281,7 @@ def test_closed_forms_match_their_literal_powers(mode, bound):
     # digits, from the same pi and Gamma cubes: in extended mode at 60
     # digits, and in double mode within the rounding of the double products
     with sf._arith(PrecisionConfig(mode=mode, dps=60)) as ar:
-        pi, _, g3, g23, _, _ = consts = sf._consts(ar)
+        pi, _, g3, g23, *_ = consts = sf._consts(ar)
         got = [sf._k_closed(ar, consts, +1), sf._k_closed(ar, consts, -1),
                sf._e_closed(ar, consts, +1), sf._e_closed(ar, consts, -1),
                sf._f_closed(ar, consts), sf._f_prime_closed(ar, consts)]
@@ -494,3 +494,17 @@ def test_precision_config_validation():
 def test_precision_config_rejects(kwargs, message):
     with pytest.raises(DomainError, match=message):
         PrecisionConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "bogus", "target_rel_err": 1.0}, "unknown precision mode"),
+    ({"mode": "extended", "dps": 29}, "dps >= 30"),
+    ({"target_rel_err": 1.0}, "target_rel_err"),
+])
+def test_precision_config_replace_and_make_check_what_the_constructor_checks(kwargs, message):
+    cfg = PrecisionConfig()
+    with pytest.raises(DomainError, match=message):
+        cfg._replace(**kwargs)
+    with pytest.raises(DomainError, match=message):
+        PrecisionConfig._make({**cfg._asdict(), **kwargs}.values())
+    assert cfg._replace(mode="extended") == PrecisionConfig("extended")
