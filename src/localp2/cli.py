@@ -1,5 +1,10 @@
 """Command-line front end: dispatch, serialization, reproduction pipeline.
 
+``dispatch`` checks ``--tol`` against [1e-12, 1e-3] and calls the
+subcommand's body as ``body(quad, tol, ys)``: the run's one
+``PrecisionConfig`` (``--precision``, double by default, at the target
+min(tol, 1e-6)), the flagging tolerance, and the ``--y`` moduli as a tuple
+of complex numbers, empty when none is given.
 Subcommand bodies return plain values; ``_json_text`` and ``_csv_emit``
 write them.  Complex numbers, numpy's included, serialize as
 {"re": .., "im": ..} objects, matrices row-major; every subcommand's JSON
@@ -17,7 +22,6 @@ import json
 import math
 import os
 import sys
-from collections import namedtuple
 
 import numpy as np
 
@@ -43,38 +47,9 @@ _MODULUS_AWARE = ("series", "continue", "periods", "transfer-matrix", "central-c
 _DEFAULT_TOL = 1e-6
 
 
-class RunConfig(namedtuple("RunConfig", "precision_mode tolerance y_values")):
-    """Validated run settings read by the subcommand bodies.
-
-    precision_mode  str: "double" or "extended"; ``dispatch`` takes it from
-                    ``--precision``, else from ``specfun.default_config()``,
-                    which is double
-    tolerance       float: the flagging tolerance, in [1e-12, 1e-3]
-    y_values        tuple[complex, ...]: the moduli given with ``--y``
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, precision_mode: str, tolerance: float = _DEFAULT_TOL,
-                y_values: tuple = ()):
-        if not (1e-12 <= tolerance <= 1e-3):
-            raise LocalP2Error(
-                f"tolerance must lie in [1e-12, 1e-3], got {tolerance:g}")
-        return super().__new__(cls, precision_mode, tolerance,
-                               tuple(complex(v) for v in y_values))
-
-    # _replace builds through _make, so both check what __new__ checks
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def precision(self) -> PrecisionConfig:
-        # PrecisionConfig accepts a narrower accuracy window than the CLI
-        rel = min(self.tolerance, 1e-6)
-        return PrecisionConfig(mode=self.precision_mode, target_rel_err=rel)
-
-    def require_y(self) -> tuple:
-        if not self.y_values:
-            raise LocalP2Error("this subcommand needs at least one --y value")
-        return self.y_values
+def _require_y(ys: tuple) -> None:
+    if not ys:
+        raise LocalP2Error("this subcommand needs at least one --y value")
 
 
 def _parse_complex(text: str) -> complex:
@@ -126,20 +101,18 @@ def _solution_payload(triples, tol) -> tuple[dict, int]:
                           for t in triples])
 
 
-def _cmd_series(cfg: RunConfig) -> tuple[dict, int]:
-    ys = cfg.y_values or (0.02,)
-    target = cfg.precision().target_rel_err
-    return _solution_payload([pf.series_solutions(y, target) for y in ys], cfg.tolerance)
+def _cmd_series(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+    return _solution_payload([pf.series_solutions(y, quad.target_rel_err)
+                              for y in ys or (0.02,)], tol)
 
 
-def _cmd_continue(cfg: RunConfig) -> tuple[dict, int]:
-    ys = cfg.require_y()
-    target = cfg.precision().target_rel_err
+def _cmd_continue(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+    _require_y(ys)
     return _solution_payload(
-        [pf.continue_solutions(y, err_target=target) for y in ys], cfg.tolerance)
+        [pf.continue_solutions(y, err_target=quad.target_rel_err) for y in ys], tol)
 
 
-def _cmd_monodromy(cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_monodromy(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     m = pf.monodromy_around_origin()
     n = np.array(m) - np.eye(3, dtype=int)
     unipotent = not np.any(n @ n @ n)
@@ -147,16 +120,15 @@ def _cmd_monodromy(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0 if unipotent else 1
 
 
-def _cmd_periods(cfg: RunConfig) -> tuple[dict, int]:
-    quad = cfg.precision()
+def _cmd_periods(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+    _require_y(ys)
     return _rows_payload([{"y": pv.y, "I": pv.as_vector(), "err": pv.err,
-                           "flagged": max(pv.err) > cfg.tolerance}
-                          for pv in (geom.periods(y, quad) for y in cfg.require_y())])
+                           "flagged": max(pv.err) > tol}
+                          for pv in (geom.periods(y, quad) for y in ys)])
 
 
-def _cmd_transfer_matrix(cfg: RunConfig) -> tuple[dict, int]:
-    ys = cfg.y_values or mm.FIT_MODULI
-    tm = mm.fit_transfer_matrix(ys, cfg.precision())
+def _cmd_transfer_matrix(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+    tm = mm.fit_transfer_matrix(ys or mm.FIT_MODULI, quad)
     # the fit checks the pinned matrix
     bad = tm.entries != mm.TRANSFER_MATRIX
     payload = {
@@ -177,26 +149,25 @@ def _mirror_object_rows() -> list:
             for i, n in enumerate(mm.mirror_objects())]
 
 
-def _cmd_mirror_objects(cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_mirror_objects(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     ok = mm.ako_twist_check()
     payload = {"objects": _mirror_object_rows(), "twist_check": ok}
     return payload, 0 if ok else 1
 
 
-def _cmd_central_charges(cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_central_charges(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     # every modulus is checked before any period vector is computed
-    ys = [geom._period_modulus(y) for y in cfg.y_values or (1e3,)]
-    quad = cfg.precision()
+    ys = [geom._period_modulus(y) for y in ys or (1e3,)]
     return _rows_payload([{"y": y, **r} for y in ys
                           for r in mm.central_charge_report(geom.periods(y, quad))])
 
 
-def _cmd_verify_appendix(cfg: RunConfig) -> tuple[dict, int]:
-    return _rows_payload([{**r, "flagged": r["rel_err"] > cfg.tolerance}
-                          for r in specfun.closed_form_checks(cfg.precision())])
+def _cmd_verify_appendix(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+    return _rows_payload([{**r, "flagged": r["rel_err"] > tol}
+                          for r in specfun.closed_form_checks(quad)])
 
 
-def _cmd_ktheory_table(cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_ktheory_table(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     duality = coh.pairing_table()
     ident = all(duality[i][j] == (1 if i == j else 0)
                 for i in range(3) for j in range(3))
@@ -209,7 +180,7 @@ def _cmd_ktheory_table(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0 if ident else 1
 
 
-def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_reproduce(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     """Full pipeline: appendix identities, solution cross-checks, periods,
     transfer fit, central charges.  Exit 0 only if every stage passes; a
     fit that raises fails its stage, and the payload's matrix is null."""
@@ -218,7 +189,7 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     def stage(name, ok, detail):
         stages.append({"name": name, "pass": ok, "detail": detail})
 
-    checks = specfun.closed_form_checks(cfg.precision())
+    checks = specfun.closed_form_checks(quad)
     worst = max(r["rel_err"] for r in checks)
     stage("appendix_closed_forms", worst <= 1e-10, f"worst rel err {worst:.3e}")
 
@@ -237,7 +208,6 @@ def _cmd_reproduce(cfg: RunConfig) -> tuple[dict, int]:
     resid = pf.annihilation_residual((0.01, -0.015, 0.02j, 0.5, -2.0 + 2.0j))
     stage("annihilator", resid <= 1e-10, f"residual {resid:.3e}")
 
-    quad = cfg.precision()
     # each period vector is computed once, here, and reused by the fit and
     # the central charges
     period_rows = []
@@ -389,15 +359,15 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(
-            tolerance=ns.tol,
-            y_values=tuple(ns.y) if ns.y else (),
-            precision_mode=ns.precision or specfun.default_config().mode,
-        )
+        if not (1e-12 <= ns.tol <= 1e-3):
+            raise LocalP2Error(f"tolerance must lie in [1e-12, 1e-3], got {ns.tol:g}")
+        # PrecisionConfig accepts a narrower accuracy window than the CLI
+        quad = PrecisionConfig(mode=ns.precision or "double",
+                               target_rel_err=min(ns.tol, 1e-6))
         if ns.format == "csv" and ns.command not in _CSV_ABLE:
             raise LocalP2Error(
                 f"subcommand {ns.command} has no CSV form; use --format json")
-        payload, flagged = _BODIES[ns.command](cfg)
+        payload, flagged = _BODIES[ns.command](quad, ns.tol, tuple(ns.y or ()))
         if ns.format == "csv":
             text = _csv_emit(ns.command, payload)
         else:

@@ -69,9 +69,10 @@ def solve_transfer(period_rows, solution_rows) -> TransferMatrix:
     """Least-squares solve of W = I . M followed by integer rounding.
 
     ``period_rows`` and ``solution_rows`` are matching lists of length-3
-    complex rows.  The fitted matrix must sit within 1e-4 of an integer
-    matrix entrywise, and the post-rounding residual must stay below 1e-3;
-    otherwise the deviations are reported in a FitError.
+    complex rows, every entry finite, else a DomainError.  The fitted matrix
+    must sit within 1e-4 of an integer matrix entrywise, and the
+    post-rounding residual must stay below 1e-3; otherwise the deviations
+    are reported in a FitError.
     """
     imat = np.array(period_rows, dtype=complex)
     wmat = np.array(solution_rows, dtype=complex)
@@ -79,6 +80,8 @@ def solve_transfer(period_rows, solution_rows) -> TransferMatrix:
         raise DomainError("need matching n x 3 period and solution rows")
     if imat.shape[0] < 3:
         raise DomainError("need at least three sample rows")
+    if not (np.isfinite(imat).all() and np.isfinite(wmat).all()):
+        raise DomainError("period and solution rows must be finite")
     fitted, *_ = np.linalg.lstsq(imat, wmat, rcond=None)
     rounded = np.round(fitted.real)
     pre_dev = float(np.max(np.abs(fitted - rounded)))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -183,6 +184,18 @@ def _check_series_domain(y: complex) -> complex:
     return y
 
 
+def _check_term_count(n) -> None:
+    """DomainError unless the term count n of ``_series_terms`` or
+    ``_inverse_terms`` is an integer, numpy's included, from 1 to
+    ``_SERIES_MAX_TERMS``."""
+    try:
+        if 1 <= operator.index(n) <= _SERIES_MAX_TERMS:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"series terms must number 1 to {_SERIES_MAX_TERMS}, got {n}")
+
+
 def _series_terms(y, n: int, lead: float) -> tuple[np.ndarray, np.ndarray]:
     """The arrays (t_m, H_{3m-1} - H_m) for m = 1..n, where
     t_m = (lead/2) C_m (-y)^m.
@@ -195,8 +208,7 @@ def _series_terms(y, n: int, lead: float) -> tuple[np.ndarray, np.ndarray]:
     increments.  Both n-only arrays are slices of tables built once, up to
     ``_SERIES_MAX_TERMS``.  A float y keeps the terms real.
     """
-    if not 1 <= n <= _SERIES_MAX_TERMS:
-        raise DomainError(f"series terms must number 1 to {_SERIES_MAX_TERMS}, got {n}")
+    _check_term_count(n)
     ratio = _RATIO[:n] * (-y)
     ratio[0] = lead * (-y)
     return np.cumprod(ratio), _GAP[:n]
@@ -402,6 +414,7 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
 def _inverse_terms(y: complex, n: int) -> np.ndarray:
     """The 2 x n array t_m^a, m = 0..n-1, of ``w_at_infinity``: one cumulative
     product along each row of the ratios over y, from the n = 0 terms."""
+    _check_term_count(n)
     ratio = _INV_RATIO[:, :n] * (1.0 / y)
     ratio[:, 0] = _INV_LEAD
     return np.cumprod(ratio, axis=1)
@@ -460,8 +473,6 @@ def w_at_infinity(y: complex, n_terms: int | None = None) -> SolutionTriple:
     if n_terms is None:
         n_terms = math.ceil(math.log(2.0 ** -53 * one_minus_q) / -ln_27y)
         n_terms = max(1, min(_SERIES_MAX_TERMS, n_terms))
-    if not 1 <= n_terms <= _SERIES_MAX_TERMS:
-        raise DomainError(f"n_terms must lie in [1, {_SERIES_MAX_TERMS}], got {n_terms}")
     t = _inverse_terms(y, n_terms)
     err = ((abs(t[0, -1]) * weight[0] + abs(t[1, -1]) * weight[1])
            * math.exp(-ln_27y) / one_minus_q + 2.0 ** -48 * (1.0 / 3.0 + e0 / one_minus_q))

@@ -22,8 +22,8 @@ import localp2.mirror_geometry as geom
 import localp2.mirror_map as mm
 import localp2.picard_fuchs as pf
 import localp2.specfun as sf
-from localp2.cli import (SUBCOMMANDS, RunConfig, _build_parser, _json_text,
-                         _parse_complex, dispatch, main)
+from localp2.cli import (SUBCOMMANDS, _build_parser, _json_text, _parse_complex,
+                         dispatch, main)
 from localp2.errors import LocalP2Error
 
 # minimal clean invocation per subcommand
@@ -329,38 +329,36 @@ def test_modulus_flag_is_a_usage_error_where_no_modulus_is_read(command, capsys)
         assert captured.out == "" and "--y" in captured.err
 
 
-def test_tolerance_validation(capsys):
-    assert dispatch(["series", "--tol", "1"]) == 1
+@pytest.mark.parametrize("tol", ["1e-13", "9.9e-13", "1.01e-3", "1", "nan"])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_tolerance_validation(command, tol, capsys):
+    # checked before any body, so continue and periods need no --y here
+    assert dispatch([command, "--tol", tol]) == 1
     report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, _schema("error"))
     assert report["error"] == "LocalP2Error"
-    assert dispatch(["series", "--tol", "1e-13"]) == 1
-    capsys.readouterr()
+    assert "tolerance must lie in" in report["context"]["message"]
 
 
-@pytest.mark.parametrize("tol", [1e-13, 9.9e-13, 1.01e-3, 1.0, float("nan")])
-def test_run_config_rejects_a_tolerance_outside_its_window(tol):
-    with pytest.raises(LocalP2Error, match="tolerance must lie in"):
-        RunConfig("double", tolerance=tol)
+@pytest.mark.parametrize("tol", ["1e-12", "1e-3"])
+def test_the_ends_of_the_tolerance_window_are_accepted(tol, capsys):
+    for command in ("series", "monodromy"):
+        assert dispatch([command, "--tol", tol]) == 0, command
+        assert "error" not in json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3])
-def test_run_config_keeps_its_defaults_and_normalizes_the_moduli(tol):
-    cfg = RunConfig("double", tol, y_values=[2, 1e3 + 1j])
-    assert cfg.tolerance == tol
-    assert cfg.y_values == (2 + 0j, 1e3 + 1j)
-    assert all(type(y) is complex for y in cfg.y_values)
-    assert RunConfig("extended").y_values == ()
+def test_the_tolerance_is_checked_before_the_csv_refusal(capsys):
+    assert dispatch(["monodromy", "--tol", "1", "--format", "csv"]) == 1
+    assert "tolerance must lie in" in json.loads(capsys.readouterr().out)["context"]["message"]
 
 
-def test_run_config_replace_and_make_check_what_the_constructor_checks():
-    cfg = RunConfig("double")
-    with pytest.raises(LocalP2Error, match="tolerance must lie in"):
-        cfg._replace(tolerance=1.0)
-    with pytest.raises(LocalP2Error, match="tolerance must lie in"):
-        RunConfig._make(["double", 1.0, ()])
-    # a valid replacement normalizes the moduli like the constructor
-    got = cfg._replace(y_values=[2])
-    assert got == RunConfig("double", y_values=(2 + 0j,)) and type(got.y_values[0]) is complex
+def test_a_tolerance_outside_the_window_runs_no_body(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("periods computed at a refused tolerance")
+
+    monkeypatch.setattr(geom, "periods", refuse)
+    assert dispatch(["periods", "--y", "1e3", "--tol", "1"]) == 1
+    assert "tolerance must lie in" in json.loads(capsys.readouterr().out)["context"]["message"]
 
 
 def test_missing_y_is_reported(capsys):

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import localp2
-from localp2 import cli, cohomology as coh, mirror_geometry as geom
+from localp2 import cohomology as coh, mirror_geometry as geom
 from localp2 import mirror_map as mm, picard_fuchs as pf, specfun as sf
 
 # __main__ runs the command line when imported
@@ -29,7 +29,6 @@ def test_all_entries_resolve(name):
 
 # each record, the arguments of one valid instance, and its fields
 _RECORDS = [
-    (cli.RunConfig, ("double",), ("precision_mode", "tolerance", "y_values")),
     (coh.KClass, (coh.Basis.BRANE, (0, 0, 1)), ("basis", "coords")),
     (sf.PrecisionConfig, ("double",), ("mode", "dps", "target_rel_err")),
     (geom.PeriodVector, (1.0, 2.0, 3.0, 1e3, (0.0, 0.0, 0.0)),

@@ -7,6 +7,9 @@ recovered exactly before the fit is trusted on real period data.
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +76,41 @@ def test_solve_transfer_shape_checks():
         mm.solve_transfer(irows, wrows)
     with pytest.raises(DomainError):
         mm.solve_transfer([[1, 2], [3, 4], [5, 6]], [[1, 2], [3, 4], [5, 6]])
+
+
+def _with_entry(rows, value):
+    rows = [list(r) for r in rows]
+    rows[1][2] = value
+    return rows
+
+
+@pytest.mark.parametrize("which", ["periods", "solutions"])
+def test_solve_transfer_rejects_a_nan_entry(which):
+    irows, wrows = _synthetic_rows(EXPECTED)
+    if which == "periods":
+        irows = _with_entry(irows, math.nan)
+    else:
+        wrows = _with_entry(wrows, complex(0.0, math.nan))
+    with pytest.raises(DomainError, match="finite"):
+        mm.solve_transfer(irows, wrows)
+
+
+def test_solve_transfer_rejects_an_infinite_entry_without_hanging():
+    # an inf in the first period entry sent LAPACK's least squares into a
+    # loop that never returned, so the solve runs in a child a timeout stops
+    code = ("import math, localp2.mirror_map as mm\n"
+            "rows = [[math.inf, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]]\n"
+            "good = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]]\n"
+            "for args in ((rows, good), (good, rows)):\n"
+            "    try:\n"
+            "        mm.solve_transfer(*args)\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n")
+    src = os.path.dirname(os.path.dirname(mm.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.splitlines() == ["DomainError period and solution rows must be finite"] * 2
 
 
 def test_transfer_matrix_helpers():

@@ -789,6 +789,30 @@ def test_w_at_infinity_domain():
         pf.w_at_infinity(1e3, n_terms=pf._SERIES_MAX_TERMS + 1)
 
 
+# every caller of the two term helpers, inside and outside the disc
+_TERM_COUNT_CALLS = {
+    "chf_expand": lambda n: pf.chf_expand(0.01, n_max=n),
+    "series_w1": lambda n: pf.series_w1(0.01, n_terms=n),
+    "series_w2": lambda n: pf.series_w2(0.01, n_terms=n),
+    "w_at_infinity": lambda n: pf.w_at_infinity(1e3, n_terms=n),
+    "annihilator_inside": lambda n: pf.annihilation_residual([0.01], n_terms=n),
+    "annihilator_outside": lambda n: pf.annihilation_residual([1.0], n_terms=n),
+}
+
+
+@pytest.mark.parametrize("n", [0, pf._SERIES_MAX_TERMS + 1, 5000, 16.0, 2.5])
+@pytest.mark.parametrize("route", _TERM_COUNT_CALLS)
+def test_a_term_count_that_is_no_integer_in_range_is_a_domain_error(route, n):
+    with pytest.raises(DomainError, match="series terms must number 1 to 2000"):
+        _TERM_COUNT_CALLS[route](n)
+
+
+@pytest.mark.parametrize("route", _TERM_COUNT_CALLS)
+def test_a_numpy_integer_term_count_is_accepted(route):
+    call = _TERM_COUNT_CALLS[route]
+    assert call(np.int64(16)) == call(np.int32(16)) == call(16)
+
+
 def w_infinity_oracle(y: complex, digits: int = 34) -> tuple[complex, complex]:
     """w1 and w2 of the large-|y| series, summed at 30 digits from mpmath
     Gamma values until a term drops below 10^-digits of its sum."""
