@@ -1,7 +1,7 @@
 """Command-line front end: dispatch, serialization, reproduction pipeline.
 
 ``dispatch`` checks ``--tol`` against [1e-12, 1e-3] and calls the
-subcommand's body as ``body(quad, tol, ys)``: the run's one
+subcommand's body as ``body(cfg, tol, ys)``: the run's one
 ``PrecisionConfig`` (``--precision``, double by default, at the target
 min(tol, 1e-6)), the flagging tolerance, and the ``--y`` moduli as a tuple
 of complex numbers, empty when none is given.
@@ -101,18 +101,18 @@ def _solution_payload(triples, tol) -> tuple[dict, int]:
                           for t in triples])
 
 
-def _cmd_series(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
-    return _solution_payload([pf.series_solutions(y, quad.target_rel_err)
+def _cmd_series(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+    return _solution_payload([pf.series_solutions(y, cfg.target_rel_err)
                               for y in ys or (0.02,)], tol)
 
 
-def _cmd_continue(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_continue(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     _require_y(ys)
     return _solution_payload(
-        [pf.continue_solutions(y, err_target=quad.target_rel_err) for y in ys], tol)
+        [pf.continue_solutions(y, err_target=cfg.target_rel_err) for y in ys], tol)
 
 
-def _cmd_monodromy(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_monodromy(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     m = pf.monodromy_around_origin()
     n = np.array(m) - np.eye(3, dtype=int)
     unipotent = not np.any(n @ n @ n)
@@ -120,15 +120,15 @@ def _cmd_monodromy(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, 
     return payload, 0 if unipotent else 1
 
 
-def _cmd_periods(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_periods(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     _require_y(ys)
     return _rows_payload([{"y": pv.y, "I": pv.as_vector(), "err": pv.err,
                            "flagged": max(pv.err) > tol}
-                          for pv in (geom.periods(y, quad) for y in ys)])
+                          for pv in (geom.periods(y) for y in ys)])
 
 
-def _cmd_transfer_matrix(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
-    tm = mm.fit_transfer_matrix(ys or mm.FIT_MODULI, quad)
+def _cmd_transfer_matrix(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+    tm = mm.fit_transfer_matrix(ys or mm.FIT_MODULI)
     # the fit checks the pinned matrix
     bad = tm.entries != mm.TRANSFER_MATRIX
     payload = {
@@ -149,25 +149,25 @@ def _mirror_object_rows() -> list:
             for i, n in enumerate(mm.mirror_objects())]
 
 
-def _cmd_mirror_objects(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_mirror_objects(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     ok = mm.ako_twist_check()
     payload = {"objects": _mirror_object_rows(), "twist_check": ok}
     return payload, 0 if ok else 1
 
 
-def _cmd_central_charges(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_central_charges(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     # every modulus is checked before any period vector is computed
     ys = [geom._period_modulus(y) for y in ys or (1e3,)]
     return _rows_payload([{"y": y, **r} for y in ys
-                          for r in mm.central_charge_report(geom.periods(y, quad))])
+                          for r in mm.central_charge_report(geom.periods(y))])
 
 
-def _cmd_verify_appendix(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_verify_appendix(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     return _rows_payload([{**r, "flagged": r["rel_err"] > tol}
-                          for r in specfun.closed_form_checks(quad)])
+                          for r in specfun.closed_form_checks(cfg)])
 
 
-def _cmd_ktheory_table(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_ktheory_table(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     duality = coh.pairing_table()
     ident = all(duality[i][j] == (1 if i == j else 0)
                 for i in range(3) for j in range(3))
@@ -180,7 +180,7 @@ def _cmd_ktheory_table(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[di
     return payload, 0 if ident else 1
 
 
-def _cmd_reproduce(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_reproduce(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
     """Full pipeline: appendix identities, solution cross-checks, periods,
     transfer fit, central charges.  Exit 0 only if every stage passes; a
     fit that raises fails its stage, and the payload's matrix is null."""
@@ -189,7 +189,7 @@ def _cmd_reproduce(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, 
     def stage(name, ok, detail):
         stages.append({"name": name, "pass": ok, "detail": detail})
 
-    checks = specfun.closed_form_checks(quad)
+    checks = specfun.closed_form_checks(cfg)
     worst = max(r["rel_err"] for r in checks)
     stage("appendix_closed_forms", worst <= 1e-10, f"worst rel err {worst:.3e}")
 
@@ -214,7 +214,7 @@ def _cmd_reproduce(quad: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, 
     ok_p = True
     detail_p = []
     for y in mm.FIT_MODULI:
-        pv = geom.periods(y, quad)
+        pv = geom.periods(y)
         period_rows.append(pv)
         gap = abs(pv.alternating_sum() - 1.0)
         bound = 10.0 * max(sum(pv.err), 1e-15)
@@ -362,12 +362,12 @@ def dispatch(argv) -> int:
         if not (1e-12 <= ns.tol <= 1e-3):
             raise LocalP2Error(f"tolerance must lie in [1e-12, 1e-3], got {ns.tol:g}")
         # PrecisionConfig accepts a narrower accuracy window than the CLI
-        quad = PrecisionConfig(mode=ns.precision or "double",
-                               target_rel_err=min(ns.tol, 1e-6))
+        cfg = PrecisionConfig(mode=ns.precision or "double",
+                              target_rel_err=min(ns.tol, 1e-6))
         if ns.format == "csv" and ns.command not in _CSV_ABLE:
             raise LocalP2Error(
                 f"subcommand {ns.command} has no CSV form; use --format json")
-        payload, flagged = _BODIES[ns.command](quad, ns.tol, tuple(ns.y or ()))
+        payload, flagged = _BODIES[ns.command](cfg, ns.tol, tuple(ns.y or ()))
         if ns.format == "csv":
             text = _csv_emit(ns.command, payload)
         else:

@@ -53,6 +53,11 @@ def _basis(frame) -> Basis:
                          f"{[b.value for b in Basis]}") from None
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, but True is no coordinate
+    return type(v) is not bool and isinstance(v, int)
+
+
 class KClass(namedtuple("KClass", "basis coords")):
     """An integer coordinate triple in one registered frame.
 
@@ -65,8 +70,7 @@ class KClass(namedtuple("KClass", "basis coords")):
     def __new__(cls, basis: Basis, coords):
         basis = _basis(basis)
         c = tuple(coords)
-        # bool is an int subclass, but True is no coordinate
-        if len(c) != 3 or not all(type(v) is not bool and isinstance(v, int) for v in c):
+        if len(c) != 3 or not all(map(_is_int, c)):
             raise BasisError(f"coords must be an integer triple, got {coords!r}")
         return super().__new__(cls, basis, c)
 
@@ -128,13 +132,14 @@ def change_of_basis_matrix(source: Basis, target: Basis):
 
 def basis_change(k: KClass, target: Basis) -> KClass:
     """Rewrite k in the target frame by the registered unimodular matrix."""
-    if not isinstance(k, KClass):
-        raise BasisError(f"expected KClass, got {type(k).__name__}")
-    m = change_of_basis_matrix(k.basis, target)
-    return KClass(target, _mat_vec(m, k.coords))
+    target = _basis(target)
+    return KClass(target, _mat_vec(_LB_TO_FRAME[target], _lb_coords(k)))
 
 
 def _lb_coords(k: KClass) -> tuple[int, int, int]:
+    """k's line-bundle coordinates; BasisError unless k is a KClass."""
+    if not isinstance(k, KClass):
+        raise BasisError(f"expected KClass, got {type(k).__name__}")
     return _mat_vec(_FRAME_TO_LB[k.basis], k.coords)
 
 
@@ -144,8 +149,11 @@ def line_bundle_class(n: int) -> KClass:
     Works in Z[t]/(1-t)^3 with t the class of O(-1).  With u = 1 - t,
     u^3 = 0, so O(n) = t^(-n) = (1 - u)^(-n) = 1 + n u + n(n+1)/2 u^2 for
     every integer n; in powers of t that is
-    (1 + n + n(n+1)/2) - n(n+2) t + n(n+1)/2 t^2.
+    (1 + n + n(n+1)/2) - n(n+2) t + n(n+1)/2 t^2.  BasisError unless n is
+    an integer (a bool is not).
     """
+    if not _is_int(n):
+        raise BasisError(f"line bundle degree must be an integer, got {n!r}")
     half = n * (n + 1) // 2
     return KClass(Basis.LINE_BUNDLE, (1 + n + half, -n * (n + 2), half))
 
@@ -217,10 +225,13 @@ def central_charge(f: KClass, w) -> complex:
     That basis is dual to the brane basis (``pairing_table`` is the
     identity), so the pairings are f's brane coordinates c_i, and
     Z(f) = w_0 c_0 + w_1 c_1 + w_2 c_2: the three brane classes pick out
-    w_0, w_1, w_2 respectively.
+    w_0, w_1, w_2 respectively.  BasisError unless w is three numbers.
     """
     c0, c1, c2 = _mat_vec(_LB_TO_FRAME[Basis.BRANE], _lb_coords(f))
-    w0, w1, w2 = (complex(v) for v in w)
+    try:
+        w0, w1, w2 = (complex(v) for v in w)
+    except (TypeError, ValueError):
+        raise BasisError(f"w must be three numbers, got {w!r}") from None
     return w0 * c0 + w1 * c1 + w2 * c2
 
 

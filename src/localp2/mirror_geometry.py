@@ -338,9 +338,11 @@ def periods(y: complex, quad: PrecisionConfig | None = None) -> PeriodVector:
     Gauss-Legendre rule (``_RAY_GRID``) resolves it, on one tracked and
     sign-threaded pass over the three segment families.  ``err`` is that
     rule's a-priori bound (``_ray_error_bound``, at most 5.4e-16), floored
-    at 1e-15.  Raises QuadratureError if an estimate exceeds
-    ``quad.target_rel_err`` (default 1e-9) times max(1, |I_k|), or if the
-    fiber AGM does not converge.
+    at 1e-15.  Raises QuadratureError if the fiber AGM does not converge,
+    or if an estimate exceeds ``quad.target_rel_err`` (default 1e-9) times
+    max(1, |I_k|), which cannot happen: ``err`` is the 1e-15 floor for every
+    |y| > 27, and no target is below it.  No localp2 routine passes
+    ``quad``; the benchmark's 1e-12 probe (``perfbench/workloads.py``) does.
     """
     y = _period_modulus(y)
     tol = 1e-9 if quad is None else quad.target_rel_err

@@ -18,7 +18,6 @@ from . import cohomology as coh
 from . import mirror_geometry as geom
 from . import picard_fuchs as pf
 from .errors import DomainError, FitError, IntegralityError
-from .specfun import PrecisionConfig
 
 __all__ = [
     "TRANSFER_MATRIX",
@@ -104,17 +103,17 @@ def _modulus(sample) -> complex:
     return sample.y if isinstance(sample, geom.PeriodVector) else complex(sample)
 
 
-def _period_vector(sample, quad: PrecisionConfig | None = None) -> geom.PeriodVector:
+def _period_vector(sample) -> geom.PeriodVector:
     """A period vector as given, or the periods at a modulus."""
     if isinstance(sample, geom.PeriodVector):
         return sample
-    return geom.periods(sample, quad)
+    return geom.periods(sample)
 
 
-def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> TransferMatrix:
+def fit_transfer_matrix(y_samples) -> TransferMatrix:
     """Fit the period-to-solution matrix over the supplied modulus samples.
 
-    Each sample is a modulus, whose periods are computed at ``quad``, or a
+    Each sample is a modulus, whose periods are computed here, or a
     ``PeriodVector``, which is used as given at its own modulus.  Needs at
     least three pairwise distinct samples in the domain |y| > 27 of
     ``periods``, each paired with the large-|y| solution row, which is exact
@@ -133,7 +132,7 @@ def fit_transfer_matrix(y_samples, quad: PrecisionConfig | None = None) -> Trans
     period_rows = []
     solution_rows = []
     for y, sample in zip(ys, samples):
-        period_rows.append(_period_vector(sample, quad).as_vector())
+        period_rows.append(_period_vector(sample).as_vector())
         sol = pf.w_at_infinity(y)
         solution_rows.append([sol.w0, sol.w1, sol.w2])
     return solve_transfer(period_rows, solution_rows)

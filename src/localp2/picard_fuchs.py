@@ -255,6 +255,8 @@ def series_order(y: complex, err_80: float, err_target: float) -> int:
     y = _check_series_domain(y)
     if not err_target > 0:
         raise DomainError(f"error target must be positive, got {err_target}")
+    if not 0 <= err_80 < math.inf:
+        raise DomainError(f"err_80 must be finite and >= 0, got {err_80}")
     if err_80 <= err_target:
         return 80
     extra = math.ceil(math.log(err_target / err_80) / math.log(27.0 * abs(y)))

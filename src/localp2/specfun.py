@@ -1,10 +1,10 @@
 """Complex special functions used by the mirror-map computation.
 
-Double precision goes through the numpy kernels in ``_kernels``; an
-extended-precision mode (mpmath, >= 30 significant digits) backs the tightest
-closed-form checks.  The closed forms tie complete elliptic integrals at the
-third singular value pair k_- = (sqrt6 - sqrt2)/4, k_+ = (sqrt6 + sqrt2)/4 to
-Gamma(1/3)^3, and give the value and derivative of
+The public functions work in double precision, through the numpy kernels in
+``_kernels``.  Extended precision (mpmath, at ``_EXTENDED_DPS`` = 40 digits)
+is the arithmetic of the closed-form checks alone.  They tie complete
+elliptic integrals at the third singular value pair k_- = (sqrt6 - sqrt2)/4,
+k_+ = (sqrt6 + sqrt2)/4 to Gamma(1/3)^3, and give the value and derivative of
 
     F(z) := 2F1(1/2, 1/2; 1; z)
 
@@ -16,15 +16,15 @@ numeric route it is checked against has one entry, its row of
 Every route, closed form or numeric, is written once against the numbers of
 the precision mode (``_arith``): Python floats, the ``_kernels`` gamma and the
 ``_kernels`` AGM in double mode.  In extended mode the AGM is one fixed-point
-loop on Gaussian integers (``_extended.agm_fixed``) at the configured digits
+loop on Gaussian integers (``_extended.agm_fixed``) at the working digits
 plus guard bits, with E from its companion sum as in double mode; mpmath
-supplies only the numbers, ``gamma``, ``digamma``, the cube root and
-``hypot``.  mpmath and ``_extended`` are imported only on the first
-extended-precision request, so a double-precision run loads neither.  The
-closed forms take Gamma(1/3) and Gamma(2/3) from one gamma pass of the
-arithmetic, and write every power of 2 and 3 they take as a product of
-integer powers of c = 2^(1/3) and q = 3^(1/4), formed once per evaluation,
-so none of them calls a transcendental power.  The numeric routes a closed
+supplies only the numbers, ``gamma``, the cube root and ``hypot``.  mpmath
+and ``_extended`` are imported only on the first extended-precision request,
+so a double-precision run loads neither.  The closed forms take Gamma(1/3)
+and Gamma(2/3) from one gamma pass of the arithmetic, and write every power
+of 2 and 3 they take as a product of integer powers of c = 2^(1/3) and
+q = 3^(1/4), formed once per evaluation, so none of them calls a
+transcendental power.  The numeric routes a closed
 form is checked against (AGM, the elliptic chain rule, the finite
 difference, the splitting identity) never call a closed form, and only the
 finite-difference stencil differs by mode.
@@ -61,32 +61,32 @@ K_MINUS = (math.sqrt(6.0) - math.sqrt(2.0)) / 4.0
 MINUS_OMEGA = complex(0.5, math.sqrt(3.0) / 2.0)
 
 _POLE_TOL = 1e-13
+# working digits of extended precision
+_EXTENDED_DPS = 40
 
 
-class PrecisionConfig(namedtuple("PrecisionConfig", "mode dps target_rel_err")):
-    """Evaluation settings shared by the special-function layer.
+class PrecisionConfig(namedtuple("PrecisionConfig", "mode target_rel_err")):
+    """Evaluation settings of a run.
 
     mode             str: "double" (numpy kernels) or "extended" (mpmath
-                     numbers and a fixed-point AGM)
-    dps              int: working digits in extended mode (>= 30)
+                     numbers at ``_EXTENDED_DPS`` digits and a fixed-point
+                     AGM); only ``closed_form_checks`` reads it
     target_rel_err   float: requested relative accuracy for iterative
                      evaluations
 
-    Series truncation is set where a series is summed (the ``n_terms`` and
-    ``n_max`` arguments of ``picard_fuchs``), not here.
+    No ``specfun`` routine reads ``target_rel_err``: the CLI's ``series``
+    and ``continue`` read it as their ``err_target``, and external callers
+    pass it to ``mirror_geometry.periods``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, mode: str = "double", dps: int = 40,
-                target_rel_err: float = 1e-13):
+    def __new__(cls, mode: str = "double", target_rel_err: float = 1e-13):
         if mode not in {"double", "extended"}:
             raise DomainError(f"unknown precision mode {mode!r}")
-        if mode == "extended" and dps < 30:
-            raise DomainError("extended mode requires dps >= 30")
         if not (1e-15 <= target_rel_err <= 1e-6):
             raise DomainError("target_rel_err must lie in [1e-15, 1e-6]")
-        return super().__new__(cls, mode, dps, target_rel_err)
+        return super().__new__(cls, mode, target_rel_err)
 
     # _replace builds through _make, so both check what __new__ checks
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -95,10 +95,6 @@ class PrecisionConfig(namedtuple("PrecisionConfig", "mode dps target_rel_err")):
 def default_config() -> PrecisionConfig:
     """The settings of a call made without a config: double precision."""
     return PrecisionConfig()
-
-
-def _cfg(config: PrecisionConfig | None) -> PrecisionConfig:
-    return config if config is not None else default_config()
 
 
 def _finite(name: str, z) -> complex:
@@ -163,30 +159,25 @@ def _double_agm(ks, zs) -> tuple[list, list]:
 #   cbrt         x -> x^(1/3), x real
 #   hypot        (x, y) -> sqrt(x^2 + y^2), without overflow
 #   gamma        [z] -> [Gamma(z)]
-#   digamma      z -> psi(z)
 #   agm          ([k], [z]) -> ([(K(k), E(k))], [2F1(1/2, 1/2; 1; z)]), one pass
 #   moduli       () -> the singular moduli (k_+, k_-)
 #   minus_omega  () -> e^{i pi/3}
-_Arith = namedtuple("_Arith", "real cplx sqrt cbrt hypot pi gamma digamma agm "
-                              "moduli minus_omega")
+_Arith = namedtuple("_Arith", "real cplx sqrt cbrt hypot pi gamma agm moduli minus_omega")
 
 
 _DOUBLE = _Arith(
     float, complex, math.sqrt, lambda x: x ** (1.0 / 3.0), math.hypot, math.pi,
-    _double_gamma,
-    lambda z: complex(_kernels.digamma_array(z)[0]),
-    _double_agm,
-    lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
+    _double_gamma, _double_agm, lambda: (K_PLUS, K_MINUS), lambda: MINUS_OMEGA)
 
 
 @contextmanager
 def _arith(cfg: PrecisionConfig):
     """The arithmetic of ``cfg.mode``; extended mode imports mpmath and
-    ``_extended`` (once per process) and works at ``cfg.dps`` digits inside
-    the block.  Its AGM is ``_extended.joint``: ``_extended.agm_fixed`` on
-    fixed-point Gaussian integers, one point at a time, the moduli and then
-    the 2F1 arguments.  mpmath supplies the numbers, 1 - x, ``gamma`` and
-    ``digamma``.  A real argument with a real AGM gives an ``mpf``."""
+    ``_extended`` (once per process) and works at ``_EXTENDED_DPS`` digits
+    inside the block.  Its AGM is ``_extended.joint``: ``_extended.agm_fixed``
+    on fixed-point Gaussian integers, one point at a time, the moduli and
+    then the 2F1 arguments.  mpmath supplies the numbers, 1 - x and
+    ``gamma``.  A real argument with a real AGM gives an ``mpf``."""
     if cfg.mode != "extended":
         yield _DOUBLE
         return
@@ -194,10 +185,10 @@ def _arith(cfg: PrecisionConfig):
 
     from . import _extended
 
-    with mp.workdps(cfg.dps):
+    with mp.workdps(_EXTENDED_DPS):
         yield _Arith(
             mp.mpf, mp.mpc, mp.sqrt, mp.cbrt, mp.hypot, mp.pi,
-            lambda zs: [mp.gamma(z) for z in zs], mp.digamma, _extended.joint,
+            lambda zs: [mp.gamma(z) for z in zs], _extended.joint,
             lambda: ((mp.sqrt(6) + mp.sqrt(2)) / 4, (mp.sqrt(6) - mp.sqrt(2)) / 4),
             lambda: mp.exp(mp.mpc(0, mp.pi / 3)))
 
@@ -207,60 +198,54 @@ def _arith(cfg: PrecisionConfig):
 # ---------------------------------------------------------------------------
 
 
-def gamma(z, config: PrecisionConfig | None = None):
+def gamma(z):
     """Gamma function for complex argument.
 
-    In double mode the relative error measured on grids of |z| <= 30 that
-    keep 0.05 from the poles is below 4e-14; within d < 0.05 of a pole it
-    grows like 1e-16 |z| / d.  A value below the double range is 0, and one
-    above it raises DomainError."""
+    The relative error measured on grids of |z| <= 30 that keep 0.05 from
+    the poles is below 4e-14; within d < 0.05 of a pole it grows like
+    1e-16 |z| / d.  A value below the double range is 0, and one above it
+    raises DomainError."""
     zc = _finite("gamma", z)
     if _near_nonpositive_integer(zc):
         raise PoleError(f"gamma pole at z = {zc}")
-    with _arith(_cfg(config)) as ar:
-        # a real argument stays real, so extended mode returns an mpf
-        return ar.gamma([ar.cplx(z) if zc.imag else ar.real(zc.real)])[0]
+    return _double_gamma([zc if zc.imag else zc.real])[0]
 
 
-def digamma(z, config: PrecisionConfig | None = None):
-    """Digamma function for complex argument (|z| <= 100 contract in double mode)."""
+def digamma(z):
+    """Digamma function for complex argument (|z| <= 100 contract)."""
     zc = _finite("digamma", z)
     if _near_nonpositive_integer(zc):
         raise PoleError(f"digamma pole at z = {zc}")
-    with _arith(_cfg(config)) as ar:
-        # a real argument stays real, so extended mode returns an mpf
-        return ar.digamma(ar.cplx(z) if zc.imag else ar.real(zc.real))
+    return complex(_kernels.digamma_array(zc if zc.imag else zc.real)[0])
 
 
-def hyp2f1_half(z, config: PrecisionConfig | None = None):
+def hyp2f1_half(z):
     """2F1(1/2, 1/2; 1; z) on the cut plane C minus [1, oo), via 1/AGM(1, sqrt(1-z))."""
     zc = _finite("hyp2f1_half", z)
     if _on_cut_from_one(zc):
         raise BranchCutError(f"hyp2f1_half argument {zc} lies on the cut [1, oo)")
-    with _arith(_cfg(config)) as ar:
-        return ar.agm([], [z])[1][0]
+    return _double_agm([], [z])[1][0]
 
 
-def _ellipke(name: str, k, config: PrecisionConfig | None):
+def _ellipke(name: str, k):
     kc = _finite(name, k)
     if _on_cut_from_one(kc * kc):
         raise BranchCutError(f"{name} modulus {kc} has k^2 on [1, oo)")
-    with _arith(_cfg(config)) as ar:
-        return ar.agm([k], [])[0][0]
+    return _double_agm([k], [])[0][0]
 
 
-def elliptic_K(k, config: PrecisionConfig | None = None):
+def elliptic_K(k):
     """Complete elliptic integral K(k) (modulus convention) by the AGM.
 
-    In double mode a modulus whose |k^2| exceeds the double range, |k|
-    above about 1.34e154, raises DomainError; extended mode answers there."""
-    return _ellipke("elliptic_K", k, config)[0]
+    A modulus whose |k^2| exceeds the double range, |k| above about
+    1.34e154, raises DomainError."""
+    return _ellipke("elliptic_K", k)[0]
 
 
-def elliptic_E(k, config: PrecisionConfig | None = None):
+def elliptic_E(k):
     """Complete elliptic integral E(k) from the companion sum of the AGM
     that gives K, on the domain of ``elliptic_K``."""
-    return _ellipke("elliptic_E", k, config)[1]
+    return _ellipke("elliptic_E", k)[1]
 
 
 def _ramanujan_defect(ar: _Arith, r, f):
@@ -271,7 +256,7 @@ def _ramanujan_defect(ar: _Arith, r, f):
     return abs(lhs - rhs)
 
 
-def ramanujan_residual(x, config: PrecisionConfig | None = None):
+def ramanujan_residual(x):
     """Defect of the quarter-power splitting identity
 
         (1+x^2)^{1/4} F((1+ix)/2)
@@ -280,29 +265,25 @@ def ramanujan_residual(x, config: PrecisionConfig | None = None):
     at real x >= 0.  Returns |LHS - RHS|.
 
     The node (1 + x/sqrt(1+x^2))/2 tends to 1, the branch point of F, as x
-    grows.  Where it rounds to 1 in the arithmetic of the precision mode,
-    from about x = 4.5e7 in double mode and 2e20 in extended mode at 40
-    digits, BranchCutError is raised.  sqrt(1+x^2) is formed by ``hypot``,
-    so it does not overflow.
+    grows.  Where it rounds to 1 in double precision, from about x = 4.5e7,
+    BranchCutError is raised.  sqrt(1+x^2) is formed by ``hypot``, so it
+    does not overflow.
 
-    Well before that threshold the double-mode residual measures the
-    rounding of that node, not the identity: 1 - node is about 1/(4x^2),
-    so one rounding of the node moves it by up to 4x^2 2^-53 of itself,
-    and F is log-singular there.  Measured: 1.7e-13 at x = 1e2, 1.6e-11
-    at 1e3, 1.9e-8 at 1e5, 2.0e-5 at 1e6 and 5.2e-3 at 1e7.  Extended mode
-    at 40 digits gives 2.7e-28 at x = 1e7; use it for large x.
+    Well before that threshold the residual measures the rounding of that
+    node, not the identity: 1 - node is about 1/(4x^2), so one rounding of
+    the node moves it by up to 4x^2 2^-53 of itself, and F is log-singular
+    there.  Measured: 1.7e-13 at x = 1e2, 1.6e-11 at 1e3, 1.9e-8 at 1e5,
+    2.0e-5 at 1e6 and 5.2e-3 at 1e7.
     """
     xf = float(x)
     if xf < 0.0 or not math.isfinite(xf):
         raise DomainError("ramanujan_residual expects real x >= 0")
-    with _arith(_cfg(config)) as ar:
-        x = ar.real(xf)
-        r = ar.hypot(1, x)
-        nodes = [ar.cplx(1, x) / 2, (1 + x / r) / 2, (1 - x / r) / 2]
-        if nodes[1] >= 1:
-            raise BranchCutError(f"ramanujan_residual at x = {xf}: the node "
-                                 "(1 + x/sqrt(1+x^2))/2 rounds to 1, the branch point of F")
-        return _ramanujan_defect(ar, r, ar.agm([], nodes)[1])
+    r = math.hypot(1, xf)
+    nodes = [complex(1, xf) / 2, (1 + xf / r) / 2, (1 - xf / r) / 2]
+    if nodes[1] >= 1:
+        raise BranchCutError(f"ramanujan_residual at x = {xf}: the node "
+                             "(1 + x/sqrt(1+x^2))/2 rounds to 1, the branch point of F")
+    return _ramanujan_defect(_DOUBLE, r, _double_agm([], nodes)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +370,9 @@ def _finite_difference(ar: _Arith, cfg: PrecisionConfig, z):
     the step that turns F at its nodes into F': a 4th-order stencil at
     h = 1e-3 in double mode (a plain central difference at an h small enough
     for 1e-10 would already be dominated by roundoff there), a central
-    difference at h = 10^(-dps/3) in extended mode."""
+    difference at h = 10^(-dps/3) in extended mode, dps = ``_EXTENDED_DPS``."""
     if cfg.mode == "extended":
-        h = ar.real(10) ** (-cfg.dps // 3)
+        h = ar.real(10) ** (-_EXTENDED_DPS // 3)
         return [z + h, z - h], lambda f: (f[0] - f[1]) / (2 * h)
     h = 1e-3
     return ([z + k * h for k in (-2, -1, 1, 2)],
@@ -421,7 +402,7 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     2/3 (one ``_kernels.gamma_array`` call in double mode), and write every
     power of 2 and 3 as integer powers of one 2^(1/3) and one 3^(1/4).
     """
-    cfg = _cfg(config)
+    cfg = config if config is not None else default_config()
     with _arith(cfg) as ar:
         moduli, z = ar.moduli(), ar.minus_omega()
         stencil, derivative = _finite_difference(ar, cfg, z)

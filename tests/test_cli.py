@@ -494,6 +494,30 @@ def test_reproduce_computes_each_period_vector_once(tmp_path, monkeypatch):
     assert payload["transfer_matrix"] == [[1, 0, 0], [-1, 1, -1], [1, 1, 0]]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: dispatch(["reproduce", "--out", os.devnull]),
+    lambda: dispatch(["periods", "--y", "1e3", "--tol", "1e-12", "--out", os.devnull]),
+    lambda: dispatch(["central-charges", "--out", os.devnull]),
+    lambda: dispatch(["transfer-matrix", "--out", os.devnull]),
+    lambda: mm.fit_transfer_matrix(mm.FIT_MODULI),
+], ids=["reproduce", "periods", "central-charges", "transfer-matrix", "fit_transfer_matrix"])
+def test_periods_are_asked_for_at_the_modulus_alone(call, monkeypatch):
+    # the threshold a config would set cannot fire (every err is the 1e-15
+    # floor, the least target a PrecisionConfig takes), so none is passed
+    calls = []
+    periods = geom.periods
+
+    def recorded(*args, **kwargs):
+        calls.append((args[1:], kwargs))
+        return periods(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "periods", recorded)
+    result = call()
+    # dispatch exits 0; the fit gives the pinned matrix
+    assert result == 0 or result.entries == mm.TRANSFER_MATRIX
+    assert calls and all(c == ((), {}) for c in calls), calls
+
+
 def test_reproduce_checks_the_series_at_every_period_vector(tmp_path, monkeypatch):
     # the central charges compare the periods through T with the large-|y|
     # series at each modulus of the periods stage; that stage reports one

@@ -192,6 +192,38 @@ def test_an_unknown_frame_is_a_basis_error(call):
         call()
 
 
+_BRANE = coh.KClass(coh.Basis.BRANE, (0, 0, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coh.basis_change((0, 0, 1), coh.Basis.BRANE),
+    lambda: coh.tensor((1, 0, 0), _BRANE),
+    lambda: coh.tensor(_BRANE, None),
+    lambda: coh.euler_pairing_bk(_BRANE, "x"),
+    lambda: coh.chi_p2(_BRANE, 3),
+    lambda: coh.euler_form_compact([0, 0, 1], _BRANE),
+    lambda: coh.central_charge("x", (1, 2, 3)),
+], ids=["basis_change", "tensor_first", "tensor_second", "euler_pairing_bk", "chi_p2",
+        "euler_form_compact", "central_charge"])
+def test_every_reader_refuses_what_is_not_a_class(call):
+    # every reader goes through _lb_coords, which checks its argument
+    with pytest.raises(BasisError, match="expected KClass"):
+        call()
+
+
+@pytest.mark.parametrize("w", [[1, 2], [1, 2, 3, 4], 5, "x", [1, None, 2], ["a", 1, 2]])
+def test_central_charge_refuses_a_w_that_is_not_three_numbers(w):
+    with pytest.raises(BasisError, match="three numbers"):
+        coh.central_charge(_BRANE, w)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, "1", None])
+def test_line_bundle_class_refuses_a_degree_that_is_not_an_integer(n):
+    # as a KClass refuses a bool coordinate
+    with pytest.raises(BasisError, match="integer"):
+        coh.line_bundle_class(n)
+
+
 def test_kclass_normalizes_its_frame_and_coordinates():
     k = coh.KClass("charge", [1, -2, 3])
     assert k.basis is coh.Basis.CHARGE and k.coords == (1, -2, 3)

@@ -30,7 +30,7 @@ def test_all_entries_resolve(name):
 # each record, the arguments of one valid instance, and its fields
 _RECORDS = [
     (coh.KClass, (coh.Basis.BRANE, (0, 0, 1)), ("basis", "coords")),
-    (sf.PrecisionConfig, ("double",), ("mode", "dps", "target_rel_err")),
+    (sf.PrecisionConfig, ("double",), ("mode", "target_rel_err")),
     (geom.PeriodVector, (1.0, 2.0, 3.0, 1e3, (0.0, 0.0, 0.0)),
      ("i0", "i1", "i2", "y", "err")),
     (mm.TransferMatrix, (mm.TRANSFER_MATRIX, 0.0, 0.0),

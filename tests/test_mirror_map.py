@@ -19,7 +19,6 @@ import localp2.cohomology as coh
 import localp2.mirror_geometry as geom
 import localp2.mirror_map as mm
 from localp2.errors import DomainError, FitError
-from localp2.specfun import PrecisionConfig
 
 EXPECTED = ((1, 0, 0), (-1, 1, -1), (1, 1, 0))
 
@@ -175,12 +174,6 @@ def test_fit_transfer_matrix_with_complex_sample():
     tm = mm.fit_transfer_matrix((1e3, 2e3, 4e3, 1500 + 800j))
     assert tm.entries == EXPECTED
     assert tm.residual < 1e-8
-
-
-def test_fit_transfer_matrix_stable_under_precision():
-    loose = mm.fit_transfer_matrix((1e3, 2e3, 4e3), PrecisionConfig(target_rel_err=1e-6))
-    tight = mm.fit_transfer_matrix((1e3, 2e3, 4e3), PrecisionConfig(target_rel_err=1e-10))
-    assert loose.entries == tight.entries == EXPECTED
 
 
 def test_fit_and_central_charges_take_period_vectors():

@@ -180,6 +180,10 @@ def test_series_order_domain():
     for bad in (0.0, -1e-9, math.nan):
         with pytest.raises(DomainError):
             pf.series_order(0.036, 1e-4, bad)
+    # an estimate that is not finite and >= 0 bounds no error
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError, match="err_80"):
+            pf.series_order(0.01, bad, 1e-10)
 
 
 def test_series_terms_stay_finite_at_the_order_cap_near_the_rim():

@@ -102,7 +102,7 @@ def test_ramanujan_rejects_negative():
 
 
 def test_extended_mode():
-    cfg = PrecisionConfig(mode="extended", dps=40)
+    cfg = PrecisionConfig(mode="extended")
     rows = sf.closed_form_checks(cfg)
     assert max(r["rel_err"] for r in rows) <= 1e-20
 
@@ -112,18 +112,27 @@ def _off_cut(w: complex) -> bool:
     return abs(w.imag if w.real >= 1.0 else w - 1.0) >= 0.05
 
 
-def test_extended_agm_functions_match_double_off_the_cuts():
-    # mpmath's agm, ellipk and ellipe land on the branch of the kernels'
-    # optimal AGM: 100 seeded complex points with z and z^2 off [1, oo)
+def test_agm_functions_match_mpmath_off_the_cuts():
+    # mpmath's agm, ellipk and ellipe at 30 digits land on the branch of the
+    # kernels' optimal AGM: 100 seeded complex points with z and z^2 off [1, oo)
     rng = np.random.default_rng(1729)
     zs = [z for z in (complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(400))
           if _off_cut(z) and _off_cut(z * z)][:100]
     assert len(zs) == 100
-    double, extended = PrecisionConfig(mode="double"), PrecisionConfig(mode="extended")
-    for f in (sf.elliptic_K, sf.elliptic_E, sf.hyp2f1_half):
+    for f, oracle in ((sf.elliptic_K, _k_oracle), (sf.elliptic_E, _e_oracle),
+                      (sf.hyp2f1_half, _agm_oracle)):
         for z in zs:
-            want = complex(f(z, extended))
-            assert abs(f(z, double) - want) <= 1e-14 * abs(want), (f.__name__, z)
+            with mp.workdps(30):
+                want = complex(oracle(mp.mpc(z)))
+            assert abs(f(z) - want) <= 1e-14 * abs(want), (f.__name__, z)
+
+
+@contextmanager
+def _extended_at(monkeypatch, dps):
+    """The extended arithmetic of ``closed_form_checks``, at dps digits."""
+    monkeypatch.setattr(sf, "_EXTENDED_DPS", dps)
+    with sf._arith(PrecisionConfig(mode="extended")) as ar:
+        yield ar
 
 
 def _oracle(dps, f, x):
@@ -151,12 +160,11 @@ def _rel_err(got, want):
 
 
 @pytest.mark.parametrize("dps", [30, 40, 80])
-def test_extended_agm_functions_match_mpmath(dps):
+def test_extended_agm_functions_match_mpmath(dps, monkeypatch):
     # the fixed-point AGM against mpmath's agm, ellipk and ellipe at seeded
     # points: |z| from 1e-30 to 1e30 at every phase off the cut, the
     # negative real axis, the imaginary axis, and k from 1e-30 to 1 in size
     rng = np.random.default_rng(dps)
-    cfg = PrecisionConfig(mode="extended", dps=dps)
     size = 10.0 ** rng.uniform(-30.0, 30.0, 40)
     zs = [complex(r * np.exp(1j * t))
           for r, t in zip(size[:20], rng.uniform(-math.pi, math.pi, 20))
@@ -167,29 +175,27 @@ def test_extended_agm_functions_match_mpmath(dps):
           zip(10.0 ** rng.uniform(-30.0, 0.0, 20), rng.uniform(-math.pi, math.pi, 20))]
     ks += list(10.0 ** rng.uniform(-30.0, 0.0, 5)) + list(1.0 - 10.0 ** rng.uniform(-12.0, -1.0, 5))
     bound = 10.0 ** (3 - dps)
-    for z in zs:
-        with mp.workdps(dps):
-            x = mp.mpmathify(z)
-        assert _rel_err(sf.hyp2f1_half(x, cfg), _oracle(dps, _agm_oracle, x)) <= bound, z
-    for k in ks:
-        with mp.workdps(dps):
-            x = mp.mpmathify(k)
-        assert _rel_err(sf.elliptic_K(x, cfg), _oracle(dps, _k_oracle, x)) <= bound, k
-        assert _rel_err(sf.elliptic_E(x, cfg), _oracle(dps, _e_oracle, x)) <= bound, k
+    with _extended_at(monkeypatch, dps) as ar:
+        zs, ks = [mp.mpmathify(z) for z in zs], [mp.mpmathify(k) for k in ks]
+        ke, hyp = ar.agm(ks, zs)
+    for z, got in zip(zs, hyp):
+        assert _rel_err(got, _oracle(dps, _agm_oracle, z)) <= bound, z
+    for k, (kk, ee) in zip(ks, ke):
+        assert _rel_err(kk, _oracle(dps, _k_oracle, k)) <= bound, k
+        assert _rel_err(ee, _oracle(dps, _e_oracle, k)) <= bound, k
 
 
 @pytest.mark.parametrize("dps", [30, 40, 80])
-def test_extended_agm_keeps_relative_precision_next_to_one(dps):
+def test_extended_agm_keeps_relative_precision_next_to_one(dps, monkeypatch):
     # z off the cut and k within 1e-10 to 10^(2 - dps) of 1, where
     # sqrt(1 - z) and sqrt(1 - k^2) are tiny; the public functions refuse
     # these points as on the cut, so they go to the arithmetic they call.
     # The oracles square the exact k: k^2 rounded to dps digits would move
     # 1 - k^2 by up to 10^(r - dps) of itself
     rng = np.random.default_rng(100 + dps)
-    cfg = PrecisionConfig(mode="extended", dps=dps)
     bound = 10.0 ** (3 - dps)
     size = rng.uniform(10.0, dps - 2.0, 20)
-    with sf._arith(cfg) as ar:
+    with _extended_at(monkeypatch, dps) as ar:
         zs = [1 + mp.mpf(10) ** -r * mp.expj(t) for r, t in
               zip(size[:10], rng.uniform(0.01, 2.0 * math.pi - 0.01, 10))]
         ks = [1 - mp.mpf(10) ** -r for r in size[10:15]]
@@ -204,10 +210,11 @@ def test_extended_agm_keeps_relative_precision_next_to_one(dps):
 
 
 @pytest.mark.parametrize("dps", [30, 80])
-def test_closed_form_checks_follow_the_working_digits(dps):
+def test_closed_form_checks_follow_the_working_digits(dps, monkeypatch):
     # every AGM row (all but the finite difference, whose step is tied to
     # dps) meets its closed form to within 10^(5 - dps)
-    rows = sf.closed_form_checks(PrecisionConfig(mode="extended", dps=dps))
+    monkeypatch.setattr(sf, "_EXTENDED_DPS", dps)
+    rows = sf.closed_form_checks(PrecisionConfig(mode="extended"))
     for r in rows:
         if r["name"] != "Fprime(-omega) finite difference":
             assert r["rel_err"] <= 10.0 ** (5 - dps), r
@@ -275,12 +282,13 @@ def _literal_closed_forms(pi, g3, g23):
 
 
 @pytest.mark.parametrize("mode, bound", [("extended", 1e-55), ("double", 4e-16)])
-def test_closed_forms_match_their_literal_powers(mode, bound):
+def test_closed_forms_match_their_literal_powers(mode, bound, monkeypatch):
     # the closed forms, written in integer powers of 2^(1/3) and 3^(1/4),
     # against the same identities with non-integer powers of 2 and 3 at 60
     # digits, from the same pi and Gamma cubes: in extended mode at 60
     # digits, and in double mode within the rounding of the double products
-    with sf._arith(PrecisionConfig(mode=mode, dps=60)) as ar:
+    monkeypatch.setattr(sf, "_EXTENDED_DPS", 60)
+    with sf._arith(PrecisionConfig(mode=mode)) as ar:
         pi, _, g3, g23, *_ = consts = sf._consts(ar)
         got = [sf._k_closed(ar, consts, +1), sf._k_closed(ar, consts, -1),
                sf._e_closed(ar, consts, +1), sf._e_closed(ar, consts, -1),
@@ -349,11 +357,10 @@ def test_ramanujan_row_reads_f_at_the_squared_moduli():
     # e^{i pi/3}, are k_+-^2, where F = 2K/pi: the row's residual is the
     # one ramanujan_residual finds from its own AGM pass, to rounding
     for mode, tol in (("double", 1e-15), ("extended", 1e-39)):
-        cfg = PrecisionConfig(mode=mode)
-        row = sf.closed_form_checks(cfg)[-1]
+        row = sf.closed_form_checks(PrecisionConfig(mode=mode))[-1]
         assert row["name"] == "ramanujan x=sqrt3"
         assert row["rel_err"] <= tol, (mode, row)
-        assert float(sf.ramanujan_residual(math.sqrt(3.0), cfg)) <= 10 * tol, mode
+    assert sf.ramanujan_residual(math.sqrt(3.0)) <= 1e-14
     with mp.workdps(50):
         x = mp.sqrt(3)
         for sign in (1, -1):
@@ -387,36 +394,33 @@ def test_closed_form_checks_form_the_moduli_and_minus_omega_once(monkeypatch, mo
 
 
 def test_double_elliptic_moduli_past_the_double_range_are_refused():
-    # k^2 overflows a double past |k| = 1.34e154: double mode refuses such a
-    # modulus without a warning, where it would return pi/2 for K and a NaN
-    # for E; extended mode answers there, and agrees with double mode inside
-    double, extended = PrecisionConfig(mode="double"), PrecisionConfig(mode="extended")
+    # k^2 overflows a double past |k| = 1.34e154: such a modulus is refused
+    # without a warning, where the kernels would return pi/2 for K and a NaN
+    # for E; inside, K and E agree with mpmath
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for k in (1e155j, 3e160 + 1e160j):
             for f in (sf.elliptic_K, sf.elliptic_E):
                 with pytest.raises(DomainError, match="double range"):
-                    f(k, double)
-                assert mp.isfinite(f(k, extended)) and f(k, extended) != 0
+                    f(k)
         k = 1e153j
-        for f in (sf.elliptic_K, sf.elliptic_E):
-            want = complex(f(k, extended))
-            assert abs(f(k, double) - want) <= 1e-15 * abs(want), f.__name__
+        for f, oracle in ((sf.elliptic_K, _k_oracle), (sf.elliptic_E, _e_oracle)):
+            with mp.workdps(30):
+                want = complex(oracle(mp.mpc(k)))
+            assert abs(f(k) - want) <= 1e-15 * abs(want), f.__name__
 
 
 def test_ramanujan_node_on_the_branch_point_is_refused():
     # (1 + x/sqrt(1+x^2))/2 rounds to 1, the branch point of F, from about
-    # x = 4.5e7 in double mode and 2e20 at 40 digits: a BranchCutError,
-    # where double mode raised ConvergenceError and returned inf at 1e200
-    double, extended = PrecisionConfig(mode="double"), PrecisionConfig(mode="extended")
+    # x = 4.5e7: a BranchCutError, where it raised ConvergenceError and
+    # returned inf at 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for x, cfg in ((6e7, double), (1e200, double), (1e21, extended), (1e200, extended)):
+        for x in (6e7, 1e200):
             with pytest.raises(BranchCutError, match="branch point"):
-                sf.ramanujan_residual(x, cfg)
-        # below the thresholds both modes answer
-        assert math.isfinite(sf.ramanujan_residual(4e7, double))
-        assert sf.ramanujan_residual(1e10, extended) <= 1e-21
+                sf.ramanujan_residual(x)
+        # below the threshold it answers
+        assert math.isfinite(sf.ramanujan_residual(4e7))
 
 
 def test_branch_cut_rejected():
@@ -426,16 +430,15 @@ def test_branch_cut_rejected():
         sf.elliptic_K(1.2)
 
 
-@pytest.mark.parametrize("mode", ["double", "extended"])
 @pytest.mark.parametrize("fn", [sf.gamma, sf.digamma, sf.hyp2f1_half,
                                 sf.elliptic_K, sf.elliptic_E])
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
-def test_non_finite_argument_is_a_domain_error(z, fn, mode):
+def test_non_finite_argument_is_a_domain_error(z, fn):
     # rejected before any arithmetic: no numpy warning, no other exception
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite"):
-            fn(z, PrecisionConfig(mode=mode))
+            fn(z)
 
 
 @pytest.mark.parametrize("z", [171.5, -170.5, -200.5, 1e6, -0.5 + 500j, 2000.5, -1e6 + 0.5,
@@ -476,17 +479,16 @@ def test_precision_config_validation():
     with pytest.raises(DomainError):
         PrecisionConfig(mode="quad")
     with pytest.raises(DomainError):
-        PrecisionConfig(mode="extended", dps=10)
-    with pytest.raises(DomainError):
         PrecisionConfig(target_rel_err=1.0)
-    # a config without a mode is double precision, which takes any dps
-    assert PrecisionConfig() == PrecisionConfig("double", 40, 1e-13) == sf.default_config()
-    assert PrecisionConfig("double", dps=10).dps == 10
+    # a config without a mode is double precision; the working digits of
+    # extended precision are no setting
+    assert PrecisionConfig() == PrecisionConfig("double", 1e-13) == sf.default_config()
+    with pytest.raises(TypeError):
+        PrecisionConfig("extended", dps=40)
 
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"mode": "Double"}, "unknown precision mode"),
-    ({"mode": "extended", "dps": 29}, "dps >= 30"),
     ({"target_rel_err": 1e-16}, "target_rel_err"),
     ({"target_rel_err": 1e-5}, "target_rel_err"),
     ({"mode": "double", "target_rel_err": float("nan")}, "target_rel_err"),
@@ -498,7 +500,6 @@ def test_precision_config_rejects(kwargs, message):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"mode": "bogus", "target_rel_err": 1.0}, "unknown precision mode"),
-    ({"mode": "extended", "dps": 29}, "dps >= 30"),
     ({"target_rel_err": 1.0}, "target_rel_err"),
 ])
 def test_precision_config_replace_and_make_check_what_the_constructor_checks(kwargs, message):
