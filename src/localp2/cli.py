@@ -1,10 +1,9 @@
 """Command-line front end: dispatch, serialization, reproduction pipeline.
 
 ``dispatch`` checks ``--tol`` against [1e-12, 1e-3] and calls the
-subcommand's body as ``body(cfg, tol, ys)``: the run's one
-``PrecisionConfig`` (``--precision``, double by default, at the target
-min(tol, 1e-6)), the flagging tolerance, and the ``--y`` moduli as a tuple
-of complex numbers, empty when none is given.
+subcommand's body as ``body(tol, ys)``: the flagging tolerance, and the
+``--y`` moduli as a tuple of complex numbers, empty when none is given.
+Every subcommand runs in double precision.
 Subcommand bodies return plain values; ``_json_text`` and ``_csv_emit``
 write them.  Complex numbers, numpy's included, serialize as
 {"re": .., "im": ..} objects, matrices row-major; every subcommand's JSON
@@ -31,7 +30,6 @@ from . import mirror_map as mm
 from . import picard_fuchs as pf
 from . import specfun
 from .errors import FitError, LocalP2Error
-from .specfun import PrecisionConfig
 
 SUBCOMMANDS = (
     "series", "continue", "monodromy", "periods", "transfer-matrix",
@@ -39,8 +37,6 @@ SUBCOMMANDS = (
     "ktheory-table", "reproduce",
 )
 
-# the subcommands whose output the precision mode changes
-_PRECISION_AWARE = ("verify-appendix", "reproduce")
 # the subcommands that read --y
 _MODULUS_AWARE = ("series", "continue", "periods", "transfer-matrix", "central-charges")
 
@@ -77,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None, metavar="RE[,IM]",
                    help=f"modulus sample, repeatable; {', '.join(_MODULUS_AWARE)} only")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--precision", choices=("double", "extended"), default=None,
-                   help=f"closed-form identity precision; {' and '.join(_PRECISION_AWARE)} only")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     return p
@@ -101,18 +95,18 @@ def _solution_payload(triples, tol) -> tuple[dict, int]:
                           for t in triples])
 
 
-def _cmd_series(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
-    return _solution_payload([pf.series_solutions(y, cfg.target_rel_err)
+def _cmd_series(tol: float, ys: tuple) -> tuple[dict, int]:
+    return _solution_payload([pf.series_solutions(y, min(tol, _DEFAULT_TOL))
                               for y in ys or (0.02,)], tol)
 
 
-def _cmd_continue(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_continue(tol: float, ys: tuple) -> tuple[dict, int]:
     _require_y(ys)
     return _solution_payload(
-        [pf.continue_solutions(y, err_target=cfg.target_rel_err) for y in ys], tol)
+        [pf.continue_solutions(y, err_target=min(tol, _DEFAULT_TOL)) for y in ys], tol)
 
 
-def _cmd_monodromy(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_monodromy(tol: float, ys: tuple) -> tuple[dict, int]:
     m = pf.monodromy_around_origin()
     n = np.array(m) - np.eye(3, dtype=int)
     unipotent = not np.any(n @ n @ n)
@@ -120,14 +114,14 @@ def _cmd_monodromy(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, i
     return payload, 0 if unipotent else 1
 
 
-def _cmd_periods(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_periods(tol: float, ys: tuple) -> tuple[dict, int]:
     _require_y(ys)
     return _rows_payload([{"y": pv.y, "I": pv.as_vector(), "err": pv.err,
                            "flagged": max(pv.err) > tol}
                           for pv in (geom.periods(y) for y in ys)])
 
 
-def _cmd_transfer_matrix(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_transfer_matrix(tol: float, ys: tuple) -> tuple[dict, int]:
     tm = mm.fit_transfer_matrix(ys or mm.FIT_MODULI)
     # the fit checks the pinned matrix
     bad = tm.entries != mm.TRANSFER_MATRIX
@@ -149,25 +143,25 @@ def _mirror_object_rows() -> list:
             for i, n in enumerate(mm.mirror_objects())]
 
 
-def _cmd_mirror_objects(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_mirror_objects(tol: float, ys: tuple) -> tuple[dict, int]:
     ok = mm.ako_twist_check()
     payload = {"objects": _mirror_object_rows(), "twist_check": ok}
     return payload, 0 if ok else 1
 
 
-def _cmd_central_charges(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_central_charges(tol: float, ys: tuple) -> tuple[dict, int]:
     # every modulus is checked before any period vector is computed
     ys = [geom._period_modulus(y) for y in ys or (1e3,)]
     return _rows_payload([{"y": y, **r} for y in ys
                           for r in mm.central_charge_report(geom.periods(y))])
 
 
-def _cmd_verify_appendix(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_verify_appendix(tol: float, ys: tuple) -> tuple[dict, int]:
     return _rows_payload([{**r, "flagged": r["rel_err"] > tol}
-                          for r in specfun.closed_form_checks(cfg)])
+                          for r in specfun.closed_form_checks()])
 
 
-def _cmd_ktheory_table(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_ktheory_table(tol: float, ys: tuple) -> tuple[dict, int]:
     duality = coh.pairing_table()
     ident = all(duality[i][j] == (1 if i == j else 0)
                 for i in range(3) for j in range(3))
@@ -180,7 +174,7 @@ def _cmd_ktheory_table(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dic
     return payload, 0 if ident else 1
 
 
-def _cmd_reproduce(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, int]:
+def _cmd_reproduce(tol: float, ys: tuple) -> tuple[dict, int]:
     """Full pipeline: appendix identities, solution cross-checks, periods,
     transfer fit, central charges.  Exit 0 only if every stage passes; a
     fit that raises fails its stage, and the payload's matrix is null."""
@@ -189,7 +183,7 @@ def _cmd_reproduce(cfg: PrecisionConfig, tol: float, ys: tuple) -> tuple[dict, i
     def stage(name, ok, detail):
         stages.append({"name": name, "pass": ok, "detail": detail})
 
-    checks = specfun.closed_form_checks(cfg)
+    checks = specfun.closed_form_checks()
     worst = max(r["rel_err"] for r in checks)
     stage("appendix_closed_forms", worst <= 1e-10, f"worst rel err {worst:.3e}")
 
@@ -352,8 +346,6 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(list(argv))
-        if ns.precision and ns.command not in _PRECISION_AWARE:
-            parser.error(f"--precision applies to {' and '.join(_PRECISION_AWARE)} only")
         if ns.y and ns.command not in _MODULUS_AWARE:
             parser.error(f"--y applies to {', '.join(_MODULUS_AWARE)} only")
     except SystemExit as exc:
@@ -361,13 +353,10 @@ def dispatch(argv) -> int:
     try:
         if not (1e-12 <= ns.tol <= 1e-3):
             raise LocalP2Error(f"tolerance must lie in [1e-12, 1e-3], got {ns.tol:g}")
-        # PrecisionConfig accepts a narrower accuracy window than the CLI
-        cfg = PrecisionConfig(mode=ns.precision or "double",
-                              target_rel_err=min(ns.tol, 1e-6))
         if ns.format == "csv" and ns.command not in _CSV_ABLE:
             raise LocalP2Error(
                 f"subcommand {ns.command} has no CSV form; use --format json")
-        payload, flagged = _BODIES[ns.command](cfg, ns.tol, tuple(ns.y or ()))
+        payload, flagged = _BODIES[ns.command](ns.tol, tuple(ns.y or ()))
         if ns.format == "csv":
             text = _csv_emit(ns.command, payload)
         else:

@@ -225,10 +225,13 @@ def central_charge(f: KClass, w) -> complex:
     That basis is dual to the brane basis (``pairing_table`` is the
     identity), so the pairings are f's brane coordinates c_i, and
     Z(f) = w_0 c_0 + w_1 c_1 + w_2 c_2: the three brane classes pick out
-    w_0, w_1, w_2 respectively.  BasisError unless w is three numbers.
+    w_0, w_1, w_2 respectively.  BasisError unless w is three numbers (a
+    str or bytes is not).
     """
     c0, c1, c2 = _mat_vec(_LB_TO_FRAME[Basis.BRANE], _lb_coords(f))
     try:
+        if isinstance(w, (str, bytes)):
+            raise TypeError
         w0, w1, w2 = (complex(v) for v in w)
     except (TypeError, ValueError):
         raise BasisError(f"w must be three numbers, got {w!r}") from None

@@ -36,12 +36,15 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, QuadratureError, RootCollisionError
-from .specfun import PrecisionConfig
+
+if TYPE_CHECKING:
+    from .specfun import PrecisionConfig
 
 __all__ = [
     "OMEGA",

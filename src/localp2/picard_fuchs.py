@@ -383,7 +383,7 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
     truncation point where pi e^(Re x) has not decayed to 1e-12 of its
     largest value, or a non-finite node value.
     """
-    if which not in {"plain", "digamma"}:
+    if not (isinstance(which, str) and which in {"plain", "digamma"}):
         raise DomainError(f"unknown variant {which!r}")
     y = _finite_modulus(y)
     if y == 0 or (y.real <= 0 and y.imag == 0):

@@ -33,6 +33,7 @@ finite-difference stencil differs by mode.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from contextlib import contextmanager
 
@@ -66,26 +67,26 @@ _EXTENDED_DPS = 40
 
 
 class PrecisionConfig(namedtuple("PrecisionConfig", "mode target_rel_err")):
-    """Evaluation settings of a run.
+    """Evaluation settings of a library call; the CLI builds none.
 
     mode             str: "double" (numpy kernels) or "extended" (mpmath
                      numbers at ``_EXTENDED_DPS`` digits and a fixed-point
                      AGM); only ``closed_form_checks`` reads it
-    target_rel_err   float: requested relative accuracy for iterative
-                     evaluations
+    target_rel_err   float: the error-estimate threshold of
+                     ``mirror_geometry.periods``, read only when the config
+                     is passed there as its ``quad``
 
-    No ``specfun`` routine reads ``target_rel_err``: the CLI's ``series``
-    and ``continue`` read it as their ``err_target``, and external callers
-    pass it to ``mirror_geometry.periods``.
+    DomainError unless mode is one of those two strings and target_rel_err
+    a number in [1e-15, 1e-6].
     """
 
     __slots__ = ()
 
     def __new__(cls, mode: str = "double", target_rel_err: float = 1e-13):
-        if mode not in {"double", "extended"}:
+        if not (isinstance(mode, str) and mode in {"double", "extended"}):
             raise DomainError(f"unknown precision mode {mode!r}")
-        if not (1e-15 <= target_rel_err <= 1e-6):
-            raise DomainError("target_rel_err must lie in [1e-15, 1e-6]")
+        if not (isinstance(target_rel_err, numbers.Real) and 1e-15 <= target_rel_err <= 1e-6):
+            raise DomainError(f"target_rel_err must lie in [1e-15, 1e-6], got {target_rel_err!r}")
         return super().__new__(cls, mode, target_rel_err)
 
     # _replace builds through _make, so both check what __new__ checks
@@ -401,8 +402,11 @@ def closed_form_checks(config: PrecisionConfig | None = None) -> list[dict]:
     Ramanujan row share.  The closed forms share one gamma pass over 1/3 and
     2/3 (one ``_kernels.gamma_array`` call in double mode), and write every
     power of 2 and 3 as integer powers of one 2^(1/3) and one 3^(1/4).
+    DomainError unless ``config`` is a ``PrecisionConfig`` or None.
     """
     cfg = config if config is not None else default_config()
+    if not isinstance(cfg, PrecisionConfig):
+        raise DomainError(f"closed_form_checks takes a PrecisionConfig, got {config!r}")
     with _arith(cfg) as ar:
         moduli, z = ar.moduli(), ar.minus_omega()
         stencil, derivative = _finite_difference(ar, cfg, z)

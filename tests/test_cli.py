@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localp2
+import localp2.cli as cli
 import localp2.mirror_geometry as geom
 import localp2.mirror_map as mm
 import localp2.picard_fuchs as pf
@@ -199,13 +200,11 @@ def test_a_fit_that_raises_fails_its_stage_and_keeps_the_others(monkeypatch, cap
 
 
 def test_help_names_the_subcommands_each_flag_applies_to(capsys):
-    from localp2.cli import _MODULUS_AWARE, _PRECISION_AWARE
+    from localp2.cli import _MODULUS_AWARE
     assert dispatch(["--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    for flag, names in (("--y RE[,IM]", _MODULUS_AWARE), ("--precision {double,extended}",
-                                                          _PRECISION_AWARE)):
-        listed = re.search(re.escape(flag) + r" [^;]*; (.*?) only", text).group(1)
-        assert re.split(r", | and ", listed) == list(names), (flag, listed)
+    listed = re.search(r"--y RE\[,IM\] [^;]*; (.*?) only", text).group(1)
+    assert listed.split(", ") == list(_MODULUS_AWARE), listed
 
 
 def test_module_error_reports_json(capsys):
@@ -293,8 +292,8 @@ def test_error_report_replaces_an_earlier_out_file(tmp_path, capsys):
 
 
 def test_the_environment_picks_no_arithmetic(monkeypatch, capsys):
-    # --precision and an explicit PrecisionConfig mode are the only switches:
-    # a precision variable in the environment, valid or not, changes nothing
+    # an explicit PrecisionConfig mode is the only switch: a precision
+    # variable in the environment, valid or not, changes nothing
     def observed():
         runs = [(dispatch([command]), capsys.readouterr())
                 for command in ("monodromy", "verify-appendix")]
@@ -308,13 +307,11 @@ def test_the_environment_picks_no_arithmetic(monkeypatch, capsys):
         assert observed() == want, value
 
 
-@pytest.mark.parametrize("command", [c for c in SUBCOMMANDS
-                                     if c not in ("verify-appendix", "reproduce")])
-def test_precision_flag_is_a_usage_error_where_it_changes_nothing(command, capsys):
-    # the mode changes only the closed-form identities; elsewhere the flag
-    # was accepted and ignored, so it is refused as bad syntax
-    for mode in ("double", "extended"):
-        assert dispatch([command, f"--precision={mode}"]) == 2
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_precision_flag_is_a_usage_error_on_every_subcommand(command, capsys):
+    # every subcommand runs in double precision; the flag is no option
+    for flag in (["--precision=double"], ["--precision", "extended"]):
+        assert dispatch([command, *CLEAN_ARGS[command], *flag]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--precision" in captured.err
 
@@ -610,50 +607,60 @@ def test_transfer_matrix_with_a_sample_past_the_double_range_of_its_modulus():
     assert payload["entries"] == [list(row) for row in mm.TRANSFER_MATRIX]
 
 
-# modules a double-precision reproduce never runs: dataclasses (the records
-# are named tuples), fractions and decimal (series_coefficient), the Taylor
-# transport (continuation and monodromy) and the extended arithmetic
+# modules reproduce never runs: dataclasses (the records are named tuples),
+# fractions and decimal (series_coefficient), the Taylor transport
+# (continuation and monodromy) and the extended arithmetic
 _NOT_IN_A_DOUBLE_REPRODUCE = ("dataclasses", "decimal", "fractions", "localp2._extended",
                               "localp2._taylor", "mpmath")
+_EXTENDED = ("localp2._extended", "mpmath")
 
 
-def test_mpmath_is_loaded_only_for_extended_precision():
-    # after numpy, a double-precision reproduce adds none of those modules
-    # to the interpreter; extended precision then loads mpmath
+def test_no_subcommand_loads_mpmath_and_the_extended_library_call_does():
+    # after numpy, reproduce adds none of those modules to the interpreter;
+    # no subcommand then loads the extended arithmetic, and the library's
+    # extended closed-form checks load both its modules
+    runs = [[c, *CLEAN_ARGS[c]] for c in SUBCOMMANDS]
     code = ("import os, sys; import numpy; before = set(sys.modules); "
             "import localp2.cli as cli; "
-            "print('mpmath' in sys.modules); "
-            "print(cli.dispatch(['reproduce', '--precision', 'double', "
-            "'--out', os.devnull]), 'mpmath' in sys.modules); "
-            f"print(sorted(set({_NOT_IN_A_DOUBLE_REPRODUCE!r}) & (set(sys.modules) - before))); "
-            "print(cli.dispatch(['verify-appendix', '--precision', 'extended', "
-            "'--out', os.devnull]), 'mpmath' in sys.modules)")
+            "loaded = lambda names: sorted(set(names) & (set(sys.modules) - before)); "
+            "print(cli.dispatch(['reproduce', '--out', os.devnull]), "
+            f"loaded({_NOT_IN_A_DOUBLE_REPRODUCE!r})); "
+            f"print([cli.dispatch([*argv, '--out', os.devnull]) for argv in {runs!r}], "
+            f"loaded({_EXTENDED!r})); "
+            "cli.specfun.closed_form_checks(cli.specfun.PrecisionConfig(mode='extended')); "
+            f"print(loaded({_EXTENDED!r}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=_package_env())
-    assert out.stdout.split("\n")[:4] == ["False", "0 False", "[]", "0 True"]
+    assert out.stdout.split("\n")[:3] == [
+        "0 []", f"{[0] * len(runs)} []", repr(sorted(_EXTENDED))]
 
 
-# a module imported inside the functions that use it, and a request whose
-# first call in a fresh interpreter runs that import
-_FIRST_CALLS = [
-    ("localp2._taylor",
-     ["continue", "--y", "1e30", "--y=-0.05,0.001", "--y", "0,0.04", "--tol", "1e-12"]),
-    ("localp2._taylor", ["monodromy"]),
-    ("localp2._extended", ["verify-appendix", "--precision", "extended"]),
-]
+# a module imported inside the functions that use it, and a call whose
+# first run in a fresh interpreter runs that import: a subcommand, which
+# writes its report to the path ``out``, or a library call
+_FIRST_CALLS = {
+    "continue": ("localp2._taylor", "cli.dispatch(['continue', '--y', '1e30', "
+                 "'--y=-0.05,0.001', '--y', '0,0.04', '--tol', '1e-12', '--out', out])"),
+    "monodromy": ("localp2._taylor", "cli.dispatch(['monodromy', '--out', out])"),
+    "closed_form_checks": ("localp2._extended", "cli.specfun.closed_form_checks("
+                           "cli.specfun.PrecisionConfig(mode='extended'))"),
+}
 
 
-@pytest.mark.parametrize("module, argv", _FIRST_CALLS, ids=[argv[0] for _, argv in _FIRST_CALLS])
-def test_a_first_call_imports_its_module_and_writes_the_warm_bytes(tmp_path, module, argv):
+@pytest.mark.parametrize("module, call", _FIRST_CALLS.values(), ids=_FIRST_CALLS)
+def test_a_first_call_imports_its_module_and_writes_the_warm_bytes(tmp_path, module, call):
+    # the fresh call's value (a subcommand's exit code, the checks' rows)
+    # and report are those of the same call here
     fresh, warm = tmp_path / "fresh.json", tmp_path / "warm.json"
     code = ("import sys; import localp2.cli as cli; "
-            f"print({module!r} in sys.modules); "
-            f"print(cli.dispatch({[*argv, '--out', str(fresh)]!r}), {module!r} in sys.modules)")
+            f"out = {str(fresh)!r}; print({module!r} in sys.modules); "
+            f"value = {call}; print({module!r} in sys.modules); print(repr(value))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=_package_env())
-    assert out.stdout.split("\n")[:2] == ["False", "0 True"]
-    assert dispatch([*argv, "--out", str(warm)]) == 0
-    assert fresh.read_bytes() == warm.read_bytes()
+    value = eval(call, {"cli": cli, "out": str(warm)})
+    assert out.stdout.split("\n")[:3] == ["False", "True", repr(value)]
+    if call.startswith("cli.dispatch"):
+        assert value == 0 and fresh.read_bytes() == warm.read_bytes()
 
 
 def test_console_entry_prints_the_dispatch_bytes(tmp_path, capsys, monkeypatch):

@@ -211,7 +211,8 @@ def test_every_reader_refuses_what_is_not_a_class(call):
         call()
 
 
-@pytest.mark.parametrize("w", [[1, 2], [1, 2, 3, 4], 5, "x", [1, None, 2], ["a", 1, 2]])
+@pytest.mark.parametrize("w", [[1, 2], [1, 2, 3, 4], 5, "x", [1, None, 2], ["a", 1, 2],
+                               "123", b"123"])
 def test_central_charge_refuses_a_w_that_is_not_three_numbers(w):
     with pytest.raises(BasisError, match="three numbers"):
         coh.central_charge(_BRANE, w)

@@ -141,6 +141,12 @@ def test_chf_err_estimate_bounds_truncation():
     assert abs(short.w2 - long.w2) < 40 * short.err_estimate
 
 
+def test_mellin_barnes_refuses_a_variant_that_is_not_its_name():
+    for which in ("Plain", ["plain"], None):
+        with pytest.raises(DomainError, match="unknown variant"):
+            pf.mellin_barnes(0.01, which)
+
+
 def test_series_domain_rejections():
     with pytest.raises(DomainError):
         pf.series_w1(0.0)

@@ -483,6 +483,9 @@ def test_precision_config_validation():
     # a config without a mode is double precision; the working digits of
     # extended precision are no setting
     assert PrecisionConfig() == PrecisionConfig("double", 1e-13) == sf.default_config()
+    # the constructions the benchmark makes
+    assert PrecisionConfig(mode="extended") == ("extended", 1e-13)
+    assert PrecisionConfig(mode="double", target_rel_err=1e-12) == ("double", 1e-12)
     with pytest.raises(TypeError):
         PrecisionConfig("extended", dps=40)
 
@@ -492,10 +495,23 @@ def test_precision_config_validation():
     ({"target_rel_err": 1e-16}, "target_rel_err"),
     ({"target_rel_err": 1e-5}, "target_rel_err"),
     ({"mode": "double", "target_rel_err": float("nan")}, "target_rel_err"),
+    # values of the wrong type end in the same error
+    ({"mode": ["double"]}, "unknown precision mode"),
+    ({"mode": None}, "unknown precision mode"),
+    ({"target_rel_err": "x"}, "target_rel_err"),
+    ({"target_rel_err": None}, "target_rel_err"),
+    ({"target_rel_err": "1e-12"}, "target_rel_err"),
 ])
 def test_precision_config_rejects(kwargs, message):
     with pytest.raises(DomainError, match=message):
         PrecisionConfig(**kwargs)
+
+
+def test_closed_form_checks_refuse_a_config_that_is_not_a_precision_config():
+    # extended precision is reached only through a PrecisionConfig
+    for config in ("extended", ("extended", 1e-13), {"mode": "extended"}):
+        with pytest.raises(DomainError, match="PrecisionConfig"):
+            sf.closed_form_checks(config)
 
 
 @pytest.mark.parametrize("kwargs, message", [
