@@ -61,21 +61,57 @@ def _parse_complex(text: str) -> complex:
         f"expected a finite real or 're,im' pair, got {text!r}")
 
 
+# the options, each taking one value
+_OPTIONS = (
+    ("--tol", dict(type=float, default=_DEFAULT_TOL,
+                   help="flagging tolerance (default %(default)g)")),
+    ("--y", dict(action="append", type=_parse_complex, default=None, metavar="RE[,IM]",
+                 help=f"modulus sample, repeatable; {', '.join(_MODULUS_AWARE)} only")),
+    ("--format", dict(choices=("json", "csv"), default="json")),
+    ("--out", dict(default=None, metavar="PATH",
+                   help="write the report here instead of stdout")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="localp2",
         description="Mirror correspondence for the canonical bundle of the "
                     "projective plane: solutions, periods, transfer matrix.")
     p.add_argument("command", choices=SUBCOMMANDS)
-    p.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                   help="flagging tolerance (default %(default)g)")
-    p.add_argument("--y", action="append", type=_parse_complex,
-                   default=None, metavar="RE[,IM]",
-                   help=f"modulus sample, repeatable; {', '.join(_MODULUS_AWARE)} only")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the report here instead of stdout")
+    for flag, spec in _OPTIONS:
+        p.add_argument(flag, **spec)
     return p
+
+
+class _Token(str):
+    """An argv string as an object of its own, found again by identity."""
+
+
+def _subcommand_first(argv: list) -> list:
+    """argv with the subcommand moved to the front.  argparse cannot tell
+    the value of an unknown flag from a positional, so before the
+    subcommand (``--bogus 1 reproduce``) it would read the value as the
+    subcommand; after it, both are the unrecognized arguments they are.
+    The subcommand is the first token that names one once the options and
+    their values are set aside, found by a parse that checks no value;
+    without one, argv stays as it is."""
+    if not argv or argv[0] in SUBCOMMANDS:
+        return argv
+    scan = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    scan.add_argument("-h", "--help", action="store_true")
+    for flag, _ in _OPTIONS:
+        scan.add_argument(flag)
+    tokens = [_Token(token) for token in argv]
+    try:
+        rest = scan.parse_known_args(tokens)[1]
+    except argparse.ArgumentError:
+        return argv
+    for token in rest:
+        if token in SUBCOMMANDS:
+            i = next(i for i, t in enumerate(tokens) if t is token)
+            return [argv[i], *argv[:i], *argv[i + 1:]]
+    return argv
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +381,7 @@ def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(_subcommand_first(list(argv)))
         if ns.y and ns.command not in _MODULUS_AWARE:
             parser.error(f"--y applies to {', '.join(_MODULUS_AWARE)} only")
     except SystemExit as exc:

@@ -122,21 +122,44 @@ def _mb_factors(n: int, weighted: bool = True) -> tuple:
                 if weighted else None)
 
 
-def _mb_contour(n: int, weighted: bool = True) -> tuple:
-    """The y-independent factors of the contour integrand at t_k, k = -K..K,
-    K = n - 1: the multiplier 1/2 - i t_k of log y, and the factors of
-    ``_mb_factors`` on t_0..t_K, conjugated onto t_(-k) = -t_k."""
-    lg, psi = _mb_factors(n, weighted)
-    return (0.5 - 1j * _MB_STEP * np.arange(1 - n, n),
-            np.concatenate([lg[:0:-1].conjugate(), lg]),
-            None if psi is None else np.concatenate([psi[:0:-1].conjugate(), psi]))
+def _mb_reflect(f: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """A factor given on t_0..t_K, K >= lo, hi, on the nodes t_k,
+    k = -lo..hi: conjugated onto t_(-k) = -t_k."""
+    return np.concatenate([f[lo:0:-1].conjugate(), f[:hi + 1]])
+
+
+def _mb_sides(ln_y: complex) -> tuple:
+    """The node counts K_- and K_+ past t = 0 of ``mellin_barnes``'s contour
+    at log y: each side is cut where its envelope e^(-pi|t| + t arg y) has
+    fallen by e^(-42), the side with t arg y > 0 at the slower decay
+    pi - |arg y|, the other at pi + |arg y|."""
+    arg = ln_y.imag
+    slow = math.ceil(42.0 / (math.pi - abs(arg)) / _MB_STEP)
+    fast = math.ceil(42.0 / (math.pi + abs(arg)) / _MB_STEP)
+    return (fast, slow) if arg > 0 else (slow, fast)
+
+
+def _mb_coefficients(n: int) -> tuple:
+    """The coefficients A_k = e^(log factor) and A_k psi_k (digamma weight)
+    of z^k on k = -K..K, K = n - 1."""
+    lg, psi = _mb_factors(n)
+    plain = np.exp(lg)
+    return _mb_reflect(plain, n - 1, n - 1), _mb_reflect(plain * psi, n - 1, n - 1)
 
 
 # The nodes t_0..t_(_MB_HALF - 1) that every modulus with pi - |arg y| >= 0.25
-# needs, and all three factors on the whole contour through them.
+# needs, and the coefficients on the whole contour through them.
 _MB_HALF = math.ceil(42.0 / 0.25 / _MB_STEP) + 1
-_MB_EXP, _MB_LG, _MB_PSI = _mb_contour(_MB_HALF)
-for _table in (_RATIO, _GAP, _MOMENTS, _SQUARES, _INV_RATIO, _MB_EXP, _MB_LG, _MB_PSI):
+_MB_PLAIN, _MB_DIGAMMA = _mb_coefficients(_MB_HALF)
+# z^k = (z^32)^j z^i, k = 32 j + i, i = -16..15: the exponents 32 j and i
+# of z over the whole table; complex, so that their product with log z
+# needs no cast
+_MB_BLOCK = 32
+_MB_J = (_MB_HALF - 1 + _MB_BLOCK // 2) // _MB_BLOCK
+_MB_OUTER = _MB_BLOCK * np.arange(-_MB_J, _MB_J + 1.0, dtype=complex)
+_MB_INNER = np.arange(-(_MB_BLOCK // 2), _MB_BLOCK // 2, dtype=complex)
+for _table in (_RATIO, _GAP, _MOMENTS, _SQUARES, _INV_RATIO, _MB_PLAIN, _MB_DIGAMMA,
+               _MB_OUTER, _MB_INNER):
     _table.setflags(write=False)
 del _M, _E, _table
 
@@ -349,62 +372,80 @@ def mellin_barnes(y: complex, which: str = "plain") -> complex:
 
     Integrates Gamma(-3s)Gamma(s)/Gamma(1-s)^2 * y^(-s) (optionally weighted
     by psi(-3s) - psi(1-s)) along s = -1/2 + it.  For |y| < 1/27 this equals
-    sum C_m (-y)^m (resp. the digamma-weighted sum).  The integrand decays
-    like exp(-(pi - |arg y|)|t|), so the contour is truncated at
-    t_max = 42/(pi - |arg y|), where that envelope reaches 1e-18 of its
-    center value, and summed over the nodes t_k = 0.08 k, |k| <= K =
-    ceil(t_max/0.08).
+    sum C_m (-y)^m (resp. the digamma-weighted sum).  The integrand's
+    envelope is exp(-pi|t| + t arg y), so each half of the contour is cut
+    at its own decay, where the envelope reaches e^-42 (about 1e-18) of its
+    value at t = 0: the half where t arg y > 0 at t = 42/(pi - |arg y|), the
+    other at t = 42/(pi + |arg y|) (``_mb_sides``).  The sum runs over the
+    nodes t_k = 0.08 k, k = -K_-..K_+, K = ceil(t/0.08) on each side.
 
-    The integrand is formed in the log domain.  By reflection
-    Gamma(s) = pi / (sin(pi s) Gamma(1-s)), and on this line
-    sin(pi s) = -cosh(pi t), so the factor in front of y^(-s) is
+    By reflection Gamma(s) = pi / (sin(pi s) Gamma(1-s)), and on this line
+    sin(pi s) = -cosh(pi t), so the node value is -pi e^(x) with
 
-        -pi exp(log Gamma(-3s) - log cosh(pi t) - 3 log Gamma(1-s)),
+        x = log Gamma(-3s) - log cosh(pi t) - 3 log Gamma(1-s) + (1/2 - it) log y,
 
     log cosh(pi t) = pi t + log1p(exp(-2 pi t)) - log 2 for t >= 0: two
-    ``lgamma_array`` calls, both at Re = 3/2.  Only half the contour is
-    evaluated: at t_(-k) every argument is the conjugate of its value at t_k,
-    so the log factor (and the digamma weight) is the conjugate there.
-    Neither depends on y, nor does the multiplier 1/2 - it of log y
-    (``_mb_contour``): all three are tabled at import on the whole contour
-    t_(-2100)..t_2100 that every modulus with pi - |arg y| >= 0.25 needs,
-    so such a call slices the tables and makes no kernel call; closer to
-    the cut a call builds what it needs on its own grid.  The nodes then
-    take one array of exponents x = log factor + (1/2 - it) log y, formed
-    once and exponentiated in place, so no factor leaves the double range
-    before the product is formed.  The checks read x and the sum: the
-    plain integrand's modulus is pi e^(Re x) (the digamma weight adds a
-    factor that grows only like log t), so its decay is read from Re x at
-    the ends and at its largest, and a non-finite node leaves the sum
-    non-finite.
+    ``lgamma_array`` calls, both at Re = 3/2, on the nodes t >= 0 only,
+    since at t_(-k) every argument is the conjugate of its value at t_k
+    (``_mb_reflect``).  Everything but the last term of x, and the digamma
+    weight, is independent of y, so the sum is y^(1/2) sum_k A_k z^k with
+    z = y^(-0.08i) and A_k = e^(log factor) (times the weight for the
+    digamma variant).  Both coefficient tables are built at import on the
+    whole contour t_(-2100)..t_2100 that every modulus with
+    pi - |arg y| >= 0.25 needs; such a call makes no kernel call and forms
+    no node by an exp of its own: z^k = (z^32)^j z^i, k = 32 j + i,
+    i = -16..15, is one product of two short tables of exps, with the
+    blocks centred on k = 0, so that the rounding of z^k grows with |k|
+    only where the integrand has decayed, and the sum is one dot product
+    with a slice of the table.  Closer to the cut, A_k underflows where
+    |z|^k = e^(0.08 k arg y) overflows, so such a call forms each node as
+    one exp of x, with t arg y inside the exponent, on its own grid with
+    the same per-side cut; no factor then leaves the double range before
+    the product is formed.  The checks read the plain integrand's modulus
+    pi |y|^(1/2) |A_k| |z|^k = pi e^(Re x) (the digamma weight adds a factor
+    that grows only like log t): its decay at the two ends against its
+    value at t = 0, and the sum, which a non-finite node leaves non-finite.
 
     Working range: pi - |arg y| > 0.05 at every finite |y|; closer to the
-    negative real axis the call raises ConvergenceError, and so does a
-    truncation point where pi e^(Re x) has not decayed to 1e-12 of its
-    largest value, or a non-finite node value.
+    negative real axis the call raises ConvergenceError, and so does an end
+    of the contour where pi e^(Re x) has not decayed to 1e-12 of its value
+    at t = 0, or a non-finite node value.
     """
     if not (isinstance(which, str) and which in {"plain", "digamma"}):
         raise DomainError(f"unknown variant {which!r}")
     y = _finite_modulus(y)
     if y == 0 or (y.real <= 0 and y.imag == 0):
         raise DomainError("contour representation needs y off (-inf, 0]")
-    decay = math.pi - abs(cmath.phase(y))
-    if decay <= 0.05:
+    ln_y = cmath.log(y)
+    if math.pi - abs(ln_y.imag) <= 0.05:
         raise ConvergenceError("arg y too close to pi for the truncated contour")
-    n = math.ceil(42.0 / decay / _MB_STEP) + 1                     # t_k, k = 0..K
-    if n <= _MB_HALF:
-        k = slice(_MB_HALF - n, _MB_HALF - 1 + n)                     # k = -K..K
-        expo, lg, wgt = _MB_EXP[k], _MB_LG[k], _MB_PSI[k]
+    lo, hi = _mb_sides(ln_y)                                        # k = -lo..hi
+    if max(lo, hi) < _MB_HALF:
+        # z^k = (z^32)^j z^i, z = y^(-0.08i), on the blocks j that hold k
+        log_z = -1j * _MB_STEP * ln_y
+        j_lo, j_hi = (_MB_BLOCK // 2 - lo) // _MB_BLOCK, (_MB_BLOCK // 2 + hi) // _MB_BLOCK
+        outer = np.exp(log_z * _MB_OUTER[_MB_J + j_lo:_MB_J + j_hi + 1])
+        powers = (outer[:, None] * np.exp(log_z * _MB_INNER)).ravel()
+        first = _MB_BLOCK // 2 - _MB_BLOCK * j_lo - lo               # k = -lo
+        table = _MB_PLAIN if which == "plain" else _MB_DIGAMMA
+        c = _MB_HALF - 1                                             # k = 0
+        total = np.dot(table[c - lo:c + hi + 1], powers[first:first + lo + hi + 1])
+        total *= -math.pi * cmath.sqrt(y)
+        # the log of the plain envelope |A_k| |z|^k at t = 0 and at the ends
+        slope = _MB_STEP * ln_y.imag
+        top = math.log(abs(_MB_PLAIN[c]))
+        ends = max(math.log(abs(_MB_PLAIN[c - lo])) - slope * lo,
+                   math.log(abs(_MB_PLAIN[c + hi])) + slope * hi)
     else:
-        expo, lg, wgt = _mb_contour(n, which == "digamma")
-    x = expo * cmath.log(y)
-    np.add(lg, x, out=x)
-    # the envelope pi e^(Re x) of the integrand, at its top and at the ends
-    top, ends = x.real.max(), max(x[0].real, x[-1].real)
-    vals = np.multiply(-math.pi, np.exp(x, out=x), out=x)
-    if which == "digamma":
-        np.multiply(vals, wgt, out=vals)
-    total = np.sum(vals)
+        lg, wgt = _mb_factors(max(lo, hi) + 1, which == "digamma")
+        x = _mb_reflect(lg, lo, hi)
+        x += (0.5 - 1j * _MB_STEP * np.arange(-lo, hi + 1.0)) * ln_y
+        # the log of the envelope pi e^(Re x) at t = 0 and at the ends
+        top, ends = x[lo].real, max(x[0].real, x[-1].real)
+        vals = np.exp(x, out=x)
+        if which == "digamma":
+            np.multiply(vals, _mb_reflect(wgt, lo, hi), out=vals)
+        total = -math.pi * np.sum(vals)
     if not cmath.isfinite(total):
         raise ConvergenceError("contour integrand left the double range")
     # the truncation must sit deep in the decayed region

@@ -316,6 +316,35 @@ def test_precision_flag_is_a_usage_error_on_every_subcommand(command, capsys):
         assert captured.out == "" and "--precision" in captured.err
 
 
+@pytest.mark.parametrize("flag", [["--bogus", "1"], ["--precision", "extended"]])
+def test_an_unknown_flag_before_the_subcommand_is_the_usage_error_it_is_after(flag, capsys):
+    # before the subcommand the flag's value was read as the subcommand
+    # ("invalid choice: '1'"); on either side the error names both
+    errors = []
+    for argv in ([*flag, "reproduce"], ["reproduce", *flag]):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in errors[0]
+
+
+def test_options_before_the_subcommand_read_as_after_it(tmp_path, monkeypatch, capsys):
+    # a value that names a subcommand stays the value of its option
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for argv in (["--tol", "1e-8", "--y", "0.01", "--y=0.02,0.01", "series"],
+                 ["series", "--tol", "1e-8", "--y", "0.01", "--y=0.02,0.01"],
+                 ["--y", "0.01", "series", "--tol", "1e-8", "--y=0.02,0.01"]):
+        runs.append((dispatch(argv), capsys.readouterr()))
+    assert runs[0][0] == 0 and runs[1:] == runs[:1] * 2
+    assert dispatch(["--out", "reproduce", "monodromy"]) == 0
+    assert capsys.readouterr().out == ""
+    assert dispatch(["monodromy"]) == 0
+    assert (tmp_path / "reproduce").read_text() == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["monodromy", "mirror-objects", "verify-appendix",
                                      "ktheory-table", "reproduce"])
 def test_modulus_flag_is_a_usage_error_where_no_modulus_is_read(command, capsys):

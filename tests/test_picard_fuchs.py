@@ -372,18 +372,21 @@ def test_mellin_barnes_refuses_the_last_sliver_before_the_cut(decay):
 
 @pytest.mark.parametrize("which", ["plain", "digamma"])
 def test_mellin_barnes_refuses_an_integrand_out_of_range_or_undecayed(monkeypatch, which):
-    # no modulus reaches either in-body refusal with the true node tables,
-    # so each is forced through a patched copy of the log factor: its
-    # centre raised past the double range, or the centre value on every
-    # node, so that the integrand grows towards one end of the contour
-    y, centre = 0.01j, pf._MB_LG[pf._MB_HALF - 1]
-    lg = pf._MB_LG.copy()
-    lg[pf._MB_HALF - 1] += 1000.0
-    monkeypatch.setattr(pf, "_MB_LG", lg)
+    # no modulus reaches either in-body refusal with the true coefficient
+    # tables, so each is forced through a patched copy: the centre of the
+    # table the variant sums raised past the double range, or the plain
+    # table, whose modulus both variants check as the envelope, set to its
+    # centre value on every node, so that the integrand grows towards one end
+    y, centre = 0.01j, pf._MB_HALF - 1
+    name = {"plain": "_MB_PLAIN", "digamma": "_MB_DIGAMMA"}[which]
+    table = getattr(pf, name).copy()
+    table[centre] = complex(math.inf, 0.0)
+    monkeypatch.setattr(pf, name, table)
     with pytest.raises(ConvergenceError, match="contour integrand left the double range"), \
-            np.errstate(over="ignore", invalid="ignore"):
+            np.errstate(invalid="ignore"):
         pf.mellin_barnes(y, which)
-    monkeypatch.setattr(pf, "_MB_LG", np.full_like(lg, centre))
+    monkeypatch.undo()
+    monkeypatch.setattr(pf, "_MB_PLAIN", np.full_like(pf._MB_PLAIN, pf._MB_PLAIN[centre]))
     with pytest.raises(ConvergenceError,
                        match="contour truncation reached before integrand decay"):
         pf.mellin_barnes(y, which)
@@ -419,52 +422,112 @@ def test_mellin_barnes_kernel_calls_use_half_the_grid(monkeypatch):
 
 
 def test_mellin_barnes_node_table_is_read_only_and_fresh():
-    # the tables cover the whole contour through the nodes that
+    # the coefficient tables cover the whole contour through the nodes that
     # pi - |arg y| >= 0.25 needs, are bitwise a fresh build of their length,
-    # and their middle is bitwise a fresh build of a shorter contour
+    # and their middle is bitwise a fresh build of a shorter contour; the
+    # exponent tables of z cover every block of it
     n = pf._MB_HALF
     assert n == math.ceil(42.0 / 0.25 / 0.08) + 1
-    tables = (pf._MB_EXP, pf._MB_LG, pf._MB_PSI)
+    tables = (pf._MB_PLAIN, pf._MB_DIGAMMA)
     for length in (n, 461):
         middle = slice(n - length, n - 1 + length)
-        for table, built in zip(tables, pf._mb_contour(length)):
+        for table, built in zip(tables, pf._mb_coefficients(length)):
             assert not table.flags.writeable and len(table) == 2 * n - 1
             assert table[middle].tobytes() == built.tobytes()
-    assert pf._mb_contour(461, weighted=False)[2] is None
+    for table in (pf._MB_OUTER, pf._MB_INNER):
+        assert not table.flags.writeable
+    block = pf._MB_BLOCK
+    reach = pf._MB_OUTER[[0, -1]].real + pf._MB_INNER[[0, -1]].real
+    assert reach[0] <= 1 - n and reach[1] >= n - 1
+    assert pf._MB_INNER.real.tolist() == list(range(-block // 2, block // 2))
+    assert pf._mb_factors(461, weighted=False)[1] is None
 
 
 def _mellin_barnes_half_grid(y, which):
-    """The tabled contour sum as built from the half grid: the nodes
-    k = -K..K, the factors of ``_mb_factors`` on t_0..t_K, conjugated onto
-    t_(-k)."""
+    """The contour sum as built from the half grid, cut symmetrically at the
+    slow side's length: the nodes k = -K..K, the factors of ``_mb_factors``
+    on t_0..t_K, conjugated onto t_(-k), each node one exp of its exponent
+    x_k.  Returns the sum and its rounding scale sum |node_k| (1 + |x_k|):
+    the exp of x_k carries the rounding of x_k, eps |x_k|."""
     n = math.ceil(42.0 / (math.pi - abs(cmath.phase(y))) / 0.08) + 1
     lg, wgt = pf._mb_factors(n)
     k = np.arange(1 - n, n)
-    vals = -math.pi * np.exp(np.concatenate([lg[:0:-1].conjugate(), lg])
-                             + (0.5 - 1j * 0.08 * k) * cmath.log(y))
+    x = np.concatenate([lg[:0:-1].conjugate(), lg]) + (0.5 - 1j * 0.08 * k) * cmath.log(y)
+    vals = -math.pi * np.exp(x)
     if which == "digamma":
         vals = vals * np.concatenate([wgt[:0:-1].conjugate(), wgt])
-    return complex(np.sum(vals) * 0.08 / (2.0 * math.pi))
+    scale = 0.08 / (2.0 * math.pi)
+    return (complex(np.sum(vals) * scale),
+            float(np.sum(np.abs(vals) * (1.0 + np.abs(x)))) * scale)
+
+
+def _contour_sides(y):
+    """K_- and K_+ of ``mellin_barnes`` at y: the side where t arg y > 0 is
+    cut at 42/(pi - |arg y|), the other at 42/(pi + |arg y|)."""
+    arg = cmath.phase(y)
+    slow = math.ceil(42.0 / (math.pi - abs(arg)) / 0.08)
+    fast = math.ceil(42.0 / (math.pi + abs(arg)) / 0.08)
+    return (fast, slow) if arg > 0 else (slow, fast)
+
+
+def _rounding_moduli():
+    """Seeded moduli over the tabled range with both signs of arg y, the
+    table's edge pi - |arg y| = 0.25 and 1e-9 either side of it, and the
+    extreme |y| from the smallest subnormal to the largest doubles."""
+    rng = np.random.default_rng(2510)
+    moduli = [cmath.rect(math.exp(rng.uniform(math.log(1e-6), math.log(10.0))),
+                         sign * rng.uniform(0.0, math.pi - 0.25))
+              for sign in (1.0, -1.0) for _ in range(30)]
+    moduli += [cmath.rect(r, sign * (math.pi - decay))
+               for decay in (0.25, 0.25 - 1e-9, 0.25 + 1e-9)
+               for r in (1e-4, 0.01, 10.0) for sign in (1.0, -1.0)]
+    moduli += [cmath.rect(r, a) for r in (1e-300, 1e-4, 0.02, 10.0, 1e300, 1.7e308)
+               for a in (0.0, 1.5, -2.5, math.pi - 0.25, -(math.pi - 0.3), math.pi - 0.2)]
+    # the smallest subnormal, on its own and as either part of y
+    moduli += [5e-324, 5e-324j, -5e-324j, complex(5e-324, 5e-324), complex(-5e-324, 5e-324)]
+    return moduli
 
 
 @pytest.mark.parametrize("which", ["plain", "digamma"])
-def test_tabled_mellin_barnes_is_bitwise_the_half_grid_sum(monkeypatch, which):
-    # on pi - |arg y| >= 0.25 a call slices the whole-contour tables and
-    # makes no kernel call; its value is bitwise the sum over the half grid
-    rng = np.random.default_rng(2510)
-    moduli = [cmath.rect(math.exp(rng.uniform(math.log(1e-6), math.log(10.0))),
-                         rng.uniform(-1.0, 1.0) * (math.pi - 0.25))
-              for _ in range(60)]
-    moduli += [cmath.rect(0.01, a) for a in (0.0, 1.5, 2.5, 2.85, math.pi - 0.25)]
-    want = [_mellin_barnes_half_grid(y, which) for y in moduli]
+def test_mellin_barnes_is_the_half_grid_sum_within_rounding(monkeypatch, which):
+    # on and off the table, at every |y| a double holds, the call is finite
+    # with no warning, lies within 4 eps of the half-grid sum's rounding
+    # scale, and evaluates exactly K_- + K_+ + 1 nodes: the slice of the
+    # coefficient table it reads on the tabled range, the reflected factors
+    # and their kernel calls past it
+    reads, reflected = [], []
 
-    def refuse(z):
-        raise AssertionError("kernel call on the tabled range")
+    class Recording(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                reads.append((key.start, key.stop))
+            return np.ndarray.__getitem__(self, key)
 
-    for name in ("lgamma_array", "digamma_array"):
-        monkeypatch.setattr(pf._kernels, name, refuse)
-    for y, w in zip(moduli, want):
-        assert pf.mellin_barnes(y, which) == w, y
+    reflect = pf._mb_reflect
+
+    def recording_reflect(f, lo, hi):
+        reflected.append((len(f), lo, hi))
+        return reflect(f, lo, hi)
+
+    for name in ("_MB_PLAIN", "_MB_DIGAMMA"):
+        monkeypatch.setattr(pf, name, getattr(pf, name).view(Recording))
+    monkeypatch.setattr(pf, "_mb_reflect", recording_reflect)
+    centre = pf._MB_HALF - 1
+    for y in _rounding_moduli():
+        want, scale = _mellin_barnes_half_grid(y, which)
+        lo, hi = _contour_sides(y)
+        del reads[:], reflected[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = pf.mellin_barnes(y, which)
+        assert cmath.isfinite(got), y
+        assert abs(got - want) <= 4.0 * 2.0 ** -52 * scale, (y, abs(got - want), scale)
+        if max(lo, hi) < pf._MB_HALF:
+            assert reads == [(centre - lo, centre + hi + 1)] and reflected == [], y
+        else:
+            weights = [(lo, hi)] if which == "digamma" else []
+            assert reads == [] and [r[1:] for r in reflected] == [(lo, hi)] + weights, y
+            assert {r[0] for r in reflected} == {max(lo, hi) + 1}, y
 
 
 # --- annihilator ---------------------------------------------------------------
